@@ -23,14 +23,14 @@ import numpy as np
 from . import dynamics, selftest
 from .bundle import frame_defect
 from .dynamics import (TimeGrid, berry_maps, bloch_projector, constant_schedule,
-                       geometric_schedule, integrate_projector, loop_holonomy,
-                       pancharatnam_oracle, rotating_schedule, sampled_schedule,
-                       synthesize_holonomy_step, _node_derivatives_4th,
-                       projector_defect)
-from .errors import GapTooSmall, GrassflowError, NotClosed
+                       geometric_schedule, horizontality_defects,
+                       integrate_projector, loop_holonomy, pancharatnam_oracle,
+                       rotating_schedule, sampled_schedule,
+                       synthesize_holonomy_step, projector_defect)
+from .errors import GapTooSmall, GrassflowError, NotAntiHermitian, NotClosed
 from .grassmann import BasePoint, Projector, linear_hamiltonian
 from .linalg import (Tolerances, dag, frob, mat_exp, random_antihermitian,
-                     random_frame)
+                     random_frame, require_antihermitian)
 
 CSV_HEADER = "t,projector_defect,isometry_defect,horizontality_defect,energy"
 
@@ -146,15 +146,19 @@ def build_setup(cfg: dict, tol: Tolerances):
     elif kind == "constant":
         if "matrix" in sched_cfg:
             h_mat = _deser_matrix(sched_cfg["matrix"])
-            if h_mat.shape != (n, n):
-                raise UsageError("constant schedule matrix must be n x n")
         else:
             h_mat = random_antihermitian(n, rng)
             h_mat *= float(sched_cfg.get("norm", 2.0)) / max(np.linalg.norm(h_mat), 1e-300)
-        schedule = constant_schedule(h_mat)
+        schedule = constant_schedule(
+            _require_generator(h_mat, n, tol, "constant schedule matrix"))
         p0 = Projector.from_frame(random_frame(n, m, rng))
     elif kind == "sampled":
-        values = np.array([_deser_matrix(v) for v in sched_cfg["values"]])
+        raw = sched_cfg.get("values")
+        if not isinstance(raw, list) or len(raw) != grid.steps + 1:
+            raise UsageError("sampled schedule needs a list of grid.steps + 1 values")
+        values = np.array([_require_generator(_deser_matrix(v), n, tol,
+                                              "sampled schedule value")
+                           for v in raw])
         schedule = sampled_schedule(grid, values)
         p0 = Projector.from_frame(random_frame(n, m, rng))
     elif kind == "geometric_from_curve":
@@ -164,6 +168,16 @@ def build_setup(cfg: dict, tol: Tolerances):
 
     sigma = BasePoint.from_projector(p0, tol).frame
     return schedule, p0, sigma, grid
+
+
+def _require_generator(h_mat, n, tol, name):
+    """A config generator as an n x n anti-Hermitian matrix, checked before integrating."""
+    if h_mat.shape != (n, n):
+        raise UsageError(f"{name} must be n x n")
+    try:
+        return require_antihermitian(h_mat, tol, name)
+    except (NotAntiHermitian, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _geometric_setup(sched_cfg, n, m, grid, rng):
@@ -233,21 +247,12 @@ def _phase_arg(holonomy: np.ndarray, m: int):
     return float(np.angle(np.linalg.det(holonomy)))
 
 
-def _flow_rows(schedule, res, m, tol):
-    """Per-node CSV rows for a berry_maps result."""
-    ppath, fpath, hpath = res.projector_path, res.frame_path, res.horizontal_path
-    derivs = _node_derivatives_4th(hpath.samples, hpath.grid.h)
-    rows = []
-    for k, t in enumerate(ppath.grid.times):
-        p = ppath.samples[k]
-        rows.append((
-            t,
-            projector_defect(p, ppath.rank),
-            max(frame_defect(fpath.samples[k]), frame_defect(hpath.samples[k])),
-            frob(dag(hpath.samples[k]) @ derivs[k]),
-            linear_hamiltonian(schedule(t), Projector(matrix=p, rank=m), tol),
-        ))
-    return rows
+def _flow_rows(res):
+    """Per-node CSV rows for a berry_maps result, from its frames and energies."""
+    fpath, hpath = res.frame_path, res.horizontal_path
+    return list(zip(fpath.grid.times, fpath.projector_defects(),
+                    np.maximum(fpath.frame_defects(), hpath.frame_defects()),
+                    horizontality_defects(hpath), res.energies))
 
 
 # ---------------------------------------------------------------- subcommands
@@ -307,7 +312,7 @@ def cmd_flow(cfg: dict, tol: Tolerances) -> int:
     m = cfg["m"]
     schedule, p0, sigma, grid = build_setup(cfg, tol)
     res = berry_maps(schedule, p0, sigma, grid, tol)
-    rows = _flow_rows(schedule, res, m, tol)
+    rows = _flow_rows(res)
     defect_max = max(res.projector_defect, res.isometry_defect)
     payload = _final_json(
         cfg,
@@ -337,13 +342,14 @@ def cmd_berry(cfg: dict, tol: Tolerances) -> int:
         raise NotClosed(f"projector path does not close: "
                         f"residual {res.closure_residual:.3e}")
 
-    rows = _flow_rows(schedule, res, m, tol)
+    rows = _flow_rows(res)
     phase = _phase_arg(res.geometric, m)
     extras = {"closed": True,
               "horizontality_defect": res.horizontality_defect,
               "fiber_gap_deviation": frob(res.fiber_gap - np.eye(m))}
 
-    oracle = pancharatnam_oracle(res.projector_path.samples, sigma, tol)
+    frames = res.frame_path.samples
+    oracle = pancharatnam_oracle(frames @ dag(frames), sigma, tol)
     extras["oracle_phase_arg"] = _phase_arg(oracle, m)
     extras["oracle_deviation"] = frob(res.geometric - oracle)
 
@@ -386,14 +392,11 @@ def cmd_holonomy(cfg: dict, tol: Tolerances) -> int:
     transported = dynamics.horizontal_transport(path, sigma, tol)
     oracle = pancharatnam_oracle(path.samples, sigma, tol)
 
-    derivs = _node_derivatives_4th(transported.samples, grid.h)
-    rows = [(t,
-             projector_defect(path.samples[k], m),
-             frame_defect(transported.samples[k]),
-             frob(dag(transported.samples[k]) @ derivs[k]),
-             linear_hamiltonian(schedule(t), Projector(matrix=path.samples[k],
-                                                       rank=m), tol))
-            for k, t in enumerate(grid.times)]
+    rows = [(t, projector_defect(p, m), iso, hor,
+             linear_hamiltonian(schedule(t), Projector(matrix=p, rank=m), tol))
+            for t, p, iso, hor in zip(grid.times, path.samples,
+                                      transported.frame_defects(),
+                                      horizontality_defects(transported))]
 
     defect_max = max(path.node_defect(), transported.node_defect())
     payload = _final_json(
@@ -438,14 +441,11 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
     holonomy = loop_holonomy(path, base.frame, tol)
     predicted = mat_exp(dynamics.SYNTHESIS_CURVATURE_CONSTANT * scale ** 2 * w)
     transported = dynamics.horizontal_transport(path, base.frame, tol)
-    derivs = _node_derivatives_4th(transported.samples, path.grid.h)
 
-    rows = [(t,
-             projector_defect(path.samples[k], m),
-             frame_defect(transported.samples[k]),
-             frob(dag(transported.samples[k]) @ derivs[k]),
-             0.0)
-            for k, t in enumerate(path.grid.times)]
+    rows = [(t, projector_defect(p, m), iso, hor, 0.0)
+            for t, p, iso, hor in zip(path.grid.times, path.samples,
+                                      transported.frame_defects(),
+                                      horizontality_defects(transported))]
 
     defect_max = max(path.node_defect(), transported.node_defect())
     payload = _final_json(

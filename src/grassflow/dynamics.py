@@ -4,10 +4,11 @@ Integrates the frame equation phi' = H(t) phi and the projector equation
 P' = [H(t), P] with a classical 4th-order one-step method plus per-step
 retraction back onto the constraint set (oriented QR for frames, spectral
 projection for projectors).  On top of the flows: horizontal transport,
-the dynamical vs. geometric Berry maps, purely off-diagonal ("geometric")
-schedules driving a prescribed projector curve, loop holonomy with a
-discrete projector-product oracle, and first-order holonomy synthesis from
-curvature generators.
+the dynamical vs. geometric Berry maps (one frame-first loop that splits the
+Schroedinger frame into a horizontal frame and a gauge factor), purely
+off-diagonal ("geometric") schedules driving a prescribed projector curve,
+loop holonomy with a discrete projector-product oracle, and first-order
+holonomy synthesis from curvature generators.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import numpy as np
 
 from .errors import (BaseMismatch, DegenerateStep, NotClosed, PathTooRough)
 from .bundle import curvature_generators, frame_defect
-from .grassmann import BasePoint, ChartTangent, Projector, proj_from_chart
+from .grassmann import (BasePoint, ChartTangent, Projector, hamiltonian_value,
+                        proj_from_chart)
 from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob,
                      isometrize, nearest_projector, polar_retract,
-                     require_finite)
+                     require_antihermitian, require_finite)
 
 # Proportionality constant between the log-holonomy of a unit parallelogram
 # loop and the curvature generator it realizes:
@@ -164,13 +166,41 @@ class FramePath:
     samples: np.ndarray          # (steps+1, n, m)
     max_raw_defect: float = 0.0
 
+    def grams(self) -> np.ndarray:
+        """The m x m Gram matrices phi_k* phi_k, one per node."""
+        return dag(self.samples) @ self.samples
+
+    def frame_defects(self) -> np.ndarray:
+        """Per-node frame_defect: || phi_k* phi_k - I ||."""
+        grams = self.grams()
+        return np.linalg.norm(grams - np.eye(grams.shape[-1]), axis=(1, 2))
+
+    def projector_defects(self) -> np.ndarray:
+        """Per-node projector_defect of phi_k phi_k*, from the Gram matrices alone.
+
+        phi phi* is Hermitian by construction, and with G = phi* phi,
+        (phi phi*)^2 - phi phi* = phi (G - I) phi*, whose squared norm is
+        tr((G - I) G (G - I) G); tr(phi phi*) = tr G.  No n x n matrix is formed.
+        """
+        grams = self.grams()
+        m = grams.shape[-1]
+        dev = grams - np.eye(m)
+        idem = np.trace(dev @ grams @ dev @ grams, axis1=1, axis2=2).real
+        trace = np.trace(grams, axis1=1, axis2=2) - m
+        return np.maximum(np.sqrt(np.abs(idem)), np.abs(trace))
+
     def node_defect(self) -> float:
-        return max(frame_defect(phi) for phi in self.samples)
+        return float(self.frame_defects().max())
 
 
 def projector_defect(p: np.ndarray, rank: int) -> float:
     return max(frob(p @ p - p), frob(p - dag(p)),
                abs(complex(np.trace(p)) - rank))
+
+
+def closure_tolerance(rank: int, tol: Tolerances = DEFAULT_TOLS) -> float:
+    """Largest || P(T) - P(0) || at which a rank-``rank`` projector path counts as closed."""
+    return tol.comparison * (1.0 + rank)
 
 
 def _rk4_step(f, t, y, h):
@@ -265,23 +295,22 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
     rank = path.rank
 
     if path.schedule is not None:
-        schedule = path.schedule
-        p = path.samples[0].copy()
-        psi = sigma.copy()
+        schedule, n = path.schedule, path.n
 
+        # the pair (P, psi) as one n x (n+m) array [P | psi]
         def rhs(t, y):
-            pdot = commutator(schedule(t), y.p)
-            return _PairState(pdot, pdot @ y.psi)
+            pdot = commutator(schedule(t), y[:, :n])
+            return np.hstack([pdot, pdot @ y[:, n:]])
 
-        state = _PairState(p, psi)
+        y = np.hstack([path.samples[0], sigma])
         for k in range(grid.steps):
-            state = _rk4_step(rhs, grid.t0 + k * h, state, h)
-            p, psi = state.p, state.psi
+            y = _rk4_step(rhs, grid.t0 + k * h, y, h)
+            p, psi = y[:, :n], y[:, n:]
             worst = max(worst, frame_defect(psi))
             if projector_defect(p, rank) > tol.ode:
                 p = nearest_projector((p + dag(p)) / 2.0, rank, tol)
             psi = polar_retract(psi, tol)
-            state = _PairState(p, psi)
+            y = np.hstack([p, psi])
             samples[k + 1] = psi
     else:
         derivs = _node_derivatives(path.samples, h)
@@ -295,22 +324,6 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
             samples[k + 1] = psi
 
     return FramePath(grid=grid, samples=samples, max_raw_defect=worst)
-
-
-class _PairState:
-    """Arithmetic-closed pair (P, psi) so the RK4 kernel can integrate both."""
-
-    __slots__ = ("p", "psi")
-
-    def __init__(self, p, psi):
-        self.p = p
-        self.psi = psi
-
-    def __add__(self, other):
-        return _PairState(self.p + other.p, self.psi + other.psi)
-
-    def __rmul__(self, scalar):
-        return _PairState(scalar * self.p, scalar * self.psi)
 
 
 def _node_derivatives_4th(samples: np.ndarray, h: float) -> np.ndarray:
@@ -327,14 +340,19 @@ def _node_derivatives_4th(samples: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def horizontality_defect(frames: FramePath) -> float:
-    """max_k || psi_k* psi_k' || with the derivative by finite differences.
+def horizontality_defects(frames: FramePath) -> np.ndarray:
+    """Per-node || psi_k* psi_k' || with the derivative by finite differences.
 
     Uses 4th-order stencils so the measurement error stays well below the
     transported curve's own vertical drift.
     """
     derivs = _node_derivatives_4th(frames.samples, frames.grid.h)
-    return max(frob(dag(phi) @ d) for phi, d in zip(frames.samples, derivs))
+    return np.linalg.norm(dag(frames.samples) @ derivs, axis=(1, 2))
+
+
+def horizontality_defect(frames: FramePath) -> float:
+    """max_k || psi_k* psi_k' ||, see ``horizontality_defects``."""
+    return float(horizontality_defects(frames).max())
 
 
 def tracking_defect(path: ProjectorPath, frames: FramePath) -> float:
@@ -355,42 +373,92 @@ class HolonomyResult:
     projector_defect: float
     isometry_defect: float
     horizontality_defect: float
-    projector_path: ProjectorPath = field(repr=False, default=None)
+    energies: np.ndarray = field(repr=False, default=None)  # -i tr(phi_k* H(t_k) phi_k)
     frame_path: FramePath = field(repr=False, default=None)
     horizontal_path: FramePath = field(repr=False, default=None)
 
 
+def _lifted_rhs(h_mat: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """(H phi, -(phi* H phi) g) for the stacked state y = [phi; g]."""
+    h_phi = h_mat @ y[:n]
+    return np.vstack([h_phi, -(dag(y[:n]) @ h_phi) @ y[n:]])
+
+
 def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
                grid: TimeGrid, tol: Tolerances = DEFAULT_TOLS) -> HolonomyResult:
-    """Run the projector flow, the lifted Schroedinger flow and horizontal
-    transport from a common start, and compare the induced fiber maps.
+    """Dynamical and geometric fiber maps of a Hamiltonian run, by one RK4 loop.
 
-    When the projector path closes, ``dynamical`` and ``geometric`` are the
-    two U(m) holonomies of the loop; ``fiber_gap = psi(T)* phi(T)`` is always
-    reported and measures the accumulated vertical (gauge) drift.
+    The Schroedinger frame phi' = H phi, phi(0) = sigma, is split as
+    phi = psi g* with the m x m gauge factor g' = -(phi* H phi) g, g(0) = I:
+    then psi = phi g solves psi' = (1 - phi phi*) H psi, the horizontal
+    transport of sigma along P = phi phi*.  This is the Aharonov-Anandan
+    split of the evolution into a dynamical and a geometric part (PRL 58,
+    1593 (1987); non-abelian form: Anandan, Phys. Lett. A 133, 171 (1988)).
+    One classical RK4 loop integrates the stacked (n+m) x m state [phi; g],
+    evaluating H once per distinct stage time (2 * steps + 1 evaluations in
+    all), so each step costs O(n^2 m) and no n x n path is formed.  After
+    each step phi is re-isometrized when its frame defect exceeds
+    ``tol.ode`` and g is polar-retracted onto U(m).
+
+    Returns ``dynamical = sigma* phi(T)``, ``geometric = sigma* psi(T)`` and
+    ``fiber_gap = psi(T)* phi(T) = g(T)*``.  When the projector path closes
+    (|| phi(T) phi(T)* - sigma sigma* || within ``closure_tolerance``) the
+    first two are the U(m) holonomies of the loop; the fiber gap is always a
+    gauge element and measures the accumulated vertical drift.  The node
+    energies -i tr(phi_k* H(t_k) phi_k) come from the first RK4 stage, and
+    each node's H is checked to be anti-Hermitian with a real energy.
     """
     sigma = require_finite(sigma, "start frame")
     if frob(sigma @ dag(sigma) - p0.matrix) > tol.comparison * p0.n:
         raise BaseMismatch("im(sigma) differs from P0")
+    n, m = sigma.shape
+    h = grid.h
+    phis = np.empty((grid.steps + 1, n, m), dtype=complex)
+    gauges = np.empty((grid.steps + 1, m, m), dtype=complex)
+    energies = np.empty(grid.steps + 1)
+    y = np.vstack([sigma, np.eye(m, dtype=complex)])
+    worst = frame_defect(sigma)
+    h_next = require_antihermitian(schedule(grid.t0), tol, "generator")
 
-    ppath = integrate_projector(schedule, p0, grid, tol)
-    fpath = integrate_frame(schedule, sigma, grid, tol)
-    hpath = horizontal_transport(ppath, sigma, tol)
+    for k in range(grid.steps + 1):
+        phi, g = y[:n], y[n:]
+        phis[k], gauges[k] = phi, g
+        h_phi = h_next @ phi
+        gen = dag(phi) @ h_phi  # phi* H phi
+        energies[k] = hamiltonian_value(gen, tol)
+        if k == grid.steps:
+            break
+        t = grid.t0 + k * h
+        h_mid = schedule(t + h / 2.0)
+        h_next = require_antihermitian(schedule(grid.t0 + (k + 1) * h), tol,
+                                       "generator")
+        k1 = np.vstack([h_phi, -gen @ g])
+        k2 = _lifted_rhs(h_mid, y + (h / 2.0) * k1, n)
+        k3 = _lifted_rhs(h_mid, y + (h / 2.0) * k2, n)
+        k4 = _lifted_rhs(h_next, y + h * k3, n)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phi = y[:n]
+        defect = frame_defect(phi)
+        worst = max(worst, defect)
+        if defect > tol.ode:
+            phi = isometrize(phi, tol)
+        y = np.vstack([phi, polar_retract(y[n:], tol)])
 
-    residual = ppath.closure_residual()
-    closed = residual <= tol.comparison * (1.0 + p0.rank)
-    phi_end = fpath.samples[-1]
-    psi_end = hpath.samples[-1]
+    # psi inherits the audit of phi: its gauge factor is unitary at every node
+    fpath = FramePath(grid=grid, samples=phis, max_raw_defect=worst)
+    hpath = FramePath(grid=grid, samples=phis @ gauges, max_raw_defect=worst)
+    phi_end, psi_end = fpath.samples[-1], hpath.samples[-1]
+    residual = frob(phi_end @ dag(phi_end) - sigma @ dag(sigma))
     return HolonomyResult(
         dynamical=dag(sigma) @ phi_end,
         geometric=dag(sigma) @ psi_end,
         fiber_gap=dag(psi_end) @ phi_end,
-        closed=closed,
+        closed=residual <= closure_tolerance(p0.rank, tol),
         closure_residual=residual,
-        projector_defect=ppath.node_defect(),
+        projector_defect=float(fpath.projector_defects().max()),
         isometry_defect=max(fpath.node_defect(), hpath.node_defect()),
         horizontality_defect=horizontality_defect(hpath),
-        projector_path=ppath,
+        energies=energies,
         frame_path=fpath,
         horizontal_path=hpath,
     )
@@ -422,7 +490,7 @@ def loop_holonomy(path: ProjectorPath, sigma: np.ndarray,
                   tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """U(m) holonomy of a closed projector loop: sigma* psi(T) after transport."""
     residual = path.closure_residual()
-    if residual > tol.comparison * (1.0 + path.rank):
+    if residual > closure_tolerance(path.rank, tol):
         raise NotClosed(f"loop closure residual {residual:.3e}")
     sigma = _check_over_start(path, sigma, tol)
     transported = horizontal_transport(path, sigma, tol)
@@ -439,7 +507,8 @@ def pancharatnam_oracle(samples: np.ndarray, sigma: np.ndarray,
     route entirely independent of the transport ODE.
     """
     samples = require_finite(np.asarray(samples), "loop samples")
-    if frob(samples[-1] - samples[0]) > tol.comparison * (1.0 + samples.shape[1]):
+    rank = int(round(float(np.trace(samples[0]).real)))
+    if frob(samples[-1] - samples[0]) > closure_tolerance(rank, tol):
         raise NotClosed("first and last samples differ")
     sigma = require_finite(sigma, "start frame")
     if frob(sigma @ dag(sigma) - samples[0]) > tol.comparison * samples.shape[1]:

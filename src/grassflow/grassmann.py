@@ -232,7 +232,16 @@ def linear_hamiltonian(u: np.ndarray, p: Projector,
                        tol: Tolerances = DEFAULT_TOLS) -> float:
     """The linear Hamiltonian -i tr(u P) attached to a generator u."""
     u = require_antihermitian(u, tol, "generator")
-    value = -1j * np.trace(u @ p.matrix)
+    return hamiltonian_value(u @ p.matrix, tol)
+
+
+def hamiltonian_value(product: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> float:
+    """-i tr(product) for product = u P, or phi* u phi over a frame of P.
+
+    Both traces equal the linear Hamiltonian of u at P; a non-real value
+    means u is not anti-Hermitian.
+    """
+    value = -1j * np.trace(product)
     if abs(value.imag) > tol.structural * (1.0 + abs(value.real)):
         raise NotAntiHermitian("trace -i tr(uP) is not real; u is not anti-Hermitian")
     return float(value.real)

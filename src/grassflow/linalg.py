@@ -41,8 +41,8 @@ DEFAULT_TOLS = Tolerances()
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -180,6 +180,24 @@ class TestUsage:
         assert run(tmp_path, "chart",
                    config={"version": 1, "tolerances": {"bogus": 1.0}}) == 1
 
+    def test_hermitian_constant_matrix_rejected_before_integrating(self, tmp_path):
+        hermitian = [[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.5}],
+                     [{"re": 0.0, "im": -0.5}, {"re": -1.0, "im": 0.0}]]
+        cfg = {"version": 1, "schedule": {"kind": "constant", "matrix": hermitian}}
+        out = tmp_path / "run"
+        assert run(tmp_path, "flow", config=cfg, steps=10, out=out) == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_hermitian_sampled_value_rejected_before_integrating(self, tmp_path):
+        zero = [[{"re": 0.0, "im": 0.0}] * 2] * 2
+        hermitian = [[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+                     [{"re": 0.0, "im": 0.0}, {"re": -1.0, "im": 0.0}]]
+        cfg = {"version": 1,
+               "schedule": {"kind": "sampled", "values": [zero] * 10 + [hermitian]}}
+        out = tmp_path / "run"
+        assert run(tmp_path, "flow", config=cfg, steps=10, out=out) == 1
+        assert not (tmp_path / "run.csv").exists()
+
     def test_unknown_schedule_kind(self, tmp_path):
         assert run(tmp_path, "flow",
                    config={"version": 1, "schedule": {"kind": "warp"}},

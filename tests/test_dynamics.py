@@ -12,7 +12,7 @@ from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedul
                                 sampled_schedule, synthesize_holonomy_step,
                                 tracking_defect, horizontality_defect,
                                 ProjectorPath)
-from grassflow.grassmann import BasePoint, Projector
+from grassflow.grassmann import BasePoint, Projector, linear_hamiltonian
 from grassflow.linalg import (dag, frob, mat_exp, random_antihermitian,
                               random_frame, random_unitary)
 
@@ -172,6 +172,79 @@ class TestBerryMaps:
                          TimeGrid(0.0, 1.0, 500))
         assert not res.closed
         assert frob(dag(res.fiber_gap) @ res.fiber_gap - np.eye(2)) <= 1e-8
+
+    def test_matches_independent_routes(self):
+        # the frame-first loop against the frame flow and against transport
+        # co-integrated with the separately integrated projector flow
+        rng = np.random.default_rng(62)
+        grid = TimeGrid(0.0, 1.0, 500)
+        for _ in range(3):
+            a = random_antihermitian(5, rng)
+            b = random_antihermitian(5, rng)
+            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+            sched = HamiltonianSchedule(
+                kind="sampled",
+                evaluator=lambda t, a=a, b=b: np.cos(2 * t) * a + np.sin(t) * b)
+            sigma = random_frame(5, 2, rng)
+            p0 = Projector.from_frame(sigma)
+            res = berry_maps(sched, p0, sigma, grid)
+            phi_end = integrate_frame(sched, sigma, grid).samples[-1]
+            psi_end = horizontal_transport(integrate_projector(sched, p0, grid),
+                                           sigma).samples[-1]
+            assert frob(res.dynamical - dag(sigma) @ phi_end) <= 1e-10
+            assert frob(res.geometric - dag(sigma) @ psi_end) <= 1e-10
+            assert frob(res.fiber_gap - dag(psi_end) @ phi_end) <= 1e-10
+
+    def test_one_schedule_evaluation_per_stage_time(self):
+        rng = np.random.default_rng(63)
+        inner = smooth_schedule(4, rng)
+        times = []
+
+        def counting(t):
+            times.append(t)
+            return inner(t)
+
+        sigma = random_frame(4, 2, rng)
+        grid = TimeGrid(0.0, 1.0, 50)
+        berry_maps(HamiltonianSchedule(kind="sampled", evaluator=counting),
+                   Projector.from_frame(sigma), sigma, grid)
+        assert len(times) == 2 * grid.steps + 1
+
+    def test_geometric_holonomy_is_fourth_order(self):
+        rng = np.random.default_rng(64)
+        a = random_antihermitian(4, rng)
+        b = random_antihermitian(4, rng)
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        p_std = Projector.standard(4, 2).matrix
+
+        def qfun(t):
+            s = 2 * np.pi * t
+            u = mat_exp(np.sin(s) * a + (1.0 - np.cos(s)) * b)
+            return u @ p_std @ dag(u)
+
+        sched = geometric_schedule(qfun)
+        p0 = Projector.from_matrix(qfun(0.0), 2)
+        sigma = BasePoint.from_projector(p0).frame
+
+        def holonomy(steps):
+            return berry_maps(sched, p0, sigma, TimeGrid(0.0, 1.0, steps)).geometric
+
+        reference = holonomy(3200)
+        errors = [frob(holonomy(steps) - reference) for steps in (100, 200, 400)]
+        orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert all(3.5 <= order <= 4.5 for order in orders), orders
+
+    def test_energies_are_the_node_linear_hamiltonians(self):
+        rng = np.random.default_rng(65)
+        sched = smooth_schedule(4, rng)
+        sigma = random_frame(4, 2, rng)
+        grid = TimeGrid(0.0, 1.0, 100)
+        res = berry_maps(sched, Projector.from_frame(sigma), sigma, grid)
+        assert res.energies.shape == (grid.steps + 1,)
+        for k, phi in enumerate(res.frame_path.samples):
+            t = grid.t0 + k * grid.h
+            expected = linear_hamiltonian(sched(t), Projector.from_frame(phi))
+            assert abs(res.energies[k] - expected) <= 1e-12
 
 
 class TestGeometricHamiltonian:
