@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (BaseMismatch, DimensionTooSmall, NotAFrame, NotHorizontal,
                      NotTangent)
-from .grassmann import BasePoint, ChartTangent, Projector, proj_from_chart
+from .grassmann import ChartTangent, Projector
 from .linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
                      require_antihermitian, require_finite)
 
@@ -36,6 +36,18 @@ def require_frame_tangent(phi: np.ndarray, xi: np.ndarray,
     if frob(dag(xi) @ phi + dag(phi) @ xi) > tol.comparison * (1.0 + frob(xi)):
         raise NotTangent("xi* phi + phi* xi != 0")
     return xi
+
+
+def require_over(phi: np.ndarray, p: np.ndarray, tol: Tolerances = DEFAULT_TOLS,
+                 where: str = "the base point") -> np.ndarray:
+    """A finite frame that lies over the projector matrix p, else BaseMismatch.
+
+    im(phi) counts as im(p) when || phi phi* - p || <= comparison * n.
+    """
+    phi = require_finite(phi, "frame")
+    if frob(phi @ dag(phi) - p) > tol.comparison * p.shape[0]:
+        raise BaseMismatch(f"im(frame) differs from {where}")
+    return phi
 
 
 def project_frame(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> Projector:
@@ -68,11 +80,9 @@ def split_vertical_horizontal(phi: np.ndarray, xi: np.ndarray,
 def horizontal_lift(phi: np.ndarray, mu: ChartTangent,
                     tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Horizontal lift of a chart tangent at X = im(phi): the ambient form of mu . phi."""
-    phi = require_frame(phi, tol)
     base = mu.base
-    p_phi = phi @ dag(phi)
-    if frob(p_phi - base.projector.matrix) > tol.comparison * base.n:
-        raise BaseMismatch("im(phi) differs from the chart base point")
+    phi = require_over(require_frame(phi, tol), base.projector.matrix, tol,
+                       "the chart base point")
     mu_ambient = base.coframe @ np.asarray(mu.block, dtype=complex) @ dag(base.frame)
     return mu_ambient @ phi
 
@@ -129,10 +139,9 @@ def local_trivialization(phi: np.ndarray, f: ChartTangent,
     The result is a frame over the graph of f, i.e. it projects to
     proj_from_chart(f.base, f).
     """
-    phi = require_frame(phi, tol)
     base = f.base
-    if frob(phi @ dag(phi) - base.projector.matrix) > tol.comparison * base.n:
-        raise BaseMismatch("im(phi) differs from the chart base point")
+    phi = require_over(require_frame(phi, tol), base.projector.matrix, tol,
+                       "the chart base point")
     f_ambient = base.coframe @ np.asarray(f.block, dtype=complex) @ dag(base.frame)
     return isometrize((np.eye(base.n) + f_ambient) @ phi, tol)
 
@@ -141,5 +150,5 @@ __all__ = [
     "frame_defect", "require_frame", "require_frame_tangent", "project_frame",
     "connection_A", "split_vertical_horizontal", "horizontal_lift",
     "curvature_Omega", "curvature_generators", "local_trivialization",
-    "proj_from_chart", "BasePoint",
+    "require_over",
 ]

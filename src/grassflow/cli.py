@@ -20,17 +20,20 @@ import time
 
 import numpy as np
 
-from . import dynamics, selftest
-from .bundle import frame_defect
-from .dynamics import (TimeGrid, berry_maps, bloch_projector, constant_schedule,
-                       geometric_schedule, horizontality_defects,
-                       integrate_projector, loop_holonomy, pancharatnam_oracle,
+from . import selftest
+from .bundle import curvature_generators, frame_defect
+from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, TimeGrid, berry_maps,
+                       bloch_projector, constant_schedule, geometric_schedule,
+                       horizontality_defect, horizontality_defects,
+                       integrate_projector, loop_transport, pancharatnam_oracle,
                        rotating_schedule, sampled_schedule,
-                       synthesize_holonomy_step, projector_defect)
+                       synthesize_holonomy_step)
 from .errors import GapTooSmall, GrassflowError, NotAntiHermitian, NotClosed
-from .grassmann import BasePoint, Projector, linear_hamiltonian
+from .grassmann import (BasePoint, ChartTangent, Projector, chart_from_proj,
+                        chart_transport, linear_hamiltonian, proj_from_chart)
 from .linalg import (Tolerances, dag, frob, mat_exp, random_antihermitian,
-                     random_frame, require_antihermitian)
+                     random_complex, random_frame, random_unitary,
+                     require_antihermitian)
 
 CSV_HEADER = "t,projector_defect,isometry_defect,horizontality_defect,energy"
 
@@ -44,6 +47,7 @@ _DEFAULT_CONFIG = {
     "tolerances": {},
     "output": None,
 }
+_CONFIG_KEYS = set(_DEFAULT_CONFIG) | {"synthesize"}
 
 
 class UsageError(Exception):
@@ -52,20 +56,15 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------- serialization
 
-def _ser_complex(z) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
 def _ser_matrix(a) -> list:
-    a = np.asarray(a, dtype=complex)
-    return [[_ser_complex(z) for z in row] for row in a]
+    return [[{"re": z.real, "im": z.imag} for z in row]
+            for row in np.asarray(a, dtype=complex).tolist()]
 
 
 def _deser_matrix(obj) -> np.ndarray:
     try:
         return np.array([[complex(z["re"], z["im"]) for z in row] for row in obj])
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise UsageError("matrices must be nested arrays of {re, im} pairs") from exc
 
 
@@ -81,6 +80,24 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _number(value, name: str, integer: bool = False):
+    """A config scalar: an int when ``integer``, else a finite float; UsageError otherwise."""
+    if not isinstance(value, bool):
+        if integer and isinstance(value, int):
+            return value
+        if (not integer and isinstance(value, (int, float))
+                and abs(value) <= sys.float_info.max):
+            return float(value)
+    kind = "an integer" if integer else "a finite number"
+    raise UsageError(f"{name} must be {kind}, got {value!r}")
+
+
+def _require_keys(section: dict, allowed: set, name: str):
+    unknown = set(section) - allowed
+    if unknown:
+        raise UsageError(f"unknown {name} keys: {sorted(unknown)}")
+
+
 def load_config(args) -> dict:
     cfg = copy.deepcopy(_DEFAULT_CONFIG)
     if args.config is not None:
@@ -94,6 +111,13 @@ def load_config(args) -> dict:
         if loaded.get("version", 1) != 1:
             raise UsageError(f"unsupported config version {loaded.get('version')!r}")
         cfg = _merge(cfg, loaded)
+    _require_keys(cfg, _CONFIG_KEYS, "config")
+    for section in ("grid", "schedule", "tolerances", "synthesize"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise UsageError(f"config section {section!r} must be a JSON object")
+    _require_keys(cfg["grid"], set(_DEFAULT_CONFIG["grid"]), "grid")
+    if not (cfg["output"] is None or isinstance(cfg["output"], str)):
+        raise UsageError("output must be a string prefix or null")
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.steps is not None:
@@ -101,31 +125,34 @@ def load_config(args) -> dict:
     if args.out is not None:
         cfg["output"] = args.out
 
-    n, m = cfg["n"], cfg["m"]
-    if not (isinstance(n, int) and isinstance(m, int) and 1 <= m < n <= 256):
+    n, m = _number(cfg["n"], "n", integer=True), _number(cfg["m"], "m", integer=True)
+    if not 1 <= m < n <= 256:
         raise UsageError(f"dimensions must satisfy 1 <= m < n <= 256, got n={n}, m={m}")
-    if cfg["grid"]["steps"] < 2:
-        raise UsageError("grid.steps must be >= 2")
-    if not cfg["grid"]["t1"] > cfg["grid"]["t0"]:
-        raise UsageError("grid.t1 must exceed grid.t0")
+    if _number(cfg["seed"], "seed", integer=True) < 0:
+        raise UsageError("seed must be >= 0")
+    build_grid(cfg)
     return cfg
 
 
 def build_tolerances(cfg: dict) -> Tolerances:
-    overrides = cfg.get("tolerances") or {}
-    allowed = {"structural", "ode", "comparison"}
-    unknown = set(overrides) - allowed
-    if unknown:
-        raise UsageError(f"unknown tolerance keys: {sorted(unknown)}")
+    overrides = cfg.get("tolerances", {})
+    _require_keys(overrides, {"structural", "ode", "comparison"}, "tolerance")
     try:
-        return Tolerances(**overrides)
+        return Tolerances(**{key: _number(value, f"tolerances.{key}")
+                             for key, value in overrides.items()})
     except ValueError as exc:
         raise UsageError(f"bad tolerances: {exc}") from exc
 
 
 def build_grid(cfg: dict) -> TimeGrid:
     g = cfg["grid"]
-    return TimeGrid(float(g["t0"]), float(g["t1"]), int(g["steps"]))
+    t0, t1 = _number(g["t0"], "grid.t0"), _number(g["t1"], "grid.t1")
+    steps = _number(g["steps"], "grid.steps", integer=True)
+    if steps < 2:
+        raise UsageError("grid.steps must be >= 2")
+    if not t1 > t0:
+        raise UsageError("grid.t1 must exceed grid.t0")
+    return TimeGrid(t0, t1, steps)
 
 
 def build_setup(cfg: dict, tol: Tolerances):
@@ -139,8 +166,8 @@ def build_setup(cfg: dict, tol: Tolerances):
     if kind == "rotating":
         if (n, m) != (2, 1):
             raise UsageError("rotating schedule requires n=2, m=1")
-        theta = float(sched_cfg.get("theta", np.pi / 2))
-        omega = float(sched_cfg.get("omega", 2 * np.pi))
+        theta = _number(sched_cfg.get("theta", np.pi / 2), "schedule.theta")
+        omega = _number(sched_cfg.get("omega", 2 * np.pi), "schedule.omega")
         schedule = rotating_schedule(omega)
         p0 = bloch_projector(theta)
     elif kind == "constant":
@@ -148,7 +175,8 @@ def build_setup(cfg: dict, tol: Tolerances):
             h_mat = _deser_matrix(sched_cfg["matrix"])
         else:
             h_mat = random_antihermitian(n, rng)
-            h_mat *= float(sched_cfg.get("norm", 2.0)) / max(np.linalg.norm(h_mat), 1e-300)
+            norm = _number(sched_cfg.get("norm", 2.0), "schedule.norm")
+            h_mat *= norm / max(np.linalg.norm(h_mat), 1e-300)
         schedule = constant_schedule(
             _require_generator(h_mat, n, tol, "constant schedule matrix"))
         p0 = Projector.from_frame(random_frame(n, m, rng))
@@ -173,7 +201,7 @@ def build_setup(cfg: dict, tol: Tolerances):
 def _require_generator(h_mat, n, tol, name):
     """A config generator as an n x n anti-Hermitian matrix, checked before integrating."""
     if h_mat.shape != (n, n):
-        raise UsageError(f"{name} must be n x n")
+        raise UsageError(f"{name} must be {n} x {n}")
     try:
         return require_antihermitian(h_mat, tol, name)
     except (NotAntiHermitian, ValueError) as exc:
@@ -183,8 +211,8 @@ def _require_generator(h_mat, n, tol, name):
 def _geometric_setup(sched_cfg, n, m, grid, rng):
     span = grid.t1 - grid.t0
     if n == 2 and m == 1 and "theta" in sched_cfg:
-        theta = float(sched_cfg["theta"])
-        omega = float(sched_cfg.get("omega", 2 * np.pi / span))
+        theta = _number(sched_cfg["theta"], "schedule.theta")
+        omega = _number(sched_cfg.get("omega", 2 * np.pi / span), "schedule.omega")
 
         def qfun(t):
             return bloch_projector(theta, omega * (t - grid.t0)).matrix
@@ -247,24 +275,82 @@ def _phase_arg(holonomy: np.ndarray, m: int):
     return float(np.angle(np.linalg.det(holonomy)))
 
 
-def _flow_rows(res):
-    """Per-node CSV rows for a berry_maps result, from its frames and energies."""
+def _finish(cfg: dict, rows, payload: dict, bound: float, message: str) -> int:
+    """Write the report; exit 2 with ``message`` on stderr when defect_max exceeds ``bound``."""
+    write_report(cfg, rows, payload)
+    if payload["defect_max"] > bound:
+        print(message, file=sys.stderr)
+        return 2
+    return 0
+
+
+def _berry_maps_report(cfg: dict, tol: Tolerances, message: str,
+                       more_extras=None) -> int:
+    """Report berry_maps on the configured schedule (flow and berry).
+
+    ``more_extras(cfg, res, sigma, tol)`` may reject the run, or returns the
+    report keys that follow the common ones.
+    """
+    start = time.perf_counter()
+    m = cfg["m"]
+    schedule, p0, sigma, grid = build_setup(cfg, tol)
+    res = berry_maps(schedule, p0, sigma, grid, tol)
+    extras = {"closed": res.closed, "horizontality_defect": res.horizontality_defect}
+    if more_extras is not None:
+        extras.update(more_extras(cfg, res, sigma, tol))
+
     fpath, hpath = res.frame_path, res.horizontal_path
-    return list(zip(fpath.grid.times, fpath.projector_defects(),
+    rows = list(zip(grid.times, fpath.projector_defects(),
                     np.maximum(fpath.frame_defects(), hpath.frame_defects()),
                     horizontality_defects(hpath), res.energies))
+    payload = _final_json(
+        cfg,
+        dynamical=res.dynamical,
+        geometric=res.geometric,
+        fiber_gap=res.fiber_gap,
+        berry_phase_arg=_phase_arg(res.geometric, m) if res.closed else None,
+        closure_residual=res.closure_residual,
+        defect_max=max(res.projector_defect, res.isometry_defect),
+        wall_time_s=time.perf_counter() - start,
+        extras=extras,
+    )
+    return _finish(cfg, rows, payload, tol.ode, message)
+
+
+def _loop_report(cfg: dict, tol: Tolerances, start: float, path, sigma: np.ndarray,
+                 energy, more_extras, message: str) -> int:
+    """Report one transport of sigma around a closed loop (NotClosed -> exit 3).
+
+    ``energy(t, p)`` fills the CSV energy column; ``more_extras(frames,
+    holonomy)`` returns the report keys that follow the common ones.
+    """
+    frames = loop_transport(path, sigma, tol)
+    holonomy = dag(frames.samples[0]) @ frames.samples[-1]
+    p_defects = path.projector_defects()
+    rows = [(t, pd, iso, hor, energy(t, p))
+            for t, p, pd, iso, hor in zip(path.grid.times, path.samples, p_defects,
+                                          frames.frame_defects(),
+                                          horizontality_defects(frames))]
+    extras = more_extras(frames, holonomy)
+    payload = _final_json(
+        cfg,
+        geometric=holonomy,
+        berry_phase_arg=_phase_arg(holonomy, cfg["m"]),
+        closure_residual=path.closure_residual(),
+        defect_max=max(float(p_defects.max()), frames.node_defect()),
+        wall_time_s=time.perf_counter() - start,
+        extras=extras,
+    )
+    return _finish(cfg, rows, payload, tol.ode, message)
 
 
 # ---------------------------------------------------------------- subcommands
 
 def cmd_chart(cfg: dict, tol: Tolerances) -> int:
-    from .grassmann import (ChartTangent, chart_from_proj, chart_transport,
-                            proj_from_chart)
-    from .linalg import random_complex, random_unitary
-
+    """seeded chart round-trip and equivariance checks"""
     start = time.perf_counter()
     n, m = cfg["n"], cfg["m"]
-    trials = int(cfg["grid"]["steps"]) + 1
+    trials = build_grid(cfg).steps + 1
     rng = np.random.default_rng(int(cfg["seed"]))
 
     rows = []
@@ -300,61 +386,30 @@ def cmd_chart(cfg: dict, tol: Tolerances) -> int:
                 "max_equivariance_error": max_equivariance,
                 "trials": trials},
     )
-    write_report(cfg, rows, payload)
-    if max_roundtrip > tol.comparison or max_equivariance > tol.comparison:
-        print("chart errors exceed the comparison tolerance", file=sys.stderr)
-        return 2
-    return 0
+    return _finish(cfg, rows, payload, tol.comparison,
+                   "chart errors exceed the comparison tolerance")
 
 
 def cmd_flow(cfg: dict, tol: Tolerances) -> int:
-    start = time.perf_counter()
-    m = cfg["m"]
-    schedule, p0, sigma, grid = build_setup(cfg, tol)
-    res = berry_maps(schedule, p0, sigma, grid, tol)
-    rows = _flow_rows(res)
-    defect_max = max(res.projector_defect, res.isometry_defect)
-    payload = _final_json(
-        cfg,
-        dynamical=res.dynamical,
-        geometric=res.geometric,
-        fiber_gap=res.fiber_gap,
-        berry_phase_arg=_phase_arg(res.geometric, m) if res.closed else None,
-        closure_residual=res.closure_residual,
-        defect_max=defect_max,
-        wall_time_s=time.perf_counter() - start,
-        extras={"closed": res.closed,
-                "horizontality_defect": res.horizontality_defect},
-    )
-    write_report(cfg, rows, payload)
-    if defect_max > tol.ode:
-        print("flow defects exceed the ode tolerance", file=sys.stderr)
-        return 2
-    return 0
+    """integrate a Hamiltonian flow and its lifts"""
+    return _berry_maps_report(cfg, tol, "flow defects exceed the ode tolerance")
 
 
-def cmd_berry(cfg: dict, tol: Tolerances) -> int:
-    start = time.perf_counter()
+def _berry_extras(cfg: dict, res, sigma: np.ndarray, tol: Tolerances) -> dict:
+    """Closed-loop checks of a berry run: fiber gap, oracle, analytic phase."""
     m = cfg["m"]
-    schedule, p0, sigma, grid = build_setup(cfg, tol)
-    res = berry_maps(schedule, p0, sigma, grid, tol)
     if not res.closed:
         raise NotClosed(f"projector path does not close: "
                         f"residual {res.closure_residual:.3e}")
-
-    rows = _flow_rows(res)
-    phase = _phase_arg(res.geometric, m)
-    extras = {"closed": True,
-              "horizontality_defect": res.horizontality_defect,
-              "fiber_gap_deviation": frob(res.fiber_gap - np.eye(m))}
-
     frames = res.frame_path.samples
     oracle = pancharatnam_oracle(frames @ dag(frames), sigma, tol)
-    extras["oracle_phase_arg"] = _phase_arg(oracle, m)
-    extras["oracle_deviation"] = frob(res.geometric - oracle)
+    extras = {"fiber_gap_deviation": frob(res.fiber_gap - np.eye(m)),
+              "oracle_phase_arg": _phase_arg(oracle, m),
+              "oracle_deviation": frob(res.geometric - oracle)}
 
     if cfg["schedule"].get("kind") == "rotating" and m == 1:
-        theta = float(cfg["schedule"].get("theta", np.pi / 2))
+        phase = _phase_arg(res.geometric, m)
+        theta = _number(cfg["schedule"].get("theta", np.pi / 2), "schedule.theta")
         reference = float(np.pi * (1.0 - np.cos(theta)))
         # compare phases on the circle: the holonomy angle is defined mod 2 pi
         deviation = min(
@@ -363,111 +418,70 @@ def cmd_berry(cfg: dict, tol: Tolerances) -> int:
         )
         extras["analytic_reference"] = reference
         extras["analytic_deviation"] = float(deviation)
+    return extras
 
-    defect_max = max(res.projector_defect, res.isometry_defect)
-    payload = _final_json(
-        cfg,
-        dynamical=res.dynamical,
-        geometric=res.geometric,
-        fiber_gap=res.fiber_gap,
-        berry_phase_arg=phase,
-        closure_residual=res.closure_residual,
-        defect_max=defect_max,
-        wall_time_s=time.perf_counter() - start,
-        extras=extras,
-    )
-    write_report(cfg, rows, payload)
-    if defect_max > tol.ode:
-        print("berry run defects exceed the ode tolerance", file=sys.stderr)
-        return 2
-    return 0
+
+def cmd_berry(cfg: dict, tol: Tolerances) -> int:
+    """closed-loop Berry holonomy with analytic reference"""
+    return _berry_maps_report(cfg, tol, "berry run defects exceed the ode tolerance",
+                              _berry_extras)
 
 
 def cmd_holonomy(cfg: dict, tol: Tolerances) -> int:
+    """loop holonomy with the discrete-projection oracle"""
     start = time.perf_counter()
     m = cfg["m"]
     schedule, p0, sigma, grid = build_setup(cfg, tol)
     path = integrate_projector(schedule, p0, grid, tol)
-    holonomy = loop_holonomy(path, sigma, tol)  # raises NotClosed -> exit 3
-    transported = dynamics.horizontal_transport(path, sigma, tol)
-    oracle = pancharatnam_oracle(path.samples, sigma, tol)
 
-    rows = [(t, projector_defect(p, m), iso, hor,
-             linear_hamiltonian(schedule(t), Projector(matrix=p, rank=m), tol))
-            for t, p, iso, hor in zip(grid.times, path.samples,
-                                      transported.frame_defects(),
-                                      horizontality_defects(transported))]
+    def energy(t, p):
+        return linear_hamiltonian(schedule(t), Projector(matrix=p, rank=m), tol)
 
-    defect_max = max(path.node_defect(), transported.node_defect())
-    payload = _final_json(
-        cfg,
-        geometric=holonomy,
-        berry_phase_arg=_phase_arg(holonomy, m),
-        closure_residual=path.closure_residual(),
-        defect_max=defect_max,
-        wall_time_s=time.perf_counter() - start,
-        extras={"oracle_deviation": frob(holonomy - oracle),
-                "horizontality_defect": dynamics.horizontality_defect(transported)},
-    )
-    write_report(cfg, rows, payload)
-    if defect_max > tol.ode:
-        print("holonomy run defects exceed the ode tolerance", file=sys.stderr)
-        return 2
-    return 0
+    def extras(frames, holonomy):
+        oracle = pancharatnam_oracle(path.samples, sigma, tol)
+        return {"oracle_deviation": frob(holonomy - oracle),
+                "horizontality_defect": horizontality_defect(frames)}
+
+    return _loop_report(cfg, tol, start, path, sigma, energy, extras,
+                        "holonomy run defects exceed the ode tolerance")
 
 
 def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
+    """first-order holonomy synthesis from curvature data"""
     start = time.perf_counter()
     n, m = cfg["n"], cfg["m"]
-    syn = cfg.get("synthesize") or {}
-    scale = float(syn.get("scale", 0.1))
+    syn = cfg.get("synthesize", {})
+    scale = _number(syn.get("scale", 0.1), "synthesize.scale")
+    if not 0.0 <= scale <= 0.5:
+        raise UsageError("synthesize.scale must lie in [0, 0.5]")
     if "w" in syn:
-        w = _deser_matrix(syn["w"])
-        if w.shape != (m, m):
-            raise UsageError("synthesize.w must be m x m")
+        w = _require_generator(_deser_matrix(syn["w"]), m, tol, "synthesize.w")
     else:
         rng = np.random.default_rng(int(cfg["seed"]))
         w = random_antihermitian(m, rng)
         w /= max(np.linalg.norm(w), 1e-300)
 
     base = BasePoint.standard(n, m)
-    n_pairs = max(1, len(dynamics.curvature_generators(w, n, tol)))
-    per_side = max(2, int(cfg["grid"]["steps"]) // (4 * n_pairs))
+    n_pairs = max(1, len(curvature_generators(w, n, tol)))
+    per_side = max(2, build_grid(cfg).steps // (4 * n_pairs))
     path = synthesize_holonomy_step(w, scale, base, samples_per_side=per_side, tol=tol)
     # echo the grid the loop actually used, so rows == steps + 1 holds
     cfg = copy.deepcopy(cfg)
     cfg["grid"] = {"t0": path.grid.t0, "t1": path.grid.t1, "steps": path.grid.steps}
+    predicted = mat_exp(SYNTHESIS_CURVATURE_CONSTANT * scale ** 2 * w)
 
-    holonomy = loop_holonomy(path, base.frame, tol)
-    predicted = mat_exp(dynamics.SYNTHESIS_CURVATURE_CONSTANT * scale ** 2 * w)
-    transported = dynamics.horizontal_transport(path, base.frame, tol)
-
-    rows = [(t, projector_defect(p, m), iso, hor, 0.0)
-            for t, p, iso, hor in zip(path.grid.times, path.samples,
-                                      transported.frame_defects(),
-                                      horizontality_defects(transported))]
-
-    defect_max = max(path.node_defect(), transported.node_defect())
-    payload = _final_json(
-        cfg,
-        geometric=holonomy,
-        berry_phase_arg=_phase_arg(holonomy, m),
-        closure_residual=path.closure_residual(),
-        defect_max=defect_max,
-        wall_time_s=time.perf_counter() - start,
-        extras={"scale": scale,
+    def extras(frames, holonomy):
+        return {"scale": scale,
                 "generator": _ser_matrix(w),
                 "predicted_holonomy": _ser_matrix(predicted),
-                "synthesis_deviation": frob(holonomy - predicted)},
-    )
-    write_report(cfg, rows, payload)
-    if defect_max > tol.ode:
-        print("synthesis defects exceed the ode tolerance", file=sys.stderr)
-        return 2
-    return 0
+                "synthesis_deviation": frob(holonomy - predicted)}
+
+    return _loop_report(cfg, tol, start, path, base.frame, lambda t, p: 0.0, extras,
+                        "synthesis defects exceed the ode tolerance")
 
 
 def cmd_selftest(cfg: dict, tol: Tolerances) -> int:
+    """run the invariant suite of every module"""
     results, report = selftest.run_all(tol)
     sys.stdout.write(report)
     prefix = cfg.get("output")
@@ -501,18 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="grassflow",
         description="Hamiltonian flows and holonomy on complex Grassmannians")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("chart", parents=[common],
-                   help="seeded chart round-trip and equivariance checks")
-    sub.add_parser("flow", parents=[common],
-                   help="integrate a Hamiltonian flow and its lifts")
-    sub.add_parser("berry", parents=[common],
-                   help="closed-loop Berry holonomy with analytic reference")
-    sub.add_parser("holonomy", parents=[common],
-                   help="loop holonomy with the discrete-projection oracle")
-    sub.add_parser("synthesize", parents=[common],
-                   help="first-order holonomy synthesis from curvature data")
-    sub.add_parser("selftest", parents=[common],
-                   help="run the invariant suite of every module")
+    for name, command in _COMMANDS.items():
+        # each subcommand's help text is its docstring
+        sub.add_parser(name, parents=[common], help=command.__doc__)
     return parser
 
 

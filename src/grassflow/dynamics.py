@@ -18,10 +18,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (BaseMismatch, DegenerateStep, NotClosed, PathTooRough)
-from .bundle import curvature_generators, frame_defect
+from .errors import DegenerateStep, NotClosed, PathTooRough
+from .bundle import curvature_generators, frame_defect, require_over
 from .grassmann import (BasePoint, ChartTangent, Projector, hamiltonian_value,
-                        proj_from_chart)
+                        proj_from_chart, projector_defect, sampled_derivative)
 from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob,
                      isometrize, nearest_projector, polar_retract,
                      require_antihermitian, require_finite)
@@ -107,11 +107,17 @@ def sampled_schedule(grid: TimeGrid, values: np.ndarray) -> HamiltonianSchedule:
     return HamiltonianSchedule(kind="sampled", evaluator=evaluate)
 
 
-def _off_diagonal_tangent(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Hermitian part of v with the diagonal blocks w.r.t. im(q)+ker(q) removed."""
+def _geometric_generator(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Skew part of V_off (2Q - 1), the generator moving Q along v horizontally.
+
+    V_off is the Hermitian part of v with its diagonal blocks w.r.t.
+    im(q) + ker(q) removed.
+    """
     v = (v + dag(v)) / 2.0
-    comp = np.eye(q.shape[0]) - q
-    return q @ v @ comp + comp @ v @ q
+    eye = np.eye(q.shape[0])
+    comp = eye - q
+    h_mat = (q @ v @ comp + comp @ v @ q) @ (2.0 * q - eye)
+    return (h_mat - dag(h_mat)) / 2.0
 
 
 def geometric_schedule(qfun: Callable[[float], np.ndarray],
@@ -127,8 +133,7 @@ def geometric_schedule(qfun: Callable[[float], np.ndarray],
     def evaluate(t: float) -> np.ndarray:
         q = qfun(t)
         v = (qfun(t + fd_step) - qfun(t - fd_step)) / (2.0 * fd_step)
-        h_mat = _off_diagonal_tangent(q, v) @ (2.0 * q - np.eye(q.shape[0]))
-        return (h_mat - dag(h_mat)) / 2.0
+        return _geometric_generator(q, v)
 
     return HamiltonianSchedule(kind="geometric_from_curve", evaluator=evaluate)
 
@@ -147,12 +152,13 @@ class ProjectorPath:
     def n(self) -> int:
         return self.samples.shape[1]
 
+    def projector_defects(self) -> np.ndarray:
+        """Per-node projector_defect of the stored samples."""
+        return np.array([projector_defect(p, self.rank) for p in self.samples])
+
     def node_defect(self) -> float:
         """Worst projector-invariant violation over the stored nodes."""
-        worst = 0.0
-        for p in self.samples:
-            worst = max(worst, projector_defect(p, self.rank))
-        return worst
+        return float(self.projector_defects().max())
 
     def closure_residual(self) -> float:
         return frob(self.samples[-1] - self.samples[0])
@@ -193,11 +199,6 @@ class FramePath:
         return float(self.frame_defects().max())
 
 
-def projector_defect(p: np.ndarray, rank: int) -> float:
-    return max(frob(p @ p - p), frob(p - dag(p)),
-               abs(complex(np.trace(p)) - rank))
-
-
 def closure_tolerance(rank: int, tol: Tolerances = DEFAULT_TOLS) -> float:
     """Largest || P(T) - P(0) || at which a rank-``rank`` projector path counts as closed."""
     return tol.comparison * (1.0 + rank)
@@ -211,25 +212,32 @@ def _rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _retracted_rk4(rhs, y, grid: TimeGrid, defect, retract, tol: Tolerances):
+    """Node samples of y' = rhs(t, y) by RK4, retracted on demand.
+
+    ``retract`` runs after each step whose ``defect`` exceeds ``tol.ode``.
+    Returns the samples and the worst pre-retraction defect.
+    """
+    samples = np.empty((grid.steps + 1,) + y.shape, dtype=complex)
+    samples[0] = y
+    h = grid.h
+    worst = defect(y)
+    for k in range(grid.steps):
+        y = _rk4_step(rhs, grid.t0 + k * h, y, h)
+        step_defect = defect(y)
+        worst = max(worst, step_defect)
+        if step_defect > tol.ode:
+            y = retract(y)
+        samples[k + 1] = y
+    return samples, worst
+
+
 def integrate_frame(schedule: HamiltonianSchedule, phi0: np.ndarray,
                     grid: TimeGrid, tol: Tolerances = DEFAULT_TOLS) -> FramePath:
     """Integrate phi' = H(t) phi with per-step re-isometrization on demand."""
-    phi = require_finite(phi0, "initial frame").copy()
-    samples = np.empty((grid.steps + 1,) + phi.shape, dtype=complex)
-    samples[0] = phi
-    h = grid.h
-    worst = frame_defect(phi)
-
-    def rhs(t, y):
-        return schedule(t) @ y
-
-    for k in range(grid.steps):
-        phi = _rk4_step(rhs, grid.t0 + k * h, phi, h)
-        defect = frame_defect(phi)
-        worst = max(worst, defect)
-        if defect > tol.ode:
-            phi = isometrize(phi, tol)
-        samples[k + 1] = phi
+    samples, worst = _retracted_rk4(
+        lambda t, y: schedule(t) @ y, require_finite(phi0, "initial frame").copy(),
+        grid, frame_defect, lambda y: isometrize(y, tol), tol)
     return FramePath(grid=grid, samples=samples, max_raw_defect=worst)
 
 
@@ -237,41 +245,14 @@ def integrate_projector(schedule: HamiltonianSchedule, p0: Projector,
                         grid: TimeGrid,
                         tol: Tolerances = DEFAULT_TOLS) -> ProjectorPath:
     """Integrate P' = [H(t), P] with per-step spectral retraction on demand."""
-    p = require_finite(p0.matrix, "initial projector").copy()
     rank = p0.rank
-    samples = np.empty((grid.steps + 1,) + p.shape, dtype=complex)
-    samples[0] = p
-    h = grid.h
-    worst = projector_defect(p, rank)
-
-    def rhs(t, y):
-        return commutator(schedule(t), y)
-
-    for k in range(grid.steps):
-        p = _rk4_step(rhs, grid.t0 + k * h, p, h)
-        defect = projector_defect(p, rank)
-        worst = max(worst, defect)
-        if defect > tol.ode:
-            p = nearest_projector((p + dag(p)) / 2.0, rank, tol)
-        samples[k + 1] = p
+    samples, worst = _retracted_rk4(
+        lambda t, y: commutator(schedule(t), y),
+        require_finite(p0.matrix, "initial projector").copy(), grid,
+        lambda y: projector_defect(y, rank),
+        lambda y: nearest_projector((y + dag(y)) / 2.0, rank, tol), tol)
     return ProjectorPath(grid=grid, samples=samples, rank=rank,
                          schedule=schedule, max_raw_defect=worst)
-
-
-def _node_derivatives(samples: np.ndarray, h: float) -> np.ndarray:
-    d = np.empty_like(samples)
-    d[1:-1] = (samples[2:] - samples[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * samples[0] + 4.0 * samples[1] - samples[2]) / (2.0 * h)
-    d[-1] = (3.0 * samples[-1] - 4.0 * samples[-2] + samples[-3]) / (2.0 * h)
-    return d
-
-
-def _check_over_start(path: ProjectorPath, sigma: np.ndarray,
-                      tol: Tolerances) -> np.ndarray:
-    sigma = require_finite(sigma, "start frame")
-    if frob(sigma @ dag(sigma) - path.samples[0]) > tol.comparison * path.n:
-        raise BaseMismatch("im(sigma) differs from the path start")
-    return sigma
 
 
 def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
@@ -286,7 +267,7 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
     horizontality measurements see no threshold jumps) and the polar factor
     commutes with the right U(m) action, keeping transport gauge equivariant.
     """
-    sigma = _check_over_start(path, sigma, tol)
+    sigma = require_over(sigma, path.samples[0], tol, "the path start")
     grid = path.grid
     h = grid.h
     samples = np.empty((grid.steps + 1,) + sigma.shape, dtype=complex)
@@ -313,7 +294,7 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
             y = np.hstack([p, psi])
             samples[k + 1] = psi
     else:
-        derivs = _node_derivatives(path.samples, h)
+        derivs = sampled_derivative(path.samples, h, 2)
         psi = sigma.copy()
         for k in range(grid.steps):
             k1 = derivs[k] @ psi
@@ -326,27 +307,13 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
     return FramePath(grid=grid, samples=samples, max_raw_defect=worst)
 
 
-def _node_derivatives_4th(samples: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order finite differences along axis 0 (offset stencils at edges)."""
-    if len(samples) < 5:
-        return _node_derivatives(samples, h)
-    s = samples
-    d = np.empty_like(s)
-    d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * h)
-    d[0] = (-25.0 * s[0] + 48.0 * s[1] - 36.0 * s[2] + 16.0 * s[3] - 3.0 * s[4]) / (12.0 * h)
-    d[1] = (-3.0 * s[0] - 10.0 * s[1] + 18.0 * s[2] - 6.0 * s[3] + s[4]) / (12.0 * h)
-    d[-1] = (25.0 * s[-1] - 48.0 * s[-2] + 36.0 * s[-3] - 16.0 * s[-4] + 3.0 * s[-5]) / (12.0 * h)
-    d[-2] = (3.0 * s[-1] + 10.0 * s[-2] - 18.0 * s[-3] + 6.0 * s[-4] - s[-5]) / (12.0 * h)
-    return d
-
-
 def horizontality_defects(frames: FramePath) -> np.ndarray:
     """Per-node || psi_k* psi_k' || with the derivative by finite differences.
 
     Uses 4th-order stencils so the measurement error stays well below the
     transported curve's own vertical drift.
     """
-    derivs = _node_derivatives_4th(frames.samples, frames.grid.h)
+    derivs = sampled_derivative(frames.samples, frames.grid.h, 4)
     return np.linalg.norm(dag(frames.samples) @ derivs, axis=(1, 2))
 
 
@@ -408,9 +375,7 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     energies -i tr(phi_k* H(t_k) phi_k) come from the first RK4 stage, and
     each node's H is checked to be anti-Hermitian with a real energy.
     """
-    sigma = require_finite(sigma, "start frame")
-    if frob(sigma @ dag(sigma) - p0.matrix) > tol.comparison * p0.n:
-        raise BaseMismatch("im(sigma) differs from P0")
+    sigma = require_over(sigma, p0.matrix, tol, "P0")
     n, m = sigma.shape
     h = grid.h
     phis = np.empty((grid.steps + 1, n, m), dtype=complex)
@@ -476,25 +441,26 @@ def geometric_hamiltonian(path: ProjectorPath, rough_bound: float = 0.5,
     steps = np.linalg.norm(np.diff(path.samples, axis=0), axis=(1, 2))
     if steps.size and float(steps.max()) > rough_bound:
         raise PathTooRough("consecutive projector samples are too far apart")
-    derivs = _node_derivatives(path.samples, path.grid.h)
-    eye = np.eye(path.n)
-    values = np.empty_like(path.samples)
-    for k, (q, v) in enumerate(zip(path.samples, derivs)):
-        h_mat = _off_diagonal_tangent(q, v) @ (2.0 * q - eye)
-        values[k] = (h_mat - dag(h_mat)) / 2.0
+    derivs = sampled_derivative(path.samples, path.grid.h, 2)
+    values = np.array([_geometric_generator(q, v) for q, v in zip(path.samples, derivs)])
     inner = sampled_schedule(path.grid, values)
     return HamiltonianSchedule(kind="geometric_from_curve", evaluator=inner.evaluator)
 
 
-def loop_holonomy(path: ProjectorPath, sigma: np.ndarray,
-                  tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """U(m) holonomy of a closed projector loop: sigma* psi(T) after transport."""
+def loop_transport(path: ProjectorPath, sigma: np.ndarray,
+                   tol: Tolerances = DEFAULT_TOLS) -> FramePath:
+    """Horizontal transport of sigma around a projector loop, checked closed first."""
     residual = path.closure_residual()
     if residual > closure_tolerance(path.rank, tol):
         raise NotClosed(f"loop closure residual {residual:.3e}")
-    sigma = _check_over_start(path, sigma, tol)
-    transported = horizontal_transport(path, sigma, tol)
-    return dag(sigma) @ transported.samples[-1]
+    return horizontal_transport(path, sigma, tol)
+
+
+def loop_holonomy(path: ProjectorPath, sigma: np.ndarray,
+                  tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """U(m) holonomy of a closed projector loop: psi(0)* psi(T) after transport."""
+    frames = loop_transport(path, sigma, tol).samples
+    return dag(frames[0]) @ frames[-1]
 
 
 def pancharatnam_oracle(samples: np.ndarray, sigma: np.ndarray,
@@ -510,9 +476,7 @@ def pancharatnam_oracle(samples: np.ndarray, sigma: np.ndarray,
     rank = int(round(float(np.trace(samples[0]).real)))
     if frob(samples[-1] - samples[0]) > closure_tolerance(rank, tol):
         raise NotClosed("first and last samples differ")
-    sigma = require_finite(sigma, "start frame")
-    if frob(sigma @ dag(sigma) - samples[0]) > tol.comparison * samples.shape[1]:
-        raise BaseMismatch("im(sigma) differs from the first sample")
+    sigma = require_over(sigma, samples[0], tol, "the first sample")
 
     v = sigma.copy()
     for p in samples[1:]:
@@ -539,9 +503,6 @@ def synthesize_holonomy_step(w: np.ndarray, scale: float, base: BasePoint,
     m = base.m
     pairs = curvature_generators(w, base.n, tol)
 
-    def chart_point(block: np.ndarray) -> np.ndarray:
-        return proj_from_chart(base, ChartTangent(base=base, block=block)).matrix
-
     if not pairs or scale == 0.0:
         samples = np.repeat(base.projector.matrix[np.newaxis], 3, axis=0)
         return ProjectorPath(grid=TimeGrid(0.0, 1.0, 2), samples=samples, rank=m)
@@ -562,6 +523,7 @@ def synthesize_holonomy_step(w: np.ndarray, scale: float, base: BasePoint,
             blocks.append((1.0 - s) * start + s * end)
     blocks.append(zero)
 
-    samples = np.array([chart_point(b) for b in blocks])
+    samples = np.array([proj_from_chart(base, ChartTangent(base=base, block=b)).matrix
+                        for b in blocks])
     grid = TimeGrid(0.0, 1.0, len(samples) - 1)
     return ProjectorPath(grid=grid, samples=samples, rank=m)

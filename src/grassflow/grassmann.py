@@ -18,7 +18,17 @@ import numpy as np
 
 from .errors import NotAntiHermitian, NotTangent, NotUnitary, OutsideChart, SectionNotInFiber
 from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob, isometrize,
-                     nearest_projector, require_antihermitian, require_finite)
+                     require_antihermitian, require_finite)
+
+
+def projector_defect(p: np.ndarray, rank: int) -> float:
+    """Worst violation of the rank-``rank`` projector invariants by a matrix.
+
+    The largest of || p p - p ||, || p - p* || and |tr p - rank|, the last a
+    complex modulus.
+    """
+    return max(frob(p @ p - p), frob(p - dag(p)),
+               abs(complex(np.trace(p)) - rank))
 
 
 @dataclass(frozen=True)
@@ -33,11 +43,8 @@ class Projector:
         return self.matrix.shape[0]
 
     def defect(self) -> float:
-        """Worst violation of the projector invariants."""
-        p = self.matrix
-        return max(frob(p @ p - p), frob(p - dag(p)),
-                   abs(float(np.trace(p).real) - self.rank),
-                   abs(float(np.trace(p).imag)))
+        """Worst violation of the projector invariants, see ``projector_defect``."""
+        return projector_defect(self.matrix, self.rank)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, rank: int,
@@ -54,12 +61,6 @@ class Projector:
         phi = np.asarray(phi, dtype=complex)
         p = phi @ dag(phi)
         return cls(matrix=(p + dag(p)) / 2.0, rank=phi.shape[1])
-
-    @classmethod
-    def from_hermitian(cls, m_mat: np.ndarray, rank: int,
-                       tol: Tolerances = DEFAULT_TOLS) -> "Projector":
-        """Spectral retraction of a Hermitian matrix onto rank-m projectors."""
-        return cls(matrix=nearest_projector(m_mat, rank, tol), rank=rank)
 
     @classmethod
     def standard(cls, n: int, m: int) -> "Projector":
@@ -95,17 +96,6 @@ class BasePoint:
         frame = isometrize(v[:, n - m:], tol)
         coframe = isometrize(v[:, :n - m], tol)
         return cls(projector=proj, frame=frame, coframe=coframe)
-
-    @classmethod
-    def from_frame(cls, phi: np.ndarray,
-                   tol: Tolerances = DEFAULT_TOLS) -> "BasePoint":
-        """Base point over im(phi) whose frame is phi itself."""
-        proj = Projector.from_frame(phi)
-        n, m = proj.n, proj.rank
-        h = (proj.matrix + dag(proj.matrix)) / 2.0
-        _, v = np.linalg.eigh(h)
-        coframe = isometrize(v[:, :n - m], tol)
-        return cls(projector=proj, frame=np.asarray(phi, dtype=complex), coframe=coframe)
 
     @classmethod
     def standard(cls, n: int, m: int) -> "BasePoint":
@@ -277,12 +267,27 @@ def grassmann_curvature_F(p: Projector, phi: EmbeddedTangent, psi: EmbeddedTange
     return 2.0 * commutator(a, b)
 
 
-def _sampled_derivative(samples: np.ndarray, h: float) -> np.ndarray:
-    """Second-order finite differences along axis 0 (one-sided at endpoints)."""
-    d = np.empty_like(samples)
-    d[1:-1] = (samples[2:] - samples[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * samples[0] + 4.0 * samples[1] - samples[2]) / (2.0 * h)
-    d[-1] = (3.0 * samples[-1] - 4.0 * samples[-2] + samples[-3]) / (2.0 * h)
+def sampled_derivative(samples: np.ndarray, h: float, order: int) -> np.ndarray:
+    """Finite-difference derivative along axis 0 of samples on a uniform grid.
+
+    ``order`` 2: central differences, one-sided three-point stencils at the
+    ends.  ``order`` 4: five-point stencils, offset at the two nodes nearest
+    each end; fewer than 5 samples fall back to order 2.
+    """
+    if order not in (2, 4):
+        raise ValueError("order must be 2 or 4")
+    s = samples
+    d = np.empty_like(s)
+    if order == 4 and len(s) >= 5:
+        d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * h)
+        d[0] = (-25.0 * s[0] + 48.0 * s[1] - 36.0 * s[2] + 16.0 * s[3] - 3.0 * s[4]) / (12.0 * h)
+        d[1] = (-3.0 * s[0] - 10.0 * s[1] + 18.0 * s[2] - 6.0 * s[3] + s[4]) / (12.0 * h)
+        d[-1] = (25.0 * s[-1] - 48.0 * s[-2] + 36.0 * s[-3] - 16.0 * s[-4] + 3.0 * s[-5]) / (12.0 * h)
+        d[-2] = (3.0 * s[-1] + 10.0 * s[-2] - 18.0 * s[-3] + 6.0 * s[-4] - s[-5]) / (12.0 * h)
+        return d
+    d[1:-1] = (s[2:] - s[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h)
+    d[-1] = (3.0 * s[-1] - 4.0 * s[-2] + s[-3]) / (2.0 * h)
     return d
 
 
@@ -310,7 +315,7 @@ def covariant_derivative_along(projectors: np.ndarray, sections: np.ndarray,
             fiber = p @ s if mode == "canonical" else s - p @ s
             if np.linalg.norm(fiber - s) > tol.comparison * (1.0 + np.linalg.norm(s)):
                 raise SectionNotInFiber(f"section leaves the {mode} fiber")
-        ds = _sampled_derivative(sections, h)
+        ds = sampled_derivative(sections, h, 2)
         if mode == "canonical":
             return np.einsum("kij,kj->ki", projectors, ds)
         return ds - np.einsum("kij,kj->ki", projectors, ds)
@@ -318,7 +323,7 @@ def covariant_derivative_along(projectors: np.ndarray, sections: np.ndarray,
     # Whitney sum: split by P, differentiate each part in its own bundle, add.
     s1 = np.einsum("kij,kj->ki", projectors, sections)
     s2 = sections - s1
-    d1 = np.einsum("kij,kj->ki", projectors, _sampled_derivative(s1, h))
-    d2 = _sampled_derivative(s2, h)
+    d1 = np.einsum("kij,kj->ki", projectors, sampled_derivative(s1, h, 2))
+    d2 = sampled_derivative(s2, h, 2)
     d2 = d2 - np.einsum("kij,kj->ki", projectors, d2)
     return d1 + d2

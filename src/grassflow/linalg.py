@@ -139,15 +139,9 @@ def nearest_projector(m_mat: np.ndarray, m: int,
     return (p + dag(p)) / 2.0
 
 
-def as_rng(seed) -> np.random.Generator:
-    """Accept either an integer seed or an existing Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_complex(n: int, m: int, seed) -> np.ndarray:
-    rng = as_rng(seed)
+    """Seeded complex Gaussian n x m matrix; ``seed`` may also be a Generator."""
+    rng = np.random.default_rng(seed)
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 

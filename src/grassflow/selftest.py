@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bundle, dynamics, grassmann
 from .grassmann import BasePoint, ChartTangent, Projector
-from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob, isometrize,
+from .linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
                      mat_exp, nearest_projector, random_antihermitian,
                      random_complex, random_frame, random_unitary)
 
@@ -28,11 +28,6 @@ class CheckResult:
     note: str = ""
 
 
-def _check(results, name, value, bound):
-    results.append(CheckResult(name=name, value=float(value), bound=bound,
-                               passed=float(value) <= bound))
-
-
 def _guard(results, name, bound, fn):
     """Run a check body; exceptions become failed rows."""
     try:
@@ -41,7 +36,8 @@ def _guard(results, name, bound, fn):
         results.append(CheckResult(name=name, value=float("nan"), bound=bound,
                                    passed=False, note=type(exc).__name__))
         return
-    _check(results, name, value, bound)
+    results.append(CheckResult(name=name, value=float(value), bound=bound,
+                               passed=float(value) <= bound))
 
 
 def _random_base(n, m, rng, tol):
@@ -101,8 +97,7 @@ def checks_linalg(tol: Tolerances):
             g = random_complex(6, 6, rng)
             h = (g + dag(g)) / 2
             p = nearest_projector(h, 2, tol)
-            worst = max(worst, frob(p @ p - p), frob(p - dag(p)),
-                        abs(complex(np.trace(p)) - 2))
+            worst = max(worst, grassmann.projector_defect(p, 2))
         return worst
     _guard(results, "linalg.nearest_projector_invariants", 1e-12, retraction_invariants)
     return results
@@ -339,7 +334,7 @@ def checks_dynamics(tol: Tolerances):
         sched = smooth_schedule()
         phi0 = random_frame(n, m, rng)
         fpath = dynamics.integrate_frame(sched, phi0, grid, tol)
-        derivs = dynamics._node_derivatives_4th(fpath.samples, grid.h)
+        derivs = grassmann.sampled_derivative(fpath.samples, grid.h, 4)
         worst = 0.0
         for t, phi, d in zip(grid.times, fpath.samples, derivs):
             worst = max(worst, frob(dag(phi) @ d - dag(phi) @ sched(t) @ phi))

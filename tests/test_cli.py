@@ -104,12 +104,17 @@ class TestFlow:
         for line in csv_lines[1:]:
             assert all(np.isfinite(float(v)) for v in line.split(","))
 
-    def test_determinism(self, tmp_path):
-        cfg = {"version": 1, "n": 3, "m": 1, "seed": 9,
-               "schedule": {"kind": "constant", "norm": 1.5}}
+    @pytest.mark.parametrize("command, cfg", [
+        ("flow", {"version": 1, "n": 3, "m": 1, "seed": 9,
+                  "schedule": {"kind": "constant", "norm": 1.5}}),
+        ("holonomy", {"version": 1}),
+        ("synthesize", {"version": 1, "n": 3, "m": 2, "seed": 9,
+                        "synthesize": {"scale": 0.1}}),
+    ], ids=["flow", "holonomy", "synthesize"])
+    def test_determinism(self, tmp_path, command, cfg):
         out = tmp_path / "run"
         for _ in range(2):
-            assert run(tmp_path, "flow", config=cfg, steps=300, out=out) == 0
+            assert run(tmp_path, command, config=cfg, steps=300, out=out) == 0
             csv_a = (tmp_path / "run.csv").read_bytes()
             rep = json.loads((tmp_path / "run.json").read_text())
             rep.pop("wall_time_s")  # measured time is the one nondeterministic field
@@ -196,6 +201,60 @@ class TestUsage:
                "schedule": {"kind": "sampled", "values": [zero] * 10 + [hermitian]}}
         out = tmp_path / "run"
         assert run(tmp_path, "flow", config=cfg, steps=10, out=out) == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("command, config_text", [
+        pytest.param("flow", '{"schedule": {"kind": "rotating", "theta": "abc"}}',
+                     id="theta_text"),
+        pytest.param("flow", '{"schedule": {"kind": "rotating", "theta": 1e400}}',
+                     id="theta_overflow"),
+        pytest.param("flow", '{"schedule": {"kind": "constant", "matrix": [[{"re": 0, '
+                     '"im": 1}, {"re": 0, "im": 0}], [{"re": 0, "im": 0}]]}}',
+                     id="ragged_matrix"),
+        pytest.param("flow", '{"n": 3, "schedule": {"kind": "constant", "norm": "x"}}',
+                     id="norm_text"),
+        pytest.param("flow", '{"seed": "abc"}', id="seed_text"),
+        pytest.param("flow", '{"seed": -1}', id="seed_negative"),
+        pytest.param("flow", '{"grid": {"steps": "abc"}}', id="steps_text"),
+        pytest.param("flow", '{"grid": {"steps": 2.5}}', id="steps_fraction"),
+        pytest.param("flow", '{"grid": {"t0": "x"}}', id="t0_text"),
+        pytest.param("flow", '{"grid": "x"}', id="grid_not_object"),
+        pytest.param("flow", '{"schedule": "x"}', id="schedule_not_object"),
+        pytest.param("flow", '{"tolerances": {"ode": "x"}}', id="tolerance_text"),
+        pytest.param("flow", '{"output": 5}', id="output_not_string"),
+        pytest.param("synthesize", '{"synthesize": {"scale": 0.7}}', id="scale_above_half"),
+        pytest.param("synthesize", '{"synthesize": {"scale": "x"}}', id="scale_text"),
+        pytest.param("synthesize", '{"synthesize": "x"}', id="synthesize_not_object"),
+    ])
+    def test_bad_config_value_exits_1(self, tmp_path, command, config_text):
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(config_text)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("w", [
+        [[{"re": 1.0, "im": 0.0}]],            # Hermitian, not anti-Hermitian
+        [[{"re": 0.0, "im": float("inf")}]],   # non-finite
+        [[{"re": 0.0, "im": 1.0}] * 2] * 2,    # 2 x 2 for m = 1
+    ], ids=["hermitian", "non_finite", "wrong_shape"])
+    def test_bad_synthesize_generator_exits_1(self, tmp_path, w):
+        cfg = {"version": 1, "synthesize": {"scale": 0.1, "w": w}}
+        out = tmp_path / "run"
+        assert run(tmp_path, "synthesize", config=cfg, steps=64, out=out) == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_report_is_rejected_as_config(self, tmp_path):
+        assert run(tmp_path, "chart", steps=9, out=tmp_path / "first") == 0
+        out = tmp_path / "run"
+        assert main(["flow", "--config", str(tmp_path / "first.json"),
+                     "--out", str(out)]) == 1
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_unknown_grid_key(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(tmp_path, "flow", config={"version": 1, "grid": {"step": 100}},
+                   out=out) == 1
         assert not (tmp_path / "run.csv").exists()
 
     def test_unknown_schedule_kind(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grassflow import NotClosed, PathTooRough
+from grassflow import BaseMismatch, NotClosed, PathTooRough
 from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedule,
                                 TimeGrid,
                                 berry_maps, bloch_projector, constant_schedule,
@@ -351,6 +351,22 @@ class TestLoopHolonomy:
                                    TimeGrid(0.0, 1.0, 100))
         with pytest.raises(NotClosed):
             loop_holonomy(path, sigma)
+
+
+@pytest.mark.parametrize("route", [
+    lambda path, sigma: berry_maps(constant_schedule(np.zeros((3, 3), dtype=complex)),
+                                   Projector(matrix=path.samples[0], rank=1),
+                                   sigma, path.grid),
+    lambda path, sigma: horizontal_transport(path, sigma),
+    lambda path, sigma: loop_holonomy(path, sigma),
+    lambda path, sigma: pancharatnam_oracle(path.samples, sigma),
+], ids=["berry_maps", "horizontal_transport", "loop_holonomy", "pancharatnam_oracle"])
+def test_start_frame_off_the_base_is_rejected(route):
+    samples = np.repeat(Projector.standard(3, 1).matrix[np.newaxis], 5, axis=0)
+    path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 4), samples=samples, rank=1)
+    off_base = np.eye(3, dtype=complex)[:, 1:2]  # spans e_2, not im(P0) = span(e_1)
+    with pytest.raises(BaseMismatch):
+        route(path, off_base)
 
 
 class TestPancharatnamOracle:

@@ -7,9 +7,9 @@ from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent,
                                  covariant_derivative_along,
                                  grassmann_connection_F, grassmann_curvature_F,
                                  ham_field, lie_field_chart, linear_hamiltonian,
-                                 proj_from_chart, symplectic_form, tangent_embed,
-                                 tangent_extract)
-from grassflow.linalg import (commutator, dag, frob, isometrize,
+                                 proj_from_chart, sampled_derivative,
+                                 symplectic_form, tangent_embed, tangent_extract)
+from grassflow.linalg import (commutator, dag, frob, isometrize, mat_exp,
                               random_antihermitian, random_complex,
                               random_unitary)
 
@@ -307,6 +307,23 @@ class TestCurvatureF:
         lhs = grassmann_curvature_F(base.projector, a, b)
         rhs = grassmann_curvature_F(base.projector, b, a)
         assert frob(lhs + rhs) <= 1e-12
+
+
+class TestSampledDerivative:
+    @pytest.mark.parametrize("order, low, high", [(2, 1.8, 2.2), (4, 3.7, 4.3)])
+    def test_observed_order(self, order, low, high):
+        # log2 of the worst error over all nodes, ends included, at h and h/2
+        rng = np.random.default_rng(7)
+        a = random_antihermitian(3, rng)
+        a *= 2.0 / np.linalg.norm(a)
+        b = random_complex(3, 2, rng)
+        errors = []
+        for steps in (40, 80):
+            ts = np.linspace(0.0, 1.0, steps + 1)
+            curve = np.array([mat_exp(t * a) @ b for t in ts])
+            d = sampled_derivative(curve, 1.0 / steps, order)
+            errors.append(np.abs(d - np.einsum("ij,kjl->kil", a, curve)).max())
+        assert low <= np.log2(errors[0] / errors[1]) <= high
 
 
 class TestCovariantDerivative:
