@@ -1,7 +1,9 @@
 """JSON-configured experiment harness: ``grassflow <subcommand>``.
 
-Subcommands: chart, flow, berry, holonomy, synthesize, selftest.  Each run
-echoes its configuration, writes per-node CSV rows
+Subcommands: chart, flow, berry, holonomy, synthesize, selftest.  flow, berry
+and holonomy are one frame-first ``berry_maps`` run each; berry and holonomy
+add checks of the closed loop (holonomy against the Pancharatnam oracle).
+Each run echoes its configuration, writes per-node CSV rows
 (t,projector_defect,isometry_defect,horizontality_defect,energy) and a final
 JSON report with keys config, holonomy_dynamical, holonomy_geometric,
 fiber_gap, berry_phase_arg, closure_residual, defect_max, wall_time_s.
@@ -24,13 +26,12 @@ from . import selftest
 from .bundle import curvature_generators, frame_defect
 from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, TimeGrid, berry_maps,
                        bloch_projector, constant_schedule, geometric_schedule,
-                       horizontality_defect, horizontality_defects,
-                       integrate_projector, loop_transport, pancharatnam_oracle,
+                       horizontality_defects, loop_transport, pancharatnam_oracle,
                        rotating_schedule, sampled_schedule,
                        synthesize_holonomy_step)
 from .errors import GapTooSmall, GrassflowError, NotAntiHermitian, NotClosed
 from .grassmann import (BasePoint, ChartTangent, Projector, chart_from_proj,
-                        chart_transport, linear_hamiltonian, proj_from_chart)
+                        chart_transport, proj_from_chart)
 from .linalg import (Tolerances, dag, frob, mat_exp, random_antihermitian,
                      random_complex, random_frame, random_unitary,
                      require_antihermitian)
@@ -43,11 +44,15 @@ _DEFAULT_CONFIG = {
     "m": 1,
     "seed": 0,
     "grid": {"t0": 0.0, "t1": 1.0, "steps": 2000},
-    "schedule": {"kind": "rotating", "theta": np.pi / 2, "omega": 2 * np.pi},
+    "schedule": {"kind": "rotating"},
     "tolerances": {},
     "output": None,
 }
 _CONFIG_KEYS = set(_DEFAULT_CONFIG) | {"synthesize"}
+# the keys each schedule kind reads; an unset theta, omega or norm takes its default
+_ANGLE_KEYS = {"kind", "theta", "omega"}
+_SCHEDULE_KEYS = {"rotating": _ANGLE_KEYS, "geometric_from_curve": _ANGLE_KEYS,
+                  "constant": {"kind", "matrix", "norm"}, "sampled": {"kind", "values"}}
 
 
 class UsageError(Exception):
@@ -160,6 +165,9 @@ def build_setup(cfg: dict, tol: Tolerances):
     n, m = cfg["n"], cfg["m"]
     sched_cfg = cfg["schedule"]
     kind = sched_cfg.get("kind")
+    if not isinstance(kind, str) or kind not in _SCHEDULE_KEYS:
+        raise UsageError(f"unknown schedule kind {kind!r}")
+    _require_keys(sched_cfg, _SCHEDULE_KEYS[kind], "schedule")
     rng = np.random.default_rng(int(cfg["seed"]))
     grid = build_grid(cfg)
 
@@ -189,10 +197,8 @@ def build_setup(cfg: dict, tol: Tolerances):
                            for v in raw])
         schedule = sampled_schedule(grid, values)
         p0 = Projector.from_frame(random_frame(n, m, rng))
-    elif kind == "geometric_from_curve":
-        p0, schedule = _geometric_setup(sched_cfg, n, m, grid, rng)
     else:
-        raise UsageError(f"unknown schedule kind {kind!r}")
+        p0, schedule = _geometric_setup(sched_cfg, n, m, grid, rng)
 
     sigma = BasePoint.from_projector(p0, tol).frame
     return schedule, p0, sigma, grid
@@ -286,58 +292,28 @@ def _finish(cfg: dict, rows, payload: dict, bound: float, message: str) -> int:
 
 def _berry_maps_report(cfg: dict, tol: Tolerances, message: str,
                        more_extras=None) -> int:
-    """Report berry_maps on the configured schedule (flow and berry).
+    """Report berry_maps on the configured schedule (flow, berry and holonomy).
 
     ``more_extras(cfg, res, sigma, tol)`` may reject the run, or returns the
     report keys that follow the common ones.
     """
     start = time.perf_counter()
-    m = cfg["m"]
     schedule, p0, sigma, grid = build_setup(cfg, tol)
     res = berry_maps(schedule, p0, sigma, grid, tol)
     extras = {"closed": res.closed, "horizontality_defect": res.horizontality_defect}
     if more_extras is not None:
         extras.update(more_extras(cfg, res, sigma, tol))
 
-    fpath, hpath = res.frame_path, res.horizontal_path
-    rows = list(zip(grid.times, fpath.projector_defects(),
-                    np.maximum(fpath.frame_defects(), hpath.frame_defects()),
-                    horizontality_defects(hpath), res.energies))
+    rows = list(zip(grid.times, res.projector_defects, res.isometry_defects,
+                    res.horizontality_defects, res.energies))
     payload = _final_json(
         cfg,
         dynamical=res.dynamical,
         geometric=res.geometric,
         fiber_gap=res.fiber_gap,
-        berry_phase_arg=_phase_arg(res.geometric, m) if res.closed else None,
+        berry_phase_arg=_phase_arg(res.geometric, cfg["m"]) if res.closed else None,
         closure_residual=res.closure_residual,
         defect_max=max(res.projector_defect, res.isometry_defect),
-        wall_time_s=time.perf_counter() - start,
-        extras=extras,
-    )
-    return _finish(cfg, rows, payload, tol.ode, message)
-
-
-def _loop_report(cfg: dict, tol: Tolerances, start: float, path, sigma: np.ndarray,
-                 energy, more_extras, message: str) -> int:
-    """Report one transport of sigma around a closed loop (NotClosed -> exit 3).
-
-    ``energy(t, p)`` fills the CSV energy column; ``more_extras(frames,
-    holonomy)`` returns the report keys that follow the common ones.
-    """
-    frames = loop_transport(path, sigma, tol)
-    holonomy = dag(frames.samples[0]) @ frames.samples[-1]
-    p_defects = path.projector_defects()
-    rows = [(t, pd, iso, hor, energy(t, p))
-            for t, p, pd, iso, hor in zip(path.grid.times, path.samples, p_defects,
-                                          frames.frame_defects(),
-                                          horizontality_defects(frames))]
-    extras = more_extras(frames, holonomy)
-    payload = _final_json(
-        cfg,
-        geometric=holonomy,
-        berry_phase_arg=_phase_arg(holonomy, cfg["m"]),
-        closure_residual=path.closure_residual(),
-        defect_max=max(float(p_defects.max()), frames.node_defect()),
         wall_time_s=time.perf_counter() - start,
         extras=extras,
     )
@@ -395,14 +371,19 @@ def cmd_flow(cfg: dict, tol: Tolerances) -> int:
     return _berry_maps_report(cfg, tol, "flow defects exceed the ode tolerance")
 
 
-def _berry_extras(cfg: dict, res, sigma: np.ndarray, tol: Tolerances) -> dict:
-    """Closed-loop checks of a berry run: fiber gap, oracle, analytic phase."""
-    m = cfg["m"]
+def _closed_oracle(res, sigma: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The Pancharatnam oracle on the nodes phi_k phi_k* of a run; NotClosed if open."""
     if not res.closed:
         raise NotClosed(f"projector path does not close: "
                         f"residual {res.closure_residual:.3e}")
     frames = res.frame_path.samples
-    oracle = pancharatnam_oracle(frames @ dag(frames), sigma, tol)
+    return pancharatnam_oracle(frames @ dag(frames), sigma, tol)
+
+
+def _berry_extras(cfg: dict, res, sigma: np.ndarray, tol: Tolerances) -> dict:
+    """Closed-loop checks of a berry run: fiber gap, oracle, analytic phase."""
+    m = cfg["m"]
+    oracle = _closed_oracle(res, sigma, tol)
     extras = {"fiber_gap_deviation": frob(res.fiber_gap - np.eye(m)),
               "oracle_phase_arg": _phase_arg(oracle, m),
               "oracle_deviation": frob(res.geometric - oracle)}
@@ -427,23 +408,14 @@ def cmd_berry(cfg: dict, tol: Tolerances) -> int:
                               _berry_extras)
 
 
+def _holonomy_extras(cfg: dict, res, sigma: np.ndarray, tol: Tolerances) -> dict:
+    return {"oracle_deviation": frob(res.geometric - _closed_oracle(res, sigma, tol))}
+
+
 def cmd_holonomy(cfg: dict, tol: Tolerances) -> int:
     """loop holonomy with the discrete-projection oracle"""
-    start = time.perf_counter()
-    m = cfg["m"]
-    schedule, p0, sigma, grid = build_setup(cfg, tol)
-    path = integrate_projector(schedule, p0, grid, tol)
-
-    def energy(t, p):
-        return linear_hamiltonian(schedule(t), Projector(matrix=p, rank=m), tol)
-
-    def extras(frames, holonomy):
-        oracle = pancharatnam_oracle(path.samples, sigma, tol)
-        return {"oracle_deviation": frob(holonomy - oracle),
-                "horizontality_defect": horizontality_defect(frames)}
-
-    return _loop_report(cfg, tol, start, path, sigma, energy, extras,
-                        "holonomy run defects exceed the ode tolerance")
+    return _berry_maps_report(cfg, tol, "holonomy run defects exceed the ode tolerance",
+                              _holonomy_extras)
 
 
 def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
@@ -451,6 +423,7 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
     start = time.perf_counter()
     n, m = cfg["n"], cfg["m"]
     syn = cfg.get("synthesize", {})
+    _require_keys(syn, {"scale", "w"}, "synthesize")
     scale = _number(syn.get("scale", 0.1), "synthesize.scale")
     if not 0.0 <= scale <= 0.5:
         raise UsageError("synthesize.scale must lie in [0, 0.5]")
@@ -470,14 +443,25 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
     cfg["grid"] = {"t0": path.grid.t0, "t1": path.grid.t1, "steps": path.grid.steps}
     predicted = mat_exp(SYNTHESIS_CURVATURE_CONSTANT * scale ** 2 * w)
 
-    def extras(frames, holonomy):
-        return {"scale": scale,
+    frames = loop_transport(path, base.frame, tol)
+    holonomy = dag(frames.samples[0]) @ frames.samples[-1]
+    p_defects, iso_defects = path.projector_defects(), frames.frame_defects()
+    rows = list(zip(path.grid.times, p_defects, iso_defects,
+                    horizontality_defects(frames), [0.0] * len(p_defects)))
+    payload = _final_json(
+        cfg,
+        geometric=holonomy,
+        berry_phase_arg=_phase_arg(holonomy, m),
+        closure_residual=path.closure_residual(),
+        defect_max=max(float(p_defects.max()), float(iso_defects.max())),
+        wall_time_s=time.perf_counter() - start,
+        extras={"scale": scale,
                 "generator": _ser_matrix(w),
                 "predicted_holonomy": _ser_matrix(predicted),
-                "synthesis_deviation": frob(holonomy - predicted)}
-
-    return _loop_report(cfg, tol, start, path, base.frame, lambda t, p: 0.0, extras,
-                        "synthesis defects exceed the ode tolerance")
+                "synthesis_deviation": frob(holonomy - predicted)},
+    )
+    return _finish(cfg, rows, payload, tol.ode,
+                   "synthesis defects exceed the ode tolerance")
 
 
 def cmd_selftest(cfg: dict, tol: Tolerances) -> int:

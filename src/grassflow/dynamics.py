@@ -62,7 +62,6 @@ class TimeGrid:
 class HamiltonianSchedule:
     """Time-dependent anti-Hermitian generator t -> H(t)."""
 
-    kind: str
     evaluator: Callable[[float], np.ndarray]
 
     def __call__(self, t: float) -> np.ndarray:
@@ -71,7 +70,7 @@ class HamiltonianSchedule:
 
 def constant_schedule(h_mat: np.ndarray) -> HamiltonianSchedule:
     h_mat = require_finite(h_mat, "generator")
-    return HamiltonianSchedule(kind="constant", evaluator=lambda t: h_mat)
+    return HamiltonianSchedule(evaluator=lambda t: h_mat)
 
 
 def rotating_schedule(omega: float) -> HamiltonianSchedule:
@@ -81,7 +80,7 @@ def rotating_schedule(omega: float) -> HamiltonianSchedule:
     at polar angle theta around the latitude circle once per period 2 pi/omega.
     """
     h_mat = -0.5j * omega * np.diag([1.0, -1.0]).astype(complex)
-    return HamiltonianSchedule(kind="rotating", evaluator=lambda t: h_mat)
+    return HamiltonianSchedule(evaluator=lambda t: h_mat)
 
 
 def bloch_projector(theta: float, azimuth: float = 0.0) -> Projector:
@@ -104,7 +103,7 @@ def sampled_schedule(grid: TimeGrid, values: np.ndarray) -> HamiltonianSchedule:
         w = np.clip(s - k, 0.0, 1.0)
         return (1.0 - w) * values[k] + w * values[k + 1]
 
-    return HamiltonianSchedule(kind="sampled", evaluator=evaluate)
+    return HamiltonianSchedule(evaluator=evaluate)
 
 
 def _geometric_generator(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -135,7 +134,7 @@ def geometric_schedule(qfun: Callable[[float], np.ndarray],
         v = (qfun(t + fd_step) - qfun(t - fd_step)) / (2.0 * fd_step)
         return _geometric_generator(q, v)
 
-    return HamiltonianSchedule(kind="geometric_from_curve", evaluator=evaluate)
+    return HamiltonianSchedule(evaluator=evaluate)
 
 
 @dataclass(frozen=True)
@@ -330,19 +329,31 @@ def tracking_defect(path: ProjectorPath, frames: FramePath) -> float:
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    """Dynamical vs. geometric fiber maps of one Hamiltonian run."""
+    """Dynamical vs. geometric fiber maps of one Hamiltonian run, with per-node audits."""
 
     dynamical: np.ndarray        # sigma* phi(T)
     geometric: np.ndarray        # sigma* psi(T)
     fiber_gap: np.ndarray        # psi(T)* phi(T)
     closed: bool
     closure_residual: float
-    projector_defect: float
-    isometry_defect: float
-    horizontality_defect: float
+    projector_defects: np.ndarray = field(repr=False)      # of phi_k phi_k*
+    isometry_defects: np.ndarray = field(repr=False)       # worse of phi_k and psi_k
+    horizontality_defects: np.ndarray = field(repr=False)  # of psi_k
     energies: np.ndarray = field(repr=False, default=None)  # -i tr(phi_k* H(t_k) phi_k)
     frame_path: FramePath = field(repr=False, default=None)
     horizontal_path: FramePath = field(repr=False, default=None)
+
+    @property
+    def projector_defect(self) -> float:
+        return float(self.projector_defects.max())
+
+    @property
+    def isometry_defect(self) -> float:
+        return float(self.isometry_defects.max())
+
+    @property
+    def horizontality_defect(self) -> float:
+        return float(self.horizontality_defects.max())
 
 
 def _lifted_rhs(h_mat: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
@@ -373,7 +384,9 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     first two are the U(m) holonomies of the loop; the fiber gap is always a
     gauge element and measures the accumulated vertical drift.  The node
     energies -i tr(phi_k* H(t_k) phi_k) come from the first RK4 stage, and
-    each node's H is checked to be anti-Hermitian with a real energy.
+    each node's H is checked to be anti-Hermitian with a real energy.  The
+    per-node audits (projector defect of phi phi*, the worse isometry defect
+    of phi and psi, horizontality defect of psi) are computed here, once.
     """
     sigma = require_over(sigma, p0.matrix, tol, "P0")
     n, m = sigma.shape
@@ -420,9 +433,9 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
         fiber_gap=dag(psi_end) @ phi_end,
         closed=residual <= closure_tolerance(p0.rank, tol),
         closure_residual=residual,
-        projector_defect=float(fpath.projector_defects().max()),
-        isometry_defect=max(fpath.node_defect(), hpath.node_defect()),
-        horizontality_defect=horizontality_defect(hpath),
+        projector_defects=fpath.projector_defects(),
+        isometry_defects=np.maximum(fpath.frame_defects(), hpath.frame_defects()),
+        horizontality_defects=horizontality_defects(hpath),
         energies=energies,
         frame_path=fpath,
         horizontal_path=hpath,
@@ -443,8 +456,7 @@ def geometric_hamiltonian(path: ProjectorPath, rough_bound: float = 0.5,
         raise PathTooRough("consecutive projector samples are too far apart")
     derivs = sampled_derivative(path.samples, path.grid.h, 2)
     values = np.array([_geometric_generator(q, v) for q, v in zip(path.samples, derivs)])
-    inner = sampled_schedule(path.grid, values)
-    return HamiltonianSchedule(kind="geometric_from_curve", evaluator=inner.evaluator)
+    return sampled_schedule(path.grid, values)
 
 
 def loop_transport(path: ProjectorPath, sigma: np.ndarray,

@@ -280,7 +280,6 @@ def checks_dynamics(tol: Tolerances):
         b = random_antihermitian(n, rng)
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
         return dynamics.HamiltonianSchedule(
-            kind="sampled",
             evaluator=lambda t: np.cos(t) * a + np.sin(t) * b)
 
     def bundle_consistency():

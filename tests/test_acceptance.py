@@ -170,7 +170,6 @@ def test_criterion_06_flow_consistency():
         b = random_antihermitian(n, rng)
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
         sched = HamiltonianSchedule(
-            kind="sampled",
             evaluator=lambda t, a=a, b=b: np.cos(2 * t) * a + np.sin(t) * b)
         phi0 = random_frame(n, m, rng)
         short = TimeGrid(0.0, 1.0, 500)

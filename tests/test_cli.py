@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from grassflow.cli import CSV_HEADER, main
+from grassflow.cli import (CSV_HEADER, build_parser, build_setup,
+                           build_tolerances, load_config, main)
+from grassflow.dynamics import integrate_projector, loop_holonomy
 
 REQUIRED_KEYS = ["config", "holonomy_dynamical", "holonomy_geometric",
                  "fiber_gap", "berry_phase_arg", "closure_residual",
@@ -88,6 +90,19 @@ class TestBerry:
                "schedule": {"kind": "constant", "norm": 2.0}}
         assert run(tmp_path, "berry", config=cfg, steps=500) == 3
 
+    def test_geometric_curve_default_omega_spans_the_grid(self, tmp_path):
+        # omega defaults to 2 pi / (t1 - t0): one turn of the latitude, not two
+        cfg = {"version": 1, "grid": {"t0": 0.0, "t1": 2.0, "steps": 2000},
+               "schedule": {"kind": "geometric_from_curve", "theta": 1.2}}
+        out = tmp_path / "run"
+        assert run(tmp_path, "berry", config=cfg, out=out) == 0
+        report, _ = load(out)
+        reference = np.pi * (1.0 - np.cos(1.2))
+        phase = report["berry_phase_arg"]
+        deviation = min(abs(np.angle(np.exp(1j * (phase - sign * reference))))
+                        for sign in (1, -1))
+        assert deviation <= 1e-6
+
 
 class TestFlow:
     def test_report_contract(self, tmp_path):
@@ -103,6 +118,14 @@ class TestFlow:
         assert len(csv_lines) - 1 == 401
         for line in csv_lines[1:]:
             assert all(np.isfinite(float(v)) for v in line.split(","))
+
+    def test_config_echo_holds_only_the_schedule_keys_given(self, tmp_path):
+        cfg = {"version": 1, "n": 3, "m": 1,
+               "schedule": {"kind": "constant", "norm": 2.0}}
+        out = tmp_path / "run"
+        assert run(tmp_path, "flow", config=cfg, steps=20, out=out) == 0
+        report, _ = load(out)
+        assert report["config"]["schedule"] == {"kind": "constant", "norm": 2.0}
 
     @pytest.mark.parametrize("command, cfg", [
         ("flow", {"version": 1, "n": 3, "m": 1, "seed": 9,
@@ -137,6 +160,23 @@ class TestHolonomy:
         cfg = {"version": 1, "n": 4, "m": 2,
                "schedule": {"kind": "constant", "norm": 2.0}}
         assert run(tmp_path, "holonomy", config=cfg, steps=300) == 3
+
+    def test_matches_the_transported_projector_loop(self, tmp_path):
+        # the frame-first run against transport along the separately
+        # integrated projector flow, on the same seeded inputs
+        cfg = {"version": 1, "n": 4, "m": 2,
+               "schedule": {"kind": "geometric_from_curve"}}
+        out = tmp_path / "run"
+        assert run(tmp_path, "holonomy", config=cfg, steps=800, out=out) == 0
+        report, _ = load(out)
+        loaded = load_config(build_parser().parse_args(
+            ["holonomy", "--config", str(tmp_path / "config.json"), "--steps", "800"]))
+        tol = build_tolerances(loaded)
+        schedule, p0, sigma, grid = build_setup(loaded, tol)
+        reference = loop_holonomy(integrate_projector(schedule, p0, grid, tol), sigma, tol)
+        got = np.array([[complex(z["re"], z["im"]) for z in row]
+                        for row in report["holonomy_geometric"]])
+        assert np.linalg.norm(got - reference) <= 1e-10
 
 
 class TestSynthesize:
@@ -225,6 +265,12 @@ class TestUsage:
         pytest.param("synthesize", '{"synthesize": {"scale": 0.7}}', id="scale_above_half"),
         pytest.param("synthesize", '{"synthesize": {"scale": "x"}}', id="scale_text"),
         pytest.param("synthesize", '{"synthesize": "x"}', id="synthesize_not_object"),
+        pytest.param("synthesize", '{"synthesize": {"scal": 0.3}}',
+                     id="synthesize_unknown_key"),
+        pytest.param("flow", '{"schedule": {"kind": "rotating", "thet": 1.0}}',
+                     id="schedule_unknown_key"),
+        pytest.param("flow", '{"n": 3, "schedule": {"kind": "constant", "matrx": []}}',
+                     id="constant_schedule_unknown_key"),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, command, config_text):
         cfg_file = tmp_path / "config.json"
@@ -261,3 +307,26 @@ class TestUsage:
         assert run(tmp_path, "flow",
                    config={"version": 1, "schedule": {"kind": "warp"}},
                    steps=10) == 1
+
+
+_COMMON_KEYS = REQUIRED_KEYS + ["closed", "horizontality_defect"]
+
+
+@pytest.mark.parametrize("command, cfg, keys", [
+    ("chart", {"version": 1},
+     REQUIRED_KEYS + ["max_roundtrip_error", "max_equivariance_error", "trials"]),
+    ("flow", {"version": 1, "n": 3, "m": 1,
+              "schedule": {"kind": "constant", "norm": 2.0}}, _COMMON_KEYS),
+    ("berry", {"version": 1},
+     _COMMON_KEYS + ["fiber_gap_deviation", "oracle_phase_arg", "oracle_deviation",
+                     "analytic_reference", "analytic_deviation"]),
+    ("holonomy", {"version": 1}, _COMMON_KEYS + ["oracle_deviation"]),
+    ("synthesize", {"version": 1, "synthesize": {"scale": 0.1}},
+     REQUIRED_KEYS + ["scale", "generator", "predicted_holonomy",
+                      "synthesis_deviation"]),
+], ids=["chart", "flow", "berry", "holonomy", "synthesize"])
+def test_report_keys_in_order(tmp_path, command, cfg, keys):
+    out = tmp_path / "run"
+    assert run(tmp_path, command, config=cfg, steps=300, out=out) == 0
+    report, _ = load(out)
+    assert list(report) == keys

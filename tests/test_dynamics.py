@@ -21,8 +21,7 @@ def smooth_schedule(n, rng):
     a = random_antihermitian(n, rng)
     b = random_antihermitian(n, rng)
     a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-    return HamiltonianSchedule(kind="sampled",
-                               evaluator=lambda t: np.cos(t) * a + np.sin(t) * b)
+    return HamiltonianSchedule(evaluator=lambda t: np.cos(t) * a + np.sin(t) * b)
 
 
 class TestIntegrateFrame:
@@ -41,6 +40,18 @@ class TestIntegrateFrame:
         path = integrate_frame(constant_schedule(h_mat), phi0,
                                TimeGrid(0.0, 1.0, 2000))
         assert frob(path.samples[-1] - mat_exp(h_mat) @ phi0) <= 1e-8
+
+    def test_observed_order_against_the_exponential(self):
+        rng = np.random.default_rng(51)
+        h_mat = random_antihermitian(4, rng)
+        h_mat *= 5.0 / np.linalg.norm(h_mat)
+        phi0 = random_frame(4, 2, rng)
+        errors = [frob(integrate_frame(constant_schedule(h_mat), phi0,
+                                       TimeGrid(0.0, 1.0, steps)).samples[-1]
+                       - mat_exp(h_mat) @ phi0)
+                  for steps in (25, 50, 100)]
+        orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert all(3.7 <= order <= 4.3 for order in orders), orders
 
     def test_gauge_covariance(self):
         rng = np.random.default_rng(52)
@@ -183,7 +194,6 @@ class TestBerryMaps:
             b = random_antihermitian(5, rng)
             a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
             sched = HamiltonianSchedule(
-                kind="sampled",
                 evaluator=lambda t, a=a, b=b: np.cos(2 * t) * a + np.sin(t) * b)
             sigma = random_frame(5, 2, rng)
             p0 = Projector.from_frame(sigma)
@@ -206,7 +216,7 @@ class TestBerryMaps:
 
         sigma = random_frame(4, 2, rng)
         grid = TimeGrid(0.0, 1.0, 50)
-        berry_maps(HamiltonianSchedule(kind="sampled", evaluator=counting),
+        berry_maps(HamiltonianSchedule(evaluator=counting),
                    Projector.from_frame(sigma), sigma, grid)
         assert len(times) == 2 * grid.steps + 1
 
@@ -403,6 +413,18 @@ class TestPancharatnamOracle:
         gap_fine = frob(pancharatnam_oracle(
             self.latitude_samples(theta, 10000), sigma) - reference)
         assert gap_fine <= gap_coarse / 5.0
+
+    def test_observed_order(self):
+        theta = np.pi / 3
+        p0 = bloch_projector(theta)
+        sigma = BasePoint.from_projector(p0).frame
+        reference = berry_maps(rotating_schedule(2 * np.pi), p0, sigma,
+                               TimeGrid(0.0, 1.0, 4000)).geometric
+        errors = [frob(pancharatnam_oracle(self.latitude_samples(theta, samples), sigma)
+                       - reference)
+                  for samples in (250, 500, 1000)]
+        orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert all(1.8 <= order <= 2.2 for order in orders), orders
 
 
 class TestSynthesizeHolonomy:
