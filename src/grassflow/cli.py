@@ -121,6 +121,10 @@ def load_config(args) -> dict:
         if not isinstance(cfg.get(section, {}), dict):
             raise UsageError(f"config section {section!r} must be a JSON object")
     _require_keys(cfg["grid"], set(_DEFAULT_CONFIG["grid"]), "grid")
+    kind = cfg["schedule"].get("kind")
+    if not isinstance(kind, str) or kind not in _SCHEDULE_KEYS:
+        raise UsageError(f"unknown schedule kind {kind!r}")
+    _require_keys(cfg["schedule"], _SCHEDULE_KEYS[kind], "schedule")
     if not (cfg["output"] is None or isinstance(cfg["output"], str)):
         raise UsageError("output must be a string prefix or null")
     if args.seed is not None:
@@ -164,10 +168,7 @@ def build_setup(cfg: dict, tol: Tolerances):
     """Schedule, initial projector and start frame from the config."""
     n, m = cfg["n"], cfg["m"]
     sched_cfg = cfg["schedule"]
-    kind = sched_cfg.get("kind")
-    if not isinstance(kind, str) or kind not in _SCHEDULE_KEYS:
-        raise UsageError(f"unknown schedule kind {kind!r}")
-    _require_keys(sched_cfg, _SCHEDULE_KEYS[kind], "schedule")
+    kind = sched_cfg["kind"]  # kind and keys are checked by load_config
     rng = np.random.default_rng(int(cfg["seed"]))
     grid = build_grid(cfg)
 
@@ -216,7 +217,12 @@ def _require_generator(h_mat, n, tol, name):
 
 def _geometric_setup(sched_cfg, n, m, grid, rng):
     span = grid.t1 - grid.t0
-    if n == 2 and m == 1 and "theta" in sched_cfg:
+    # theta and omega shape the latitude loop; the seeded random loop reads neither
+    if "theta" in sched_cfg and (n, m) != (2, 1):
+        raise UsageError("schedule.theta (a latitude loop) requires n=2, m=1")
+    if "omega" in sched_cfg and "theta" not in sched_cfg:
+        raise UsageError("schedule.omega requires schedule.theta")
+    if "theta" in sched_cfg:
         theta = _number(sched_cfg["theta"], "schedule.theta")
         omega = _number(sched_cfg.get("omega", 2 * np.pi / span), "schedule.omega")
 

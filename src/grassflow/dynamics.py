@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DegenerateStep, NotClosed, PathTooRough
 from .bundle import curvature_generators, frame_defect, require_over
-from .grassmann import (BasePoint, ChartTangent, Projector, hamiltonian_value,
-                        proj_from_chart, projector_defect, sampled_derivative)
+from .grassmann import (BasePoint, Projector, chart_projectors, hamiltonian_value,
+                        projector_defect, sampled_derivative)
 from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob,
                      isometrize, nearest_projector, polar_retract,
                      require_antihermitian, require_finite)
@@ -152,8 +152,15 @@ class ProjectorPath:
         return self.samples.shape[1]
 
     def projector_defects(self) -> np.ndarray:
-        """Per-node projector_defect of the stored samples."""
-        return np.array([projector_defect(p, self.rank) for p in self.samples])
+        """Per-node projector_defect of the stored samples, over the whole stack."""
+        p = self.samples
+        dev = p @ p
+        dev -= p
+        idem = np.linalg.norm(dev, axis=(1, 2))
+        np.subtract(p, dag(p), out=dev)
+        herm = np.linalg.norm(dev, axis=(1, 2))
+        trace = np.abs(np.trace(p, axis1=1, axis2=2) - self.rank)
+        return np.maximum(np.maximum(idem, herm), trace)
 
     def node_defect(self) -> float:
         """Worst projector-invariant violation over the stored nodes."""
@@ -271,7 +278,8 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
     h = grid.h
     samples = np.empty((grid.steps + 1,) + sigma.shape, dtype=complex)
     samples[0] = sigma
-    worst = frame_defect(sigma)
+    raw = np.empty_like(samples)  # each step's frame before its retraction
+    raw[0] = sigma
     rank = path.rank
 
     if path.schedule is not None:
@@ -286,7 +294,7 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
         for k in range(grid.steps):
             y = _rk4_step(rhs, grid.t0 + k * h, y, h)
             p, psi = y[:, :n], y[:, n:]
-            worst = max(worst, frame_defect(psi))
+            raw[k + 1] = psi
             if projector_defect(p, rank) > tol.ode:
                 p = nearest_projector((p + dag(p)) / 2.0, rank, tol)
             psi = polar_retract(psi, tol)
@@ -299,10 +307,11 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
             k1 = derivs[k] @ psi
             k2 = derivs[k + 1] @ (psi + h * k1)
             psi = psi + (h / 2.0) * (k1 + k2)
-            worst = max(worst, frame_defect(psi))
+            raw[k + 1] = psi
             psi = polar_retract(psi, tol)
             samples[k + 1] = psi
 
+    worst = float(FramePath(grid=grid, samples=raw).frame_defects().max())
     return FramePath(grid=grid, samples=samples, max_raw_defect=worst)
 
 
@@ -525,17 +534,15 @@ def synthesize_holonomy_step(w: np.ndarray, scale: float, base: BasePoint,
         bu, bv = scale * u[m:, :], scale * v[m:, :]
         waypoints.extend([(zero, bu), (bu, bu + bv), (bu + bv, bv), (bv, zero)])
 
-    blocks = []
-    for start, end in waypoints:
-        for j in range(samples_per_side):
-            s = j / samples_per_side
-            # quintic ease: velocity and acceleration vanish at the corners,
-            # so the concatenated traversal is C^2 in time (same loop in space)
-            s = s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
-            blocks.append((1.0 - s) * start + s * end)
-    blocks.append(zero)
+    s = np.arange(samples_per_side) / samples_per_side
+    # quintic ease: velocity and acceleration vanish at the corners,
+    # so the concatenated traversal is C^2 in time (same loop in space)
+    s = (s * s * s * (10.0 - 15.0 * s + 6.0 * s * s))[:, np.newaxis, np.newaxis]
+    blocks = np.empty((len(waypoints) * samples_per_side + 1,) + zero.shape, dtype=complex)
+    for i, (start, end) in enumerate(waypoints):
+        blocks[i * samples_per_side:(i + 1) * samples_per_side] = (1.0 - s) * start + s * end
+    blocks[-1] = zero
 
-    samples = np.array([proj_from_chart(base, ChartTangent(base=base, block=b)).matrix
-                        for b in blocks])
+    samples = chart_projectors(base, blocks)
     grid = TimeGrid(0.0, 1.0, len(samples) - 1)
     return ProjectorPath(grid=grid, samples=samples, rank=m)

@@ -139,25 +139,37 @@ def _require_tangent(p: Projector, v: EmbeddedTangent,
     return mat
 
 
-def proj_from_chart(base: BasePoint, f: ChartTangent) -> Projector:
-    """The projector onto the graph of f, assembled from the chart blocks.
+def chart_projectors(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
+    """Projector matrices onto the graphs of a stack of chart blocks.
 
-    Blocks (in the adapted basis): [[(1+f*f)^-1, f*(1+ff*)^-1],
+    ``blocks`` has shape (N, n-m, m); the result has shape (N, n, n).  Each
+    projector is, in the adapted basis, [[(1+f*f)^-1, f*(1+ff*)^-1],
     [f(1+f*f)^-1, ff*(1+ff*)^-1]], conjugated into ambient coordinates by
-    [frame | coframe].  1+f*f is always invertible, so this never fails.
+    [frame | coframe] and Hermitized.  1+f*f is always invertible, so this
+    never fails.
     """
-    blk = np.asarray(f.block, dtype=complex)
+    f = np.asarray(blocks, dtype=complex)
+    f_dag = dag(f)
     n, m = base.n, base.m
-    inv_small = np.linalg.inv(np.eye(m) + dag(blk) @ blk)          # (1+f*f)^-1
-    inv_big = np.linalg.inv(np.eye(n - m) + blk @ dag(blk))        # (1+ff*)^-1
-    top_left = inv_small
-    top_right = dag(blk) @ inv_big
-    bottom_left = blk @ inv_small
-    bottom_right = blk @ dag(blk) @ inv_big
+    inv_small = np.linalg.inv(np.eye(m) + f_dag @ f)        # (1+f*f)^-1
+    inv_big = np.linalg.inv(np.eye(n - m) + f @ f_dag)      # (1+ff*)^-1
+    adapted = np.empty((len(f), n, n), dtype=complex)
+    adapted[:, :m, :m] = inv_small
+    adapted[:, :m, m:] = f_dag @ inv_big
+    adapted[:, m:, :m] = f @ inv_small
+    adapted[:, m:, m:] = f @ f_dag @ inv_big
     basis = np.hstack([base.frame, base.coframe])
-    blocks = np.block([[top_left, top_right], [bottom_left, bottom_right]])
-    p = basis @ blocks @ dag(basis)
-    return Projector(matrix=(p + dag(p)) / 2.0, rank=m)
+    p = basis @ adapted
+    del adapted  # free the stack before the second product allocates
+    p = p @ dag(basis)
+    p += dag(p)
+    p /= 2.0
+    return p
+
+
+def proj_from_chart(base: BasePoint, f: ChartTangent) -> Projector:
+    """The projector onto the graph of f, see ``chart_projectors``."""
+    return Projector(matrix=chart_projectors(base, f.block[np.newaxis])[0], rank=base.m)
 
 
 def chart_from_proj(base: BasePoint, q: Projector,
@@ -285,7 +297,9 @@ def sampled_derivative(samples: np.ndarray, h: float, order: int) -> np.ndarray:
         d[-1] = (25.0 * s[-1] - 48.0 * s[-2] + 36.0 * s[-3] - 16.0 * s[-4] + 3.0 * s[-5]) / (12.0 * h)
         d[-2] = (3.0 * s[-1] + 10.0 * s[-2] - 18.0 * s[-3] + 6.0 * s[-4] - s[-5]) / (12.0 * h)
         return d
-    d[1:-1] = (s[2:] - s[:-2]) / (2.0 * h)
+    # in place: no (N, ...) temporaries beyond d itself
+    np.subtract(s[2:], s[:-2], out=d[1:-1])
+    d[1:-1] /= 2.0 * h
     d[0] = (-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h)
     d[-1] = (3.0 * s[-1] - 4.0 * s[-2] + s[-3]) / (2.0 * h)
     return d

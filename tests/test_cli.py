@@ -271,6 +271,18 @@ class TestUsage:
                      id="schedule_unknown_key"),
         pytest.param("flow", '{"n": 3, "schedule": {"kind": "constant", "matrx": []}}',
                      id="constant_schedule_unknown_key"),
+        pytest.param("chart", '{"schedule": {"kind": "warp", "bogus": 1}}',
+                     id="chart_unknown_schedule_kind"),
+        pytest.param("chart", '{"schedule": {"kind": "rotating", "bogus": 1}}',
+                     id="chart_unknown_schedule_key"),
+        pytest.param("synthesize", '{"schedule": {"kind": "warp"}}',
+                     id="synthesize_unknown_schedule_kind"),
+        pytest.param("berry", '{"n": 4, "m": 2, "schedule": {"kind": '
+                     '"geometric_from_curve", "omega": 3.0}}',
+                     id="geometric_omega_without_theta"),
+        pytest.param("berry", '{"n": 4, "m": 2, "schedule": {"kind": '
+                     '"geometric_from_curve", "theta": 1.0, "omega": 3.0}}',
+                     id="geometric_theta_off_the_bloch_sphere"),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, command, config_text):
         cfg_file = tmp_path / "config.json"

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from grassflow import BaseMismatch, NotClosed, PathTooRough
+from grassflow import dynamics
+from grassflow.bundle import frame_defect
 from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedule,
                                 TimeGrid,
                                 berry_maps, bloch_projector, constant_schedule,
@@ -12,7 +14,7 @@ from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedul
                                 sampled_schedule, synthesize_holonomy_step,
                                 tracking_defect, horizontality_defect,
                                 ProjectorPath)
-from grassflow.grassmann import BasePoint, Projector, linear_hamiltonian
+from grassflow.grassmann import BasePoint, Projector, linear_hamiltonian, projector_defect
 from grassflow.linalg import (dag, frob, mat_exp, random_antihermitian,
                               random_frame, random_unitary)
 
@@ -143,6 +145,62 @@ class TestHorizontalTransport:
                                    TimeGrid(0.0, 1.0, 800))
         transported = horizontal_transport(path, phi0)
         assert horizontality_defect(transported) <= 1e-6
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["schedule", "sampled"])
+    def test_max_raw_defect_is_the_worst_pre_retraction_frame(self, sampled, monkeypatch):
+        # every pre-retraction frame passes through polar_retract: record it there
+        rng = np.random.default_rng(57)
+        phi0 = random_frame(4, 2, rng)
+        path = integrate_projector(smooth_schedule(4, rng), Projector.from_frame(phi0),
+                                   TimeGrid(0.0, 1.0, 200))
+        if sampled:
+            path = ProjectorPath(grid=path.grid, samples=path.samples, rank=path.rank)
+        raw = []
+        retract = dynamics.polar_retract
+
+        def recording_retract(f, tol):
+            raw.append(frame_defect(f))
+            return retract(f, tol)
+
+        monkeypatch.setattr(dynamics, "polar_retract", recording_retract)
+        transported = horizontal_transport(path, phi0)
+        assert len(raw) == path.grid.steps
+        expected = max([frame_defect(phi0)] + raw)
+        assert expected > 0.0
+        assert transported.max_raw_defect == pytest.approx(expected, rel=1e-12, abs=1e-30)
+
+
+class TestProjectorPathDefects:
+    def check(self, path):
+        scalar = np.array([projector_defect(p, path.rank) for p in path.samples])
+        assert np.abs(path.projector_defects() - scalar).max() <= 1e-15
+
+    def test_integrated_path(self):
+        rng = np.random.default_rng(58)
+        phi0 = random_frame(5, 2, rng)
+        self.check(integrate_projector(smooth_schedule(5, rng), Projector.from_frame(phi0),
+                                       TimeGrid(0.0, 1.0, 300)))
+
+    def test_synthesized_path(self):
+        rng = np.random.default_rng(59)
+        w = random_antihermitian(2, rng)
+        self.check(synthesize_holonomy_step(w / np.linalg.norm(w), 0.1,
+                                            BasePoint.standard(6, 2), samples_per_side=100))
+
+    @pytest.mark.parametrize("part", ["hermitian", "antihermitian", "trace"])
+    def test_each_invariant_violation(self, part):
+        # a per-node perturbation that breaks idempotency (Hermitian noise), the
+        # Hermitian symmetry (anti-Hermitian noise) or the trace (a scaling)
+        rng = np.random.default_rng(60)
+        base = np.repeat(Projector.standard(4, 2).matrix[np.newaxis], 30, axis=0)
+        noise = np.array([random_antihermitian(4, rng) for _ in range(30)])
+        scale = rng.uniform(0.0, 0.5, 30)[:, np.newaxis, np.newaxis]
+        samples = {"hermitian": base + 1j * scale * noise,
+                   "antihermitian": base + scale * noise,
+                   "trace": (1.0 + scale) * base}[part]
+        path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 29), samples=samples, rank=2)
+        scalar = np.array([projector_defect(p, 2) for p in samples])
+        np.testing.assert_allclose(path.projector_defects(), scalar, rtol=1e-13)
 
 
 class TestBerryMaps:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grassflow import NotAntiHermitian, NotTangent, NotUnitary, OutsideChart, SectionNotInFiber
 from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent,
-                                 Projector, chart_from_proj, chart_transport,
+                                 Projector, chart_from_proj, chart_projectors,
+                                 chart_transport,
                                  covariant_derivative_along,
                                  grassmann_connection_F, grassmann_curvature_F,
                                  ham_field, lie_field_chart, linear_hamiltonian,
@@ -53,6 +55,50 @@ class TestProjFromChart:
             base = random_base(6, 2, rng)
             f = random_block(base, rng, scale=float(rng.uniform(0, 10)))
             assert proj_from_chart(base, f).defect() <= 1e-10
+
+
+def random_blocks(base, count, rng, max_norm=10.0):
+    """A stack of ``count`` chart blocks with norms uniform in [0, max_norm]."""
+    blocks = np.array([random_complex(base.n - base.m, base.m, rng) for _ in range(count)])
+    norms = np.linalg.norm(blocks, axis=(1, 2))[:, np.newaxis, np.newaxis]
+    return blocks * rng.uniform(0.0, max_norm, count)[:, np.newaxis, np.newaxis] / norms
+
+
+class TestChartProjectors:
+    @pytest.mark.parametrize("n, m", [(6, 2), (3, 2)])
+    def test_matches_proj_from_chart_per_block(self, n, m):
+        rng = np.random.default_rng(12)
+        base = random_base(n, m, rng)
+        blocks = random_blocks(base, 40, rng)
+        stacked = chart_projectors(base, blocks)
+        assert stacked.shape == (40, n, n)
+        for blk, p in zip(blocks, stacked):
+            single = proj_from_chart(base, ChartTangent(base=base, block=blk)).matrix
+            assert frob(p - single) <= 1e-14
+
+    @pytest.mark.parametrize("n, m", [(6, 2), (3, 2)])
+    def test_matches_the_graph_of_each_block(self, n, m):
+        # independent route: the projector onto the span of frame + coframe f
+        rng = np.random.default_rng(13)
+        base = random_base(n, m, rng)
+        blocks = random_blocks(base, 20, rng)
+        for blk, p in zip(blocks, chart_projectors(base, blocks)):
+            v = isometrize(base.frame + base.coframe @ blk)
+            assert frob(p - v @ dag(v)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+       m_frac=st.floats(0.0, 1.0), count=st.integers(1, 6))
+def test_chart_roundtrip_of_stacked_projectors(seed, n, m_frac, count):
+    rng = np.random.default_rng(seed)
+    m = min(n - 1, 1 + int(m_frac * (n - 1)))
+    base = random_base(n, m, rng)
+    blocks = random_blocks(base, count, rng)
+    stacked = chart_projectors(base, blocks)
+    for k, blk in enumerate(blocks):
+        back = chart_from_proj(base, Projector(matrix=stacked[k], rank=m))
+        assert frob(back.block - blk) <= 1e-10  # the criterion 01 bound
 
 
 class TestChartFromProj:
@@ -324,6 +370,13 @@ class TestSampledDerivative:
             d = sampled_derivative(curve, 1.0 / steps, order)
             errors.append(np.abs(d - np.einsum("ij,kjl->kil", a, curve)).max())
         assert low <= np.log2(errors[0] / errors[1]) <= high
+
+    def test_order_2_interior_is_the_central_difference(self):
+        rng = np.random.default_rng(8)
+        s = random_complex(50, 6, rng).reshape(50, 3, 2)
+        h = 1.0 / 7.0
+        d = sampled_derivative(s, h, 2)
+        assert np.array_equal(d[1:-1], (s[2:] - s[:-2]) / (2.0 * h))
 
 
 class TestCovariantDerivative:
