@@ -24,11 +24,11 @@ import numpy as np
 
 from . import selftest
 from .bundle import curvature_generators, frame_defect
-from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, TimeGrid, berry_maps,
-                       bloch_projector, constant_schedule, geometric_schedule,
+from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, TimeGrid, _parallelogram_loop,
+                       berry_maps, bloch_matrices, bloch_projector,
+                       constant_schedule, geometric_schedule,
                        horizontality_defects, loop_transport, pancharatnam_oracle,
-                       rotating_schedule, sampled_schedule,
-                       synthesize_holonomy_step)
+                       rotating_schedule, sampled_schedule)
 from .errors import GapTooSmall, GrassflowError, NotAntiHermitian, NotClosed
 from .grassmann import (BasePoint, ChartTangent, Projector, chart_from_proj,
                         chart_transport, proj_from_chart)
@@ -37,6 +37,8 @@ from .linalg import (Tolerances, dag, frob, mat_exp, random_antihermitian,
                      require_antihermitian)
 
 CSV_HEADER = "t,projector_defect,isometry_defect,horizontality_defect,energy"
+# one %-format per row; %.17g writes each float exactly as f"{x:.17g}" does
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
 _DEFAULT_CONFIG = {
     "version": 1,
@@ -227,7 +229,7 @@ def _geometric_setup(sched_cfg, n, m, grid, rng):
         omega = _number(sched_cfg.get("omega", 2 * np.pi / span), "schedule.omega")
 
         def qfun(t):
-            return bloch_projector(theta, omega * (t - grid.t0)).matrix
+            return bloch_matrices(theta, omega * (np.asarray(t) - grid.t0))
     else:
         a = random_antihermitian(n, rng)
         b = random_antihermitian(n, rng)
@@ -235,7 +237,7 @@ def _geometric_setup(sched_cfg, n, m, grid, rng):
         p_std = Projector.standard(n, m).matrix
 
         def qfun(t):
-            s = 2 * np.pi * (t - grid.t0) / span
+            s = 2 * np.pi * (np.asarray(t)[..., np.newaxis, np.newaxis] - grid.t0) / span
             u = mat_exp(np.sin(s) * a + (1.0 - np.cos(s)) * b)
             return u @ p_std @ dag(u)
 
@@ -244,13 +246,12 @@ def _geometric_setup(sched_cfg, n, m, grid, rng):
 
 # ---------------------------------------------------------------- reporting
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_report(cfg: dict, csv_rows, json_payload: dict):
-    csv_text = CSV_HEADER + "\n" + "".join(
-        ",".join(_fmt(v) for v in row) + "\n" for row in csv_rows)
+    """Write PREFIX.csv and PREFIX.json, or the JSON to stdout without a prefix.
+
+    Each row is a tuple of floats, one per CSV column.
+    """
+    csv_text = CSV_HEADER + "\n" + "".join(_CSV_ROW % row for row in csv_rows)
     json_text = json.dumps(json_payload, indent=2) + "\n"
     prefix = cfg.get("output")
     if prefix:
@@ -441,9 +442,9 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
         w /= max(np.linalg.norm(w), 1e-300)
 
     base = BasePoint.standard(n, m)
-    n_pairs = max(1, len(curvature_generators(w, n, tol)))
-    per_side = max(2, build_grid(cfg).steps // (4 * n_pairs))
-    path = synthesize_holonomy_step(w, scale, base, samples_per_side=per_side, tol=tol)
+    pairs = curvature_generators(w, n, tol)
+    per_side = max(2, build_grid(cfg).steps // (4 * max(1, len(pairs))))
+    path = _parallelogram_loop(pairs, scale, base, per_side)
     # echo the grid the loop actually used, so rows == steps + 1 holds
     cfg = copy.deepcopy(cfg)
     cfg["grid"] = {"t0": path.grid.t0, "t1": path.grid.t1, "steps": path.grid.steps}

@@ -60,17 +60,41 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class HamiltonianSchedule:
-    """Time-dependent anti-Hermitian generator t -> H(t)."""
+    """Time-dependent anti-Hermitian generator t -> H(t).
+
+    ``stacked``, when set, maps a 1-D array of times to the (N, n, n) stack
+    of generators in one call; ``table`` falls back to one ``evaluator``
+    call per time without it.
+    """
 
     evaluator: Callable[[float], np.ndarray]
+    stacked: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, t: float) -> np.ndarray:
         return self.evaluator(t)
 
+    def table(self, times: np.ndarray) -> np.ndarray:
+        """H(t) at each of the 1-D ``times``: one (N, n, n) stack, maybe a read-only view."""
+        times = np.asarray(times, dtype=float)
+        if self.stacked is not None:
+            return self.stacked(times)
+        return np.array([self.evaluator(t) for t in times])
+
+
+def _tabulated(table: Callable[[np.ndarray], np.ndarray]) -> HamiltonianSchedule:
+    """A schedule whose single-time value is its table at that one time."""
+    return HamiltonianSchedule(evaluator=lambda t: table(np.array([t]))[0], stacked=table)
+
+
+def _constant(h_mat: np.ndarray) -> HamiltonianSchedule:
+    # the table is a zero-stride view: one matrix however many times
+    return HamiltonianSchedule(
+        evaluator=lambda t: h_mat,
+        stacked=lambda times: np.broadcast_to(h_mat, times.shape + h_mat.shape))
+
 
 def constant_schedule(h_mat: np.ndarray) -> HamiltonianSchedule:
-    h_mat = require_finite(h_mat, "generator")
-    return HamiltonianSchedule(evaluator=lambda t: h_mat)
+    return _constant(require_finite(h_mat, "generator"))
 
 
 def rotating_schedule(omega: float) -> HamiltonianSchedule:
@@ -79,15 +103,25 @@ def rotating_schedule(omega: float) -> HamiltonianSchedule:
     The constant generator -i (omega/2) sigma_z carries a spin-1/2 projector
     at polar angle theta around the latitude circle once per period 2 pi/omega.
     """
-    h_mat = -0.5j * omega * np.diag([1.0, -1.0]).astype(complex)
-    return HamiltonianSchedule(evaluator=lambda t: h_mat)
+    return _constant(-0.5j * omega * np.diag([1.0, -1.0]).astype(complex))
+
+
+def bloch_matrices(theta: float, azimuths) -> np.ndarray:
+    """The 2 x 2 matrix of ``bloch_projector(theta, a)`` for each of ``azimuths``.
+
+    An array of azimuths of shape S gives a stack of shape S + (2, 2).
+    """
+    phase = np.exp(1j * np.asarray(azimuths, dtype=float))
+    v = np.empty(phase.shape + (2, 1), dtype=complex)
+    v[..., 0, 0] = np.cos(theta / 2.0)
+    v[..., 1, 0] = phase * np.sin(theta / 2.0)
+    p = v @ dag(v)
+    return (p + dag(p)) / 2.0
 
 
 def bloch_projector(theta: float, azimuth: float = 0.0) -> Projector:
     """Rank-1 projector onto the spin-up state along (theta, azimuth)."""
-    v = np.array([np.cos(theta / 2.0),
-                  np.exp(1j * azimuth) * np.sin(theta / 2.0)], dtype=complex)
-    return Projector.from_frame(v.reshape(2, 1))
+    return Projector(matrix=bloch_matrices(theta, azimuth), rank=1)
 
 
 def sampled_schedule(grid: TimeGrid, values: np.ndarray) -> HamiltonianSchedule:
@@ -97,44 +131,53 @@ def sampled_schedule(grid: TimeGrid, values: np.ndarray) -> HamiltonianSchedule:
         raise ValueError("need one sample per grid node")
     t0, h = grid.t0, grid.h
 
-    def evaluate(t: float) -> np.ndarray:
-        s = (t - t0) / h
-        k = int(np.clip(np.floor(s), 0, grid.steps - 1))
-        w = np.clip(s - k, 0.0, 1.0)
-        return (1.0 - w) * values[k] + w * values[k + 1]
+    def table(times: np.ndarray) -> np.ndarray:
+        s = (times - t0) / h
+        k = np.clip(np.floor(s), 0, grid.steps - 1).astype(int)
+        w = np.clip(s - k, 0.0, 1.0)[:, np.newaxis, np.newaxis]
+        # (1 - w) values[k] + w values[k + 1], in place: two stacks, not five
+        out = values[k]
+        out *= 1.0 - w
+        upper = values[k + 1]
+        upper *= w
+        out += upper
+        return out
 
-    return HamiltonianSchedule(evaluator=evaluate)
+    return _tabulated(table)
 
 
 def _geometric_generator(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Skew part of V_off (2Q - 1), the generator moving Q along v horizontally.
 
     V_off is the Hermitian part of v with its diagonal blocks w.r.t.
-    im(q) + ker(q) removed.
+    im(q) + ker(q) removed.  q and v may be stacks (..., n, n).
     """
     v = (v + dag(v)) / 2.0
-    eye = np.eye(q.shape[0])
+    eye = np.eye(q.shape[-1])
     comp = eye - q
     h_mat = (q @ v @ comp + comp @ v @ q) @ (2.0 * q - eye)
     return (h_mat - dag(h_mat)) / 2.0
 
 
-def geometric_schedule(qfun: Callable[[float], np.ndarray],
+def geometric_schedule(qfun: Callable[[np.ndarray], np.ndarray],
                        fd_step: float = 1e-6) -> HamiltonianSchedule:
     """Geometric schedule H(t) = [[0, -Q'*], [Q', 0]] for a smooth curve of projectors.
 
-    ``qfun`` must return the projector matrix; its derivative is taken by
+    ``qfun`` maps a 1-D array of N times to the (N, n, n) stack of projector
+    matrices (it must broadcast over the times); its derivative is taken by
     central differences with step ``fd_step``.  The returned generator is
     purely off-diagonal in the moving splitting im(Q) + ker(Q), so the lifted
     flow is horizontal.
     """
 
-    def evaluate(t: float) -> np.ndarray:
-        q = qfun(t)
-        v = (qfun(t + fd_step) - qfun(t - fd_step)) / (2.0 * fd_step)
+    def table(times: np.ndarray) -> np.ndarray:
+        q = qfun(times)
+        if q.shape[:-2] != times.shape:
+            raise ValueError("qfun must map N times to an (N, n, n) stack")
+        v = (qfun(times + fd_step) - qfun(times - fd_step)) / (2.0 * fd_step)
         return _geometric_generator(q, v)
 
-    return HamiltonianSchedule(evaluator=evaluate)
+    return _tabulated(table)
 
 
 @dataclass(frozen=True)
@@ -381,9 +424,11 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     transport of sigma along P = phi phi*.  This is the Aharonov-Anandan
     split of the evolution into a dynamical and a geometric part (PRL 58,
     1593 (1987); non-abelian form: Anandan, Phys. Lett. A 133, 171 (1988)).
-    One classical RK4 loop integrates the stacked (n+m) x m state [phi; g],
-    evaluating H once per distinct stage time (2 * steps + 1 evaluations in
-    all), so each step costs O(n^2 m) and no n x n path is formed.  After
+    One classical RK4 loop integrates the stacked (n+m) x m state [phi; g].
+    The generators at all 2 * steps + 1 stage times come from one
+    ``schedule.table`` call and are checked finite and anti-Hermitian before
+    the loop starts (a zero-stride table of a constant schedule is checked
+    once), so each step costs O(n^2 m) and no n x n path is formed.  After
     each step phi is re-isometrized when its frame defect exceeds
     ``tol.ode`` and g is polar-retracted onto U(m).
 
@@ -393,9 +438,9 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     first two are the U(m) holonomies of the loop; the fiber gap is always a
     gauge element and measures the accumulated vertical drift.  The node
     energies -i tr(phi_k* H(t_k) phi_k) come from the first RK4 stage, and
-    each node's H is checked to be anti-Hermitian with a real energy.  The
-    per-node audits (projector defect of phi phi*, the worse isometry defect
-    of phi and psi, horizontality defect of psi) are computed here, once.
+    each is checked to be real.  The per-node audits (projector defect of
+    phi phi*, the worse isometry defect of phi and psi, horizontality defect
+    of psi) are computed here, once.
     """
     sigma = require_over(sigma, p0.matrix, tol, "P0")
     n, m = sigma.shape
@@ -405,20 +450,19 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     energies = np.empty(grid.steps + 1)
     y = np.vstack([sigma, np.eye(m, dtype=complex)])
     worst = frame_defect(sigma)
-    h_next = require_antihermitian(schedule(grid.t0), tol, "generator")
+    # hs[2k] = H(t_k), hs[2k + 1] = H(t_k + h/2)
+    hs = schedule.table(grid.t0 + (h / 2.0) * np.arange(2 * grid.steps + 1))
+    require_antihermitian(hs[:1] if hs.strides[0] == 0 else hs, tol, "generator")
 
     for k in range(grid.steps + 1):
         phi, g = y[:n], y[n:]
         phis[k], gauges[k] = phi, g
-        h_phi = h_next @ phi
+        h_phi = hs[2 * k] @ phi
         gen = dag(phi) @ h_phi  # phi* H phi
         energies[k] = hamiltonian_value(gen, tol)
         if k == grid.steps:
             break
-        t = grid.t0 + k * h
-        h_mid = schedule(t + h / 2.0)
-        h_next = require_antihermitian(schedule(grid.t0 + (k + 1) * h), tol,
-                                       "generator")
+        h_mid, h_next = hs[2 * k + 1], hs[2 * k + 2]
         k1 = np.vstack([h_phi, -gen @ g])
         k2 = _lifted_rhs(h_mid, y + (h / 2.0) * k1, n)
         k3 = _lifted_rhs(h_mid, y + (h / 2.0) * k2, n)
@@ -464,8 +508,7 @@ def geometric_hamiltonian(path: ProjectorPath, rough_bound: float = 0.5,
     if steps.size and float(steps.max()) > rough_bound:
         raise PathTooRough("consecutive projector samples are too far apart")
     derivs = sampled_derivative(path.samples, path.grid.h, 2)
-    values = np.array([_geometric_generator(q, v) for q, v in zip(path.samples, derivs)])
-    return sampled_schedule(path.grid, values)
+    return sampled_schedule(path.grid, _geometric_generator(path.samples, derivs))
 
 
 def loop_transport(path: ProjectorPath, sigma: np.ndarray,
@@ -519,10 +562,16 @@ def synthesize_holonomy_step(w: np.ndarray, scale: float, base: BasePoint,
     concatenated.  The holonomy of the result is
     exp(SYNTHESIS_CURVATURE_CONSTANT * t^2 * w) + O(t^3).
     """
+    return _parallelogram_loop(curvature_generators(w, base.n, tol), scale, base,
+                               samples_per_side)
+
+
+def _parallelogram_loop(pairs, scale: float, base: BasePoint,
+                        samples_per_side: int) -> ProjectorPath:
+    """The concatenated chart squares of ``synthesize_holonomy_step`` for given pairs."""
     if not 0.0 <= scale <= 0.5:
         raise ValueError("scale must lie in [0, 0.5]")
     m = base.m
-    pairs = curvature_generators(w, base.n, tol)
 
     if not pairs or scale == 0.0:
         samples = np.repeat(base.projector.matrix[np.newaxis], 3, axis=0)

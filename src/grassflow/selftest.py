@@ -320,7 +320,7 @@ def checks_dynamics(tol: Tolerances):
         p0 = Projector.standard(n, m)
 
         def qfun(t):
-            u = mat_exp(np.sin(2 * np.pi * t) * a)
+            u = mat_exp(np.sin(2 * np.pi * np.asarray(t)[..., np.newaxis, np.newaxis]) * a)
             return u @ p0.matrix @ dag(u)
 
         sched = dynamics.geometric_schedule(qfun)

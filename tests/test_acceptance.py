@@ -220,7 +220,7 @@ def test_criterion_08_geometric_fiber_gap():
         p_std = Projector.standard(n, m).matrix
 
         def qfun(t, a=a, b=b, p_std=p_std):
-            s = 2 * np.pi * t
+            s = 2 * np.pi * np.asarray(t)[..., np.newaxis, np.newaxis]
             u = mat_exp(np.sin(s) * a + (1.0 - np.cos(s)) * b)
             return u @ p_std @ dag(u)
 

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from grassflow import cli
 from grassflow.cli import (CSV_HEADER, build_parser, build_setup,
-                           build_tolerances, load_config, main)
+                           build_tolerances, load_config, main, write_report)
 from grassflow.dynamics import integrate_projector, loop_holonomy
 
 REQUIRED_KEYS = ["config", "holonomy_dynamical", "holonomy_geometric",
@@ -198,6 +203,69 @@ class TestSynthesize:
                    out=out) == 0
         report, _ = load(out)
         assert report["synthesis_deviation"] <= 5e-3
+
+
+    def test_one_curvature_generators_call_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        original = cli.curvature_generators
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # bound by name in both modules that could call it
+        monkeypatch.setattr(cli, "curvature_generators", counting)
+        monkeypatch.setattr("grassflow.dynamics.curvature_generators", counting)
+        cfg = {"version": 1, "n": 5, "m": 2, "synthesize": {"scale": 0.1}}
+        assert run(tmp_path, "synthesize", config=cfg, steps=256,
+                   out=tmp_path / "run") == 0
+        assert len(calls) == 1
+
+
+class TestCsvFormat:
+    def test_rows_are_byte_identical_to_17g(self, tmp_path):
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300,
+                    1e-300, -1e300, -1e-300, 1.0, 0.1, 1 / 3, 2.0 ** 53 + 1]
+        rng = np.random.default_rng(0)
+        floats = np.concatenate([
+            specials,
+            rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 308, 2000),
+            rng.integers(0, 2 ** 63, 2000, dtype=np.uint64).view(np.float64)])
+        floats = np.concatenate([floats, np.zeros(-len(floats) % 5)])
+        rows = [tuple(row) for row in floats.reshape(-1, 5)]
+        rows += [tuple(float(x) for x in row) for row in rows[:3]]  # plain floats too
+        prefix = tmp_path / "fmt"
+        write_report({"output": str(prefix)}, rows, {})
+        expected = CSV_HEADER + "\n" + "".join(
+            ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+        assert (tmp_path / "fmt.csv").read_text() == expected
+
+
+def test_scipy_is_not_imported(tmp_path):
+    """No scipy on the import path or in flow, geometric berry and synthesize runs."""
+    script = """
+import json, sys
+import grassflow.cli as cli
+seen = ['scipy' in sys.modules]
+for command, steps, config in json.loads(sys.argv[1]):
+    path = sys.argv[2] + '/' + command + '.json'
+    with open(path, 'w') as fh:
+        json.dump(config, fh)
+    assert cli.main([command, '--config', path, '--steps', str(steps),
+                     '--out', sys.argv[2] + '/' + command]) == 0
+    seen.append('scipy' in sys.modules)
+print(json.dumps(seen))
+"""
+    runs = [["flow", 64, {"n": 6, "m": 2, "schedule": {"kind": "constant"}}],
+            ["berry", 300, {"n": 4, "m": 2, "schedule": {"kind": "geometric_from_curve"}}],
+            ["berry", 300, {"schedule": {"kind": "geometric_from_curve", "theta": 1.2}}],
+            ["synthesize", 256, {"n": 5, "m": 2, "synthesize": {"scale": 0.1}}]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
+                            capture_output=True, text=True, env=env, check=True)
+    assert json.loads(result.stdout.splitlines()[-1]) == [False] * (len(runs) + 1)
 
 
 class TestSelftest:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grassflow import BaseMismatch, NotClosed, PathTooRough
+from grassflow import BaseMismatch, NotAntiHermitian, NotClosed, PathTooRough
 from grassflow import dynamics
 from grassflow.bundle import frame_defect
 from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedule,
@@ -278,6 +278,30 @@ class TestBerryMaps:
                    Projector.from_frame(sigma), sigma, grid)
         assert len(times) == 2 * grid.steps + 1
 
+    @pytest.mark.parametrize("bad, error, match", [
+        (lambda a: 1j * a, NotAntiHermitian, "generator"),  # Hermitian
+        (lambda a: np.full_like(a, np.nan), ValueError, "generator"),
+    ], ids=["non_antihermitian", "nan"])
+    def test_midpoint_generators_are_checked_before_integrating(
+            self, bad, error, match, monkeypatch):
+        # H breaks only at the midpoints t_k + h/2, which the k1 stage never sees
+        rng = np.random.default_rng(66)
+        inner = smooth_schedule(4, rng)
+        grid = TimeGrid(0.0, 1.0, 40)
+
+        def evaluator(t):
+            stage = (t - grid.t0) / (grid.h / 2.0)
+            return bad(inner(t)) if round(stage) % 2 == 1 else inner(t)
+
+        stages = []
+        monkeypatch.setattr(dynamics, "_lifted_rhs",
+                            lambda *args: stages.append(args) or 1 / 0)
+        sigma = random_frame(4, 2, rng)
+        with pytest.raises(error, match=match):
+            berry_maps(HamiltonianSchedule(evaluator=evaluator),
+                       Projector.from_frame(sigma), sigma, grid)
+        assert stages == []
+
     def test_geometric_holonomy_is_fourth_order(self):
         rng = np.random.default_rng(64)
         a = random_antihermitian(4, rng)
@@ -286,7 +310,7 @@ class TestBerryMaps:
         p_std = Projector.standard(4, 2).matrix
 
         def qfun(t):
-            s = 2 * np.pi * t
+            s = 2 * np.pi * np.asarray(t)[..., np.newaxis, np.newaxis]
             u = mat_exp(np.sin(s) * a + (1.0 - np.cos(s)) * b)
             return u @ p_std @ dag(u)
 
@@ -313,6 +337,90 @@ class TestBerryMaps:
             t = grid.t0 + k * grid.h
             expected = linear_hamiltonian(sched(t), Projector.from_frame(phi))
             assert abs(res.energies[k] - expected) <= 1e-12
+
+
+def _latitude_qfun(t):
+    return dynamics.bloch_matrices(1.1, 2 * np.pi * np.asarray(t))
+
+
+def _random_loop_qfun(t, n=4, m=2, seed=67):
+    rng = np.random.default_rng(seed)
+    a, b = random_antihermitian(n, rng), random_antihermitian(n, rng)
+    s = 2 * np.pi * np.asarray(t)[..., np.newaxis, np.newaxis]
+    u = mat_exp(np.sin(s) * a + (1.0 - np.cos(s)) * b)
+    return u @ Projector.standard(n, m).matrix @ dag(u)
+
+
+def _sampled_values(seed=68, steps=16):
+    rng = np.random.default_rng(seed)
+    return np.array([random_antihermitian(3, rng) for _ in range(steps + 1)])
+
+
+def _sampled(steps=16):
+    return sampled_schedule(TimeGrid(0.0, 1.0, steps), _sampled_values(steps=steps))
+
+
+class TestScheduleTable:
+    # stage times of a berry_maps run, and times off the grid and outside it
+    TIMES = np.concatenate([(1.0 / 32) * np.arange(33), [-0.3, 0.0137, 0.61, 1.4]])
+
+    @pytest.mark.parametrize("schedule", [
+        constant_schedule(random_antihermitian(5, 69)),
+        rotating_schedule(2 * np.pi),
+        _sampled(),
+        HamiltonianSchedule(evaluator=lambda t: np.cos(t) * random_antihermitian(3, 70)),
+    ], ids=["constant", "rotating", "sampled", "user"])
+    def test_table_is_the_evaluator_bitwise(self, schedule):
+        table = schedule.table(self.TIMES)
+        assert table.shape[0] == len(self.TIMES)
+        for t, h_mat in zip(self.TIMES, table):
+            np.testing.assert_array_equal(h_mat, schedule(t))
+
+    def test_sampled_table_is_the_interpolation_formula_bitwise(self):
+        values, steps = _sampled_values(), 16
+        table = _sampled(steps).table(self.TIMES)
+        for t, h_mat in zip(self.TIMES, table):
+            s = t * steps  # (t - t0) / h on [0, 1]
+            k = int(np.clip(np.floor(s), 0, steps - 1))
+            w = np.clip(s - k, 0.0, 1.0)
+            np.testing.assert_array_equal(h_mat, (1.0 - w) * values[k] + w * values[k + 1])
+
+    @pytest.mark.parametrize("qfun", [_latitude_qfun, _random_loop_qfun],
+                             ids=["latitude", "random_loop"])
+    def test_geometric_table_matches_the_evaluator(self, qfun):
+        fd_step = 1e-6
+        schedule = geometric_schedule(qfun, fd_step)
+        table = schedule.table(self.TIMES)
+        for t, h_mat in zip(self.TIMES, table):
+            assert frob(h_mat - schedule(t)) <= 1e-14
+            # the definition, from three per-time curve evaluations
+            v = (qfun(t + fd_step) - qfun(t - fd_step)) / (2.0 * fd_step)
+            assert frob(h_mat - dynamics._geometric_generator(qfun(t), v)) <= 1e-14
+
+    def test_bloch_matrices_are_the_bloch_projectors_bitwise(self):
+        stack = dynamics.bloch_matrices(1.1, self.TIMES)
+        for azimuth, q in zip(self.TIMES, stack):
+            np.testing.assert_array_equal(q, bloch_projector(1.1, azimuth).matrix)
+
+    @pytest.mark.parametrize("schedule", [
+        constant_schedule(random_antihermitian(5, 69)), rotating_schedule(1.0)],
+        ids=["constant", "rotating"])
+    def test_constant_tables_are_zero_stride_views(self, schedule):
+        table = schedule.table(self.TIMES)
+        assert table.strides[0] == 0
+        assert np.shares_memory(table, schedule(0.0))
+
+    def test_scalar_qfun_is_rejected(self):
+        a = random_antihermitian(3, 71)
+
+        def scalar_qfun(t):  # returns one matrix whatever the shape of t
+            u = mat_exp(np.sin(float(np.ravel(t)[0])) * a)
+            return u @ Projector.standard(3, 1).matrix @ dag(u)
+
+        with pytest.raises(ValueError, match="qfun"):
+            geometric_schedule(scalar_qfun).table(self.TIMES)
+        with pytest.raises(ValueError, match="qfun"):
+            geometric_schedule(scalar_qfun)(0.5)
 
 
 class TestGeometricHamiltonian:

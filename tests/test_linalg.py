@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from grassflow import RankDeficient, GapTooSmall
+from grassflow import NotAntiHermitian, RankDeficient, GapTooSmall
 from grassflow.linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
                               mat_exp, nearest_projector, random_antihermitian,
-                              random_complex)
+                              random_complex, require_antihermitian)
 
 
 class TestIsometrize:
@@ -68,6 +69,55 @@ class TestMatExp:
         for _ in range(20):
             u = mat_exp(random_antihermitian(6, rng))
             assert frob(dag(u) @ u - np.eye(6)) <= 1e-10
+
+
+    def test_stacked_antihermitian_matches_scipy(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 9):
+            stack = np.array([random_antihermitian(n, rng) for _ in range(12)])
+            stack *= rng.uniform(0.0, 50.0, size=(12, 1, 1)) / np.linalg.norm(
+                stack, axis=(1, 2), keepdims=True)
+            got = mat_exp(stack)
+            assert got.shape == stack.shape
+            for a, u in zip(stack, got):
+                assert frob(u - scipy.linalg.expm(a)) <= 1e-12 * (1.0 + frob(a))
+                assert frob(dag(u) @ u - np.eye(n)) <= 1e-13
+
+    @pytest.mark.parametrize("hermitian_part", [1.0, 1e-9])
+    def test_non_antihermitian_input_is_scipy_expm(self, hermitian_part):
+        # 1e-9 passes require_antihermitian's comparison rule, yet is far above
+        # roundoff, so it must not take the spectral route
+        rng = np.random.default_rng(7)
+        g = random_complex(5, 5, rng)
+        a = random_antihermitian(5, rng) + hermitian_part * (g + dag(g))
+        np.testing.assert_array_equal(mat_exp(a), scipy.linalg.expm(a))
+        stack = np.array([a, random_antihermitian(5, rng)])
+        np.testing.assert_array_equal(mat_exp(stack), scipy.linalg.expm(stack))
+
+
+class TestRequireAntihermitian:
+    def test_stack_applies_the_matrix_rule_to_each_matrix(self):
+        rng = np.random.default_rng(8)
+        a = random_antihermitian(4, rng)
+        g = random_complex(4, 4, rng)
+        stack = np.array([a, a + 1e-12 * (g + dag(g)), a + 1e-6 * (g + dag(g))])
+        verdicts = []
+        for matrix in stack:
+            try:
+                require_antihermitian(matrix)
+                verdicts.append(True)
+            except NotAntiHermitian:
+                verdicts.append(False)
+        assert verdicts == [True, True, False]
+        require_antihermitian(stack[:2])
+        with pytest.raises(NotAntiHermitian):
+            require_antihermitian(stack)
+
+    def test_non_finite_stack_rejected(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            require_antihermitian(stack)
 
 
 class TestNearestProjector:
