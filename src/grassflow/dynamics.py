@@ -62,13 +62,15 @@ class TimeGrid:
 class HamiltonianSchedule:
     """Time-dependent anti-Hermitian generator t -> H(t).
 
-    ``stacked``, when set, maps a 1-D array of times to the (N, n, n) stack
-    of generators in one call; ``table`` falls back to one ``evaluator``
-    call per time without it.
+    A schedule built from an ``evaluator`` alone tabulates by one call per
+    time.  The built-in constructors also set the private ``_stacked``, which
+    maps a 1-D array of times to the (N, n, n) stack in one call; their
+    evaluator is that table at one time (or the matrix a constant table
+    broadcasts), so the two always agree.
     """
 
     evaluator: Callable[[float], np.ndarray]
-    stacked: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    _stacked: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.evaluator(t)
@@ -76,21 +78,21 @@ class HamiltonianSchedule:
     def table(self, times: np.ndarray) -> np.ndarray:
         """H(t) at each of the 1-D ``times``: one (N, n, n) stack, maybe a read-only view."""
         times = np.asarray(times, dtype=float)
-        if self.stacked is not None:
-            return self.stacked(times)
+        if self._stacked is not None:
+            return self._stacked(times)
         return np.array([self.evaluator(t) for t in times])
 
 
 def _tabulated(table: Callable[[np.ndarray], np.ndarray]) -> HamiltonianSchedule:
     """A schedule whose single-time value is its table at that one time."""
-    return HamiltonianSchedule(evaluator=lambda t: table(np.array([t]))[0], stacked=table)
+    return HamiltonianSchedule(evaluator=lambda t: table(np.array([t]))[0], _stacked=table)
 
 
 def _constant(h_mat: np.ndarray) -> HamiltonianSchedule:
     # the table is a zero-stride view: one matrix however many times
     return HamiltonianSchedule(
         evaluator=lambda t: h_mat,
-        stacked=lambda times: np.broadcast_to(h_mat, times.shape + h_mat.shape))
+        _stacked=lambda times: np.broadcast_to(h_mat, times.shape + h_mat.shape))
 
 
 def constant_schedule(h_mat: np.ndarray) -> HamiltonianSchedule:
@@ -135,13 +137,7 @@ def sampled_schedule(grid: TimeGrid, values: np.ndarray) -> HamiltonianSchedule:
         s = (times - t0) / h
         k = np.clip(np.floor(s), 0, grid.steps - 1).astype(int)
         w = np.clip(s - k, 0.0, 1.0)[:, np.newaxis, np.newaxis]
-        # (1 - w) values[k] + w values[k + 1], in place: two stacks, not five
-        out = values[k]
-        out *= 1.0 - w
-        upper = values[k + 1]
-        upper *= w
-        out += upper
-        return out
+        return (1.0 - w) * values[k] + w * values[k + 1]
 
     return _tabulated(table)
 
@@ -414,6 +410,26 @@ def _lifted_rhs(h_mat: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     return np.vstack([h_phi, -(dag(y[:n]) @ h_phi) @ y[n:]])
 
 
+# Bytes of one generator table read by berry_maps: a geometric table holds
+# several stacks of this size at once, so the bound keeps a large-n run's
+# peak memory fixed however many steps it takes.
+_TABLE_BYTES = 1 << 22
+
+
+def _stage_generators(schedule: HamiltonianSchedule, times: np.ndarray, n: int,
+                      tol: Tolerances):
+    """H at each of ``times`` in order, read from tables of at most _TABLE_BYTES.
+
+    Each table is checked finite and anti-Hermitian before any of it is
+    yielded (a zero-stride table of a constant schedule by its one matrix).
+    """
+    chunk = max(1, _TABLE_BYTES // (16 * n * n))
+    for start in range(0, len(times), chunk):
+        hs = schedule.table(times[start:start + chunk])
+        require_antihermitian(hs[:1] if hs.strides[0] == 0 else hs, tol, "generator")
+        yield from hs
+
+
 def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
                grid: TimeGrid, tol: Tolerances = DEFAULT_TOLS) -> HolonomyResult:
     """Dynamical and geometric fiber maps of a Hamiltonian run, by one RK4 loop.
@@ -425,10 +441,11 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     split of the evolution into a dynamical and a geometric part (PRL 58,
     1593 (1987); non-abelian form: Anandan, Phys. Lett. A 133, 171 (1988)).
     One classical RK4 loop integrates the stacked (n+m) x m state [phi; g].
-    The generators at all 2 * steps + 1 stage times come from one
-    ``schedule.table`` call and are checked finite and anti-Hermitian before
-    the loop starts (a zero-stride table of a constant schedule is checked
-    once), so each step costs O(n^2 m) and no n x n path is formed.  After
+    The generators at the 2 * steps + 1 stage times come from
+    ``schedule.table`` calls of at most _TABLE_BYTES each (one call for the
+    whole run at small n), and each table is checked finite and
+    anti-Hermitian, midpoints included, before a step uses it; each step
+    then costs O(n^2 m).  After
     each step phi is re-isometrized when its frame defect exceeds
     ``tol.ode`` and g is polar-retracted onto U(m).
 
@@ -450,23 +467,24 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     energies = np.empty(grid.steps + 1)
     y = np.vstack([sigma, np.eye(m, dtype=complex)])
     worst = frame_defect(sigma)
-    # hs[2k] = H(t_k), hs[2k + 1] = H(t_k + h/2)
-    hs = schedule.table(grid.t0 + (h / 2.0) * np.arange(2 * grid.steps + 1))
-    require_antihermitian(hs[:1] if hs.strides[0] == 0 else hs, tol, "generator")
+    # stage 2k is t_k, stage 2k + 1 its midpoint t_k + h/2
+    stages = _stage_generators(
+        schedule, grid.t0 + (h / 2.0) * np.arange(2 * grid.steps + 1), n, tol)
+    h_node = next(stages)
 
     for k in range(grid.steps + 1):
         phi, g = y[:n], y[n:]
         phis[k], gauges[k] = phi, g
-        h_phi = hs[2 * k] @ phi
+        h_phi = h_node @ phi
         gen = dag(phi) @ h_phi  # phi* H phi
         energies[k] = hamiltonian_value(gen, tol)
         if k == grid.steps:
             break
-        h_mid, h_next = hs[2 * k + 1], hs[2 * k + 2]
+        h_mid, h_node = next(stages), next(stages)
         k1 = np.vstack([h_phi, -gen @ g])
         k2 = _lifted_rhs(h_mid, y + (h / 2.0) * k1, n)
         k3 = _lifted_rhs(h_mid, y + (h / 2.0) * k2, n)
-        k4 = _lifted_rhs(h_next, y + h * k3, n)
+        k4 = _lifted_rhs(h_node, y + h * k3, n)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         phi = y[:n]
         defect = frame_defect(phi)

@@ -61,22 +61,6 @@ def require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _sum_sq(x: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...ij->...", x, x)
-
-
-def _antihermitian_defects(a: np.ndarray):
-    """|| a + a* || and || a || of each matrix of a complex stack.
-
-    Works on the real and imaginary parts, so a large stack costs one real
-    temporary of its size at a time, not several complex ones.
-    """
-    re, im = a.real, a.imag
-    defects = np.sqrt(_sum_sq(re + np.swapaxes(re, -1, -2))
-                      + _sum_sq(im - np.swapaxes(im, -1, -2)))
-    return defects, np.sqrt(_sum_sq(re) + _sum_sq(im))
-
-
 def require_antihermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOLS,
                           name: str = "matrix") -> np.ndarray:
     """``a`` as a complex array, checked finite and anti-Hermitian.
@@ -85,8 +69,8 @@ def require_antihermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOLS,
     || a + a* || <= comparison * (1 + || a ||).
     """
     a = require_finite(a, name)
-    defects, norms = _antihermitian_defects(a)
-    if np.any(defects > tol.comparison * (1.0 + norms)):
+    defects = np.linalg.norm(a + dag(a), axis=(-2, -1))
+    if np.any(defects > tol.comparison * (1.0 + np.linalg.norm(a, axis=(-2, -1)))):
         raise NotAntiHermitian(f"{name} is not anti-Hermitian")
     return a
 
@@ -136,8 +120,9 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     scipy's scaling-and-squaring Pade ``expm``; scipy is imported only then.
     """
     a = require_finite(a, "exponent")
-    defects, norms = _antihermitian_defects(a)
-    if np.all(defects <= 4.0 * a.shape[-1] * np.finfo(float).eps * norms):
+    defects = np.linalg.norm(a + dag(a), axis=(-2, -1))
+    eps = np.finfo(float).eps
+    if np.all(defects <= 4.0 * a.shape[-1] * eps * np.linalg.norm(a, axis=(-2, -1))):
         lam, v = np.linalg.eigh(1j * a)
         return (v * np.exp(-1j * lam)[..., np.newaxis, :]) @ dag(v)
     import scipy.linalg

@@ -302,6 +302,55 @@ class TestBerryMaps:
                        Projector.from_frame(sigma), sigma, grid)
         assert stages == []
 
+    def test_chunked_tables_read_each_stage_time_once(self, monkeypatch):
+        # three 4 x 4 matrices per table: many chunk boundaries
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 16 * 4 * 4)
+        rng = np.random.default_rng(68)
+        inner = smooth_schedule(4, rng)
+        times = []
+
+        def counting(t):
+            times.append(t)
+            return inner(t)
+
+        sigma = random_frame(4, 2, rng)
+        grid = TimeGrid(0.0, 1.0, 20)
+        berry_maps(HamiltonianSchedule(evaluator=counting),
+                   Projector.from_frame(sigma), sigma, grid)
+        np.testing.assert_array_equal(times, (grid.h / 2.0) * np.arange(2 * grid.steps + 1))
+
+    def test_geometric_table_memory_is_bounded(self, monkeypatch):
+        # one whole table at n=32 and 400 steps is 12.5 MiB, and a geometric
+        # table holds about seven such stacks at once (88 MiB traced unbounded)
+        import tracemalloc
+
+        n, m, steps = 32, 2, 400
+        rng = np.random.default_rng(67)
+        a = random_antihermitian(n, rng)
+        lam, v = np.linalg.eigh(1j * a / np.linalg.norm(a))
+        b = dag(v) @ Projector.standard(n, m).matrix @ v
+
+        def qfun(t):  # e^{2 pi t A} P e^{-2 pi t A} from the eigenvectors of iA
+            phase = np.exp(-2j * np.pi * np.asarray(t)[..., np.newaxis] * lam)
+            return v @ (phase[..., :, np.newaxis] * b * phase[..., np.newaxis, :].conj()) @ dag(v)
+
+        p0 = Projector.from_matrix(qfun(0.0), m)
+        sigma = BasePoint.from_projector(p0).frame
+        grid = TimeGrid(0.0, 1.0, steps)
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            res = berry_maps(geometric_schedule(qfun), p0, sigma, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (1 << 20)
+        # tables of four matrices give the same run
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 4 * 16 * n * n)
+        small = berry_maps(geometric_schedule(qfun), p0, sigma, grid)
+        np.testing.assert_allclose(small.geometric, res.geometric, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(small.energies, res.energies, rtol=0, atol=1e-13)
+
     def test_geometric_holonomy_is_fourth_order(self):
         rng = np.random.default_rng(64)
         a = random_antihermitian(4, rng)
