@@ -9,6 +9,9 @@ Schroedinger frame into a horizontal frame and a gauge factor), purely
 off-diagonal ("geometric") schedules driving a prescribed projector curve,
 loop holonomy with a discrete projector-product oracle, and first-order
 holonomy synthesis from curvature generators.
+
+Every RK4 route reads its 2 * steps + 1 stage generators once each, from
+schedule tables checked before a step uses them (``_stage_generators``).
 """
 
 from __future__ import annotations
@@ -60,43 +63,27 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class HamiltonianSchedule:
-    """Time-dependent anti-Hermitian generator t -> H(t).
+    """Time-dependent anti-Hermitian generator t -> H(t), held as its table.
 
-    A schedule built from an ``evaluator`` alone tabulates by one call per
-    time.  The built-in constructors also set the private ``_stacked``, which
-    maps a 1-D array of times to the (N, n, n) stack in one call; their
-    evaluator is that table at one time (or the matrix a constant table
-    broadcasts), so the two always agree.
+    ``tabulate`` maps a 1-D array of N times to the (N, n, n) stack of
+    generators at those times (it must broadcast over the times); the
+    schedule at one time is its table at that one time.
     """
 
-    evaluator: Callable[[float], np.ndarray]
-    _stacked: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
+    tabulate: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, t: float) -> np.ndarray:
-        return self.evaluator(t)
+        return self.table(np.array([t]))[0]
 
     def table(self, times: np.ndarray) -> np.ndarray:
         """H(t) at each of the 1-D ``times``: one (N, n, n) stack, maybe a read-only view."""
-        times = np.asarray(times, dtype=float)
-        if self._stacked is not None:
-            return self._stacked(times)
-        return np.array([self.evaluator(t) for t in times])
-
-
-def _tabulated(table: Callable[[np.ndarray], np.ndarray]) -> HamiltonianSchedule:
-    """A schedule whose single-time value is its table at that one time."""
-    return HamiltonianSchedule(evaluator=lambda t: table(np.array([t]))[0], _stacked=table)
-
-
-def _constant(h_mat: np.ndarray) -> HamiltonianSchedule:
-    # the table is a zero-stride view: one matrix however many times
-    return HamiltonianSchedule(
-        evaluator=lambda t: h_mat,
-        _stacked=lambda times: np.broadcast_to(h_mat, times.shape + h_mat.shape))
+        return self.tabulate(np.asarray(times, dtype=float))
 
 
 def constant_schedule(h_mat: np.ndarray) -> HamiltonianSchedule:
-    return _constant(require_finite(h_mat, "generator"))
+    h_mat = require_finite(h_mat, "generator")
+    # the table is a zero-stride view: one matrix however many times
+    return HamiltonianSchedule(lambda times: np.broadcast_to(h_mat, times.shape + h_mat.shape))
 
 
 def rotating_schedule(omega: float) -> HamiltonianSchedule:
@@ -105,7 +92,7 @@ def rotating_schedule(omega: float) -> HamiltonianSchedule:
     The constant generator -i (omega/2) sigma_z carries a spin-1/2 projector
     at polar angle theta around the latitude circle once per period 2 pi/omega.
     """
-    return _constant(-0.5j * omega * np.diag([1.0, -1.0]).astype(complex))
+    return constant_schedule(-0.5j * omega * np.diag([1.0, -1.0]).astype(complex))
 
 
 def bloch_matrices(theta: float, azimuths) -> np.ndarray:
@@ -139,7 +126,7 @@ def sampled_schedule(grid: TimeGrid, values: np.ndarray) -> HamiltonianSchedule:
         w = np.clip(s - k, 0.0, 1.0)[:, np.newaxis, np.newaxis]
         return (1.0 - w) * values[k] + w * values[k + 1]
 
-    return _tabulated(table)
+    return HamiltonianSchedule(table)
 
 
 def _geometric_generator(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -173,7 +160,7 @@ def geometric_schedule(qfun: Callable[[np.ndarray], np.ndarray],
         v = (qfun(times + fd_step) - qfun(times - fd_step)) / (2.0 * fd_step)
         return _geometric_generator(q, v)
 
-    return _tabulated(table)
+    return HamiltonianSchedule(table)
 
 
 @dataclass(frozen=True)
@@ -249,16 +236,17 @@ def closure_tolerance(rank: int, tol: Tolerances = DEFAULT_TOLS) -> float:
     return tol.comparison * (1.0 + rank)
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
-    k2 = f(t + h / 2.0, y + (h / 2.0) * k1)
-    k3 = f(t + h / 2.0, y + (h / 2.0) * k2)
-    k4 = f(t + h, y + h * k3)
+def _rk4_step(f, y, h, h_start, h_mid, h_end):
+    """One RK4 step of y' = f(H, y) from the generators at t, t + h/2 and t + h."""
+    k1 = f(h_start, y)
+    k2 = f(h_mid, y + (h / 2.0) * k1)
+    k3 = f(h_mid, y + (h / 2.0) * k2)
+    k4 = f(h_end, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _retracted_rk4(rhs, y, grid: TimeGrid, defect, retract, tol: Tolerances):
-    """Node samples of y' = rhs(t, y) by RK4, retracted on demand.
+def _retracted_rk4(schedule, rhs, y, grid: TimeGrid, defect, retract, tol: Tolerances):
+    """Node samples of y' = rhs(H(t), y) by RK4, retracted on demand.
 
     ``retract`` runs after each step whose ``defect`` exceeds ``tol.ode``.
     Returns the samples and the worst pre-retraction defect.
@@ -267,8 +255,12 @@ def _retracted_rk4(rhs, y, grid: TimeGrid, defect, retract, tol: Tolerances):
     samples[0] = y
     h = grid.h
     worst = defect(y)
+    stages = _stage_generators(schedule, grid, y.shape[0], tol)
+    h_node = next(stages)
     for k in range(grid.steps):
-        y = _rk4_step(rhs, grid.t0 + k * h, y, h)
+        h_mid, h_next = next(stages), next(stages)
+        y = _rk4_step(rhs, y, h, h_node, h_mid, h_next)
+        h_node = h_next
         step_defect = defect(y)
         worst = max(worst, step_defect)
         if step_defect > tol.ode:
@@ -281,8 +273,8 @@ def integrate_frame(schedule: HamiltonianSchedule, phi0: np.ndarray,
                     grid: TimeGrid, tol: Tolerances = DEFAULT_TOLS) -> FramePath:
     """Integrate phi' = H(t) phi with per-step re-isometrization on demand."""
     samples, worst = _retracted_rk4(
-        lambda t, y: schedule(t) @ y, require_finite(phi0, "initial frame").copy(),
-        grid, frame_defect, lambda y: isometrize(y, tol), tol)
+        schedule, np.matmul, require_finite(phi0, "initial frame").copy(), grid,
+        frame_defect, lambda y: isometrize(y, tol), tol)
     return FramePath(grid=grid, samples=samples, max_raw_defect=worst)
 
 
@@ -292,8 +284,7 @@ def integrate_projector(schedule: HamiltonianSchedule, p0: Projector,
     """Integrate P' = [H(t), P] with per-step spectral retraction on demand."""
     rank = p0.rank
     samples, worst = _retracted_rk4(
-        lambda t, y: commutator(schedule(t), y),
-        require_finite(p0.matrix, "initial projector").copy(), grid,
+        schedule, commutator, require_finite(p0.matrix, "initial projector").copy(), grid,
         lambda y: projector_defect(y, rank),
         lambda y: nearest_projector((y + dag(y)) / 2.0, rank, tol), tol)
     return ProjectorPath(grid=grid, samples=samples, rank=rank,
@@ -322,16 +313,20 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
     rank = path.rank
 
     if path.schedule is not None:
-        schedule, n = path.schedule, path.n
+        n = path.n
 
         # the pair (P, psi) as one n x (n+m) array [P | psi]
-        def rhs(t, y):
-            pdot = commutator(schedule(t), y[:, :n])
+        def rhs(h_mat, y):
+            pdot = commutator(h_mat, y[:, :n])
             return np.hstack([pdot, pdot @ y[:, n:]])
 
         y = np.hstack([path.samples[0], sigma])
+        stages = _stage_generators(path.schedule, grid, n, tol)
+        h_node = next(stages)
         for k in range(grid.steps):
-            y = _rk4_step(rhs, grid.t0 + k * h, y, h)
+            h_mid, h_next = next(stages), next(stages)
+            y = _rk4_step(rhs, y, h, h_node, h_mid, h_next)
+            h_node = h_next
             p, psi = y[:, :n], y[:, n:]
             raw[k + 1] = psi
             if projector_defect(p, rank) > tol.ode:
@@ -416,16 +411,23 @@ def _lifted_rhs(h_mat: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
 _TABLE_BYTES = 1 << 22
 
 
-def _stage_generators(schedule: HamiltonianSchedule, times: np.ndarray, n: int,
+def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int,
                       tol: Tolerances):
-    """H at each of ``times`` in order, read from tables of at most _TABLE_BYTES.
+    """H at the 2 * steps + 1 RK4 stage times t0 + (h/2) j, in order.
 
-    Each table is checked finite and anti-Hermitian before any of it is
-    yielded (a zero-stride table of a constant schedule by its one matrix).
+    Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2.  The
+    generators come from tables of at most _TABLE_BYTES, and each table is
+    checked to be an (N, n, n) stack, finite and anti-Hermitian (a zero-stride
+    table of a constant schedule by its one matrix) before any of it is
+    yielded.
     """
+    times = grid.t0 + (grid.h / 2.0) * np.arange(2 * grid.steps + 1)
     chunk = max(1, _TABLE_BYTES // (16 * n * n))
     for start in range(0, len(times), chunk):
-        hs = schedule.table(times[start:start + chunk])
+        block = times[start:start + chunk]
+        hs = schedule.table(block)
+        if hs.shape != block.shape + (n, n):
+            raise ValueError(f"schedule table has shape {hs.shape}, want {block.shape + (n, n)}")
         require_antihermitian(hs[:1] if hs.strides[0] == 0 else hs, tol, "generator")
         yield from hs
 
@@ -442,12 +444,10 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     1593 (1987); non-abelian form: Anandan, Phys. Lett. A 133, 171 (1988)).
     One classical RK4 loop integrates the stacked (n+m) x m state [phi; g].
     The generators at the 2 * steps + 1 stage times come from
-    ``schedule.table`` calls of at most _TABLE_BYTES each (one call for the
-    whole run at small n), and each table is checked finite and
-    anti-Hermitian, midpoints included, before a step uses it; each step
-    then costs O(n^2 m).  After
-    each step phi is re-isometrized when its frame defect exceeds
-    ``tol.ode`` and g is polar-retracted onto U(m).
+    ``_stage_generators`` (one table for the whole run at small n), checked
+    before a step uses them, so each step costs O(n^2 m).  After each step
+    phi is re-isometrized when its frame defect exceeds ``tol.ode`` and g is
+    polar-retracted onto U(m).
 
     Returns ``dynamical = sigma* phi(T)``, ``geometric = sigma* psi(T)`` and
     ``fiber_gap = psi(T)* phi(T) = g(T)*``.  When the projector path closes
@@ -467,9 +467,7 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     energies = np.empty(grid.steps + 1)
     y = np.vstack([sigma, np.eye(m, dtype=complex)])
     worst = frame_defect(sigma)
-    # stage 2k is t_k, stage 2k + 1 its midpoint t_k + h/2
-    stages = _stage_generators(
-        schedule, grid.t0 + (h / 2.0) * np.arange(2 * grid.steps + 1), n, tol)
+    stages = _stage_generators(schedule, grid, n, tol)
     h_node = next(stages)
 
     for k in range(grid.steps + 1):

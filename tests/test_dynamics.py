@@ -19,11 +19,47 @@ from grassflow.linalg import (dag, frob, mat_exp, random_antihermitian,
                               random_frame, random_unitary)
 
 
+def trig_schedule(a, b, freq=1.0):
+    """H(t) = cos(freq t) a + sin(t) b, as a table over a 1-D array of times."""
+    return HamiltonianSchedule(
+        lambda t: np.multiply.outer(np.cos(freq * t), a) + np.multiply.outer(np.sin(t), b))
+
+
 def smooth_schedule(n, rng):
     a = random_antihermitian(n, rng)
     b = random_antihermitian(n, rng)
     a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-    return HamiltonianSchedule(evaluator=lambda t: np.cos(t) * a + np.sin(t) * b)
+    return trig_schedule(a, b)
+
+
+def counting_schedule(inner):
+    """``inner`` as a schedule that records each times array its table is given."""
+    calls = []
+
+    def table(times):
+        calls.append(times)
+        return inner.table(times)
+
+    return HamiltonianSchedule(table), calls
+
+
+def _scheduled_transport(schedule, sigma, grid):
+    # scheduled transport co-integrates P from the schedule; the path gives its start
+    p0 = Projector.from_frame(sigma)
+    samples = np.repeat(p0.matrix[np.newaxis], grid.steps + 1, axis=0)
+    path = ProjectorPath(grid=grid, samples=samples, rank=p0.rank, schedule=schedule)
+    return horizontal_transport(path, sigma)
+
+
+# every RK4 route that reads a schedule, as route(schedule, sigma, grid)
+RK4_ROUTES = {
+    "berry_maps": lambda sched, sigma, grid: berry_maps(
+        sched, Projector.from_frame(sigma), sigma, grid),
+    "integrate_frame": integrate_frame,
+    "integrate_projector": lambda sched, sigma, grid: integrate_projector(
+        sched, Projector.from_frame(sigma), grid),
+    "horizontal_transport": _scheduled_transport,
+}
 
 
 class TestIntegrateFrame:
@@ -251,8 +287,7 @@ class TestBerryMaps:
             a = random_antihermitian(5, rng)
             b = random_antihermitian(5, rng)
             a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-            sched = HamiltonianSchedule(
-                evaluator=lambda t, a=a, b=b: np.cos(2 * t) * a + np.sin(t) * b)
+            sched = trig_schedule(a, b, freq=2.0)
             sigma = random_frame(5, 2, rng)
             p0 = Projector.from_frame(sigma)
             res = berry_maps(sched, p0, sigma, grid)
@@ -263,61 +298,61 @@ class TestBerryMaps:
             assert frob(res.geometric - dag(sigma) @ psi_end) <= 1e-10
             assert frob(res.fiber_gap - dag(psi_end) @ phi_end) <= 1e-10
 
-    def test_one_schedule_evaluation_per_stage_time(self):
+    @pytest.mark.parametrize("route", RK4_ROUTES)
+    def test_one_schedule_evaluation_per_stage_time(self, route):
         rng = np.random.default_rng(63)
-        inner = smooth_schedule(4, rng)
-        times = []
-
-        def counting(t):
-            times.append(t)
-            return inner(t)
-
-        sigma = random_frame(4, 2, rng)
+        sched, calls = counting_schedule(smooth_schedule(4, rng))
         grid = TimeGrid(0.0, 1.0, 50)
-        berry_maps(HamiltonianSchedule(evaluator=counting),
-                   Projector.from_frame(sigma), sigma, grid)
-        assert len(times) == 2 * grid.steps + 1
+        RK4_ROUTES[route](sched, random_frame(4, 2, rng), grid)
+        assert len(np.concatenate(calls)) == 2 * grid.steps + 1
 
+    @pytest.mark.parametrize("route", RK4_ROUTES)
     @pytest.mark.parametrize("bad, error, match", [
         (lambda a: 1j * a, NotAntiHermitian, "generator"),  # Hermitian
         (lambda a: np.full_like(a, np.nan), ValueError, "generator"),
     ], ids=["non_antihermitian", "nan"])
     def test_midpoint_generators_are_checked_before_integrating(
-            self, bad, error, match, monkeypatch):
+            self, bad, error, match, route, monkeypatch):
         # H breaks only at the midpoints t_k + h/2, which the k1 stage never sees
         rng = np.random.default_rng(66)
         inner = smooth_schedule(4, rng)
         grid = TimeGrid(0.0, 1.0, 40)
 
-        def evaluator(t):
-            stage = (t - grid.t0) / (grid.h / 2.0)
-            return bad(inner(t)) if round(stage) % 2 == 1 else inner(t)
+        def table(times):
+            midpoint = np.rint((times - grid.t0) / (grid.h / 2.0)) % 2 == 1
+            hs = inner.table(times)
+            return np.where(midpoint[:, np.newaxis, np.newaxis], bad(hs), hs)
 
         stages = []
-        monkeypatch.setattr(dynamics, "_lifted_rhs",
-                            lambda *args: stages.append(args) or 1 / 0)
-        sigma = random_frame(4, 2, rng)
+        for stage in ("_lifted_rhs", "_rk4_step"):
+            monkeypatch.setattr(dynamics, stage, lambda *args: stages.append(args) or 1 / 0)
         with pytest.raises(error, match=match):
-            berry_maps(HamiltonianSchedule(evaluator=evaluator),
-                       Projector.from_frame(sigma), sigma, grid)
+            RK4_ROUTES[route](HamiltonianSchedule(table), random_frame(4, 2, rng), grid)
         assert stages == []
 
-    def test_chunked_tables_read_each_stage_time_once(self, monkeypatch):
+    @pytest.mark.parametrize("route", RK4_ROUTES)
+    def test_unbroadcast_table_is_rejected(self, route, monkeypatch):
+        # a table that ignores its time axis would hand out matrix rows as generators
+        a = random_antihermitian(4, 72)
+        stages = []
+        for stage in ("_lifted_rhs", "_rk4_step"):
+            monkeypatch.setattr(dynamics, stage, lambda *args: stages.append(args) or 1 / 0)
+        with pytest.raises(ValueError, match="schedule table"):
+            RK4_ROUTES[route](HamiltonianSchedule(lambda t: a), random_frame(4, 2, 73),
+                              TimeGrid(0.0, 1.0, 10))
+        assert stages == []
+
+    @pytest.mark.parametrize("route", RK4_ROUTES)
+    def test_chunked_tables_read_each_stage_time_once(self, route, monkeypatch):
         # three 4 x 4 matrices per table: many chunk boundaries
         monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 16 * 4 * 4)
         rng = np.random.default_rng(68)
-        inner = smooth_schedule(4, rng)
-        times = []
-
-        def counting(t):
-            times.append(t)
-            return inner(t)
-
-        sigma = random_frame(4, 2, rng)
+        sched, calls = counting_schedule(smooth_schedule(4, rng))
         grid = TimeGrid(0.0, 1.0, 20)
-        berry_maps(HamiltonianSchedule(evaluator=counting),
-                   Projector.from_frame(sigma), sigma, grid)
-        np.testing.assert_array_equal(times, (grid.h / 2.0) * np.arange(2 * grid.steps + 1))
+        RK4_ROUTES[route](sched, random_frame(4, 2, rng), grid)
+        assert all(len(times) <= 3 for times in calls)
+        np.testing.assert_array_equal(np.concatenate(calls),
+                                      (grid.h / 2.0) * np.arange(2 * grid.steps + 1))
 
     def test_geometric_table_memory_is_bounded(self, monkeypatch):
         # one whole table at n=32 and 400 steps is 12.5 MiB, and a geometric
@@ -417,7 +452,7 @@ class TestScheduleTable:
         constant_schedule(random_antihermitian(5, 69)),
         rotating_schedule(2 * np.pi),
         _sampled(),
-        HamiltonianSchedule(evaluator=lambda t: np.cos(t) * random_antihermitian(3, 70)),
+        trig_schedule(random_antihermitian(3, 70), np.zeros((3, 3))),
     ], ids=["constant", "rotating", "sampled", "user"])
     def test_table_is_the_evaluator_bitwise(self, schedule):
         table = schedule.table(self.TIMES)
