@@ -24,11 +24,11 @@ import numpy as np
 
 from . import selftest
 from .bundle import curvature_generators, frame_defect
-from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, TimeGrid, _parallelogram_loop,
-                       berry_maps, bloch_matrices, bloch_projector,
-                       constant_schedule, geometric_schedule,
-                       horizontality_defects, loop_transport, pancharatnam_oracle,
-                       rotating_schedule, sampled_schedule)
+from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, TimeGrid, _frame_oracle,
+                       _parallelogram_loop, berry_maps, bloch_matrices,
+                       bloch_projector, constant_schedule, geometric_schedule,
+                       horizontality_defects, loop_transport, rotating_schedule,
+                       sampled_schedule)
 from .errors import GapTooSmall, GrassflowError, NotAntiHermitian, NotClosed
 from .grassmann import (BasePoint, ChartTangent, Projector, chart_from_proj,
                         chart_transport, proj_from_chart)
@@ -301,7 +301,7 @@ def _berry_maps_report(cfg: dict, tol: Tolerances, message: str,
                        more_extras=None) -> int:
     """Report berry_maps on the configured schedule (flow, berry and holonomy).
 
-    ``more_extras(cfg, res, sigma, tol)`` may reject the run, or returns the
+    ``more_extras(cfg, res, tol)`` may reject the run, or returns the
     report keys that follow the common ones.
     """
     start = time.perf_counter()
@@ -309,7 +309,7 @@ def _berry_maps_report(cfg: dict, tol: Tolerances, message: str,
     res = berry_maps(schedule, p0, sigma, grid, tol)
     extras = {"closed": res.closed, "horizontality_defect": res.horizontality_defect}
     if more_extras is not None:
-        extras.update(more_extras(cfg, res, sigma, tol))
+        extras.update(more_extras(cfg, res, tol))
 
     rows = list(zip(grid.times, res.projector_defects, res.isometry_defects,
                     res.horizontality_defects, res.energies))
@@ -378,19 +378,18 @@ def cmd_flow(cfg: dict, tol: Tolerances) -> int:
     return _berry_maps_report(cfg, tol, "flow defects exceed the ode tolerance")
 
 
-def _closed_oracle(res, sigma: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _closed_oracle(res, tol: Tolerances) -> np.ndarray:
     """The Pancharatnam oracle on the nodes phi_k phi_k* of a run; NotClosed if open."""
     if not res.closed:
         raise NotClosed(f"projector path does not close: "
                         f"residual {res.closure_residual:.3e}")
-    frames = res.frame_path.samples
-    return pancharatnam_oracle(frames @ dag(frames), sigma, tol)
+    return _frame_oracle(res.frame_path.samples, tol)
 
 
-def _berry_extras(cfg: dict, res, sigma: np.ndarray, tol: Tolerances) -> dict:
+def _berry_extras(cfg: dict, res, tol: Tolerances) -> dict:
     """Closed-loop checks of a berry run: fiber gap, oracle, analytic phase."""
     m = cfg["m"]
-    oracle = _closed_oracle(res, sigma, tol)
+    oracle = _closed_oracle(res, tol)
     extras = {"fiber_gap_deviation": frob(res.fiber_gap - np.eye(m)),
               "oracle_phase_arg": _phase_arg(oracle, m),
               "oracle_deviation": frob(res.geometric - oracle)}
@@ -415,8 +414,8 @@ def cmd_berry(cfg: dict, tol: Tolerances) -> int:
                               _berry_extras)
 
 
-def _holonomy_extras(cfg: dict, res, sigma: np.ndarray, tol: Tolerances) -> dict:
-    return {"oracle_deviation": frob(res.geometric - _closed_oracle(res, sigma, tol))}
+def _holonomy_extras(cfg: dict, res, tol: Tolerances) -> dict:
+    return {"oracle_deviation": frob(res.geometric - _closed_oracle(res, tol))}
 
 
 def cmd_holonomy(cfg: dict, tol: Tolerances) -> int:

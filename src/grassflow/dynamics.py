@@ -75,9 +75,14 @@ class HamiltonianSchedule:
     def __call__(self, t: float) -> np.ndarray:
         return self.table(np.array([t]))[0]
 
-    def table(self, times: np.ndarray) -> np.ndarray:
-        """H(t) at each of the 1-D ``times``: one (N, n, n) stack, maybe a read-only view."""
-        return self.tabulate(np.asarray(times, dtype=float))
+    def table(self, times: np.ndarray, n: Optional[int] = None) -> np.ndarray:
+        """(N, n, n) stack of H(t) at the 1-D ``times``, maybe a read-only view; else ValueError."""
+        times = np.asarray(times, dtype=float)
+        hs = np.asarray(self.tabulate(times))
+        want = times.shape + 2 * (hs.shape[-1:] if n is None else (n,))
+        if hs.shape != want:
+            raise ValueError(f"schedule table has shape {hs.shape}, want {want}")
+        return hs
 
 
 def constant_schedule(h_mat: np.ndarray) -> HamiltonianSchedule:
@@ -297,15 +302,17 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
 
     When the path carries its schedule, P' = [H(t), P(t)] is co-integrated
     with the transported frame (4th order); for a bare sampled path the node
-    derivatives come from central differences and a 2nd-order trapezoidal
-    step is used.  The transported frame is polar-retracted after every step:
-    the correction stays at the per-step drift level (so finite-difference
-    horizontality measurements see no threshold jumps) and the polar factor
-    commutes with the right U(m) action, keeping transport gauge equivariant.
+    derivatives D_k come from central differences and the 2nd-order trapezoidal
+    step is psi + A_k psi, A_k = (h/2)(D_k + D_{k+1}) + (h^2/2) D_{k+1} D_k, with
+    the maps built as stacked products in blocks of _TABLE_BYTES / 4.  The
+    transported frame is polar-retracted after every step: the correction stays
+    at the per-step drift level (so finite-difference horizontality measurements
+    see no threshold jumps) and the polar factor commutes with the right U(m)
+    action, keeping transport gauge equivariant.
     """
     sigma = require_over(sigma, path.samples[0], tol, "the path start")
     grid = path.grid
-    h = grid.h
+    h, n = grid.h, path.n
     samples = np.empty((grid.steps + 1,) + sigma.shape, dtype=complex)
     samples[0] = sigma
     raw = np.empty_like(samples)  # each step's frame before its retraction
@@ -313,8 +320,6 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
     rank = path.rank
 
     if path.schedule is not None:
-        n = path.n
-
         # the pair (P, psi) as one n x (n+m) array [P | psi]
         def rhs(h_mat, y):
             pdot = commutator(h_mat, y[:, :n])
@@ -336,14 +341,15 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
             samples[k + 1] = psi
     else:
         derivs = sampled_derivative(path.samples, h, 2)
-        psi = sigma.copy()
-        for k in range(grid.steps):
-            k1 = derivs[k] @ psi
-            k2 = derivs[k + 1] @ (psi + h * k1)
-            psi = psi + (h / 2.0) * (k1 + k2)
-            raw[k + 1] = psi
-            psi = polar_retract(psi, tol)
-            samples[k + 1] = psi
+        psi = sigma
+        block = max(1, _TABLE_BYTES // (4 * 16 * n * n))
+        for start in range(0, grid.steps, block):
+            stop = min(start + block, grid.steps)
+            d0, d1 = derivs[start:stop], derivs[start + 1:stop + 1]
+            maps = (d0 + d1 + h * (d1 @ d0)) * (h / 2.0)
+            for k, step_map in enumerate(maps, start + 1):
+                raw[k] = psi = psi + step_map @ psi
+                samples[k] = psi = polar_retract(psi, tol)
 
     worst = float(FramePath(grid=grid, samples=raw).frame_defects().max())
     return FramePath(grid=grid, samples=samples, max_raw_defect=worst)
@@ -399,15 +405,9 @@ class HolonomyResult:
         return float(self.horizontality_defects.max())
 
 
-def _lifted_rhs(h_mat: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """(H phi, -(phi* H phi) g) for the stacked state y = [phi; g]."""
-    h_phi = h_mat @ y[:n]
-    return np.vstack([h_phi, -(dag(y[:n]) @ h_phi) @ y[n:]])
-
-
-# Bytes of one generator table read by berry_maps: a geometric table holds
-# several stacks of this size at once, so the bound keeps a large-n run's
-# peak memory fixed however many steps it takes.
+# Bytes of one generator table read by an RK4 route (a geometric table holds
+# several stacks this size at once), and four sampled-transport step-map blocks:
+# a large-n run's peak memory stays fixed however many steps it takes.
 _TABLE_BYTES = 1 << 22
 
 
@@ -424,10 +424,7 @@ def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int,
     times = grid.t0 + (grid.h / 2.0) * np.arange(2 * grid.steps + 1)
     chunk = max(1, _TABLE_BYTES // (16 * n * n))
     for start in range(0, len(times), chunk):
-        block = times[start:start + chunk]
-        hs = schedule.table(block)
-        if hs.shape != block.shape + (n, n):
-            raise ValueError(f"schedule table has shape {hs.shape}, want {block.shape + (n, n)}")
+        hs = schedule.table(times[start:start + chunk], n)
         require_antihermitian(hs[:1] if hs.strides[0] == 0 else hs, tol, "generator")
         yield from hs
 
@@ -442,54 +439,58 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     transport of sigma along P = phi phi*.  This is the Aharonov-Anandan
     split of the evolution into a dynamical and a geometric part (PRL 58,
     1593 (1987); non-abelian form: Anandan, Phys. Lett. A 133, 171 (1988)).
-    One classical RK4 loop integrates the stacked (n+m) x m state [phi; g].
+    One classical RK4 loop integrates phi and g as separate arrays.
     The generators at the 2 * steps + 1 stage times come from
     ``_stage_generators`` (one table for the whole run at small n), checked
     before a step uses them, so each step costs O(n^2 m).  After each step
-    phi is re-isometrized when its frame defect exceeds ``tol.ode`` and g is
-    polar-retracted onto U(m).
+    phi is re-isometrized when its frame defect, read from its m x m Gram
+    matrix, exceeds ``tol.ode``, and g is polar-retracted onto U(m) (one
+    Newton-Schulz step, see ``polar_retract``).
 
     Returns ``dynamical = sigma* phi(T)``, ``geometric = sigma* psi(T)`` and
     ``fiber_gap = psi(T)* phi(T) = g(T)*``.  When the projector path closes
     (|| phi(T) phi(T)* - sigma sigma* || within ``closure_tolerance``) the
     first two are the U(m) holonomies of the loop; the fiber gap is always a
     gauge element and measures the accumulated vertical drift.  The node
-    energies -i tr(phi_k* H(t_k) phi_k) come from the first RK4 stage, and
-    each is checked to be real.  The per-node audits (projector defect of
-    phi phi*, the worse isometry defect of phi and psi, horizontality defect
-    of psi) are computed here, once.
+    energies -i tr(phi_k* H(t_k) phi_k) come from the first RK4 stage, traced
+    in one stack after the loop, and each is checked to be real.  The per-node
+    audits (projector defect of phi phi*, the worse isometry defect of phi and
+    psi, horizontality defect of psi) are computed here, once.
     """
     sigma = require_over(sigma, p0.matrix, tol, "P0")
     n, m = sigma.shape
     h = grid.h
+    eye = np.eye(m)
     phis = np.empty((grid.steps + 1, n, m), dtype=complex)
     gauges = np.empty((grid.steps + 1, m, m), dtype=complex)
-    energies = np.empty(grid.steps + 1)
-    y = np.vstack([sigma, np.eye(m, dtype=complex)])
+    gens = np.empty_like(gauges)  # phi_k* H(t_k) phi_k
+    phi, g = sigma, eye.astype(complex)
     worst = frame_defect(sigma)
     stages = _stage_generators(schedule, grid, n, tol)
     h_node = next(stages)
 
+    def lifted(h_mat, phi, g):  # (H phi, -(phi* H phi) g)
+        h_phi = h_mat @ phi
+        return h_phi, -(dag(phi) @ h_phi) @ g
+
     for k in range(grid.steps + 1):
-        phi, g = y[:n], y[n:]
         phis[k], gauges[k] = phi, g
         h_phi = h_node @ phi
-        gen = dag(phi) @ h_phi  # phi* H phi
-        energies[k] = hamiltonian_value(gen, tol)
+        gens[k] = gen = dag(phi) @ h_phi
         if k == grid.steps:
             break
         h_mid, h_node = next(stages), next(stages)
-        k1 = np.vstack([h_phi, -gen @ g])
-        k2 = _lifted_rhs(h_mid, y + (h / 2.0) * k1, n)
-        k3 = _lifted_rhs(h_mid, y + (h / 2.0) * k2, n)
-        k4 = _lifted_rhs(h_node, y + h * k3, n)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        phi = y[:n]
-        defect = frame_defect(phi)
+        a1, b1 = h_phi, -gen @ g
+        a2, b2 = lifted(h_mid, phi + (h / 2.0) * a1, g + (h / 2.0) * b1)
+        a3, b3 = lifted(h_mid, phi + (h / 2.0) * a2, g + (h / 2.0) * b2)
+        a4, b4 = lifted(h_node, phi + h * a3, g + h * b3)
+        phi = phi + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        e = dag(phi) @ phi - eye
+        defect = np.vdot(e, e).real ** 0.5
         worst = max(worst, defect)
         if defect > tol.ode:
             phi = isometrize(phi, tol)
-        y = np.vstack([phi, polar_retract(y[n:], tol)])
+        g = polar_retract(g + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4), tol)
 
     # psi inherits the audit of phi: its gauge factor is unitary at every node
     fpath = FramePath(grid=grid, samples=phis, max_raw_defect=worst)
@@ -505,7 +506,7 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
         projector_defects=fpath.projector_defects(),
         isometry_defects=np.maximum(fpath.frame_defects(), hpath.frame_defects()),
         horizontality_defects=horizontality_defects(hpath),
-        energies=energies,
+        energies=hamiltonian_value(gens, tol),
         frame_path=fpath,
         horizontal_path=hpath,
     )
@@ -566,6 +567,22 @@ def pancharatnam_oracle(samples: np.ndarray, sigma: np.ndarray,
             raise DegenerateStep("projection collapsed the frame rank")
         v = v / svals[0]
     return isometrize(dag(sigma) @ v, tol)
+
+
+def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """``pancharatnam_oracle(P, phi_0)`` for P_k = phi_k phi_k* (closure is the caller's check).
+
+    P_N ... P_1 phi_0 = phi_N (phi_N* phi_{N-1}) ... (phi_1* phi_0) needs only m x m overlaps
+    (one stacked matmul); one of collapsed rank raises DegenerateStep, as its projection does.
+    """
+    overlaps = dag(frames[1:]) @ frames[:-1]
+    svals = np.linalg.svd(overlaps, compute_uv=False)
+    if np.any(svals[:, -1] <= tol.structural * np.maximum(svals[:, 0], 1.0)):
+        raise DegenerateStep("projection collapsed the frame rank")
+    product = dag(frames[0]) @ frames[-1]
+    for overlap in (overlaps / svals[:, :1, np.newaxis])[::-1]:
+        product = product @ overlap
+    return isometrize(product, tol)
 
 
 def synthesize_holonomy_step(w: np.ndarray, scale: float, base: BasePoint,

@@ -237,16 +237,16 @@ def linear_hamiltonian(u: np.ndarray, p: Projector,
     return hamiltonian_value(u @ p.matrix, tol)
 
 
-def hamiltonian_value(product: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> float:
+def hamiltonian_value(product: np.ndarray, tol: Tolerances = DEFAULT_TOLS):
     """-i tr(product) for product = u P, or phi* u phi over a frame of P.
 
     Both traces equal the linear Hamiltonian of u at P; a non-real value
-    means u is not anti-Hermitian.
+    means u is not anti-Hermitian.  A stack (..., k, k) gives an array.
     """
-    value = -1j * np.trace(product)
-    if abs(value.imag) > tol.structural * (1.0 + abs(value.real)):
+    value = -1j * np.trace(product, axis1=-2, axis2=-1)
+    if np.any(np.abs(value.imag) > tol.structural * (1.0 + np.abs(value.real))):
         raise NotAntiHermitian("trace -i tr(uP) is not real; u is not anti-Hermitian")
-    return float(value.real)
+    return value.real if value.ndim else float(value.real)
 
 
 def symplectic_form(p: Projector, phi: EmbeddedTangent, psi: EmbeddedTangent,

@@ -10,7 +10,9 @@ import pytest
 from grassflow import cli
 from grassflow.cli import (CSV_HEADER, build_parser, build_setup,
                            build_tolerances, load_config, main, write_report)
-from grassflow.dynamics import integrate_projector, loop_holonomy
+from grassflow.dynamics import (berry_maps, integrate_projector, loop_holonomy,
+                                pancharatnam_oracle)
+from grassflow.linalg import dag
 
 REQUIRED_KEYS = ["config", "holonomy_dynamical", "holonomy_geometric",
                  "fiber_gap", "berry_phase_arg", "closure_residual",
@@ -107,6 +109,27 @@ class TestBerry:
         deviation = min(abs(np.angle(np.exp(1j * (phase - sign * reference))))
                         for sign in (1, -1))
         assert deviation <= 1e-6
+
+
+@pytest.mark.parametrize("cfg, steps", [
+    ({"version": 1, "n": 2, "m": 1, "seed": 0,
+      "schedule": {"kind": "rotating", "theta": np.pi / 2, "omega": 2 * np.pi}}, 400),
+    ({"version": 1, "n": 4, "m": 2, "seed": 0,
+      "schedule": {"kind": "geometric_from_curve"}}, 200),
+], ids=["berry-rotating", "berry-geometric"])
+def test_frame_oracle_is_the_projector_oracle(tmp_path, cfg, steps):
+    # the oracle of berry and holonomy reports, from frame overlaps, against
+    # the public oracle on the projectors phi_k phi_k* of the same run
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(cfg))
+    loaded = load_config(build_parser().parse_args(
+        ["berry", "--config", str(cfg_file), "--steps", str(steps)]))
+    tol = build_tolerances(loaded)
+    schedule, p0, sigma, grid = build_setup(loaded, tol)
+    res = berry_maps(schedule, p0, sigma, grid, tol)
+    frames = res.frame_path.samples
+    reference = pancharatnam_oracle(frames @ dag(frames), sigma, tol)
+    assert np.linalg.norm(cli._closed_oracle(res, tol) - reference) <= 1e-12
 
 
 class TestFlow:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grassflow import BaseMismatch, NotAntiHermitian, NotClosed, PathTooRough
+from grassflow import BaseMismatch, DegenerateStep, NotAntiHermitian, NotClosed, PathTooRough
 from grassflow import dynamics
 from grassflow.bundle import frame_defect
 from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedule,
-                                TimeGrid,
-                                berry_maps, bloch_projector, constant_schedule,
+                                TimeGrid, _frame_oracle,
+                                berry_maps, bloch_matrices, bloch_projector,
+                                constant_schedule,
                                 geometric_hamiltonian, geometric_schedule,
                                 horizontal_transport, integrate_frame,
                                 integrate_projector, loop_holonomy,
@@ -14,7 +16,8 @@ from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedul
                                 sampled_schedule, synthesize_holonomy_step,
                                 tracking_defect, horizontality_defect,
                                 ProjectorPath)
-from grassflow.grassmann import BasePoint, Projector, linear_hamiltonian, projector_defect
+from grassflow.grassmann import (BasePoint, Projector, linear_hamiltonian, projector_defect,
+                                 sampled_derivative)
 from grassflow.linalg import (dag, frob, mat_exp, random_antihermitian,
                               random_frame, random_unitary)
 
@@ -324,7 +327,7 @@ class TestBerryMaps:
             return np.where(midpoint[:, np.newaxis, np.newaxis], bad(hs), hs)
 
         stages = []
-        for stage in ("_lifted_rhs", "_rk4_step"):
+        for stage in ("_rk4_step", "polar_retract"):
             monkeypatch.setattr(dynamics, stage, lambda *args: stages.append(args) or 1 / 0)
         with pytest.raises(error, match=match):
             RK4_ROUTES[route](HamiltonianSchedule(table), random_frame(4, 2, rng), grid)
@@ -335,7 +338,7 @@ class TestBerryMaps:
         # a table that ignores its time axis would hand out matrix rows as generators
         a = random_antihermitian(4, 72)
         stages = []
-        for stage in ("_lifted_rhs", "_rk4_step"):
+        for stage in ("_rk4_step", "polar_retract"):
             monkeypatch.setattr(dynamics, stage, lambda *args: stages.append(args) or 1 / 0)
         with pytest.raises(ValueError, match="schedule table"):
             RK4_ROUTES[route](HamiltonianSchedule(lambda t: a), random_frame(4, 2, 73),
@@ -459,6 +462,17 @@ class TestScheduleTable:
         assert table.shape[0] == len(self.TIMES)
         for t, h_mat in zip(self.TIMES, table):
             np.testing.assert_array_equal(h_mat, schedule(t))
+
+    def test_single_time_call_checks_the_table_shape(self):
+        # a table that ignores its time axis: schedule(t) would be the row a[0]
+        a = random_antihermitian(3, 75)
+        schedule = HamiltonianSchedule(lambda times: a)
+        with pytest.raises(ValueError, match=r"schedule table has shape \(3, 3\), want \(1, 3, 3\)"):
+            schedule(0.3)
+        with pytest.raises(ValueError, match="schedule table"):
+            schedule.table(np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(ValueError, match="schedule table"):
+            HamiltonianSchedule(lambda times: 1.0)(0.3)
 
     def test_sampled_table_is_the_interpolation_formula_bitwise(self):
         values, steps = _sampled_values(), 16
@@ -613,6 +627,121 @@ class TestLoopHolonomy:
             loop_holonomy(path, sigma)
 
 
+def _synthesized_loop(seed, n, m, scale, per_side):
+    """A closed sampled loop (synthesize_holonomy_step of a random unit w) and its base."""
+    rng = np.random.default_rng(seed)
+    w = random_antihermitian(m, rng)
+    base = BasePoint.standard(n, m)
+    return synthesize_holonomy_step(w / np.linalg.norm(w), scale, base, per_side), base, rng
+
+
+LOOPS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+             m_frac=st.floats(0.0, 1.0), scale=st.floats(0.05, 0.3),
+             per_side=st.integers(8, 32))
+
+
+class TestSampledTransport:
+    def test_observed_order_of_the_step_maps(self):
+        # three halvings of h on the sampled latitude loop, against the
+        # 4th-order berry_maps holonomy of the same loop
+        theta = np.pi / 3
+        p0 = bloch_projector(theta)
+        sigma = BasePoint.from_projector(p0).frame
+        reference = berry_maps(rotating_schedule(2 * np.pi), p0, sigma,
+                               TimeGrid(0.0, 1.0, 4000)).geometric
+        errors = []
+        for steps in (100, 200, 400, 800):
+            samples = bloch_matrices(theta, np.linspace(0.0, 2 * np.pi, steps + 1))
+            path = ProjectorPath(grid=TimeGrid(0.0, 1.0, steps), samples=samples, rank=1)
+            errors.append(frob(loop_holonomy(path, sigma) - reference))
+        orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert all(1.8 <= order <= 2.2 for order in orders), orders
+
+    def test_step_maps_are_the_trapezoid_step(self):
+        # against psi + (h/2)(D_k psi + D_{k+1}(psi + h D_k psi)) and the SVD polar factor
+        path, base, _ = _synthesized_loop(79, 5, 2, 0.3, 16)
+        h, derivs = path.grid.h, sampled_derivative(path.samples, path.grid.h, 2)
+        expected = [base.frame]
+        for d0, d1 in zip(derivs, derivs[1:]):
+            psi = expected[-1]
+            k1 = d0 @ psi
+            u, _, vh = np.linalg.svd(psi + (h / 2.0) * (k1 + d1 @ (psi + h * k1)),
+                                     full_matrices=False)
+            expected.append(u @ vh)
+        got = horizontal_transport(path, base.frame).samples
+        assert np.abs(got - np.array(expected)).max() <= 1e-14
+
+    def test_step_maps_in_blocks_match_one_block(self, monkeypatch):
+        path, base, _ = _synthesized_loop(76, 5, 2, 0.2, 40)
+        whole = horizontal_transport(path, base.frame).samples
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 4 * 16 * 5 * 5)  # 3 maps a block
+        np.testing.assert_array_equal(horizontal_transport(path, base.frame).samples, whole)
+
+    def test_loops_retract_without_the_svd(self, monkeypatch):
+        # every polar_retract of berry_maps and of the sampled transport takes
+        # the Newton-Schulz step on these runs: the SVD route (the only
+        # full_matrices=False caller) never runs
+        polar_svds = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            polar_svds.extend([a.shape] if kwargs.get("full_matrices") is False else [])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        retract = dynamics.polar_retract
+        calls = []
+        monkeypatch.setattr(dynamics, "polar_retract",
+                            lambda f, tol: calls.append(f.shape) or retract(f, tol))
+        p0 = bloch_projector(np.pi / 2)
+        berry_maps(rotating_schedule(2 * np.pi), p0, BasePoint.from_projector(p0).frame,
+                   TimeGrid(0.0, 1.0, 4000))
+        p0 = Projector(matrix=_random_loop_qfun(np.zeros(1))[0], rank=2)
+        berry_maps(geometric_schedule(_random_loop_qfun), p0, BasePoint.from_projector(p0).frame, TimeGrid(0.0, 1.0, 800))
+        path, base, _ = _synthesized_loop(78, 6, 2, 0.1, 1000)
+        horizontal_transport(path, base.frame)
+        assert len(calls) == 4000 + 800 + path.grid.steps
+        assert polar_svds == []
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(**LOOPS)
+    def test_gauge_covariance(self, seed, n, m_frac, scale, per_side):
+        # sigma -> sigma u gives hol -> u* hol u (Wilczek & Zee, PRL 52, 2111 (1984))
+        m = min(n - 1, 1 + int(m_frac * (n - 1)))
+        path, base, rng = _synthesized_loop(seed, n, m, scale, per_side)
+        u = random_unitary(m, rng)
+        hol = loop_holonomy(path, base.frame)
+        assert frob(loop_holonomy(path, base.frame @ u) - dag(u) @ hol @ u) <= 1e-10
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(**LOOPS)
+    def test_reversed_loop_gives_the_adjoint(self, seed, n, m_frac, scale, per_side):
+        # exact for the continuous transport; the discrete one keeps it to
+        # within its own discretization error, estimated by halving h
+        m = min(n - 1, 1 + int(m_frac * (n - 1)))
+        path, base, _ = _synthesized_loop(seed, n, m, scale, per_side)
+        fine, _, _ = _synthesized_loop(seed, n, m, scale, 2 * per_side)
+        reverse = ProjectorPath(grid=path.grid, samples=path.samples[::-1], rank=m)
+        hol = loop_holonomy(path, base.frame)
+        error = frob(hol - loop_holonomy(fine, base.frame))
+        assert frob(loop_holonomy(reverse, base.frame) - dag(hol)) <= error + 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 5), m_frac=st.floats(0.0, 1.0))
+def test_berry_maps_gauge_covariance(seed, n, m_frac):
+    # sigma -> sigma u conjugates both fiber maps by u
+    rng = np.random.default_rng(seed)
+    m = min(n - 1, 1 + int(m_frac * (n - 1)))
+    sigma = random_frame(n, m, rng)
+    u = random_unitary(m, rng)
+    schedule, p0, grid = smooth_schedule(n, rng), Projector.from_frame(sigma), TimeGrid(0.0, 1.0, 30)
+    res = berry_maps(schedule, p0, sigma, grid)
+    moved = berry_maps(schedule, p0, sigma @ u, grid)
+    assert frob(moved.geometric - dag(u) @ res.geometric @ u) <= 1e-10
+    assert frob(moved.dynamical - dag(u) @ res.dynamical @ u) <= 1e-10
+
+
 @pytest.mark.parametrize("route", [
     lambda path, sigma: berry_maps(constant_schedule(np.zeros((3, 3), dtype=complex)),
                                    Projector(matrix=path.samples[0], rank=1),
@@ -663,6 +792,27 @@ class TestPancharatnamOracle:
         gap_fine = frob(pancharatnam_oracle(
             self.latitude_samples(theta, 10000), sigma) - reference)
         assert gap_fine <= gap_coarse / 5.0
+
+    @pytest.mark.parametrize("n, columns", [
+        (2, [[0], [1], [0]]),               # a frame orthogonal to its neighbour
+        (4, [[0, 1], [2, 3], [0, 1]]),
+        (4, [[0, 1], [0, 2], [0, 1]]),      # the overlap loses one rank
+    ], ids=["m1", "m2-orthogonal", "m2-rank-one"])
+    def test_collapsing_projection_is_degenerate_on_both_routes(self, n, columns):
+        frames = np.array([np.eye(n, dtype=complex)[:, c] for c in columns])
+        with pytest.raises(DegenerateStep):
+            pancharatnam_oracle(frames @ dag(frames), frames[0])
+        with pytest.raises(DegenerateStep):
+            _frame_oracle(frames)
+
+    def test_frame_oracle_is_the_projector_oracle(self):
+        # frames of a closed loop in a random gauge at every node
+        path, _, rng = _synthesized_loop(77, 5, 2, 0.3, 20)
+        frames = np.linalg.eigh(path.samples)[1][..., -2:]
+        frames = frames @ np.array([random_unitary(2, rng) for _ in frames])
+        np.testing.assert_allclose(_frame_oracle(frames),
+                                   pancharatnam_oracle(frames @ dag(frames), frames[0]),
+                                   rtol=0, atol=1e-12)
 
     def test_observed_order(self):
         theta = np.pi / 3

@@ -8,7 +8,8 @@ from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent,
                                  chart_transport,
                                  covariant_derivative_along,
                                  grassmann_connection_F, grassmann_curvature_F,
-                                 ham_field, lie_field_chart, linear_hamiltonian,
+                                 ham_field, hamiltonian_value, lie_field_chart,
+                                 linear_hamiltonian,
                                  proj_from_chart, sampled_derivative,
                                  symplectic_form, tangent_embed, tangent_extract)
 from grassflow.linalg import (commutator, dag, frob, isometrize, mat_exp,
@@ -232,6 +233,16 @@ class TestLinearHamiltonian:
     def test_rejects_non_antihermitian(self):
         with pytest.raises(NotAntiHermitian):
             linear_hamiltonian(np.eye(2, dtype=complex), STD21.projector)
+
+    def test_stack_is_each_matrix_by_the_same_rule(self):
+        rng = np.random.default_rng(90)
+        stack = np.array([random_antihermitian(3, rng) for _ in range(7)])
+        values = hamiltonian_value(stack)
+        assert values.shape == (7,)
+        np.testing.assert_array_equal(values, [hamiltonian_value(a) for a in stack])
+        stack[4] += 1e-6 * np.eye(3)  # one non-real trace among real ones
+        with pytest.raises(NotAntiHermitian):
+            hamiltonian_value(stack)
 
 
 class TestSymplecticForm:

@@ -3,9 +3,11 @@ import pytest
 import scipy.linalg
 
 from grassflow import NotAntiHermitian, RankDeficient, GapTooSmall
+from grassflow import linalg
 from grassflow.linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
-                              mat_exp, nearest_projector, random_antihermitian,
-                              random_complex, require_antihermitian)
+                              mat_exp, nearest_projector, polar_retract,
+                              random_antihermitian, random_complex, random_frame,
+                              random_unitary, require_antihermitian)
 
 
 class TestIsometrize:
@@ -40,6 +42,106 @@ class TestIsometrize:
         for _ in range(20):
             q = isometrize(random_complex(10, 4, rng))
             assert frob(isometrize(q) - q) <= 1e-13
+
+
+def frame_with_gram_defect(n, m, defect, rng):
+    """A frame q (I + e K) whose Gram matrix deviates from I by ``defect`` in its largest entry."""
+    q = random_frame(n, m, rng)
+    if defect == 0.0:
+        # permuted, phased columns of the identity: the Gram matrix is exactly I
+        return np.eye(n, dtype=complex)[:, rng.permutation(n)[:m]] * np.exp(1j * rng.uniform(size=m))
+    k = random_complex(m, m, rng)
+    scale = defect / np.abs(k + dag(k)).max()
+    for _ in range(3):  # Newton on the (nearly linear) defect of the scale
+        f = q @ (np.eye(m) + scale * k)
+        scale *= defect / np.abs(dag(f) @ f - np.eye(m)).max()
+    return q @ (np.eye(m) + scale * k)
+
+
+def svd_polar(f):
+    u, _, vh = np.linalg.svd(f, full_matrices=False)
+    return u @ vh
+
+
+def counting_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestPolarRetract:
+    NEWTON = linalg._POLAR_NEWTON_DEFECT
+
+    DEFECTS = [0.0, 1e-12, 1e-9, 0.99 * linalg._POLAR_NEWTON_DEFECT]
+
+    def frames(self, defect, shapes, count, seed):
+        rng = np.random.default_rng(seed)
+        for n, m in shapes:
+            for _ in range(count):
+                f = frame_with_gram_defect(n, m, defect, rng)
+                gram_defect = np.abs(dag(f) @ f - np.eye(m)).max()
+                assert gram_defect <= self.NEWTON
+                assert gram_defect >= 0.5 * defect
+                yield f
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_newton_step_is_the_svd_polar_factor(self, defect, monkeypatch):
+        # the shapes of the package's frames and gauge factors; at m >= 4
+        # LAPACK's own polar factor strays by up to 7.5e-15 from a 40-digit
+        # one, which the next test uses instead
+        frames = list(self.frames(defect, [(1, 1), (2, 1), (2, 2), (4, 2), (6, 2)], 10, 180))
+        expected = [svd_polar(f) for f in frames]
+        calls = counting_svd(monkeypatch)
+        for f, polar in zip(frames, expected):
+            assert frob(polar_retract(f) - polar) <= 1e-15 * (1.0 + frob(f))
+        assert calls == []  # the Newton-Schulz step, not the SVD
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_newton_step_is_the_polar_factor_to_roundoff(self, defect):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        for f in self.frames(defect, [(6, 2), (9, 4), (5, 5)], 3, 185):
+            u, _, v = mp.svd_c(mp.matrix(f.tolist()), full_matrices=False)
+            exact = np.array((u * v).tolist(), dtype=complex)
+            assert frob(polar_retract(f) - exact) <= 1e-15 * (1.0 + frob(f))
+
+    @pytest.mark.parametrize("defect", [1e-12, 0.99 * linalg._POLAR_NEWTON_DEFECT, 1e-3, 0.5])
+    def test_right_unitary_equivariance(self, defect):
+        rng = np.random.default_rng(181)
+        for n, m in [(3, 1), (5, 2), (7, 3)]:
+            for _ in range(10):
+                f = frame_with_gram_defect(n, m, defect, rng)
+                u = random_unitary(m, rng)
+                assert frob(polar_retract(f @ u) - polar_retract(f) @ u) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_frame_raises_value_error(self, bad):
+        f = random_frame(4, 2, 182)
+        f[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            polar_retract(f)
+
+    def test_rank_deficient_frame_raises(self):
+        f = random_frame(4, 2, 183)
+        f[:, 1] = 2.0 * f[:, 0]
+        with pytest.raises(RankDeficient):
+            polar_retract(f)
+
+    @pytest.mark.parametrize("factor", [2.0, 1e3])
+    def test_defect_above_the_bound_takes_the_svd_route(self, factor, monkeypatch):
+        rng = np.random.default_rng(184)
+        f = frame_with_gram_defect(5, 2, factor * self.NEWTON, rng)
+        expected = svd_polar(f)
+        calls = counting_svd(monkeypatch)
+        got = polar_retract(f)
+        assert calls == [(5, 2)]
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestMatExp:
