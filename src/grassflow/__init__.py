@@ -1,8 +1,8 @@
 """grassflow: differential geometry and holonomy on complex Grassmann manifolds."""
 
 from .errors import (BaseMismatch, DegenerateStep, DimensionTooSmall, GapTooSmall,
-                     GrassflowError, NotAFrame, NotAntiHermitian, NotClosed,
-                     NotHorizontal, NotTangent, NotUnitary, OutsideChart,
+                     GrassflowError, NonFinite, NotAFrame, NotAntiHermitian,
+                     NotClosed, NotHorizontal, NotTangent, NotUnitary, OutsideChart,
                      PathTooRough, RankDeficient, SectionNotInFiber)
 from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob, isometrize,
                      mat_exp, nearest_projector, polar_retract,

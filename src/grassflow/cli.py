@@ -8,8 +8,8 @@ Each run echoes its configuration, writes per-node CSV rows
 JSON report with keys config, holonomy_dynamical, holonomy_geometric,
 fiber_gap, berry_phase_arg, closure_residual, defect_max, wall_time_s.
 Complex entries are serialized as {re, im} pairs, matrices as nested
-row-major arrays.  Exit codes: 0 ok, 1 usage/config error, 2 invariant
-failure above tolerance, 3 numerical condition (NotClosed / GapTooSmall).
+row-major arrays.  Exit codes: 0 ok, 1 usage/config error, 2 invariant failure
+above tolerance, 3 numerical condition (NotClosed / GapTooSmall / NonFinite).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, TimeGrid, _frame_oracle,
                        bloch_projector, constant_schedule, geometric_schedule,
                        horizontality_defects, loop_transport, rotating_schedule,
                        sampled_schedule)
-from .errors import GapTooSmall, GrassflowError, NotAntiHermitian, NotClosed
+from .errors import GapTooSmall, GrassflowError, NonFinite, NotAntiHermitian, NotClosed
 from .grassmann import (BasePoint, ChartTangent, Projector, chart_from_proj,
                         chart_transport, proj_from_chart)
 from .linalg import (Tolerances, dag, frob, mat_exp, random_antihermitian,
@@ -526,7 +526,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotClosed, GapTooSmall) as exc:
+    except (NotClosed, GapTooSmall, NonFinite) as exc:
         print(f"numerical condition: {exc}", file=sys.stderr)
         return 3
     except GrassflowError as exc:

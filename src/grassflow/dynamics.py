@@ -10,8 +10,8 @@ off-diagonal ("geometric") schedules driving a prescribed projector curve,
 loop holonomy with a discrete projector-product oracle, and first-order
 holonomy synthesis from curvature generators.
 
-Every RK4 route reads its 2 * steps + 1 stage generators once each, from
-schedule tables checked before a step uses them (``_stage_generators``).
+Every RK4 route reads its 2 * steps + 1 stage generators once each from checked
+schedule tables (``_stage_generators``); the reference routes step by ``_rk4_nodes``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob,
 # near the origin subtends solid angle ~4 t^2, giving holonomy phase -2 t^2)
 # and asserted for m=2 in the test suite.
 SYNTHESIS_CURVATURE_CONSTANT = -2.0
+
+# Step of the central difference that gives Q' in ``geometric_schedule``, and the
+# largest projector move || P_{k+1} - P_k || that ``geometric_hamiltonian`` accepts.
+_FD_STEP = 1e-6
+_ROUGH_BOUND = 0.5
 
 
 @dataclass(frozen=True)
@@ -147,13 +152,12 @@ def _geometric_generator(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (h_mat - dag(h_mat)) / 2.0
 
 
-def geometric_schedule(qfun: Callable[[np.ndarray], np.ndarray],
-                       fd_step: float = 1e-6) -> HamiltonianSchedule:
+def geometric_schedule(qfun: Callable[[np.ndarray], np.ndarray]) -> HamiltonianSchedule:
     """Geometric schedule H(t) = [[0, -Q'*], [Q', 0]] for a smooth curve of projectors.
 
     ``qfun`` maps a 1-D array of N times to the (N, n, n) stack of projector
     matrices (it must broadcast over the times); its derivative is taken by
-    central differences with step ``fd_step``.  The returned generator is
+    central differences with step _FD_STEP.  The returned generator is
     purely off-diagonal in the moving splitting im(Q) + ker(Q), so the lifted
     flow is horizontal.
     """
@@ -162,7 +166,7 @@ def geometric_schedule(qfun: Callable[[np.ndarray], np.ndarray],
         q = qfun(times)
         if q.shape[:-2] != times.shape:
             raise ValueError("qfun must map N times to an (N, n, n) stack")
-        v = (qfun(times + fd_step) - qfun(times - fd_step)) / (2.0 * fd_step)
+        v = (qfun(times + _FD_STEP) - qfun(times - _FD_STEP)) / (2.0 * _FD_STEP)
         return _geometric_generator(q, v)
 
     return HamiltonianSchedule(table)
@@ -176,7 +180,6 @@ class ProjectorPath:
     samples: np.ndarray          # (steps+1, n, n)
     rank: int
     schedule: Optional[HamiltonianSchedule] = None
-    max_raw_defect: float = 0.0  # worst pre-retraction step defect
 
     @property
     def n(self) -> int:
@@ -207,7 +210,6 @@ class FramePath:
 
     grid: TimeGrid
     samples: np.ndarray          # (steps+1, n, m)
-    max_raw_defect: float = 0.0
 
     def grams(self) -> np.ndarray:
         """The m x m Gram matrices phi_k* phi_k, one per node."""
@@ -250,109 +252,92 @@ def _rk4_step(f, y, h, h_start, h_mid, h_end):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _retracted_rk4(schedule, rhs, y, grid: TimeGrid, defect, retract, tol: Tolerances):
-    """Node samples of y' = rhs(H(t), y) by RK4, retracted on demand.
+def _rk4_nodes(schedule, rhs, y, grid: TimeGrid, retract, tol: Tolerances):
+    """y at each grid node of y' = rhs(H(t), y) by RK4, ``retract`` applied after every step.
 
-    ``retract`` runs after each step whose ``defect`` exceeds ``tol.ode``.
-    Returns the samples and the worst pre-retraction defect.
+    The first generator table is checked before the start node is yielded.
     """
-    samples = np.empty((grid.steps + 1,) + y.shape, dtype=complex)
-    samples[0] = y
-    h = grid.h
-    worst = defect(y)
     stages = _stage_generators(schedule, grid, y.shape[0], tol)
     h_node = next(stages)
-    for k in range(grid.steps):
+    yield y
+    for _ in range(grid.steps):
         h_mid, h_next = next(stages), next(stages)
-        y = _rk4_step(rhs, y, h, h_node, h_mid, h_next)
+        y = retract(_rk4_step(rhs, y, grid.h, h_node, h_mid, h_next))
         h_node = h_next
-        step_defect = defect(y)
-        worst = max(worst, step_defect)
-        if step_defect > tol.ode:
-            y = retract(y)
-        samples[k + 1] = y
-    return samples, worst
+        yield y
+
+
+def _retract_projector(p, rank: int, tol: Tolerances):
+    """p, or the nearest rank-``rank`` projector when its projector defect exceeds ``tol.ode``."""
+    if projector_defect(p, rank) > tol.ode:
+        return nearest_projector((p + dag(p)) / 2.0, rank, tol)
+    return p
 
 
 def integrate_frame(schedule: HamiltonianSchedule, phi0: np.ndarray,
                     grid: TimeGrid, tol: Tolerances = DEFAULT_TOLS) -> FramePath:
     """Integrate phi' = H(t) phi with per-step re-isometrization on demand."""
-    samples, worst = _retracted_rk4(
-        schedule, np.matmul, require_finite(phi0, "initial frame").copy(), grid,
-        frame_defect, lambda y: isometrize(y, tol), tol)
-    return FramePath(grid=grid, samples=samples, max_raw_defect=worst)
+    phi0 = require_finite(phi0, "initial frame")
+    nodes = _rk4_nodes(schedule, np.matmul, phi0, grid,
+                       lambda y: isometrize(y, tol) if frame_defect(y) > tol.ode else y, tol)
+    return FramePath(grid, np.fromiter(nodes, np.dtype((complex, phi0.shape)), grid.steps + 1))
 
 
-def integrate_projector(schedule: HamiltonianSchedule, p0: Projector,
-                        grid: TimeGrid,
+def integrate_projector(schedule: HamiltonianSchedule, p0: Projector, grid: TimeGrid,
                         tol: Tolerances = DEFAULT_TOLS) -> ProjectorPath:
     """Integrate P' = [H(t), P] with per-step spectral retraction on demand."""
-    rank = p0.rank
-    samples, worst = _retracted_rk4(
-        schedule, commutator, require_finite(p0.matrix, "initial projector").copy(), grid,
-        lambda y: projector_defect(y, rank),
-        lambda y: nearest_projector((y + dag(y)) / 2.0, rank, tol), tol)
-    return ProjectorPath(grid=grid, samples=samples, rank=rank,
-                         schedule=schedule, max_raw_defect=worst)
+    p = require_finite(p0.matrix, "initial projector")
+    nodes = _rk4_nodes(schedule, commutator, p, grid,
+                       lambda y: _retract_projector(y, p0.rank, tol), tol)
+    samples = np.fromiter(nodes, np.dtype((complex, p.shape)), grid.steps + 1)
+    return ProjectorPath(grid=grid, samples=samples, rank=p0.rank, schedule=schedule)
 
 
 def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
                          tol: Tolerances = DEFAULT_TOLS) -> FramePath:
     """Parallel transport of a start frame along a projector path: psi' = P' psi.
 
-    When the path carries its schedule, P' = [H(t), P(t)] is co-integrated
-    with the transported frame (4th order); for a bare sampled path the node
-    derivatives D_k come from central differences and the 2nd-order trapezoidal
-    step is psi + A_k psi, A_k = (h/2)(D_k + D_{k+1}) + (h^2/2) D_{k+1} D_k, with
-    the maps built as stacked products in blocks of _TABLE_BYTES / 4.  The
-    transported frame is polar-retracted after every step: the correction stays
-    at the per-step drift level (so finite-difference horizontality measurements
-    see no threshold jumps) and the polar factor commutes with the right U(m)
-    action, keeping transport gauge equivariant.
+    When the path carries its schedule, psi is co-integrated with
+    P' = [H(t), P(t)] by RK4 on the n x (n+m) state [P | psi] (4th order), P
+    retracted as by ``integrate_projector`` and only psi stored; for a bare
+    sampled path the node derivatives D_k come from central differences and
+    the 2nd-order trapezoidal step is psi + A_k psi, A_k = (h/2)(D_k + D_{k+1})
+    + (h^2/2) D_{k+1} D_k, with the maps built as stacked products in blocks of
+    _TABLE_BYTES / 4.  The transported frame is polar-retracted after every
+    step: the correction stays at the per-step drift level (so finite-difference
+    horizontality measurements see no threshold jumps) and the polar factor
+    commutes with the right U(m) action, keeping transport gauge equivariant.
     """
     sigma = require_over(sigma, path.samples[0], tol, "the path start")
     grid = path.grid
     h, n = grid.h, path.n
-    samples = np.empty((grid.steps + 1,) + sigma.shape, dtype=complex)
-    samples[0] = sigma
-    raw = np.empty_like(samples)  # each step's frame before its retraction
-    raw[0] = sigma
-    rank = path.rank
 
     if path.schedule is not None:
-        # the pair (P, psi) as one n x (n+m) array [P | psi]
         def rhs(h_mat, y):
             pdot = commutator(h_mat, y[:, :n])
             return np.hstack([pdot, pdot @ y[:, n:]])
 
-        y = np.hstack([path.samples[0], sigma])
-        stages = _stage_generators(path.schedule, grid, n, tol)
-        h_node = next(stages)
-        for k in range(grid.steps):
-            h_mid, h_next = next(stages), next(stages)
-            y = _rk4_step(rhs, y, h, h_node, h_mid, h_next)
-            h_node = h_next
-            p, psi = y[:, :n], y[:, n:]
-            raw[k + 1] = psi
-            if projector_defect(p, rank) > tol.ode:
-                p = nearest_projector((p + dag(p)) / 2.0, rank, tol)
-            psi = polar_retract(psi, tol)
-            y = np.hstack([p, psi])
-            samples[k + 1] = psi
-    else:
-        derivs = sampled_derivative(path.samples, h, 2)
-        psi = sigma
-        block = max(1, _TABLE_BYTES // (4 * 16 * n * n))
-        for start in range(0, grid.steps, block):
-            stop = min(start + block, grid.steps)
-            d0, d1 = derivs[start:stop], derivs[start + 1:stop + 1]
-            maps = (d0 + d1 + h * (d1 @ d0)) * (h / 2.0)
-            for k, step_map in enumerate(maps, start + 1):
-                raw[k] = psi = psi + step_map @ psi
-                samples[k] = psi = polar_retract(psi, tol)
+        def retract(y):
+            return np.hstack([_retract_projector(y[:, :n], path.rank, tol),
+                              polar_retract(y[:, n:], tol)])
 
-    worst = float(FramePath(grid=grid, samples=raw).frame_defects().max())
-    return FramePath(grid=grid, samples=samples, max_raw_defect=worst)
+        nodes = _rk4_nodes(path.schedule, rhs, np.hstack([path.samples[0], sigma]), grid,
+                           retract, tol)
+        psis = np.fromiter((y[:, n:] for y in nodes), np.dtype((complex, sigma.shape)),
+                           grid.steps + 1)  # the n x n part P is never stored
+        return FramePath(grid, psis)
+
+    samples = np.empty((grid.steps + 1,) + sigma.shape, dtype=complex)
+    samples[0] = psi = sigma
+    derivs = sampled_derivative(path.samples, h, 2)
+    block = max(1, _TABLE_BYTES // (4 * 16 * n * n))
+    for start in range(0, grid.steps, block):
+        stop = min(start + block, grid.steps)
+        d0, d1 = derivs[start:stop], derivs[start + 1:stop + 1]
+        maps = (d0 + d1 + h * (d1 @ d0)) * (h / 2.0)
+        for k, step_map in enumerate(maps, start + 1):
+            samples[k] = psi = polar_retract(psi + step_map @ psi, tol)
+    return FramePath(grid=grid, samples=samples)
 
 
 def horizontality_defects(frames: FramePath) -> np.ndarray:
@@ -465,7 +450,6 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     gauges = np.empty((grid.steps + 1, m, m), dtype=complex)
     gens = np.empty_like(gauges)  # phi_k* H(t_k) phi_k
     phi, g = sigma, eye.astype(complex)
-    worst = frame_defect(sigma)
     stages = _stage_generators(schedule, grid, n, tol)
     h_node = next(stages)
 
@@ -486,15 +470,12 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
         a4, b4 = lifted(h_node, phi + h * a3, g + h * b3)
         phi = phi + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         e = dag(phi) @ phi - eye
-        defect = np.vdot(e, e).real ** 0.5
-        worst = max(worst, defect)
-        if defect > tol.ode:
+        if np.vdot(e, e).real ** 0.5 > tol.ode:
             phi = isometrize(phi, tol)
         g = polar_retract(g + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4), tol)
 
-    # psi inherits the audit of phi: its gauge factor is unitary at every node
-    fpath = FramePath(grid=grid, samples=phis, max_raw_defect=worst)
-    hpath = FramePath(grid=grid, samples=phis @ gauges, max_raw_defect=worst)
+    fpath = FramePath(grid=grid, samples=phis)
+    hpath = FramePath(grid=grid, samples=phis @ gauges)
     phi_end, psi_end = fpath.samples[-1], hpath.samples[-1]
     residual = frob(phi_end @ dag(phi_end) - sigma @ dag(sigma))
     return HolonomyResult(
@@ -512,17 +493,17 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     )
 
 
-def geometric_hamiltonian(path: ProjectorPath, rough_bound: float = 0.5,
+def geometric_hamiltonian(path: ProjectorPath,
                           tol: Tolerances = DEFAULT_TOLS) -> HamiltonianSchedule:
     """The off-diagonal schedule driving a sampled projector curve horizontally.
 
     H(t_k) = Q'(t_k) (2 Q(t_k) - 1) with Q' by central differences; between
     nodes the samples are interpolated linearly.  Raises PathTooRough when a
-    single step moves the projector further than ``rough_bound`` (derivative
+    single step moves the projector further than _ROUGH_BOUND (derivative
     estimates would be meaningless).
     """
     steps = np.linalg.norm(np.diff(path.samples, axis=0), axis=(1, 2))
-    if steps.size and float(steps.max()) > rough_bound:
+    if steps.size and float(steps.max()) > _ROUGH_BOUND:
         raise PathTooRough("consecutive projector samples are too far apart")
     derivs = sampled_derivative(path.samples, path.grid.h, 2)
     return sampled_schedule(path.grid, _geometric_generator(path.samples, derivs))

@@ -63,3 +63,7 @@ class DimensionTooSmall(GrassflowError):
 
 class PathTooRough(GrassflowError):
     """Sampled path violates the continuity bound; derivatives are unreliable."""
+
+
+class NonFinite(GrassflowError, ValueError):
+    """Array holds NaN or inf entries (an input, or a state that overflowed)."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapTooSmall, NotAntiHermitian, RankDeficient
+from .errors import GapTooSmall, NonFinite, NotAntiHermitian, RankDeficient
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def frob(a: np.ndarray) -> float:
 def require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFinite(f"{name} contains non-finite entries")
     return a
 
 
@@ -116,7 +116,7 @@ def polar_retract(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     e.flat[::len(e) + 1] -= 1.0
     if np.abs(e).max() <= _POLAR_NEWTON_DEFECT:
         return f - f @ (e / 2.0)
-    f = require_finite(f, "frame seed")
+    f = require_finite(f, "frame")
     u, s, vh = np.linalg.svd(f, full_matrices=False)
     if s[-1] <= tol.structural:
         raise RankDeficient(

@@ -155,6 +155,22 @@ class TestFlow:
         report, _ = load(out)
         assert report["config"]["schedule"] == {"kind": "constant", "norm": 2.0}
 
+    def test_overflowing_state_exits_3_without_a_traceback(self, tmp_path):
+        # a generator of norm 1e200 overflows the RK4 stages to inf and NaN
+        cfg = {"n": 3, "m": 1, "grid": {"steps": 10},
+               "schedule": {"kind": "constant", "norm": 1e200}}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-m", "grassflow.cli", "flow", "--config",
+                                 str(tmp_path / "config.json"), "--out", str(tmp_path / "run")],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "non-finite" in result.stderr
+        assert not (tmp_path / "run.csv").exists()
+
     @pytest.mark.parametrize("command, cfg", [
         ("flow", {"version": 1, "n": 3, "m": 1, "seed": 9,
                   "schedule": {"kind": "constant", "norm": 1.5}}),

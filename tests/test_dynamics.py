@@ -186,7 +186,7 @@ class TestHorizontalTransport:
         assert horizontality_defect(transported) <= 1e-6
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["schedule", "sampled"])
-    def test_max_raw_defect_is_the_worst_pre_retraction_frame(self, sampled, monkeypatch):
+    def test_each_step_stores_the_retraction_of_its_frame(self, sampled, monkeypatch):
         # every pre-retraction frame passes through polar_retract: record it there
         rng = np.random.default_rng(57)
         phi0 = random_frame(4, 2, rng)
@@ -198,15 +198,39 @@ class TestHorizontalTransport:
         retract = dynamics.polar_retract
 
         def recording_retract(f, tol):
-            raw.append(frame_defect(f))
+            raw.append(f.copy())
             return retract(f, tol)
 
         monkeypatch.setattr(dynamics, "polar_retract", recording_retract)
         transported = horizontal_transport(path, phi0)
         assert len(raw) == path.grid.steps
-        expected = max([frame_defect(phi0)] + raw)
-        assert expected > 0.0
-        assert transported.max_raw_defect == pytest.approx(expected, rel=1e-12, abs=1e-30)
+        assert max(frame_defect(f) for f in raw) > 0.0
+        np.testing.assert_array_equal(transported.samples[0], phi0)
+        np.testing.assert_allclose(transported.samples[1:], [retract(f) for f in raw],
+                                   rtol=0, atol=1e-15)
+
+    def test_scheduled_transport_stores_only_the_frames(self, monkeypatch):
+        # the frames are (steps+1, n, m); the co-integrated n x (n+m) state [P | psi]
+        # stacked over the run would be larger than the projector path itself
+        import tracemalloc
+
+        n, m = 32, 2
+        rng = np.random.default_rng(74)
+        sigma = random_frame(n, m, rng)
+        grid = TimeGrid(0.0, 1.0, 200)
+        p0 = Projector.from_frame(sigma)
+        samples = np.repeat(p0.matrix[np.newaxis], grid.steps + 1, axis=0)
+        path = ProjectorPath(grid=grid, samples=samples, rank=m,
+                             schedule=smooth_schedule(n, rng))
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 4 * 16 * n * n)
+        tracemalloc.start()
+        try:
+            transported = horizontal_transport(path, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert transported.samples.shape == (grid.steps + 1, n, m)
+        assert peak < path.samples.nbytes / 2
 
 
 class TestProjectorPathDefects:
@@ -344,6 +368,15 @@ class TestBerryMaps:
             RK4_ROUTES[route](HamiltonianSchedule(lambda t: a), random_frame(4, 2, 73),
                               TimeGrid(0.0, 1.0, 10))
         assert stages == []
+
+    def test_rk4_nodes_check_the_first_table_before_the_start_node(self):
+        # a caller that reads only the start node still meets a bad table
+        a = random_antihermitian(4, 75)
+        schedule = HamiltonianSchedule(lambda t: np.broadcast_to(1j * a, t.shape + a.shape))
+        nodes = dynamics._rk4_nodes(schedule, np.matmul, random_frame(4, 2, 76),
+                                    TimeGrid(0.0, 1.0, 10), lambda y: y, dynamics.DEFAULT_TOLS)
+        with pytest.raises(NotAntiHermitian, match="generator"):
+            next(nodes)
 
     @pytest.mark.parametrize("route", RK4_ROUTES)
     def test_chunked_tables_read_each_stage_time_once(self, route, monkeypatch):
@@ -486,14 +519,31 @@ class TestScheduleTable:
     @pytest.mark.parametrize("qfun", [_latitude_qfun, _random_loop_qfun],
                              ids=["latitude", "random_loop"])
     def test_geometric_table_matches_the_evaluator(self, qfun):
-        fd_step = 1e-6
-        schedule = geometric_schedule(qfun, fd_step)
+        fd_step = dynamics._FD_STEP
+        schedule = geometric_schedule(qfun)
         table = schedule.table(self.TIMES)
         for t, h_mat in zip(self.TIMES, table):
             assert frob(h_mat - schedule(t)) <= 1e-14
             # the definition, from three per-time curve evaluations
             v = (qfun(t + fd_step) - qfun(t - fd_step)) / (2.0 * fd_step)
             assert frob(h_mat - dynamics._geometric_generator(qfun(t), v)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_sampled_schedule_observed_order(self, seed):
+        # linear interpolation between the nodes caps the 4th-order loop at order 2
+        rng = np.random.default_rng(seed)
+        a, b = random_antihermitian(4, rng), random_antihermitian(4, rng)
+        smooth = trig_schedule(3.0 * a / np.linalg.norm(a), 3.0 * b / np.linalg.norm(b))
+        sigma = random_frame(4, 2, rng)
+        p0 = Projector.from_frame(sigma)
+        reference = berry_maps(smooth, p0, sigma, TimeGrid(0.0, 1.0, 4000))
+        errors = []
+        for steps in (25, 50, 100, 200):
+            grid = TimeGrid(0.0, 1.0, steps)
+            res = berry_maps(sampled_schedule(grid, smooth.table(grid.times)), p0, sigma, grid)
+            errors.append(frob(res.dynamical - reference.dynamical))
+        orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert all(1.8 <= order <= 2.2 for order in orders), orders
 
     def test_bloch_matrices_are_the_bloch_projectors_bitwise(self):
         stack = dynamics.bloch_matrices(1.1, self.TIMES)
