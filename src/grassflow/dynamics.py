@@ -11,7 +11,8 @@ loop holonomy with a discrete projector-product oracle, and first-order
 holonomy synthesis from curvature generators.
 
 Every RK4 route reads its 2 * steps + 1 stage generators once each from checked
-schedule tables (``_stage_generators``); the reference routes step by ``_rk4_nodes``.
+schedule tables (``_stage_generators``) and takes each step by ``_rk4_step``; the
+reference routes step by ``_rk4_nodes``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bundle import curvature_generators, frame_defect, require_over
 from .grassmann import (BasePoint, Projector, chart_projectors, hamiltonian_value,
                         projector_defect, sampled_derivative)
 from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob,
-                     isometrize, nearest_projector, polar_retract,
+                     isometrize, nearest_projector, polar_retract, prefix_products,
                      require_antihermitian, require_finite)
 
 # Proportionality constant between the log-holonomy of a unit parallelogram
@@ -243,12 +244,17 @@ def closure_tolerance(rank: int, tol: Tolerances = DEFAULT_TOLS) -> float:
     return tol.comparison * (1.0 + rank)
 
 
-def _rk4_step(f, y, h, h_start, h_mid, h_end):
-    """One RK4 step of y' = f(H, y) from the generators at t, t + h/2 and t + h."""
+def _rk4_step(f, y, h, h_start, h_mid, h_end, slopes=None):
+    """One RK4 step of y' = f(H, y) from the generators at t, t + h/2 and t + h.
+
+    ``slopes``, if given, receives the stage slopes k1, ..., k4.
+    """
     k1 = f(h_start, y)
     k2 = f(h_mid, y + (h / 2.0) * k1)
     k3 = f(h_mid, y + (h / 2.0) * k2)
     k4 = f(h_end, y + h * k3)
+    if slopes is not None:
+        slopes[0], slopes[1], slopes[2], slopes[3] = k1, k2, k3, k4
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -268,10 +274,13 @@ def _rk4_nodes(schedule, rhs, y, grid: TimeGrid, retract, tol: Tolerances):
 
 
 def _retract_projector(p, rank: int, tol: Tolerances):
-    """p, or the nearest rank-``rank`` projector when its projector defect exceeds ``tol.ode``."""
-    if projector_defect(p, rank) > tol.ode:
-        return nearest_projector((p + dag(p)) / 2.0, rank, tol)
-    return p
+    """p, or the nearest rank-``rank`` projector unless its defect is within ``tol.ode``.
+
+    A NaN defect is not, so a non-finite p raises NonFinite.
+    """
+    if projector_defect(p, rank) <= tol.ode:
+        return p
+    return nearest_projector((p + dag(p)) / 2.0, rank, tol)
 
 
 def integrate_frame(schedule: HamiltonianSchedule, phi0: np.ndarray,
@@ -279,7 +288,7 @@ def integrate_frame(schedule: HamiltonianSchedule, phi0: np.ndarray,
     """Integrate phi' = H(t) phi with per-step re-isometrization on demand."""
     phi0 = require_finite(phi0, "initial frame")
     nodes = _rk4_nodes(schedule, np.matmul, phi0, grid,
-                       lambda y: isometrize(y, tol) if frame_defect(y) > tol.ode else y, tol)
+                       lambda y: y if frame_defect(y) <= tol.ode else isometrize(y, tol), tol)
     return FramePath(grid, np.fromiter(nodes, np.dtype((complex, phi0.shape)), grid.steps + 1))
 
 
@@ -391,8 +400,9 @@ class HolonomyResult:
 
 
 # Bytes of one generator table read by an RK4 route (a geometric table holds
-# several stacks this size at once), and four sampled-transport step-map blocks:
-# a large-n run's peak memory stays fixed however many steps it takes.
+# several stacks this size at once), four sampled-transport step-map blocks, and
+# sixteen blocks of berry_maps stage slopes: a large-n run's peak memory stays
+# fixed however many steps it takes.
 _TABLE_BYTES = 1 << 22
 
 
@@ -414,6 +424,29 @@ def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int,
         yield from hs
 
 
+def _gauge_step_maps(phis: np.ndarray, slopes: np.ndarray, h: float):
+    """Node generators phi_k* H(t_k) phi_k and RK4 gauge maps L_k of a block of steps.
+
+    ``phis`` (N, n, m) are the frames at the start of each step and ``slopes``
+    (N, 4, n, m) its stage slopes a_i = H s_i at the stage frames s_1 = phi_k,
+    s_2 = phi_k + (h/2) a_1, s_3 = phi_k + (h/2) a_2 and s_4 = phi_k + h a_3.
+    With c_i = s_i* a_i, RK4 on g' = -(phi* H phi) g gives g_{k+1} = L_k g_k
+    for L_k = I + (h/6)(B_1 + 2 B_2 + 2 B_3 + B_4), B_1 = -c_1,
+    B_2 = -c_2 (I + (h/2) B_1), B_3 = -c_3 (I + (h/2) B_2), B_4 = -c_4 (I + h B_3).
+    """
+    a1, a2, a3, a4 = slopes.swapaxes(0, 1)
+    c1 = dag(phis) @ a1
+    c2 = dag(phis + (h / 2.0) * a1) @ a2
+    c3 = dag(phis + (h / 2.0) * a2) @ a3
+    c4 = dag(phis + h * a3) @ a4
+    eye = np.eye(c1.shape[-1])
+    b1 = -c1
+    b2 = -c2 @ (eye + (h / 2.0) * b1)
+    b3 = -c3 @ (eye + (h / 2.0) * b2)
+    b4 = -c4 @ (eye + h * b3)
+    return c1, eye + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+
+
 def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
                grid: TimeGrid, tol: Tolerances = DEFAULT_TOLS) -> HolonomyResult:
     """Dynamical and geometric fiber maps of a Hamiltonian run, by one RK4 loop.
@@ -424,55 +457,59 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     transport of sigma along P = phi phi*.  This is the Aharonov-Anandan
     split of the evolution into a dynamical and a geometric part (PRL 58,
     1593 (1987); non-abelian form: Anandan, Phys. Lett. A 133, 171 (1988)).
-    One classical RK4 loop integrates phi and g as separate arrays.
     The generators at the 2 * steps + 1 stage times come from
     ``_stage_generators`` (one table for the whole run at small n), checked
-    before a step uses them, so each step costs O(n^2 m).  After each step
-    phi is re-isometrized when its frame defect, read from its m x m Gram
-    matrix, exceeds ``tol.ode``, and g is polar-retracted onto U(m) (one
-    Newton-Schulz step, see ``polar_retract``).
+    before a step uses them.  The RK4 loop integrates phi alone, O(n^2 m) per
+    step, and re-isometrizes it when its frame defect, read from its m x m
+    Gram matrix, is not within ``tol.ode``.  It keeps the four stage slopes
+    in blocks of at most _TABLE_BYTES // 16 bytes; at each block end
+    ``_gauge_step_maps`` turns them into the m x m RK4 maps L_k of the gauge
+    equation (g_{k+1} = L_k g_k, since its right-hand side is linear in g).
+    After the loop the maps are polar-retracted onto U(m) in one stack
+    (``polar_retract``), chained by ``prefix_products`` and retracted once
+    more to remove the roundoff of the products.  As the Newton-Schulz step
+    N satisfies N(L g) = N(L) g for unitary g, this is the retraction of g
+    after every step, computed on stacks.
 
     Returns ``dynamical = sigma* phi(T)``, ``geometric = sigma* psi(T)`` and
     ``fiber_gap = psi(T)* phi(T) = g(T)*``.  When the projector path closes
     (|| phi(T) phi(T)* - sigma sigma* || within ``closure_tolerance``) the
     first two are the U(m) holonomies of the loop; the fiber gap is always a
     gauge element and measures the accumulated vertical drift.  The node
-    energies -i tr(phi_k* H(t_k) phi_k) come from the first RK4 stage, traced
-    in one stack after the loop, and each is checked to be real.  The per-node
-    audits (projector defect of phi phi*, the worse isometry defect of phi and
-    psi, horizontality defect of psi) are computed here, once.
+    energies -i tr(phi_k* H(t_k) phi_k) come from the first RK4 stage and
+    each is checked to be real.  The per-node audits (projector defect of
+    phi phi*, the worse isometry defect of phi and psi, horizontality defect
+    of psi) are computed here, once.
     """
     sigma = require_over(sigma, p0.matrix, tol, "P0")
     n, m = sigma.shape
-    h = grid.h
+    h, steps = grid.h, grid.steps
     eye = np.eye(m)
-    phis = np.empty((grid.steps + 1, n, m), dtype=complex)
-    gauges = np.empty((grid.steps + 1, m, m), dtype=complex)
-    gens = np.empty_like(gauges)  # phi_k* H(t_k) phi_k
-    phi, g = sigma, eye.astype(complex)
+    phis = np.empty((steps + 1, n, m), dtype=complex)
+    gens = np.empty((steps + 1, m, m), dtype=complex)  # phi_k* H(t_k) phi_k
+    maps = np.empty((steps, m, m), dtype=complex)
+    block = max(1, (_TABLE_BYTES // 16) // (4 * 16 * n * m))  # steps of slopes per block
+    slopes = np.empty((min(block, steps), 4, n, m), dtype=complex)
+    phi = sigma
     stages = _stage_generators(schedule, grid, n, tol)
     h_node = next(stages)
-
-    def lifted(h_mat, phi, g):  # (H phi, -(phi* H phi) g)
-        h_phi = h_mat @ phi
-        return h_phi, -(dag(phi) @ h_phi) @ g
-
-    for k in range(grid.steps + 1):
-        phis[k], gauges[k] = phi, g
-        h_phi = h_node @ phi
-        gens[k] = gen = dag(phi) @ h_phi
-        if k == grid.steps:
-            break
-        h_mid, h_node = next(stages), next(stages)
-        a1, b1 = h_phi, -gen @ g
-        a2, b2 = lifted(h_mid, phi + (h / 2.0) * a1, g + (h / 2.0) * b1)
-        a3, b3 = lifted(h_mid, phi + (h / 2.0) * a2, g + (h / 2.0) * b2)
-        a4, b4 = lifted(h_node, phi + h * a3, g + h * b3)
-        phi = phi + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        e = dag(phi) @ phi - eye
-        if np.vdot(e, e).real ** 0.5 > tol.ode:
-            phi = isometrize(phi, tol)
-        g = polar_retract(g + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4), tol)
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
+        for k in range(start, stop):
+            phis[k] = phi
+            h_mid, h_next = next(stages), next(stages)
+            phi = _rk4_step(np.matmul, phi, h, h_node, h_mid, h_next, slopes[k - start])
+            e = dag(phi) @ phi - eye
+            if not np.vdot(e, e).real ** 0.5 <= tol.ode:  # NaN: isometrize raises
+                phi = isometrize(phi, tol)
+            h_node = h_next
+        gens[start:stop], maps[start:stop] = _gauge_step_maps(
+            phis[start:stop], slopes[:stop - start], h)
+    phis[steps] = phi
+    gens[steps] = dag(phi) @ (h_node @ phi)
+    gauges = np.empty((steps + 1, m, m), dtype=complex)
+    gauges[0] = eye
+    gauges[1:] = polar_retract(prefix_products(polar_retract(maps, tol)), tol)
 
     fpath = FramePath(grid=grid, samples=phis)
     hpath = FramePath(grid=grid, samples=phis @ gauges)
@@ -554,16 +591,15 @@ def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndar
     """``pancharatnam_oracle(P, phi_0)`` for P_k = phi_k phi_k* (closure is the caller's check).
 
     P_N ... P_1 phi_0 = phi_N (phi_N* phi_{N-1}) ... (phi_1* phi_0) needs only m x m overlaps
-    (one stacked matmul); one of collapsed rank raises DegenerateStep, as its projection does.
+    (one stacked matmul), chained by ``prefix_products``; one of collapsed rank raises
+    DegenerateStep, as its projection does.
     """
     overlaps = dag(frames[1:]) @ frames[:-1]
     svals = np.linalg.svd(overlaps, compute_uv=False)
     if np.any(svals[:, -1] <= tol.structural * np.maximum(svals[:, 0], 1.0)):
         raise DegenerateStep("projection collapsed the frame rank")
-    product = dag(frames[0]) @ frames[-1]
-    for overlap in (overlaps / svals[:, :1, np.newaxis])[::-1]:
-        product = product @ overlap
-    return isometrize(product, tol)
+    chain = prefix_products(overlaps / svals[:, :1, np.newaxis])[-1]
+    return isometrize(dag(frames[0]) @ frames[-1] @ chain, tol)
 
 
 def synthesize_holonomy_step(w: np.ndarray, scale: float, base: BasePoint,

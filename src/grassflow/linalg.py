@@ -2,10 +2,11 @@
 
 Matrices are plain complex ``numpy`` arrays throughout the package.  This
 module provides the few operations everything else is built on: adjoints and
-commutators, the oriented QR factorization (``isometrize``), the matrix
-exponential of a matrix or a stack (spectral for anti-Hermitian input; scipy is
-imported only for any other input), the spectral retraction onto rank-m
-projectors, and seeded random generators.
+commutators, the oriented QR factorization (``isometrize``), the polar
+retraction of a frame or a stack of frames, running products of a stack, the
+matrix exponential of a matrix or a stack (spectral for anti-Hermitian input;
+scipy is imported only for any other input), the spectral retraction onto
+rank-m projectors, and seeded random generators.
 """
 
 from __future__ import annotations
@@ -104,24 +105,42 @@ _POLAR_NEWTON_DEFECT = 1e-8
 def polar_retract(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Closest frame to f in Frobenius norm: the unitary polar factor U V*.
 
+    ``f`` is a matrix or a stack (..., n, m), retracted matrix by matrix.
     Unlike the oriented QR, this retraction commutes with the right U(m)
     action exactly, which keeps repeated-retraction schemes gauge equivariant.
-    If no entry of E = f* f - I exceeds _POLAR_NEWTON_DEFECT, it is one
-    Newton-Schulz step f (3I - f* f)/2 = f (I - E/2), which leaves a defect of
-    about (3/4) ||E||^2, below roundoff (Higham, Functions of Matrices, SIAM
-    2008, sec. 8.3); any other f (NaN and inf fail the test) takes the SVD.
+    If no entry of E = f* f - I exceeds _POLAR_NEWTON_DEFECT anywhere in the
+    stack, it is one Newton-Schulz step f (3I - f* f)/2 = f (I - E/2), which
+    leaves a defect of about (3/4) ||E||^2, below roundoff (Higham, Functions
+    of Matrices, SIAM 2008, sec. 8.3); any other f (NaN and inf fail the test)
+    takes the SVD of the whole stack.
     """
     f = np.asarray(f)
-    e = f.conj().T @ f
-    e.flat[::len(e) + 1] -= 1.0
+    m = f.shape[-1]
+    e = dag(f) @ f
+    e.reshape(e.shape[:-2] + (m * m,))[..., ::m + 1] -= 1.0  # the diagonals, as a view
     if np.abs(e).max() <= _POLAR_NEWTON_DEFECT:
         return f - f @ (e / 2.0)
     f = require_finite(f, "frame")
     u, s, vh = np.linalg.svd(f, full_matrices=False)
-    if s[-1] <= tol.structural:
-        raise RankDeficient(
-            f"smallest singular value {s[-1]:.3e} <= structural tolerance")
+    smallest = s[..., -1].min()
+    if smallest <= tol.structural:
+        raise RankDeficient(f"smallest singular value {smallest:.3e} <= structural tolerance")
     return u @ vh
+
+
+def prefix_products(a: np.ndarray) -> np.ndarray:
+    """The running products a_k ... a_1 a_0 of a stack (N, m, m), later factors on the left.
+
+    A Hillis-Steele scan: after the pass with shift s, entry k holds the
+    product of the up to 2s factors ending at a_k, so ceil(log2 N) stacked
+    matmuls give every prefix.
+    """
+    out = np.array(a, dtype=complex)
+    shift = 1
+    while shift < len(out):
+        out[shift:] = out[shift:] @ out[:-shift]
+        shift *= 2
+    return out
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassflow import BaseMismatch, DegenerateStep, NotAntiHermitian, NotClosed, PathTooRough
+from grassflow import (BaseMismatch, DegenerateStep, NonFinite, NotAntiHermitian, NotClosed,
+                       PathTooRough)
 from grassflow import dynamics
 from grassflow.bundle import frame_defect
 from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedule,
@@ -16,10 +17,10 @@ from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedul
                                 sampled_schedule, synthesize_holonomy_step,
                                 tracking_defect, horizontality_defect,
                                 ProjectorPath)
-from grassflow.grassmann import (BasePoint, Projector, linear_hamiltonian, projector_defect,
-                                 sampled_derivative)
-from grassflow.linalg import (dag, frob, mat_exp, random_antihermitian,
-                              random_frame, random_unitary)
+from grassflow.grassmann import (BasePoint, Projector, hamiltonian_value, linear_hamiltonian,
+                                 projector_defect, sampled_derivative)
+from grassflow.linalg import (dag, frob, isometrize, mat_exp, polar_retract,
+                              random_antihermitian, random_frame, random_unitary)
 
 
 def trig_schedule(a, b, freq=1.0):
@@ -350,9 +351,9 @@ class TestBerryMaps:
             hs = inner.table(times)
             return np.where(midpoint[:, np.newaxis, np.newaxis], bad(hs), hs)
 
+        # every route, berry_maps included, takes each step through _rk4_step
         stages = []
-        for stage in ("_rk4_step", "polar_retract"):
-            monkeypatch.setattr(dynamics, stage, lambda *args: stages.append(args) or 1 / 0)
+        monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: stages.append(args) or 1 / 0)
         with pytest.raises(error, match=match):
             RK4_ROUTES[route](HamiltonianSchedule(table), random_frame(4, 2, rng), grid)
         assert stages == []
@@ -362,8 +363,7 @@ class TestBerryMaps:
         # a table that ignores its time axis would hand out matrix rows as generators
         a = random_antihermitian(4, 72)
         stages = []
-        for stage in ("_rk4_step", "polar_retract"):
-            monkeypatch.setattr(dynamics, stage, lambda *args: stages.append(args) or 1 / 0)
+        monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: stages.append(args) or 1 / 0)
         with pytest.raises(ValueError, match="schedule table"):
             RK4_ROUTES[route](HamiltonianSchedule(lambda t: a), random_frame(4, 2, 73),
                               TimeGrid(0.0, 1.0, 10))
@@ -457,6 +457,116 @@ class TestBerryMaps:
             t = grid.t0 + k * grid.h
             expected = linear_hamiltonian(sched(t), Projector.from_frame(phi))
             assert abs(res.energies[k] - expected) <= 1e-12
+
+
+def _reference_berry_loop(schedule, sigma, grid, tol=dynamics.DEFAULT_TOLS):
+    """The per-step loop over [phi; g] that berry_maps replaced: g retracted after every step.
+
+    Returns the frames, the gauge factors and the node generators phi_k* H(t_k) phi_k.
+    """
+    n, m = sigma.shape
+    h = grid.h
+    eye = np.eye(m)
+    phis, gauges, gens = [], [], []
+    phi, g = sigma, eye.astype(complex)
+    hs = schedule.table(grid.t0 + (h / 2.0) * np.arange(2 * grid.steps + 1))
+
+    def lifted(h_mat, phi, g):
+        h_phi = h_mat @ phi
+        return h_phi, -(dag(phi) @ h_phi) @ g
+
+    for k in range(grid.steps + 1):
+        phis.append(phi)
+        gauges.append(g)
+        h_phi = hs[2 * k] @ phi
+        gens.append(dag(phi) @ h_phi)
+        if k == grid.steps:
+            break
+        h_mid, h_node = hs[2 * k + 1], hs[2 * k + 2]
+        a1, b1 = h_phi, -gens[-1] @ g
+        a2, b2 = lifted(h_mid, phi + (h / 2.0) * a1, g + (h / 2.0) * b1)
+        a3, b3 = lifted(h_mid, phi + (h / 2.0) * a2, g + (h / 2.0) * b2)
+        a4, b4 = lifted(h_node, phi + h * a3, g + h * b3)
+        phi = phi + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        e = dag(phi) @ phi - eye
+        if np.vdot(e, e).real ** 0.5 > tol.ode:
+            phi = isometrize(phi, tol)
+        g = polar_retract(g + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4), tol)
+    return np.array(phis), np.array(gauges), np.array(gens)
+
+
+class TestGaugeRoute:
+    """berry_maps' stacked gauge factor against the per-step loop it replaced."""
+
+    @staticmethod
+    def problem(n, steps, seed):
+        # H = cos 2t A + sin t B with ||A|| = ||B|| = 3 moves phi off the horizontal
+        rng = np.random.default_rng(seed)
+        a, b = random_antihermitian(n, rng), random_antihermitian(n, rng)
+        schedule = trig_schedule(3.0 * a / np.linalg.norm(a), 3.0 * b / np.linalg.norm(b), 2.0)
+        sigma = random_frame(n, 2, rng)
+        grid = TimeGrid(0.0, 1.0, steps)
+        return schedule, sigma, grid
+
+    @pytest.mark.parametrize("n, steps, seed", [(4, 300, 200), (5, 200, 201), (5, 12, 202)],
+                             ids=["n4", "n5", "n5-coarse"])
+    def test_matches_the_per_step_loop(self, n, steps, seed, monkeypatch):
+        schedule, sigma, grid = self.problem(n, steps, seed)
+        phis, gauges, gens = _reference_berry_loop(schedule, sigma, grid)
+        isometrized = []
+        monkeypatch.setattr(dynamics, "isometrize",
+                            lambda f, tol: isometrized.append(f) or isometrize(f, tol))
+        res = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
+        assert bool(isometrized) == (steps == 12)  # the coarse grid leaves the frames
+        np.testing.assert_array_equal(res.frame_path.samples, phis)
+        np.testing.assert_array_equal(res.energies, hamiltonian_value(gens))
+        np.testing.assert_allclose(res.horizontal_path.samples, phis @ gauges,
+                                   rtol=0, atol=1e-13)
+        psi_end = phis[-1] @ gauges[-1]
+        np.testing.assert_allclose(res.fiber_gap, dag(psi_end) @ phis[-1], rtol=0, atol=1e-13)
+        assert frob(gauges[-1] - np.eye(2)) > 0.1  # a gauge factor far from I
+
+    def test_blocks_of_three_steps_match_one_block(self, monkeypatch):
+        schedule, sigma, grid = self.problem(4, 50, 203)
+        p0 = Projector.from_frame(sigma)
+        whole = berry_maps(schedule, p0, sigma, grid)
+        # a block holds the 4 slopes (4 x 2 complex) of 3 steps: _TABLE_BYTES // 16 bytes
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 16 * 3 * 4 * 16 * 4 * 2)
+        maps = []
+        step_maps = dynamics._gauge_step_maps
+        monkeypatch.setattr(dynamics, "_gauge_step_maps",
+                            lambda phis, *args: maps.append(len(phis)) or step_maps(phis, *args))
+        blocks = berry_maps(schedule, p0, sigma, grid)
+        assert maps == [3] * 16 + [2]
+        for name in ("frame_path", "horizontal_path"):
+            np.testing.assert_array_equal(getattr(blocks, name).samples,
+                                          getattr(whole, name).samples)
+        np.testing.assert_array_equal(blocks.energies, whole.energies)
+
+    @pytest.mark.parametrize("steps", [2, 7, 400])
+    def test_two_stacked_retractions_per_run(self, steps, monkeypatch):
+        schedule, sigma, grid = self.problem(4, steps, 204)
+        calls = []
+        monkeypatch.setattr(dynamics, "polar_retract",
+                            lambda f, tol: calls.append(f.shape) or polar_retract(f, tol))
+        berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
+        assert calls == [(steps, 2, 2)] * 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+@pytest.mark.parametrize("route", ["berry_maps", "integrate_frame", "integrate_projector"])
+def test_overflowing_state_raises_non_finite(route, monkeypatch):
+    # the RK4 stages of a generator of norm 1e200 overflow to inf and NaN in the
+    # first step; a NaN defect is not within tol.ode, so the retraction after
+    # that step meets the non-finite state and raises
+    h_mat = random_antihermitian(3, 205)
+    schedule = constant_schedule(1e200 * h_mat / np.linalg.norm(h_mat))
+    steps, rk4_step = [], dynamics._rk4_step
+    monkeypatch.setattr(dynamics, "_rk4_step",
+                        lambda *args: steps.append(1) or rk4_step(*args))
+    with pytest.raises(NonFinite, match="non-finite"):
+        RK4_ROUTES[route](schedule, random_frame(3, 1, 206), TimeGrid(0.0, 1.0, 10))
+    assert len(steps) == 1
 
 
 def _latitude_qfun(t):
@@ -728,9 +838,9 @@ class TestSampledTransport:
         np.testing.assert_array_equal(horizontal_transport(path, base.frame).samples, whole)
 
     def test_loops_retract_without_the_svd(self, monkeypatch):
-        # every polar_retract of berry_maps and of the sampled transport takes
-        # the Newton-Schulz step on these runs: the SVD route (the only
-        # full_matrices=False caller) never runs
+        # every polar_retract of berry_maps (two stacks per run) and of the sampled
+        # transport (one frame per step) takes the Newton-Schulz step on these
+        # runs: the SVD route (the only full_matrices=False caller) never runs
         polar_svds = []
         svd = np.linalg.svd
 
@@ -750,7 +860,8 @@ class TestSampledTransport:
         berry_maps(geometric_schedule(_random_loop_qfun), p0, BasePoint.from_projector(p0).frame, TimeGrid(0.0, 1.0, 800))
         path, base, _ = _synthesized_loop(78, 6, 2, 0.1, 1000)
         horizontal_transport(path, base.frame)
-        assert len(calls) == 4000 + 800 + path.grid.steps
+        assert calls[:4] == [(4000, 1, 1)] * 2 + [(800, 2, 2)] * 2
+        assert calls[4:] == [(6, 2)] * path.grid.steps
         assert polar_svds == []
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -5,7 +5,7 @@ import scipy.linalg
 from grassflow import NotAntiHermitian, RankDeficient, GapTooSmall
 from grassflow import linalg
 from grassflow.linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
-                              mat_exp, nearest_projector, polar_retract,
+                              mat_exp, nearest_projector, polar_retract, prefix_products,
                               random_antihermitian, random_complex, random_frame,
                               random_unitary, require_antihermitian)
 
@@ -142,6 +142,52 @@ class TestPolarRetract:
         got = polar_retract(f)
         assert calls == [(5, 2)]
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("defect", [1e-12, 0.99 * linalg._POLAR_NEWTON_DEFECT, 1e-3])
+    def test_stack_is_each_matrix_on_its_own(self, defect, monkeypatch):
+        # all members on one route (Newton below the bound, SVD above it)
+        rng = np.random.default_rng(186)
+        stack = np.array([frame_with_gram_defect(6, 2, defect, rng) for _ in range(7)])
+        alone = np.array([polar_retract(f) for f in stack])
+        calls = counting_svd(monkeypatch)
+        np.testing.assert_array_equal(polar_retract(stack.reshape(7, 1, 6, 2)),
+                                      alone.reshape(7, 1, 6, 2))
+        assert calls == ([] if defect < self.NEWTON else [(7, 1, 6, 2)])
+
+    def test_one_member_above_the_bound_sends_the_stack_to_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(187)
+        stack = np.array([frame_with_gram_defect(5, 2, 1e-12, rng) for _ in range(5)])
+        stack[3] = frame_with_gram_defect(5, 2, 2.0 * self.NEWTON, rng)
+        expected = np.array([svd_polar(f) for f in stack])
+        calls = counting_svd(monkeypatch)
+        got = polar_retract(stack)
+        assert calls == [(5, 5, 2)]
+        np.testing.assert_array_equal(got, expected)
+
+    def test_rank_deficient_member_raises(self):
+        stack = np.array([random_frame(4, 2, seed) for seed in range(188, 192)])
+        stack[2, :, 1] = 2.0 * stack[2, :, 0]
+        with pytest.raises(RankDeficient):
+            polar_retract(stack)
+
+
+class TestPrefixProducts:
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 1000])
+    def test_sequential_products(self, count):
+        rng = np.random.default_rng(193)
+        factors = np.array([random_unitary(3, rng) for _ in range(count)])
+        expected, product = [], np.eye(3)
+        for a in factors:
+            product = a @ product
+            expected.append(product)
+        got = prefix_products(factors)
+        assert got.shape == factors.shape
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got[:2], expected[:2])  # one factor, one product
+
+    def test_order_of_non_commuting_factors(self):
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(prefix_products(np.array([a, a.T]))[1], a.T @ a)
 
 
 class TestMatExp:
