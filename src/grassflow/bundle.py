@@ -18,9 +18,10 @@ from .linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
                      require_antihermitian, require_finite)
 
 
-def frame_defect(phi: np.ndarray) -> float:
-    """Deviation of phi* phi from the identity."""
-    return frob(dag(phi) @ phi - np.eye(phi.shape[1]))
+def frame_defect(phi: np.ndarray):
+    """|| phi* phi - I ||: a float for one frame, an array for a stack (..., n, m)."""
+    defect = np.linalg.norm(dag(phi) @ phi - np.eye(phi.shape[-1]), axis=(-2, -1))
+    return defect if defect.ndim else float(defect)
 
 
 def require_frame(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 Integrates the frame equation phi' = H(t) phi and the projector equation
 P' = [H(t), P] with a classical 4th-order one-step method plus per-step
-retraction back onto the constraint set (oriented QR for frames, spectral
-projection for projectors).  On top of the flows: horizontal transport,
-the dynamical vs. geometric Berry maps (one frame-first loop that splits the
-Schroedinger frame into a horizontal frame and a gauge factor), purely
-off-diagonal ("geometric") schedules driving a prescribed projector curve,
-loop holonomy with a discrete projector-product oracle, and first-order
-holonomy synthesis from curvature generators.
+retraction back onto the constraint set: oriented QR for integrated frames,
+spectral projection for projectors, and the polar factor (which commutes with
+the right U(m) action) for transported frames and the Berry gauge factor.  On
+top of the flows: horizontal transport, the dynamical vs. geometric Berry maps
+(one frame-first loop that splits the Schroedinger frame into a horizontal
+frame and a gauge factor), purely off-diagonal ("geometric") schedules driving
+a prescribed projector curve, loop holonomy with a discrete projector-product
+oracle, and first-order holonomy synthesis from curvature generators.
 
 Every RK4 route reads its 2 * steps + 1 stage generators once each from checked
 schedule tables (``_stage_generators``) and takes each step by ``_rk4_step``; the
@@ -175,7 +176,10 @@ def geometric_schedule(qfun: Callable[[np.ndarray], np.ndarray]) -> HamiltonianS
 
 @dataclass(frozen=True)
 class ProjectorPath:
-    """Sampled solution of P' = [H, P] (or any sampled projector curve)."""
+    """Sampled solution of P' = [H, P] (or any sampled projector curve).
+
+    A ``schedule`` must be the flow that produced the samples: transport reads only samples[0].
+    """
 
     grid: TimeGrid
     samples: np.ndarray          # (steps+1, n, n)
@@ -187,15 +191,8 @@ class ProjectorPath:
         return self.samples.shape[1]
 
     def projector_defects(self) -> np.ndarray:
-        """Per-node projector_defect of the stored samples, over the whole stack."""
-        p = self.samples
-        dev = p @ p
-        dev -= p
-        idem = np.linalg.norm(dev, axis=(1, 2))
-        np.subtract(p, dag(p), out=dev)
-        herm = np.linalg.norm(dev, axis=(1, 2))
-        trace = np.abs(np.trace(p, axis1=1, axis2=2) - self.rank)
-        return np.maximum(np.maximum(idem, herm), trace)
+        """Per-node projector_defect of the stored samples."""
+        return projector_defect(self.samples, self.rank)
 
     def node_defect(self) -> float:
         """Worst projector-invariant violation over the stored nodes."""
@@ -212,14 +209,9 @@ class FramePath:
     grid: TimeGrid
     samples: np.ndarray          # (steps+1, n, m)
 
-    def grams(self) -> np.ndarray:
-        """The m x m Gram matrices phi_k* phi_k, one per node."""
-        return dag(self.samples) @ self.samples
-
     def frame_defects(self) -> np.ndarray:
         """Per-node frame_defect: || phi_k* phi_k - I ||."""
-        grams = self.grams()
-        return np.linalg.norm(grams - np.eye(grams.shape[-1]), axis=(1, 2))
+        return frame_defect(self.samples)
 
     def projector_defects(self) -> np.ndarray:
         """Per-node projector_defect of phi_k phi_k*, from the Gram matrices alone.
@@ -228,7 +220,7 @@ class FramePath:
         (phi phi*)^2 - phi phi* = phi (G - I) phi*, whose squared norm is
         tr((G - I) G (G - I) G); tr(phi phi*) = tr G.  No n x n matrix is formed.
         """
-        grams = self.grams()
+        grams = dag(self.samples) @ self.samples
         m = grams.shape[-1]
         dev = grams - np.eye(m)
         idem = np.trace(dev @ grams @ dev @ grams, axis1=1, axis2=2).real
@@ -308,14 +300,16 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
 
     When the path carries its schedule, psi is co-integrated with
     P' = [H(t), P(t)] by RK4 on the n x (n+m) state [P | psi] (4th order), P
-    retracted as by ``integrate_projector`` and only psi stored; for a bare
-    sampled path the node derivatives D_k come from central differences and
-    the 2nd-order trapezoidal step is psi + A_k psi, A_k = (h/2)(D_k + D_{k+1})
-    + (h^2/2) D_{k+1} D_k, with the maps built as stacked products in blocks of
-    _TABLE_BYTES / 4.  The transported frame is polar-retracted after every
-    step: the correction stays at the per-step drift level (so finite-difference
-    horizontality measurements see no threshold jumps) and the polar factor
-    commutes with the right U(m) action, keeping transport gauge equivariant.
+    retracted as by ``integrate_projector`` and only psi stored; only
+    ``samples[0]`` is read, so the schedule must be the flow that produced the
+    samples.  For a bare sampled path the node derivatives D_k come from central
+    differences and the 2nd-order trapezoidal step is psi + A_k psi,
+    A_k = (h/2)(D_k + D_{k+1}) + (h^2/2) D_{k+1} D_k, with the maps built as
+    stacked products in blocks of _TABLE_BYTES / 4.  The transported frame is
+    polar-retracted after every step: the correction stays at the per-step drift
+    level (so finite-difference horizontality measurements see no threshold
+    jumps) and the polar factor commutes with the right U(m) action, keeping
+    transport gauge equivariant.
     """
     sigma = require_over(sigma, path.samples[0], tol, "the path start")
     grid = path.grid
@@ -366,8 +360,8 @@ def horizontality_defect(frames: FramePath) -> float:
 
 def tracking_defect(path: ProjectorPath, frames: FramePath) -> float:
     """max_k || psi_k psi_k* - P_k || over shared grid nodes."""
-    return max(frob(phi @ dag(phi) - p)
-               for phi, p in zip(frames.samples, path.samples))
+    psi = frames.samples
+    return float(np.linalg.norm(psi @ dag(psi) - path.samples, axis=(1, 2)).max())
 
 
 @dataclass(frozen=True)
@@ -581,24 +575,30 @@ def pancharatnam_oracle(samples: np.ndarray, sigma: np.ndarray,
     for p in samples[1:]:
         v = p @ v
         svals = np.linalg.svd(v, compute_uv=False)
-        if svals[-1] <= tol.structural * max(svals[0], 1.0):
-            raise DegenerateStep("projection collapsed the frame rank")
+        _require_rank(svals, tol)
         v = v / svals[0]
     return isometrize(dag(sigma) @ v, tol)
+
+
+def _require_rank(svals: np.ndarray, tol: Tolerances) -> None:
+    """DegenerateStep unless s_min > structural * max(s_max, 1) for each row of singular values."""
+    if np.any(svals[..., -1] <= tol.structural * np.maximum(svals[..., 0], 1.0)):
+        raise DegenerateStep("projection collapsed the frame rank")
 
 
 def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """``pancharatnam_oracle(P, phi_0)`` for P_k = phi_k phi_k* (closure is the caller's check).
 
     P_N ... P_1 phi_0 = phi_N (phi_N* phi_{N-1}) ... (phi_1* phi_0) needs only m x m overlaps
-    (one stacked matmul), chained by ``prefix_products``; one of collapsed rank raises
-    DegenerateStep, as its projection does.
+    (one stacked matmul), chained by ``prefix_products``.  An overlap of collapsed rank, or
+    a chain whose rank collapses over many overlaps, raises DegenerateStep by the rule of
+    each projection.
     """
     overlaps = dag(frames[1:]) @ frames[:-1]
     svals = np.linalg.svd(overlaps, compute_uv=False)
-    if np.any(svals[:, -1] <= tol.structural * np.maximum(svals[:, 0], 1.0)):
-        raise DegenerateStep("projection collapsed the frame rank")
+    _require_rank(svals, tol)
     chain = prefix_products(overlaps / svals[:, :1, np.newaxis])[-1]
+    _require_rank(np.linalg.svd(chain, compute_uv=False), tol)
     return isometrize(dag(frames[0]) @ frames[-1] @ chain, tol)
 
 

@@ -21,14 +21,20 @@ from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob, isometrize
                      require_antihermitian, require_finite)
 
 
-def projector_defect(p: np.ndarray, rank: int) -> float:
+def projector_defect(p: np.ndarray, rank: int):
     """Worst violation of the rank-``rank`` projector invariants by a matrix.
 
     The largest of || p p - p ||, || p - p* || and |tr p - rank|, the last a
-    complex modulus.
+    complex modulus: a float for one matrix, an array for a stack (..., n, n).
     """
-    return max(frob(p @ p - p), frob(p - dag(p)),
-               abs(complex(np.trace(p)) - rank))
+    dev = p @ p
+    dev -= p
+    idem = np.linalg.norm(dev, axis=(-2, -1))
+    np.subtract(p, dag(p), out=dev)
+    herm = np.linalg.norm(dev, axis=(-2, -1))
+    trace = np.abs(np.trace(p, axis1=-2, axis2=-1) - rank)
+    worst = np.maximum(np.maximum(idem, herm), trace)
+    return worst if worst.ndim else float(worst)
 
 
 @dataclass(frozen=True)
@@ -142,26 +148,15 @@ def _require_tangent(p: Projector, v: EmbeddedTangent,
 def chart_projectors(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
     """Projector matrices onto the graphs of a stack of chart blocks.
 
-    ``blocks`` has shape (N, n-m, m); the result has shape (N, n, n).  Each
-    projector is, in the adapted basis, [[(1+f*f)^-1, f*(1+ff*)^-1],
-    [f(1+f*f)^-1, ff*(1+ff*)^-1]], conjugated into ambient coordinates by
-    [frame | coframe] and Hermitized.  1+f*f is always invertible, so this
-    never fails.
+    ``blocks`` has shape (N, n-m, m); the result has shape (N, n, n).  The
+    graph of f is spanned by its frame Y = frame + coframe f, and its
+    projector is Y (Y* Y)^-1 Y*, from one stacked m x m solve, Hermitized.
+    Y* Y = 1 + f* f is always invertible, so this never fails.
     """
-    f = np.asarray(blocks, dtype=complex)
-    f_dag = dag(f)
-    n, m = base.n, base.m
-    inv_small = np.linalg.inv(np.eye(m) + f_dag @ f)        # (1+f*f)^-1
-    inv_big = np.linalg.inv(np.eye(n - m) + f @ f_dag)      # (1+ff*)^-1
-    adapted = np.empty((len(f), n, n), dtype=complex)
-    adapted[:, :m, :m] = inv_small
-    adapted[:, :m, m:] = f_dag @ inv_big
-    adapted[:, m:, :m] = f @ inv_small
-    adapted[:, m:, m:] = f @ f_dag @ inv_big
-    basis = np.hstack([base.frame, base.coframe])
-    p = basis @ adapted
-    del adapted  # free the stack before the second product allocates
-    p = p @ dag(basis)
+    y = base.frame + base.coframe @ np.asarray(blocks, dtype=complex)
+    y_dag = dag(y)
+    p = y @ np.linalg.solve(y_dag @ y, y_dag)
+    del y, y_dag  # free the frames before Hermitizing allocates a second stack
     p += dag(p)
     p /= 2.0
     return p
@@ -284,10 +279,13 @@ def sampled_derivative(samples: np.ndarray, h: float, order: int) -> np.ndarray:
 
     ``order`` 2: central differences, one-sided three-point stencils at the
     ends.  ``order`` 4: five-point stencils, offset at the two nodes nearest
-    each end; fewer than 5 samples fall back to order 2.
+    each end; fewer than 5 samples fall back to order 2.  Fewer than 3
+    samples raise ValueError.
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
+    if len(samples) < 3:
+        raise ValueError(f"need at least 3 samples for a derivative, got {len(samples)}")
     s = samples
     d = np.empty_like(s)
     if order == 4 and len(s) >= 5:
@@ -324,20 +322,20 @@ def covariant_derivative_along(projectors: np.ndarray, sections: np.ndarray,
     if mode not in ("canonical", "complement", "sum"):
         raise ValueError(f"unknown mode {mode!r}")
 
+    def project(v):
+        return np.einsum("kij,kj->ki", projectors, v)
+
     if mode in ("canonical", "complement"):
-        for p, s in zip(projectors, sections):
-            fiber = p @ s if mode == "canonical" else s - p @ s
-            if np.linalg.norm(fiber - s) > tol.comparison * (1.0 + np.linalg.norm(s)):
-                raise SectionNotInFiber(f"section leaves the {mode} fiber")
+        ps = project(sections)
+        off = ps - sections if mode == "canonical" else ps  # the part of s off the fiber
+        if np.any(np.linalg.norm(off, axis=1)
+                  > tol.comparison * (1.0 + np.linalg.norm(sections, axis=1))):
+            raise SectionNotInFiber(f"section leaves the {mode} fiber")
         ds = sampled_derivative(sections, h, 2)
-        if mode == "canonical":
-            return np.einsum("kij,kj->ki", projectors, ds)
-        return ds - np.einsum("kij,kj->ki", projectors, ds)
+        return project(ds) if mode == "canonical" else ds - project(ds)
 
     # Whitney sum: split by P, differentiate each part in its own bundle, add.
-    s1 = np.einsum("kij,kj->ki", projectors, sections)
+    s1 = project(sections)
     s2 = sections - s1
-    d1 = np.einsum("kij,kj->ki", projectors, sampled_derivative(s1, h, 2))
     d2 = sampled_derivative(s2, h, 2)
-    d2 = d2 - np.einsum("kij,kj->ki", projectors, d2)
-    return d1 + d2
+    return project(sampled_derivative(s1, h, 2)) + (d2 - project(d2))

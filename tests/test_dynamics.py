@@ -16,7 +16,7 @@ from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedul
                                 pancharatnam_oracle, rotating_schedule,
                                 sampled_schedule, synthesize_holonomy_step,
                                 tracking_defect, horizontality_defect,
-                                ProjectorPath)
+                                FramePath, ProjectorPath)
 from grassflow.grassmann import (BasePoint, Projector, hamiltonian_value, linear_hamiltonian,
                                  projector_defect, sampled_derivative)
 from grassflow.linalg import (dag, frob, isometrize, mat_exp, polar_retract,
@@ -265,6 +265,30 @@ class TestProjectorPathDefects:
         path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 29), samples=samples, rank=2)
         scalar = np.array([projector_defect(p, 2) for p in samples])
         np.testing.assert_allclose(path.projector_defects(), scalar, rtol=1e-13)
+
+    def test_frame_defects_are_per_frame_frame_defect(self):
+        rng = np.random.default_rng(61)
+        frames = np.array([random_frame(5, 2, rng) for _ in range(30)])
+        frames *= rng.uniform(0.5, 1.5, 30)[:, np.newaxis, np.newaxis]
+        path = FramePath(grid=TimeGrid(0.0, 1.0, 29), samples=frames)
+        scalar = np.array([frame_defect(f) for f in frames])
+        assert np.abs(path.frame_defects() - scalar).max() <= 1e-15
+
+    def test_one_matrix_gives_a_float(self):
+        phi = random_frame(4, 2, np.random.default_rng(62))
+        for value in (projector_defect(phi @ dag(phi), 2), frame_defect(phi)):
+            assert type(value) is float
+
+    def test_tracking_defect_is_the_worst_node(self):
+        # against the per-node loop, on frames over other nodes' projectors
+        rng = np.random.default_rng(63)
+        frames = np.array([random_frame(5, 2, rng) for _ in range(30)])
+        samples = frames[::-1] @ dag(frames[::-1])
+        grid = TimeGrid(0.0, 1.0, 29)
+        worst = max(frob(f @ dag(f) - p) for f, p in zip(frames, samples))
+        got = tracking_defect(ProjectorPath(grid=grid, samples=samples, rank=2),
+                              FramePath(grid=grid, samples=frames))
+        assert type(got) is float and abs(got - worst) <= 1e-14
 
 
 class TestBerryMaps:
@@ -800,6 +824,23 @@ LOOPS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
              per_side=st.integers(8, 32))
 
 
+_E1 = np.eye(2, dtype=complex)[:, :1]
+_TWO_NODES = TimeGrid(0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: berry_maps(constant_schedule(np.zeros((2, 2))), Projector.from_frame(_E1), _E1,
+                       _TWO_NODES),
+    lambda: horizontal_transport(
+        ProjectorPath(grid=_TWO_NODES, samples=np.array([_E1 @ dag(_E1)] * 2), rank=1), _E1),
+    lambda: horizontality_defect(FramePath(grid=_TWO_NODES, samples=np.array([_E1] * 2))),
+], ids=["berry_maps", "sampled_transport", "horizontality_defect"])
+def test_one_step_is_too_short_for_the_stencils(call):
+    # two samples: the finite differences need three, so ValueError, not IndexError
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        call()
+
+
 class TestSampledTransport:
     def test_observed_order_of_the_step_maps(self):
         # three halvings of h on the sampled latitude loop, against the
@@ -919,6 +960,22 @@ def test_start_frame_off_the_base_is_rejected(route):
         route(path, off_base)
 
 
+def _axis_frames(n, columns):
+    return np.array([np.eye(n, dtype=complex)[:, c] for c in columns])
+
+
+def _turning_frames(steps):
+    """[e1, cos(k pi/3) e2 + sin(k pi/3) e3] for k = 0..steps, a closed loop for steps % 6 == 0.
+
+    Every overlap has singular values (1, 0.5), so the rank collapses only over many overlaps.
+    """
+    angles = np.arange(steps + 1) * np.pi / 3
+    frames = np.zeros((steps + 1, 3, 2), dtype=complex)
+    frames[:, 0, 0] = 1.0
+    frames[:, 1, 1], frames[:, 2, 1] = np.cos(angles), np.sin(angles)
+    return frames
+
+
 class TestPancharatnamOracle:
     @staticmethod
     def latitude_samples(theta, n_samples):
@@ -954,13 +1011,13 @@ class TestPancharatnamOracle:
             self.latitude_samples(theta, 10000), sigma) - reference)
         assert gap_fine <= gap_coarse / 5.0
 
-    @pytest.mark.parametrize("n, columns", [
-        (2, [[0], [1], [0]]),               # a frame orthogonal to its neighbour
-        (4, [[0, 1], [2, 3], [0, 1]]),
-        (4, [[0, 1], [0, 2], [0, 1]]),      # the overlap loses one rank
-    ], ids=["m1", "m2-orthogonal", "m2-rank-one"])
-    def test_collapsing_projection_is_degenerate_on_both_routes(self, n, columns):
-        frames = np.array([np.eye(n, dtype=complex)[:, c] for c in columns])
+    @pytest.mark.parametrize("frames", [
+        _axis_frames(2, [[0], [1], [0]]),              # a frame orthogonal to its neighbour
+        _axis_frames(4, [[0, 1], [2, 3], [0, 1]]),
+        _axis_frames(4, [[0, 1], [0, 2], [0, 1]]),     # the overlap loses one rank
+        _turning_frames(60),
+    ], ids=["m1", "m2-orthogonal", "m2-rank-one", "m2-gradual"])
+    def test_collapsing_projection_is_degenerate_on_both_routes(self, frames):
         with pytest.raises(DegenerateStep):
             pancharatnam_oracle(frames @ dag(frames), frames[0])
         with pytest.raises(DegenerateStep):

@@ -413,6 +413,16 @@ class TestCovariantDerivative:
         with pytest.raises(SectionNotInFiber):
             covariant_derivative_along(p, s, 0.1, mode="canonical")
 
+    @pytest.mark.parametrize("mode, inside", [("canonical", 0), ("complement", 1)])
+    def test_one_node_off_the_fiber_is_rejected(self, mode, inside):
+        # P projects onto e1: e1 spans the canonical fiber, e2 the complement
+        p = np.repeat(np.diag([1.0, 0.0]).astype(complex)[np.newaxis], 5, axis=0)
+        s = np.repeat(np.eye(2, dtype=complex)[inside][np.newaxis], 5, axis=0)
+        assert frob(covariant_derivative_along(p, s, 0.1, mode=mode)) <= 1e-14
+        s[3] = np.eye(2)[1 - inside]
+        with pytest.raises(SectionNotInFiber):
+            covariant_derivative_along(p, s, 0.1, mode=mode)
+
     def test_leibniz_for_whitney_sum(self):
         # d/dt <s1, s2> matches <Ds1, s2> + <s1, Ds2> at second order
         rng = np.random.default_rng(20)
