@@ -122,15 +122,9 @@ def curvature_generators(w: np.ndarray, n: int,
     # -i w is Hermitian: w = v_mat diag(i lam) v_mat*, so tau = v_mat* diagonalizes w.
     lam, v_mat = np.linalg.eigh(-1j * w)
     tau = dag(v_mat)
-    pairs = []
-    for i in range(m):
-        a = 1j * lam[i]
-        if abs(a) == 0.0:
-            continue
-        u = np.zeros((n, m), dtype=complex)
-        u[m, :] = tau[i, :]
-        pairs.append((u, a * u))
-    return pairs
+    units = np.zeros((m, n, m), dtype=complex)  # row i of tau in complement direction m
+    units[:, m, :] = tau
+    return [(u, 1j * a * u) for u, a in zip(units, lam) if a != 0.0]
 
 
 def local_trivialization(phi: np.ndarray, f: ChartTangent,

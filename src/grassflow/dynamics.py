@@ -359,8 +359,10 @@ def horizontality_defect(frames: FramePath) -> float:
 
 
 def tracking_defect(path: ProjectorPath, frames: FramePath) -> float:
-    """max_k || psi_k psi_k* - P_k || over shared grid nodes."""
+    """max_k || psi_k psi_k* - P_k ||; ValueError unless both paths have the same nodes."""
     psi = frames.samples
+    if len(psi) != len(path.samples):
+        raise ValueError("the frame and projector paths differ in length")
     return float(np.linalg.norm(psi @ dag(psi) - path.samples, axis=(1, 2)).max())
 
 
@@ -589,17 +591,21 @@ def _require_rank(svals: np.ndarray, tol: Tolerances) -> None:
 def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """``pancharatnam_oracle(P, phi_0)`` for P_k = phi_k phi_k* (closure is the caller's check).
 
-    P_N ... P_1 phi_0 = phi_N (phi_N* phi_{N-1}) ... (phi_1* phi_0) needs only m x m overlaps
-    (one stacked matmul), chained by ``prefix_products``.  An overlap of collapsed rank, or
-    a chain whose rank collapses over many overlaps, raises DegenerateStep by the rule of
-    each projection.
+    P_k ... P_1 phi_0 = phi_k C_k, C_k = O_k ... O_1 for the overlaps O_k = phi_k* phi_{k-1},
+    chained by ``prefix_products`` at |det O_k| = 1, which keeps C finite while its rank holds.
+    Step k checks the rank of that oracle's projected frame, O_k C_{k-1} / s_max(C_{k-1}).
     """
     overlaps = dag(frames[1:]) @ frames[:-1]
     svals = np.linalg.svd(overlaps, compute_uv=False)
-    _require_rank(svals, tol)
-    chain = prefix_products(overlaps / svals[:, :1, np.newaxis])[-1]
-    _require_rank(np.linalg.svd(chain, compute_uv=False), tol)
-    return isometrize(dag(frames[0]) @ frames[-1] @ chain, tol)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only once rank is lost
+        scales = np.exp(np.log(svals).mean(axis=1))
+        chains = prefix_products(overlaps / scales[:, np.newaxis, np.newaxis])
+    if not np.isfinite(chains).all():
+        raise DegenerateStep("projection collapsed the frame rank")
+    chain_svals = np.linalg.svd(chains, compute_uv=False)
+    steps = scales / np.append(1.0, chain_svals[:-1, 0])
+    _require_rank(chain_svals * steps[:, np.newaxis], tol)
+    return isometrize(dag(frames[0]) @ frames[-1] @ (chains[-1] / chain_svals[-1, 0]), tol)
 
 
 def synthesize_holonomy_step(w: np.ndarray, scale: float, base: BasePoint,

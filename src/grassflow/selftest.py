@@ -309,9 +309,8 @@ def checks_dynamics(tol: Tolerances):
         phi0 = random_frame(n, m, rng)
         ppath = dynamics.integrate_projector(
             dynamics.constant_schedule(h_mat), Projector.from_frame(phi0), grid, tol)
-        energies = [grassmann.linear_hamiltonian(
-            h_mat, Projector(matrix=p, rank=m), tol) for p in ppath.samples]
-        return max(energies) - min(energies)
+        energies = grassmann.hamiltonian_value(h_mat @ ppath.samples, tol)
+        return float(energies.max() - energies.min())
     _guard(results, "dynamics.energy_conservation", 1e-8, energy_conservation)
 
     def geometric_fiber_gap():

@@ -234,6 +234,31 @@ class TestHorizontalTransport:
         assert peak < path.samples.nbytes / 2
 
 
+def _reference_projector_defect(p, rank):
+    """The one-matrix projector defect, written out term by term."""
+    return max(frob(p @ p - p), frob(p - dag(p)), abs(complex(np.trace(p)) - rank))
+
+
+def _reference_frame_defect(phi):
+    """The one-matrix frame defect, written out."""
+    return frob(dag(phi) @ phi - np.eye(phi.shape[1]))
+
+
+def _violating_projectors(part, rng):
+    """30 rank-2 projectors of C^9, each broken in one invariant by a per-node amount.
+
+    In C^9 the anti-Hermitian shift i s I moves the trace by 9 s, more than the Hermitian
+    defect 6 s, so only the complex modulus of tr p - rank gives that defect.
+    """
+    base = np.repeat(Projector.standard(9, 2).matrix[np.newaxis], 30, axis=0)
+    noise = np.array([random_antihermitian(9, rng) for _ in range(30)])
+    scale = rng.uniform(0.0, 0.5, 30)[:, np.newaxis, np.newaxis]
+    return {"hermitian": base + 1j * scale * noise,
+            "antihermitian": base + scale * noise,
+            "trace": (1.0 + scale) * base,
+            "imaginary-trace": base + 1j * scale * np.eye(9)}[part]
+
+
 class TestProjectorPathDefects:
     def check(self, path):
         scalar = np.array([projector_defect(p, path.rank) for p in path.samples])
@@ -266,6 +291,25 @@ class TestProjectorPathDefects:
         scalar = np.array([projector_defect(p, 2) for p in samples])
         np.testing.assert_allclose(path.projector_defects(), scalar, rtol=1e-13)
 
+    @pytest.mark.parametrize("part", ["hermitian", "antihermitian", "trace", "imaginary-trace"])
+    def test_projector_defects_match_the_written_out_formula(self, part):
+        samples = _violating_projectors(part, np.random.default_rng(64))
+        reference = np.array([_reference_projector_defect(p, 2) for p in samples])
+        path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 29), samples=samples, rank=2)
+        for got in (path.projector_defects(), projector_defect(samples, 2),
+                    np.array([projector_defect(p, 2) for p in samples])):
+            np.testing.assert_allclose(got, reference, rtol=1e-13)
+
+    def test_frame_defects_match_the_written_out_formula(self):
+        # generic complex 5 x 2 matrices: Gram matrices off the identity in every entry
+        rng = np.random.default_rng(65)
+        frames = 0.5 * (rng.normal(size=(30, 5, 2)) + 1j * rng.normal(size=(30, 5, 2)))
+        reference = np.array([_reference_frame_defect(f) for f in frames])
+        path = FramePath(grid=TimeGrid(0.0, 1.0, 29), samples=frames)
+        for got in (path.frame_defects(), frame_defect(frames),
+                    np.array([frame_defect(f) for f in frames])):
+            np.testing.assert_allclose(got, reference, rtol=1e-13)
+
     def test_frame_defects_are_per_frame_frame_defect(self):
         rng = np.random.default_rng(61)
         frames = np.array([random_frame(5, 2, rng) for _ in range(30)])
@@ -289,6 +333,16 @@ class TestProjectorPathDefects:
         got = tracking_defect(ProjectorPath(grid=grid, samples=samples, rank=2),
                               FramePath(grid=grid, samples=frames))
         assert type(got) is float and abs(got - worst) <= 1e-14
+
+    @pytest.mark.parametrize("frame_nodes", [1, 29])
+    def test_tracking_defect_needs_one_node_per_projector(self, frame_nodes):
+        phi = random_frame(5, 2, np.random.default_rng(66))
+        path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 30),
+                             samples=np.repeat((phi @ dag(phi))[np.newaxis], 31, axis=0), rank=2)
+        frames = FramePath(grid=TimeGrid(0.0, 1.0, max(frame_nodes - 1, 1)),
+                           samples=np.repeat(phi[np.newaxis], frame_nodes, axis=0))
+        with pytest.raises(ValueError, match="differ in length"):
+            tracking_defect(path, frames)
 
 
 class TestBerryMaps:
@@ -976,6 +1030,24 @@ def _turning_frames(steps):
     return frames
 
 
+def _contracting_frames():
+    """Frames [cos a_k e1 + sin a_k e3, cos b_k e2 + sin b_k e4] of a closed loop in C^4.
+
+    Overlaps are diag(cos(a_k - a_{k-1}), cos(b_k - b_{k-1})).  32 steps of b by pi/3 leave
+    the chain diag(1, 2^-32); the next overlap, diag(0.4, 0.4), gives the projected frame the
+    smallest singular value 0.4 * 2^-32 < 1e-10, although the chain's own ratio stays 2^-32.
+    """
+    turn = np.arccos(0.4)
+    a = np.concatenate([np.zeros(33), np.linspace(turn, 0.0, 13)])
+    b_turned = 32 * np.pi / 3 + turn
+    b = np.concatenate([np.arange(33) * np.pi / 3,
+                        np.linspace(b_turned, np.pi * round(b_turned / np.pi), 13)])
+    frames = np.zeros((len(a), 4, 2), dtype=complex)
+    frames[:, 0, 0], frames[:, 2, 0] = np.cos(a), np.sin(a)
+    frames[:, 1, 1], frames[:, 3, 1] = np.cos(b), np.sin(b)
+    return frames
+
+
 class TestPancharatnamOracle:
     @staticmethod
     def latitude_samples(theta, n_samples):
@@ -1016,12 +1088,27 @@ class TestPancharatnamOracle:
         _axis_frames(4, [[0, 1], [2, 3], [0, 1]]),
         _axis_frames(4, [[0, 1], [0, 2], [0, 1]]),     # the overlap loses one rank
         _turning_frames(60),
-    ], ids=["m1", "m2-orthogonal", "m2-rank-one", "m2-gradual"])
+        _contracting_frames(),                         # fails by the projected frame only
+    ], ids=["m1", "m2-orthogonal", "m2-rank-one", "m2-gradual", "m2-contracting"])
     def test_collapsing_projection_is_degenerate_on_both_routes(self, frames):
         with pytest.raises(DegenerateStep):
             pancharatnam_oracle(frames @ dag(frames), frames[0])
         with pytest.raises(DegenerateStep):
             _frame_oracle(frames)
+
+    @pytest.mark.parametrize("periods", [20, 300])
+    def test_uniformly_shrinking_chain_is_not_degenerate(self, periods):
+        # [e1, e2] -> [e1, c e2 + s e3] -> [c e1 + s e4, c e2 + s e3] -> [c e1 + s e4, e2]
+        # -> [e1, e2]: each period scales the chain by c^2 I and keeps its rank
+        c, s = 0.5, np.sqrt(0.75)
+        e = np.eye(4, dtype=complex)
+        period = [np.stack(columns, axis=1) for columns in
+                  ((e[0], e[1]), (e[0], c * e[1] + s * e[2]),
+                   (c * e[0] + s * e[3], c * e[1] + s * e[2]), (c * e[0] + s * e[3], e[1]))]
+        frames = np.array(period * periods + period[:1])
+        oracle = pancharatnam_oracle(frames @ dag(frames), frames[0])
+        assert frob(oracle - np.eye(2)) <= 1e-12
+        np.testing.assert_allclose(_frame_oracle(frames), oracle, rtol=0, atol=1e-12)
 
     def test_frame_oracle_is_the_projector_oracle(self):
         # frames of a closed loop in a random gauge at every node
