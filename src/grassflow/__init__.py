@@ -1,7 +1,7 @@
 """grassflow: differential geometry and holonomy on complex Grassmann manifolds."""
 
 from .errors import (BaseMismatch, DegenerateStep, DimensionTooSmall, GapTooSmall,
-                     GrassflowError, NonFinite, NotAFrame, NotAntiHermitian,
+                     GrassflowError, InvalidArgument, NonFinite, NotAFrame, NotAntiHermitian,
                      NotClosed, NotHorizontal, NotTangent, NotUnitary, OutsideChart,
                      PathTooRough, RankDeficient, SectionNotInFiber)
 from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob, isometrize,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (BaseMismatch, DimensionTooSmall, NotAFrame, NotHorizontal,
                      NotTangent)
-from .grassmann import ChartTangent, Projector
+from .grassmann import ChartTangent, Projector, chart_ambient
 from .linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
                      require_antihermitian, require_finite)
 
@@ -84,8 +84,7 @@ def horizontal_lift(phi: np.ndarray, mu: ChartTangent,
     base = mu.base
     phi = require_over(require_frame(phi, tol), base.projector.matrix, tol,
                        "the chart base point")
-    mu_ambient = base.coframe @ np.asarray(mu.block, dtype=complex) @ dag(base.frame)
-    return mu_ambient @ phi
+    return chart_ambient(mu) @ phi
 
 
 def curvature_Omega(phi: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -137,8 +136,7 @@ def local_trivialization(phi: np.ndarray, f: ChartTangent,
     base = f.base
     phi = require_over(require_frame(phi, tol), base.projector.matrix, tol,
                        "the chart base point")
-    f_ambient = base.coframe @ np.asarray(f.block, dtype=complex) @ dag(base.frame)
-    return isometrize((np.eye(base.n) + f_ambient) @ phi, tol)
+    return isometrize((np.eye(base.n) + chart_ambient(f)) @ phi, tol)
 
 
 __all__ = [

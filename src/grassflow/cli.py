@@ -29,7 +29,8 @@ from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, TimeGrid, _frame_oracle,
                        bloch_projector, constant_schedule, geometric_schedule,
                        horizontality_defects, loop_transport, rotating_schedule,
                        sampled_schedule)
-from .errors import GapTooSmall, GrassflowError, NonFinite, NotAntiHermitian, NotClosed
+from .errors import (GapTooSmall, GrassflowError, InvalidArgument, NonFinite,
+                     NotAntiHermitian, NotClosed)
 from .grassmann import (BasePoint, ChartTangent, Projector, chart_from_proj,
                         chart_transport, proj_from_chart)
 from .linalg import (Tolerances, dag, frob, mat_exp, random_antihermitian,
@@ -161,9 +162,7 @@ def build_grid(cfg: dict) -> TimeGrid:
     steps = _number(g["steps"], "grid.steps", integer=True)
     if steps < 2:
         raise UsageError("grid.steps must be >= 2")
-    if not t1 > t0:
-        raise UsageError("grid.t1 must exceed grid.t0")
-    return TimeGrid(t0, t1, steps)
+    return TimeGrid(t0, t1, steps)  # InvalidArgument unless t1 > t0
 
 
 def build_setup(cfg: dict, tol: Tolerances):
@@ -430,9 +429,7 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
     n, m = cfg["n"], cfg["m"]
     syn = cfg.get("synthesize", {})
     _require_keys(syn, {"scale", "w"}, "synthesize")
-    scale = _number(syn.get("scale", 0.1), "synthesize.scale")
-    if not 0.0 <= scale <= 0.5:
-        raise UsageError("synthesize.scale must lie in [0, 0.5]")
+    scale = _number(syn.get("scale", 0.1), "synthesize.scale")  # the loop checks its range
     if "w" in syn:
         w = _require_generator(_deser_matrix(syn["w"]), m, tol, "synthesize.w")
     else:
@@ -523,7 +520,7 @@ def main(argv=None) -> int:
         cfg = load_config(args)
         tol = build_tolerances(cfg)
         return _COMMANDS[args.command](cfg, tol)
-    except UsageError as exc:
+    except (UsageError, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NotClosed, GapTooSmall, NonFinite) as exc:

@@ -4,16 +4,19 @@ Integrates the frame equation phi' = H(t) phi and the projector equation
 P' = [H(t), P] with a classical 4th-order one-step method plus per-step
 retraction back onto the constraint set: oriented QR for integrated frames,
 spectral projection for projectors, and the polar factor (which commutes with
-the right U(m) action) for transported frames and the Berry gauge factor.  On
-top of the flows: horizontal transport, the dynamical vs. geometric Berry maps
-(one frame-first loop that splits the Schroedinger frame into a horizontal
-frame and a gauge factor), purely off-diagonal ("geometric") schedules driving
-a prescribed projector curve, loop holonomy with a discrete projector-product
-oracle, and first-order holonomy synthesis from curvature generators.
+the right U(m) action) for transported frames and gauge factors.  On top of
+the flows: horizontal transport, the dynamical vs. geometric Berry maps,
+purely off-diagonal ("geometric") schedules driving a prescribed projector
+curve, loop holonomy with a discrete projector-product oracle, and first-order
+holonomy synthesis from curvature generators.
 
-Every RK4 route reads its 2 * steps + 1 stage generators once each from checked
-schedule tables (``_stage_generators``) and takes each step by ``_rk4_step``; the
-reference routes step by ``_rk4_nodes``.
+The production routes transport in a local trivialization of the bundle, where
+parallel transport is an m x m gauge equation: ``berry_maps`` over the
+Schroedinger frame, sampled ``horizontal_transport`` over ``_local_section``,
+both chaining their stacked step maps by ``_gauge_chain``.  Every RK4 route reads
+its 2 * steps + 1 stage generators once each from checked schedule tables
+(``_stage_generators``) and steps by ``_rk4_step``; the reference routes step by
+``_rk4_nodes``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateStep, NotClosed, PathTooRough
+from .errors import DegenerateStep, InvalidArgument, NotClosed, PathTooRough
 from .bundle import curvature_generators, frame_defect, require_over
 from .grassmann import (BasePoint, Projector, chart_projectors, hamiltonian_value,
                         projector_defect, sampled_derivative)
@@ -39,10 +42,12 @@ from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob,
 # and asserted for m=2 in the test suite.
 SYNTHESIS_CURVATURE_CONSTANT = -2.0
 
-# Step of the central difference that gives Q' in ``geometric_schedule``, and the
-# largest projector move || P_{k+1} - P_k || that ``geometric_hamiltonian`` accepts.
+# Step of the central difference that gives Q' in ``geometric_schedule``, the largest
+# projector move || P_{k+1} - P_k || that ``geometric_hamiltonian`` accepts, and the
+# largest || a* P_k a - I ||_F at which ``_local_section`` keeps its anchor a.
 _FD_STEP = 1e-6
 _ROUGH_BOUND = 0.5
+_ANCHOR_DRIFT = 0.5
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if not self.t1 > self.t0:
-            raise ValueError("t1 must exceed t0")
+            raise InvalidArgument("t1 must exceed t0")
         if self.steps < 1:
-            raise ValueError("steps must be positive")
+            raise InvalidArgument("steps must be positive")
 
     @property
     def h(self) -> float:
@@ -129,7 +134,7 @@ def sampled_schedule(grid: TimeGrid, values: np.ndarray) -> HamiltonianSchedule:
     """Schedule from per-node samples, linearly interpolated in between."""
     values = require_finite(np.asarray(values), "schedule samples")
     if len(values) != grid.steps + 1:
-        raise ValueError("need one sample per grid node")
+        raise InvalidArgument("need one sample per grid node")
     t0, h = grid.t0, grid.h
 
     def table(times: np.ndarray) -> np.ndarray:
@@ -302,14 +307,13 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
     P' = [H(t), P(t)] by RK4 on the n x (n+m) state [P | psi] (4th order), P
     retracted as by ``integrate_projector`` and only psi stored; only
     ``samples[0]`` is read, so the schedule must be the flow that produced the
-    samples.  For a bare sampled path the node derivatives D_k come from central
-    differences and the 2nd-order trapezoidal step is psi + A_k psi,
-    A_k = (h/2)(D_k + D_{k+1}) + (h^2/2) D_{k+1} D_k, with the maps built as
-    stacked products in blocks of _TABLE_BYTES / 4.  The transported frame is
-    polar-retracted after every step: the correction stays at the per-step drift
-    level (so finite-difference horizontality measurements see no threshold
-    jumps) and the polar factor commutes with the right U(m) action, keeping
-    transport gauge equivariant.
+    samples.  A bare sampled path is transported in a local trivialization:
+    psi_k = phi_k g_k over the section phi_k of ``_local_section``, with the
+    gauges of ``_gauge_chain`` for the maps G_k = phi_{k+1}* (1 + A_k) phi_k of the
+    2nd-order trapezoidal step A_k = (h/2)(D_k + D_{k+1}) + (h^2/2) D_{k+1} D_k
+    (D_k by central differences; A_k phi_k is formed without A_k), built in blocks
+    of _TABLE_BYTES / 4 bytes.  The polar factor is equivariant on both sides, so
+    psi does not depend on the section and transport is gauge equivariant.
     """
     sigma = require_over(sigma, path.samples[0], tol, "the path start")
     grid = path.grid
@@ -330,17 +334,21 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
                            grid.steps + 1)  # the n x n part P is never stored
         return FramePath(grid, psis)
 
-    samples = np.empty((grid.steps + 1,) + sigma.shape, dtype=complex)
-    samples[0] = psi = sigma
-    derivs = sampled_derivative(path.samples, h, 2)
     block = max(1, _TABLE_BYTES // (4 * 16 * n * n))
+    frames = _local_section(path.samples, sigma, block, tol)
+    maps = np.empty((grid.steps,) + 2 * sigma.shape[1:], dtype=complex)
     for start in range(0, grid.steps, block):
-        stop = min(start + block, grid.steps)
-        d0, d1 = derivs[start:stop], derivs[start + 1:stop + 1]
-        maps = (d0 + d1 + h * (d1 @ d0)) * (h / 2.0)
-        for k, step_map in enumerate(maps, start + 1):
-            samples[k] = psi = polar_retract(psi + step_map @ psi, tol)
-    return FramePath(grid=grid, samples=samples)
+        stop, lo = min(start + block, grid.steps), max(start - 1, 0)
+        # central differences at nodes start..stop, one-sided only at the path ends
+        derivs = sampled_derivative(path.samples[lo:stop + 2], h, 2)[start - lo:stop + 1 - lo]
+        phi, k1 = frames[start:stop], derivs[:-1] @ frames[start:stop]
+        step = phi + (h / 2.0) * (k1 + derivs[1:] @ (phi + h * k1))
+        maps[start:stop] = dag(frames[start + 1:stop + 1]) @ step
+    gauges = _gauge_chain(maps, tol)
+    for start in range(0, grid.steps + 1, block):
+        frames[start:start + block] = frames[start:start + block] @ gauges[start:start + block]
+    frames[0] = sigma  # itself, not its section frame times g_0 = I (equal up to roundoff)
+    return FramePath(grid=grid, samples=frames)
 
 
 def horizontality_defects(frames: FramePath) -> np.ndarray:
@@ -396,7 +404,7 @@ class HolonomyResult:
 
 
 # Bytes of one generator table read by an RK4 route (a geometric table holds
-# several stacks this size at once), four sampled-transport step-map blocks, and
+# several stacks this size at once), four sampled-transport section blocks, and
 # sixteen blocks of berry_maps stage slopes: a large-n run's peak memory stays
 # fixed however many steps it takes.
 _TABLE_BYTES = 1 << 22
@@ -443,29 +451,57 @@ def _gauge_step_maps(phis: np.ndarray, slopes: np.ndarray, h: float):
     return c1, eye + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
 
 
+def _local_section(samples: np.ndarray, sigma: np.ndarray, block: int,
+                   tol: Tolerances) -> np.ndarray:
+    """Orthonormal frames phi_k = P_k a L_k^-* of im(P_k), L_k L_k* = a* P_k a, by blocks.
+
+    The anchor a starts at sigma and becomes phi_{k-1} where || a* P_k a - I ||_F exceeds
+    _ANCHOR_DRIFT (then an eigenvalue may be below 1/2), so the anchors depend on the
+    path alone.  On a new anchor, DegenerateStep unless det(a* P_k a), at most its
+    smallest eigenvalue since a* P_k a <= I, exceeds tol.structural.
+    """
+    frames = np.empty((len(samples),) + sigma.shape, dtype=complex)
+    anchor, start, fresh = sigma, 0, True
+    while start < len(samples):
+        proj = samples[start:start + block] @ anchor
+        grams = dag(anchor) @ proj
+        kept = np.linalg.norm(grams - np.eye(sigma.shape[1]), axis=(1, 2)) <= _ANCHOR_DRIFT
+        if fresh and not abs(np.linalg.det(require_finite(grams[0], "path"))) > tol.structural:
+            raise DegenerateStep("a sampled fiber is orthogonal to the frame before it")
+        kept[0] |= fresh  # a NaN gram is never kept: its node becomes fresh and raises
+        cut = len(kept) if kept.all() else int(kept.argmin())
+        frames[start:start + cut] = proj[:cut] @ dag(np.linalg.inv(np.linalg.cholesky(grams[:cut])))
+        start, fresh = start + cut, cut < len(kept)
+        anchor = frames[start - 1] if fresh else anchor
+    return frames
+
+
+def _gauge_chain(maps: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """g_0 = I and g_{k+1} = N(maps[k]) g_k: the maps retracted onto U(m), chained, retracted.
+
+    Two stacked ``polar_retract`` calls around ``prefix_products``; as the Newton-Schulz
+    step N satisfies N(L g) = N(L) g for unitary g, this retracts g after every step.
+    """
+    chain = polar_retract(prefix_products(polar_retract(maps, tol)), tol)
+    return np.concatenate([np.eye(maps.shape[-1])[np.newaxis], chain])
+
+
 def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
                grid: TimeGrid, tol: Tolerances = DEFAULT_TOLS) -> HolonomyResult:
     """Dynamical and geometric fiber maps of a Hamiltonian run, by one RK4 loop.
 
-    The Schroedinger frame phi' = H phi, phi(0) = sigma, is split as
-    phi = psi g* with the m x m gauge factor g' = -(phi* H phi) g, g(0) = I:
-    then psi = phi g solves psi' = (1 - phi phi*) H psi, the horizontal
+    The Schroedinger frame phi' = H phi, phi(0) = sigma, is the local section:
+    split as phi = psi g* with the m x m gauge factor g' = -(phi* H phi) g,
+    g(0) = I, psi = phi g solves psi' = (1 - phi phi*) H psi, the horizontal
     transport of sigma along P = phi phi*.  This is the Aharonov-Anandan
     split of the evolution into a dynamical and a geometric part (PRL 58,
     1593 (1987); non-abelian form: Anandan, Phys. Lett. A 133, 171 (1988)).
-    The generators at the 2 * steps + 1 stage times come from
-    ``_stage_generators`` (one table for the whole run at small n), checked
-    before a step uses them.  The RK4 loop integrates phi alone, O(n^2 m) per
-    step, and re-isometrizes it when its frame defect, read from its m x m
-    Gram matrix, is not within ``tol.ode``.  It keeps the four stage slopes
-    in blocks of at most _TABLE_BYTES // 16 bytes; at each block end
-    ``_gauge_step_maps`` turns them into the m x m RK4 maps L_k of the gauge
-    equation (g_{k+1} = L_k g_k, since its right-hand side is linear in g).
-    After the loop the maps are polar-retracted onto U(m) in one stack
-    (``polar_retract``), chained by ``prefix_products`` and retracted once
-    more to remove the roundoff of the products.  As the Newton-Schulz step
-    N satisfies N(L g) = N(L) g for unitary g, this is the retraction of g
-    after every step, computed on stacks.
+    The RK4 loop integrates phi alone, O(n^2 m) per step, and re-isometrizes
+    it when its frame defect, read from its m x m Gram matrix, is not within
+    ``tol.ode``.  It keeps the four stage slopes in blocks of at most
+    _TABLE_BYTES // 16 bytes; at each block end ``_gauge_step_maps`` turns
+    them into the m x m RK4 maps L_k of the gauge equation (g_{k+1} = L_k g_k,
+    since its right-hand side is linear in g), chained by ``_gauge_chain``.
 
     Returns ``dynamical = sigma* phi(T)``, ``geometric = sigma* psi(T)`` and
     ``fiber_gap = psi(T)* phi(T) = g(T)*``.  When the projector path closes
@@ -503,12 +539,9 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
             phis[start:stop], slopes[:stop - start], h)
     phis[steps] = phi
     gens[steps] = dag(phi) @ (h_node @ phi)
-    gauges = np.empty((steps + 1, m, m), dtype=complex)
-    gauges[0] = eye
-    gauges[1:] = polar_retract(prefix_products(polar_retract(maps, tol)), tol)
 
     fpath = FramePath(grid=grid, samples=phis)
-    hpath = FramePath(grid=grid, samples=phis @ gauges)
+    hpath = FramePath(grid=grid, samples=phis @ _gauge_chain(maps, tol))
     phi_end, psi_end = fpath.samples[-1], hpath.samples[-1]
     residual = frob(phi_end @ dag(phi_end) - sigma @ dag(sigma))
     return HolonomyResult(
@@ -626,7 +659,7 @@ def _parallelogram_loop(pairs, scale: float, base: BasePoint,
                         samples_per_side: int) -> ProjectorPath:
     """The concatenated chart squares of ``synthesize_holonomy_step`` for given pairs."""
     if not 0.0 <= scale <= 0.5:
-        raise ValueError("scale must lie in [0, 0.5]")
+        raise InvalidArgument("scale must lie in [0, 0.5]")
     m = base.m
 
     if not pairs or scale == 0.0:

@@ -67,3 +67,7 @@ class PathTooRough(GrassflowError):
 
 class NonFinite(GrassflowError, ValueError):
     """Array holds NaN or inf entries (an input, or a state that overflowed)."""
+
+
+class InvalidArgument(GrassflowError, ValueError):
+    """Argument out of its domain: a bad grid, shape, rank, order or scale."""

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAntiHermitian, NotTangent, NotUnitary, OutsideChart, SectionNotInFiber
+from .errors import (InvalidArgument, NotAntiHermitian, NotTangent, NotUnitary, OutsideChart,
+                     SectionNotInFiber)
 from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob, isometrize,
                      require_antihermitian, require_finite)
 
@@ -182,10 +183,14 @@ def chart_from_proj(base: BasePoint, q: Projector,
     return ChartTangent(base=base, block=bottom @ np.linalg.inv(top))
 
 
+def chart_ambient(f: ChartTangent) -> np.ndarray:
+    """The n x n ambient form coframe f frame* of a chart block (maps X into X_perp)."""
+    return f.base.coframe @ np.asarray(f.block, dtype=complex) @ dag(f.base.frame)
+
+
 def tangent_embed(v: ChartTangent) -> EmbeddedTangent:
     """Ambient Hermitian matrix with adapted-basis blocks [[0, phi*], [phi, 0]]."""
-    blk = np.asarray(v.block, dtype=complex)
-    mat = v.base.coframe @ blk @ dag(v.base.frame)
+    mat = chart_ambient(v)
     return EmbeddedTangent(matrix=mat + dag(mat))
 
 
@@ -212,8 +217,7 @@ def chart_transport(u: np.ndarray, f: ChartTangent,
                     tol: Tolerances = DEFAULT_TOLS) -> ChartTangent:
     """Push a chart tangent through a unitary: the block of u f u^-1 at u(X)."""
     new_base = transported_base(u, f.base, tol)
-    f_ambient = f.base.coframe @ np.asarray(f.block, dtype=complex) @ dag(f.base.frame)
-    pushed = u @ f_ambient @ dag(u)
+    pushed = u @ chart_ambient(f) @ dag(u)
     return ChartTangent(base=new_base,
                         block=dag(new_base.coframe) @ pushed @ new_base.frame)
 
@@ -280,12 +284,12 @@ def sampled_derivative(samples: np.ndarray, h: float, order: int) -> np.ndarray:
     ``order`` 2: central differences, one-sided three-point stencils at the
     ends.  ``order`` 4: five-point stencils, offset at the two nodes nearest
     each end; fewer than 5 samples fall back to order 2.  Fewer than 3
-    samples raise ValueError.
+    samples raise InvalidArgument.
     """
     if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
+        raise InvalidArgument("order must be 2 or 4")
     if len(samples) < 3:
-        raise ValueError(f"need at least 3 samples for a derivative, got {len(samples)}")
+        raise InvalidArgument(f"need at least 3 samples for a derivative, got {len(samples)}")
     s = samples
     d = np.empty_like(s)
     if order == 4 and len(s) >= 5:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapTooSmall, NonFinite, NotAntiHermitian, RankDeficient
+from .errors import GapTooSmall, InvalidArgument, NonFinite, NotAntiHermitian, RankDeficient
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def isometrize(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """
     f = require_finite(f, "frame seed")
     if f.ndim != 2 or f.shape[0] < f.shape[1]:
-        raise ValueError("expected a tall (or square) n x m matrix")
+        raise InvalidArgument("expected a tall (or square) n x m matrix")
     svals = np.linalg.svd(f, compute_uv=False)
     if svals[-1] <= tol.structural:
         raise RankDeficient(
@@ -131,16 +131,22 @@ def polar_retract(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
 def prefix_products(a: np.ndarray) -> np.ndarray:
     """The running products a_k ... a_1 a_0 of a stack (N, m, m), later factors on the left.
 
-    A Hillis-Steele scan: after the pass with shift s, entry k holds the
-    product of the up to 2s factors ending at a_k, so ceil(log2 N) stacked
-    matmuls give every prefix.
+    A blocked scan (Blelloch, CMU-CS-90-190, 1990): running products within
+    chunks of c = ceil(sqrt N) factors, all chunks at once (c - 1 stacked
+    matmuls); the chunk totals carried from chunk to chunk in sequence; then
+    one stacked matmul applies each carry to the chunk after it.
     """
-    out = np.array(a, dtype=complex)
-    shift = 1
-    while shift < len(out):
-        out[shift:] = out[shift:] @ out[:-shift]
-        shift *= 2
-    return out
+    count, m = len(a), np.shape(a)[-1]
+    size = max(1, int(np.ceil(np.sqrt(count))))
+    out = np.empty((-(-count // size) * size, m, m), dtype=complex)
+    out[:count], out[count:] = a, np.eye(m)  # identities pad the last chunk
+    runs = out.reshape(-1, size, m, m)
+    for j in range(1, size):
+        runs[:, j] = runs[:, j] @ runs[:, j - 1]
+    for i in range(1, len(runs)):
+        runs[i, -1] = runs[i, -1] @ runs[i - 1, -1]
+    runs[1:, :-1] = runs[1:, :-1] @ runs[:-1, -1:]
+    return out[:count]
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
@@ -175,9 +181,9 @@ def nearest_projector(m_mat: np.ndarray, m: int,
     m_mat = require_finite(m_mat, "matrix")
     n = m_mat.shape[0]
     if not (0 < m < n):
-        raise ValueError("rank m must satisfy 0 < m < n")
+        raise InvalidArgument("rank m must satisfy 0 < m < n")
     if frob(m_mat - dag(m_mat)) > tol.comparison * (1.0 + frob(m_mat)):
-        raise ValueError("input is not Hermitian within comparison tolerance")
+        raise InvalidArgument("input is not Hermitian within comparison tolerance")
     h = (m_mat + dag(m_mat)) / 2.0
     w, v = np.linalg.eigh(h)  # ascending eigenvalues
     gap = w[n - m] - w[n - m - 1]

@@ -422,6 +422,13 @@ class TestUsage:
                    out=out) == 1
         assert not (tmp_path / "run.csv").exists()
 
+    def test_invalid_grid_span_exits_1(self, tmp_path, capsys):
+        # TimeGrid raises InvalidArgument, which main reports as a usage error
+        cfg = {"version": 1, "grid": {"t0": 1.0, "t1": 0.5, "steps": 10}}
+        assert run(tmp_path, "flow", config=cfg, out=tmp_path / "run") == 1
+        assert "error: t1 must exceed t0" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_unknown_schedule_kind(self, tmp_path):
         assert run(tmp_path, "flow",
                    config={"version": 1, "schedule": {"kind": "warp"}},

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassflow import (BaseMismatch, DegenerateStep, NonFinite, NotAntiHermitian, NotClosed,
-                       PathTooRough)
+from grassflow import (BaseMismatch, DegenerateStep, GrassflowError, InvalidArgument,
+                       NonFinite, NotAntiHermitian, NotClosed, PathTooRough)
 from grassflow import dynamics
 from grassflow.bundle import frame_defect
 from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedule,
@@ -19,7 +19,7 @@ from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedul
                                 FramePath, ProjectorPath)
 from grassflow.grassmann import (BasePoint, Projector, hamiltonian_value, linear_hamiltonian,
                                  projector_defect, sampled_derivative)
-from grassflow.linalg import (dag, frob, isometrize, mat_exp, polar_retract,
+from grassflow.linalg import (dag, frob, isometrize, mat_exp, nearest_projector, polar_retract,
                               random_antihermitian, random_frame, random_unitary)
 
 
@@ -188,7 +188,9 @@ class TestHorizontalTransport:
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["schedule", "sampled"])
     def test_each_step_stores_the_retraction_of_its_frame(self, sampled, monkeypatch):
-        # every pre-retraction frame passes through polar_retract: record it there
+        # every pre-retraction frame passes through polar_retract: record it there.  The
+        # sampled route retracts gauges, not frames: its step maps G_k in one stack, then
+        # their running products, and node k stores its section frame times the latter
         rng = np.random.default_rng(57)
         phi0 = random_frame(4, 2, rng)
         path = integrate_projector(smooth_schedule(4, rng), Projector.from_frame(phi0),
@@ -204,6 +206,15 @@ class TestHorizontalTransport:
 
         monkeypatch.setattr(dynamics, "polar_retract", recording_retract)
         transported = horizontal_transport(path, phi0)
+        if sampled:
+            sections = _sequential_section(path.samples, phi0)
+            assert [f.shape for f in raw] == [(path.grid.steps, 2, 2)] * 2
+            np.testing.assert_allclose(raw[0], _sequential_step_maps(path, sections),
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(transported.samples[0], phi0)
+            np.testing.assert_allclose(transported.samples[1:], sections[1:] @ retract(raw[1]),
+                                       rtol=0, atol=1e-15)
+            return
         assert len(raw) == path.grid.steps
         assert max(frame_defect(f) for f in raw) > 0.0
         np.testing.assert_array_equal(transported.samples[0], phi0)
@@ -873,6 +884,61 @@ def _synthesized_loop(seed, n, m, scale, per_side):
     return synthesize_holonomy_step(w / np.linalg.norm(w), scale, base, per_side), base, rng
 
 
+def _sequential_section(samples, sigma):
+    """The sampled transport's section node by node: P_k a L_k^-*, L_k L_k* = a* P_k a.
+
+    The anchor a starts at sigma and moves to the previous frame at each node where
+    || a* P_k a - I ||_F exceeds 1/2.
+    """
+    frames, anchor, eye = [], sigma, np.eye(sigma.shape[1])
+    for k, p in enumerate(samples):
+        if k and np.linalg.norm(dag(anchor) @ (p @ anchor) - eye) > 0.5:
+            anchor = frames[-1]
+        chol = np.linalg.cholesky(dag(anchor) @ (p @ anchor))
+        frames.append((p @ anchor) @ dag(np.linalg.inv(chol)))
+    return np.array(frames)
+
+
+def _sequential_step_maps(path, frames):
+    """G_k = phi_{k+1}* (phi_k + (h/2)(D_k phi_k + D_{k+1}(phi_k + h D_k phi_k))), one by one."""
+    h, derivs = path.grid.h, sampled_derivative(path.samples, path.grid.h, 2)
+    maps = []
+    for k in range(path.grid.steps):
+        phi, k1 = frames[k], derivs[k] @ frames[k]
+        maps.append(dag(frames[k + 1]) @ (phi + (h / 2.0) * (k1 + derivs[k + 1] @ (phi + h * k1))))
+    return np.array(maps)
+
+
+def _svd_polar(f):
+    u, _, vh = np.linalg.svd(f, full_matrices=False)
+    return u @ vh
+
+
+def _sequential_transport(path, sigma):
+    """Sampled transport step by step: psi_k = phi_k g_k with g_{k+1} = polar(G_k g_k)."""
+    frames = _sequential_section(path.samples, sigma)
+    gauge, psis = np.eye(sigma.shape[1]), [sigma]
+    for k, step_map in enumerate(_sequential_step_maps(path, frames), 1):
+        gauge = _svd_polar(step_map @ gauge)
+        psis.append(frames[k] @ gauge)
+    return np.array(psis)
+
+
+def _trapezoid_loop(path, sigma):
+    """The per-step transport psi_{k+1} = polar(psi_k + A_k psi_k), by the SVD.
+
+    A_k = (h/2)(D_k + D_{k+1}) + (h^2/2) D_{k+1} D_k is the trapezoid step; the
+    frame itself, not a gauge, is retracted after every step.
+    """
+    h, derivs = path.grid.h, sampled_derivative(path.samples, path.grid.h, 2)
+    psis = [sigma]
+    for d0, d1 in zip(derivs, derivs[1:]):
+        psi = psis[-1]
+        k1 = d0 @ psi
+        psis.append(_svd_polar(psi + (h / 2.0) * (k1 + d1 @ (psi + h * k1))))
+    return np.array(psis)
+
+
 LOOPS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
              m_frac=st.floats(0.0, 1.0), scale=st.floats(0.05, 0.3),
              per_side=st.integers(8, 32))
@@ -895,6 +961,24 @@ def test_one_step_is_too_short_for_the_stencils(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: TimeGrid(1.0, 1.0, 4),
+    lambda: TimeGrid(0.0, 1.0, 0),
+    lambda: sampled_schedule(TimeGrid(0.0, 1.0, 4), np.zeros((3, 2, 2))),
+    lambda: sampled_derivative(np.zeros((5, 2, 2)), 0.1, 3),
+    lambda: dynamics._parallelogram_loop([], 0.7, BasePoint.standard(3, 1), 4),
+    lambda: nearest_projector(np.eye(3), 3),
+    lambda: nearest_projector(np.triu(np.ones((3, 3))), 1),
+    lambda: isometrize(np.ones((2, 3))),
+], ids=["grid_span", "grid_steps", "schedule_samples", "derivative_order", "loop_scale",
+        "projector_rank", "projector_not_hermitian", "frame_shape"])
+def test_bad_arguments_raise_invalid_argument(call):
+    # a GrassflowError, which the CLI maps to exit 1, that is still a ValueError
+    with pytest.raises(InvalidArgument) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+
+
 class TestSampledTransport:
     def test_observed_order_of_the_step_maps(self):
         # three halvings of h on the sampled latitude loop, against the
@@ -913,18 +997,11 @@ class TestSampledTransport:
         assert all(1.8 <= order <= 2.2 for order in orders), orders
 
     def test_step_maps_are_the_trapezoid_step(self):
-        # against psi + (h/2)(D_k psi + D_{k+1}(psi + h D_k psi)) and the SVD polar factor
+        # against the trapezoid step in the section, G_k = phi_{k+1}* (phi_k + A_k phi_k),
+        # with the SVD polar factor of G_k g_k taken step by step
         path, base, _ = _synthesized_loop(79, 5, 2, 0.3, 16)
-        h, derivs = path.grid.h, sampled_derivative(path.samples, path.grid.h, 2)
-        expected = [base.frame]
-        for d0, d1 in zip(derivs, derivs[1:]):
-            psi = expected[-1]
-            k1 = d0 @ psi
-            u, _, vh = np.linalg.svd(psi + (h / 2.0) * (k1 + d1 @ (psi + h * k1)),
-                                     full_matrices=False)
-            expected.append(u @ vh)
         got = horizontal_transport(path, base.frame).samples
-        assert np.abs(got - np.array(expected)).max() <= 1e-14
+        assert np.abs(got - _sequential_transport(path, base.frame)).max() <= 1e-14
 
     def test_step_maps_in_blocks_match_one_block(self, monkeypatch):
         path, base, _ = _synthesized_loop(76, 5, 2, 0.2, 40)
@@ -933,9 +1010,9 @@ class TestSampledTransport:
         np.testing.assert_array_equal(horizontal_transport(path, base.frame).samples, whole)
 
     def test_loops_retract_without_the_svd(self, monkeypatch):
-        # every polar_retract of berry_maps (two stacks per run) and of the sampled
-        # transport (one frame per step) takes the Newton-Schulz step on these
-        # runs: the SVD route (the only full_matrices=False caller) never runs
+        # every polar_retract of berry_maps and of the sampled transport (two stacks
+        # per run each) takes the Newton-Schulz step on these runs: the SVD route
+        # (the only full_matrices=False caller) never runs
         polar_svds = []
         svd = np.linalg.svd
 
@@ -956,8 +1033,96 @@ class TestSampledTransport:
         path, base, _ = _synthesized_loop(78, 6, 2, 0.1, 1000)
         horizontal_transport(path, base.frame)
         assert calls[:4] == [(4000, 1, 1)] * 2 + [(800, 2, 2)] * 2
-        assert calls[4:] == [(6, 2)] * path.grid.steps
+        assert calls[4:] == [(path.grid.steps, 2, 2)] * 2
         assert polar_svds == []
+
+    def test_equator_loop_moves_the_section_anchor(self, monkeypatch):
+        # on the equator a* P_k a of the start frame is 0 at azimuth pi, so one anchor
+        # cannot serve the whole loop; re-anchored, the holonomy is -1 within the
+        # order-2 error estimated by halving h
+        theta = np.pi / 2
+        sigma = BasePoint.from_projector(bloch_projector(theta)).frame
+        holonomies = []
+        for steps in (400, 800):
+            samples = bloch_matrices(theta, np.linspace(0.0, 2 * np.pi, steps + 1))
+            path = ProjectorPath(grid=TimeGrid(0.0, 1.0, steps), samples=samples, rank=1)
+            holonomies.append(loop_holonomy(path, sigma))
+        error = frob(holonomies[1] - holonomies[0]) / 3.0
+        assert abs(holonomies[1][0, 0] + 1.0) <= error + 1e-12
+        monkeypatch.setattr(dynamics, "_ANCHOR_DRIFT", np.inf)  # sigma anchors every node
+        with pytest.raises(np.linalg.LinAlgError):
+            loop_holonomy(path, sigma)
+
+    def test_reanchored_section_is_the_sequential_one(self):
+        # a random loop in Gr_2(C^4) that leaves the start frame's chart: the section
+        # re-anchors on the way, node by node as the sequential rule does
+        samples = _random_loop_qfun(np.linspace(0.0, 1.0, 401))
+        path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 400), samples=samples, rank=2)
+        sigma = BasePoint.from_projector(Projector(matrix=samples[0], rank=2)).frame
+        drift = np.linalg.norm(dag(sigma) @ samples @ sigma - np.eye(2), axis=(1, 2))
+        assert drift.max() > 0.5
+        got = horizontal_transport(path, sigma).samples
+        assert np.abs(got - _sequential_transport(path, sigma)).max() <= 1e-14
+
+    @pytest.mark.parametrize("nodes", [1, 3, 100])
+    def test_anchors_do_not_depend_on_the_blocks(self, nodes, monkeypatch):
+        # the equator loop re-anchors its section; blocks of 1, 3 or 100 nodes cut it
+        # elsewhere, some right at a re-anchoring node, and change no frame
+        theta = np.pi / 2
+        sigma = BasePoint.from_projector(bloch_projector(theta)).frame
+        samples = bloch_matrices(theta, np.linspace(0.0, 2 * np.pi, 401))
+        path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 400), samples=samples, rank=1)
+        whole = horizontal_transport(path, sigma).samples
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", nodes * 4 * 16 * 2 * 2)
+        np.testing.assert_array_equal(horizontal_transport(path, sigma).samples, whole)
+
+    def test_frames_track_the_projectors(self):
+        # each psi_k is a section frame of P_k times a unitary, so it tracks P_k to
+        # roundoff (the per-step trapezoid loop drifted off by 7e-8 at 8000 steps)
+        path, base, _ = _synthesized_loop(80, 6, 2, 0.1, 2000)
+        assert tracking_defect(path, horizontal_transport(path, base.frame)) <= 1e-13
+
+    def test_converges_to_the_trapezoid_loop(self):
+        # the per-step trapezoid-and-retract loop is the same scheme up to where the
+        # frame is put back in the fiber: equal holonomies, frames that meet at order 2
+        gaps = []
+        for per_side in (500, 2000):
+            path, base, _ = _synthesized_loop(0, 6, 2, 0.1, per_side)
+            old = _trapezoid_loop(path, base.frame)
+            new = horizontal_transport(path, base.frame).samples
+            assert frob(dag(new[0]) @ new[-1] - dag(old[0]) @ old[-1]) <= 1e-10
+            gaps.append(np.abs(new - old).max())
+        order = np.log(gaps[0] / gaps[1]) / np.log(4.0)
+        assert 1.8 <= order <= 2.2, gaps
+
+    @pytest.mark.parametrize("jump", [[2, 3], [0, 2]], ids=["whole_fiber", "one_direction"])
+    def test_orthogonal_jump_raises_a_grassflow_error(self, jump):
+        # P_{k+1} orthogonal to P_k (in every direction, or in one): the section has no
+        # frame there, and numpy's LinAlgError must not escape
+        eye = np.eye(4, dtype=complex)
+        before, after = eye[:, :2] @ eye[:, :2].T, eye[:, jump] @ eye[:, jump].T
+        samples = np.array([before] * 5 + [after] * 5)
+        path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 9), samples=samples, rank=2)
+        with pytest.raises(GrassflowError):
+            horizontal_transport(path, eye[:, :2])
+
+    def test_non_finite_sample_raises_non_finite(self):
+        path, base, _ = _synthesized_loop(81, 4, 2, 0.2, 8)
+        samples = path.samples.copy()
+        samples[9] = np.nan
+        with pytest.raises(NonFinite):
+            horizontal_transport(ProjectorPath(path.grid, samples, rank=2), base.frame)
+
+    def test_gauge_chain_is_the_retracted_step_by_step_chain(self):
+        rng = np.random.default_rng(82)
+        maps = np.array([random_unitary(2, rng) + 1e-9 * random_antihermitian(2, rng)
+                         for _ in range(300)])
+        gauges = dynamics._gauge_chain(maps, dynamics.DEFAULT_TOLS)
+        expected = [np.eye(2)]
+        for step_map in maps:
+            expected.append(_svd_polar(step_map @ expected[-1]))
+        np.testing.assert_array_equal(gauges[0], np.eye(2))
+        np.testing.assert_allclose(gauges, expected, rtol=0, atol=1e-13)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(**LOOPS)

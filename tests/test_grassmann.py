@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from grassflow import NotAntiHermitian, NotTangent, NotUnitary, OutsideChart, SectionNotInFiber
 from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent,
-                                 Projector, chart_from_proj, chart_projectors,
+                                 Projector, chart_ambient, chart_from_proj, chart_projectors,
                                  chart_transport,
                                  covariant_derivative_along,
                                  grassmann_connection_F, grassmann_curvature_F,
@@ -151,6 +151,17 @@ class TestTangentIsomorphism:
     def test_extract_rejects_nontangent(self):
         with pytest.raises(NotTangent):
             tangent_extract(STD21, EmbeddedTangent(matrix=np.diag([1.0, -1.0]).astype(complex)))
+
+    def test_ambient_form_of_a_block(self):
+        # coframe f frame*: carries the frame to coframe f, annihilates the coframe,
+        # and its Hermitian part is the embedded tangent
+        rng = np.random.default_rng(13)
+        base = random_base(5, 2, rng)
+        f = random_block(base, rng)
+        ambient = chart_ambient(f)
+        np.testing.assert_allclose(ambient @ base.frame, base.coframe @ f.block, atol=1e-14)
+        np.testing.assert_allclose(ambient @ base.coframe, 0.0, atol=1e-14)
+        np.testing.assert_array_equal(tangent_embed(f).matrix, ambient + dag(ambient))
 
     def test_roundtrip_both_ways_random(self):
         rng = np.random.default_rng(12)

@@ -185,6 +185,20 @@ class TestPrefixProducts:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(got[:2], expected[:2])  # one factor, one product
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("count", [0, 4, 9, 10, 16, 17, 101])
+    def test_chunk_edges(self, count, m):
+        # chunks of ceil(sqrt N) factors: full and padded last chunks, squares and not
+        rng = np.random.default_rng(194)
+        factors = np.array([random_unitary(m, rng) for _ in range(count)]).reshape(count, m, m)
+        expected, product = [], np.eye(m)
+        for a in factors:
+            product = a @ product
+            expected.append(product)
+        got = prefix_products(factors)
+        assert got.shape == factors.shape
+        np.testing.assert_allclose(got, np.reshape(expected, got.shape), rtol=0, atol=1e-13)
+
     def test_order_of_non_commuting_factors(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         np.testing.assert_array_equal(prefix_products(np.array([a, a.T]))[1], a.T @ a)
