@@ -15,8 +15,9 @@ parallel transport is an m x m gauge equation: ``berry_maps`` over the
 Schroedinger frame, sampled ``horizontal_transport`` over ``_local_section``,
 both chaining their stacked step maps by ``_gauge_chain``.  Every RK4 route reads
 its 2 * steps + 1 stage generators once each from checked schedule tables
-(``_stage_generators``) and steps by ``_rk4_step``; the reference routes step by
-``_rk4_nodes``.
+(``_stage_generators``).  At small n ``berry_maps`` chains stacked n x n RK4 step
+maps by ``_scan_frames``, at larger n it steps by ``_rk4_step``, and the reference
+routes step by ``_rk4_nodes``.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def closure_tolerance(rank: int, tol: Tolerances = DEFAULT_TOLS) -> float:
 def _rk4_step(f, y, h, h_start, h_mid, h_end, slopes=None):
     """One RK4 step of y' = f(H, y) from the generators at t, t + h/2 and t + h.
 
-    ``slopes``, if given, receives the stage slopes k1, ..., k4.
+    ``slopes``, if given, receives the stage slopes k1, ..., k4.  y and the H may be stacks.
     """
     k1 = f(h_start, y)
     k2 = f(h_mid, y + (h / 2.0) * k1)
@@ -260,7 +261,7 @@ def _rk4_nodes(schedule, rhs, y, grid: TimeGrid, retract, tol: Tolerances):
 
     The first generator table is checked before the start node is yielded.
     """
-    stages = _stage_generators(schedule, grid, y.shape[0], tol)
+    stages = (h for table in _stage_generators(schedule, grid, y.shape[0], tol) for h in table)
     h_node = next(stages)
     yield y
     for _ in range(grid.steps):
@@ -404,51 +405,73 @@ class HolonomyResult:
 
 
 # Bytes of one generator table read by an RK4 route (a geometric table holds
-# several stacks this size at once), four sampled-transport section blocks, and
-# sixteen blocks of berry_maps stage slopes: a large-n run's peak memory stays
-# fixed however many steps it takes.
+# several stacks this size at once) and of four sampled-transport section blocks.
+# A berry_maps block is the steps of one table, so a stack of its n x n RK4 step
+# maps takes half a table: a large-n run's peak memory stays fixed however many
+# steps it takes.
 _TABLE_BYTES = 1 << 22
+
+# Largest n at which berry_maps chains stacked n x n RK4 step maps by
+# ``prefix_products``; above it the per-step loop, O(n^2 m) a step, is faster.
+_SCAN_MAX_N = 16
 
 
 def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int,
                       tol: Tolerances):
-    """H at the 2 * steps + 1 RK4 stage times t0 + (h/2) j, in order.
+    """Tables of H at the 2 * steps + 1 RK4 stage times t0 + (h/2) j, in order.
 
-    Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2.  The
-    generators come from tables of at most _TABLE_BYTES, and each table is
-    checked to be an (N, n, n) stack, finite and anti-Hermitian (a zero-stride
-    table of a constant schedule by its one matrix) before any of it is
-    yielded.
+    Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2.  Every
+    table but the last holds an even number of stages, at most _TABLE_BYTES but
+    two at least, so its steps end at the next table's first node.  Each table
+    is checked to be an (N, n, n) stack, finite and anti-Hermitian (a zero-stride
+    table of a constant schedule by its one matrix) before it is yielded.
     """
     times = grid.t0 + (grid.h / 2.0) * np.arange(2 * grid.steps + 1)
-    chunk = max(1, _TABLE_BYTES // (16 * n * n))
+    chunk = 2 * max(1, _TABLE_BYTES // (32 * n * n))
     for start in range(0, len(times), chunk):
         hs = schedule.table(times[start:start + chunk], n)
         require_antihermitian(hs[:1] if hs.strides[0] == 0 else hs, tol, "generator")
-        yield from hs
+        yield hs
 
 
-def _gauge_step_maps(phis: np.ndarray, slopes: np.ndarray, h: float):
+def _step_tables(tables):
+    """Each stage table's 2B stage generators of B steps, and the (1, n, n) node ending them."""
+    hs = next(tables)
+    for table in tables:
+        yield hs, table[:1]
+        hs = table
+    if len(hs) > 1:
+        yield hs[:-1], hs[-1:]
+
+
+def _rk4_maps(g1, g2, g3, g4, h: float) -> np.ndarray:
+    """Stacked RK4 step maps of a linear equation y' = G(t) y from its stage generators G_i.
+
+    One step is y_{k+1} = (I + (h/6)(B_1 + 2 B_2 + 2 B_3 + B_4)) y_k with B_1 = G_1,
+    B_2 = G_2 (I + (h/2) B_1), B_3 = G_3 (I + (h/2) B_2) and B_4 = G_4 (I + h B_3).
+    """
+    eye = np.eye(g1.shape[-1])
+    b2 = g2 @ (eye + (h / 2.0) * g1)
+    b3 = g3 @ (eye + (h / 2.0) * b2)
+    b4 = g4 @ (eye + h * b3)
+    return eye + (h / 6.0) * (g1 + 2.0 * b2 + 2.0 * b3 + b4)
+
+
+def _gauge_step_maps(phis: np.ndarray, slopes, h: float):
     """Node generators phi_k* H(t_k) phi_k and RK4 gauge maps L_k of a block of steps.
 
     ``phis`` (N, n, m) are the frames at the start of each step and ``slopes``
-    (N, 4, n, m) its stage slopes a_i = H s_i at the stage frames s_1 = phi_k,
+    (4, N, n, m) their stage slopes a_i = H s_i at the stage frames s_1 = phi_k,
     s_2 = phi_k + (h/2) a_1, s_3 = phi_k + (h/2) a_2 and s_4 = phi_k + h a_3.
-    With c_i = s_i* a_i, RK4 on g' = -(phi* H phi) g gives g_{k+1} = L_k g_k
-    for L_k = I + (h/6)(B_1 + 2 B_2 + 2 B_3 + B_4), B_1 = -c_1,
-    B_2 = -c_2 (I + (h/2) B_1), B_3 = -c_3 (I + (h/2) B_2), B_4 = -c_4 (I + h B_3).
+    With c_i = s_i* a_i, g' = -(phi* H phi) g has the stage generators -c_i, and
+    g_{k+1} = L_k g_k for their ``_rk4_maps`` L_k (the equation is linear in g).
     """
-    a1, a2, a3, a4 = slopes.swapaxes(0, 1)
+    a1, a2, a3, a4 = slopes
     c1 = dag(phis) @ a1
     c2 = dag(phis + (h / 2.0) * a1) @ a2
     c3 = dag(phis + (h / 2.0) * a2) @ a3
     c4 = dag(phis + h * a3) @ a4
-    eye = np.eye(c1.shape[-1])
-    b1 = -c1
-    b2 = -c2 @ (eye + (h / 2.0) * b1)
-    b3 = -c3 @ (eye + (h / 2.0) * b2)
-    b4 = -c4 @ (eye + h * b3)
-    return c1, eye + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    return c1, _rk4_maps(-c1, -c2, -c3, -c4, h)
 
 
 def _local_section(samples: np.ndarray, sigma: np.ndarray, block: int,
@@ -476,6 +499,26 @@ def _local_section(samples: np.ndarray, sigma: np.ndarray, block: int,
     return frames
 
 
+def _scan_frames(maps: np.ndarray, frames: np.ndarray, tol: Tolerances) -> None:
+    """Fill frames[1:] with phi_{k+1} = maps[k] phi_k from frames[0], retracted as by a step loop.
+
+    A run of frames comes from ``prefix_products``, its frame defects in one stack.  The
+    first frame not within ``tol.ode`` (NaN included: ``isometrize`` raises) is isometrized
+    and the next run starts from it, over twice the frames of the run before (all maps at
+    first): a grid that retracts at every step costs O(N) products, not O(N^2).
+    """
+    start, size = 0, len(maps)
+    while start < len(maps):
+        run = prefix_products(maps[start:start + size]) @ frames[start]
+        kept = frame_defect(run) <= tol.ode
+        cut = len(run) if kept.all() else int(kept.argmin())
+        frames[start + 1:start + cut + 1] = run[:cut]
+        if cut < len(run):
+            frames[start + cut + 1] = isometrize(run[cut], tol)
+            cut += 1
+        start, size = start + cut, 2 * cut
+
+
 def _gauge_chain(maps: np.ndarray, tol: Tolerances) -> np.ndarray:
     """g_0 = I and g_{k+1} = N(maps[k]) g_k: the maps retracted onto U(m), chained, retracted.
 
@@ -488,7 +531,7 @@ def _gauge_chain(maps: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
                grid: TimeGrid, tol: Tolerances = DEFAULT_TOLS) -> HolonomyResult:
-    """Dynamical and geometric fiber maps of a Hamiltonian run, by one RK4 loop.
+    """Dynamical and geometric fiber maps of a Hamiltonian run, from stacked RK4 step maps.
 
     The Schroedinger frame phi' = H phi, phi(0) = sigma, is the local section:
     split as phi = psi g* with the m x m gauge factor g' = -(phi* H phi) g,
@@ -496,12 +539,14 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     transport of sigma along P = phi phi*.  This is the Aharonov-Anandan
     split of the evolution into a dynamical and a geometric part (PRL 58,
     1593 (1987); non-abelian form: Anandan, Phys. Lett. A 133, 171 (1988)).
-    The RK4 loop integrates phi alone, O(n^2 m) per step, and re-isometrizes
-    it when its frame defect, read from its m x m Gram matrix, is not within
-    ``tol.ode``.  It keeps the four stage slopes in blocks of at most
-    _TABLE_BYTES // 16 bytes; at each block end ``_gauge_step_maps`` turns
-    them into the m x m RK4 maps L_k of the gauge equation (g_{k+1} = L_k g_k,
-    since its right-hand side is linear in g), chained by ``_gauge_chain``.
+    Both equations are linear, so an RK4 step is a matrix: phi_{k+1} = R_k phi_k
+    (the n x n ``_rk4_maps``) and g_{k+1} = L_k g_k.  For n up to _SCAN_MAX_N the
+    R_k of each schedule table's steps are stacked and chained into frames by
+    ``_scan_frames``; above it a per-step loop, O(n^2 m) a step, keeps the stage
+    slopes it computes.  Either way phi is isometrized where its frame defect is not
+    within ``tol.ode``, and ``_gauge_step_maps`` turns each block's stage slopes into
+    the m x m L_k, chained by ``_gauge_chain``.  A grid of fewer than 2 steps raises
+    InvalidArgument before any table is read.
 
     Returns ``dynamical = sigma* phi(T)``, ``geometric = sigma* psi(T)`` and
     ``fiber_gap = psi(T)* phi(T) = g(T)*``.  When the projector path closes
@@ -514,31 +559,33 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     of psi) are computed here, once.
     """
     sigma = require_over(sigma, p0.matrix, tol, "P0")
+    if grid.steps < 2:
+        raise InvalidArgument("berry_maps needs at least 3 samples (2 steps) for its audits")
     n, m = sigma.shape
     h, steps = grid.h, grid.steps
-    eye = np.eye(m)
     phis = np.empty((steps + 1, n, m), dtype=complex)
     gens = np.empty((steps + 1, m, m), dtype=complex)  # phi_k* H(t_k) phi_k
     maps = np.empty((steps, m, m), dtype=complex)
-    block = max(1, (_TABLE_BYTES // 16) // (4 * 16 * n * m))  # steps of slopes per block
-    slopes = np.empty((min(block, steps), 4, n, m), dtype=complex)
-    phi = sigma
-    stages = _stage_generators(schedule, grid, n, tol)
-    h_node = next(stages)
-    for start in range(0, steps, block):
-        stop = min(start + block, steps)
-        for k in range(start, stop):
-            phis[k] = phi
-            h_mid, h_next = next(stages), next(stages)
-            phi = _rk4_step(np.matmul, phi, h, h_node, h_mid, h_next, slopes[k - start])
-            e = dag(phi) @ phi - eye
-            if not np.vdot(e, e).real ** 0.5 <= tol.ode:  # NaN: isometrize raises
-                phi = isometrize(phi, tol)
-            h_node = h_next
-        gens[start:stop], maps[start:stop] = _gauge_step_maps(
-            phis[start:stop], slopes[:stop - start], h)
-    phis[steps] = phi
-    gens[steps] = dag(phi) @ (h_node @ phi)
+    phis[0] = sigma
+    start = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
+        for hs, end in _step_tables(_stage_generators(schedule, grid, n, tol)):
+            stop = start + len(hs) // 2
+            if n <= _SCAN_MAX_N:
+                nodes, mids = np.concatenate([hs[0::2], end]), hs[1::2]
+                step_maps = _rk4_maps(nodes[:-1], mids, mids, nodes[1:], h)
+                _scan_frames(step_maps, phis[start:stop + 1], tol)
+                slopes = [None] * 4
+                _rk4_step(np.matmul, phis[start:stop], h, nodes[:-1], mids, nodes[1:], slopes)
+            else:
+                slopes = np.empty((4, stop - start, n, m), dtype=complex)
+                for k, stage in enumerate(zip(hs[0::2], hs[1::2], [*hs[2::2], end[0]])):
+                    phi = _rk4_step(np.matmul, phis[start + k], h, *stage, slopes[:, k])
+                    kept = frame_defect(phi) <= tol.ode
+                    phis[start + k + 1] = phi if kept else isometrize(phi, tol)
+            gens[start:stop], maps[start:stop] = _gauge_step_maps(phis[start:stop], slopes, h)
+            start = stop
+    gens[steps] = dag(phis[-1]) @ (end[0] @ phis[-1])
 
     fpath = FramePath(grid=grid, samples=phis)
     hpath = FramePath(grid=grid, samples=phis @ _gauge_chain(maps, tol))

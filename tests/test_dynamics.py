@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,15 +57,31 @@ def _scheduled_transport(schedule, sigma, grid):
     return horizontal_transport(path, sigma)
 
 
-# every RK4 route that reads a schedule, as route(schedule, sigma, grid)
+def _berry_maps_loop(schedule, sigma, grid):
+    # berry_maps on the per-step loop it takes above the crossover _SCAN_MAX_N
+    with mock.patch.object(dynamics, "_SCAN_MAX_N", 0):
+        return berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
+
+
+# every RK4 route that reads a schedule, as route(schedule, sigma, grid); the
+# berry_maps tests here are at n <= _SCAN_MAX_N, so "berry_maps" is its scan
 RK4_ROUTES = {
     "berry_maps": lambda sched, sigma, grid: berry_maps(
         sched, Projector.from_frame(sigma), sigma, grid),
+    "berry_maps_loop": _berry_maps_loop,
     "integrate_frame": integrate_frame,
     "integrate_projector": lambda sched, sigma, grid: integrate_projector(
         sched, Projector.from_frame(sigma), grid),
     "horizontal_transport": _scheduled_transport,
 }
+
+
+def _forbid_steps(monkeypatch):
+    """Fail any RK4 step, recording it: a ``_rk4_step`` call, or the scan's ``prefix_products``."""
+    steps = []
+    for name in ("_rk4_step", "prefix_products"):
+        monkeypatch.setattr(dynamics, name, lambda *args: steps.append(args) or 1 / 0)
+    return steps
 
 
 class TestIntegrateFrame:
@@ -440,23 +458,21 @@ class TestBerryMaps:
             hs = inner.table(times)
             return np.where(midpoint[:, np.newaxis, np.newaxis], bad(hs), hs)
 
-        # every route, berry_maps included, takes each step through _rk4_step
-        stages = []
-        monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: stages.append(args) or 1 / 0)
+        # the loops step through _rk4_step, the berry_maps scan through prefix_products
+        steps = _forbid_steps(monkeypatch)
         with pytest.raises(error, match=match):
             RK4_ROUTES[route](HamiltonianSchedule(table), random_frame(4, 2, rng), grid)
-        assert stages == []
+        assert steps == []
 
     @pytest.mark.parametrize("route", RK4_ROUTES)
     def test_unbroadcast_table_is_rejected(self, route, monkeypatch):
         # a table that ignores its time axis would hand out matrix rows as generators
         a = random_antihermitian(4, 72)
-        stages = []
-        monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: stages.append(args) or 1 / 0)
+        steps = _forbid_steps(monkeypatch)
         with pytest.raises(ValueError, match="schedule table"):
             RK4_ROUTES[route](HamiltonianSchedule(lambda t: a), random_frame(4, 2, 73),
                               TimeGrid(0.0, 1.0, 10))
-        assert stages == []
+        assert steps == []
 
     def test_rk4_nodes_check_the_first_table_before_the_start_node(self):
         # a caller that reads only the start node still meets a bad table
@@ -551,12 +567,13 @@ class TestBerryMaps:
 def _reference_berry_loop(schedule, sigma, grid, tol=dynamics.DEFAULT_TOLS):
     """The per-step loop over [phi; g] that berry_maps replaced: g retracted after every step.
 
-    Returns the frames, the gauge factors and the node generators phi_k* H(t_k) phi_k.
+    Returns the frames, the gauge factors, the node generators phi_k* H(t_k) phi_k
+    and the number of frames it isometrized.
     """
     n, m = sigma.shape
     h = grid.h
     eye = np.eye(m)
-    phis, gauges, gens = [], [], []
+    phis, gauges, gens, retractions = [], [], [], 0
     phi, g = sigma, eye.astype(complex)
     hs = schedule.table(grid.t0 + (h / 2.0) * np.arange(2 * grid.steps + 1))
 
@@ -579,13 +596,32 @@ def _reference_berry_loop(schedule, sigma, grid, tol=dynamics.DEFAULT_TOLS):
         phi = phi + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         e = dag(phi) @ phi - eye
         if np.vdot(e, e).real ** 0.5 > tol.ode:
-            phi = isometrize(phi, tol)
+            phi, retractions = isometrize(phi, tol), retractions + 1
         g = polar_retract(g + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4), tol)
-    return np.array(phis), np.array(gauges), np.array(gens)
+    return np.array(phis), np.array(gauges), np.array(gens), retractions
+
+
+def _counted_berry_maps(schedule, sigma, grid):
+    """berry_maps and the number of frames it isometrized."""
+    isometrized = []
+    with mock.patch.object(dynamics, "isometrize",
+                           lambda f, tol: isometrized.append(f) or isometrize(f, tol)):
+        res = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
+    return res, len(isometrized)
+
+
+def _assert_matches_the_reference(res, reference):
+    """Frames within 1e-12, horizontal frames, fiber gap and energies within 1e-13."""
+    phis, gauges, gens, _ = reference
+    np.testing.assert_allclose(res.frame_path.samples, phis, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.energies, hamiltonian_value(gens), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.horizontal_path.samples, phis @ gauges, rtol=0, atol=1e-13)
+    psi_end = phis[-1] @ gauges[-1]
+    np.testing.assert_allclose(res.fiber_gap, dag(psi_end) @ phis[-1], rtol=0, atol=1e-13)
 
 
 class TestGaugeRoute:
-    """berry_maps' stacked gauge factor against the per-step loop it replaced."""
+    """berry_maps' stacked frames and gauge factor against the per-step loop they replaced."""
 
     @staticmethod
     def problem(n, steps, seed):
@@ -599,38 +635,74 @@ class TestGaugeRoute:
 
     @pytest.mark.parametrize("n, steps, seed", [(4, 300, 200), (5, 200, 201), (5, 12, 202)],
                              ids=["n4", "n5", "n5-coarse"])
-    def test_matches_the_per_step_loop(self, n, steps, seed, monkeypatch):
+    def test_matches_the_per_step_loop(self, n, steps, seed):
         schedule, sigma, grid = self.problem(n, steps, seed)
-        phis, gauges, gens = _reference_berry_loop(schedule, sigma, grid)
-        isometrized = []
-        monkeypatch.setattr(dynamics, "isometrize",
-                            lambda f, tol: isometrized.append(f) or isometrize(f, tol))
-        res = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
-        assert bool(isometrized) == (steps == 12)  # the coarse grid leaves the frames
-        np.testing.assert_array_equal(res.frame_path.samples, phis)
-        np.testing.assert_array_equal(res.energies, hamiltonian_value(gens))
-        np.testing.assert_allclose(res.horizontal_path.samples, phis @ gauges,
+        reference = _reference_berry_loop(schedule, sigma, grid)
+        res, retractions = _counted_berry_maps(schedule, sigma, grid)
+        assert retractions == reference[3]
+        assert bool(retractions) == (steps == 12)  # the coarse grid leaves the frames
+        _assert_matches_the_reference(res, reference)
+        assert frob(reference[1][-1] - np.eye(2)) > 0.1  # a gauge factor far from I
+
+    @pytest.mark.parametrize("n, steps, seed", [(4, 300, 200), (5, 12, 202), (16, 60, 206)],
+                             ids=["n4", "n5-coarse", "n16"])
+    def test_scan_and_loop_routes_agree(self, n, steps, seed, monkeypatch):
+        schedule, sigma, grid = self.problem(n, steps, seed)
+        assert n <= dynamics._SCAN_MAX_N
+        scan, scan_retractions = _counted_berry_maps(schedule, sigma, grid)
+        monkeypatch.setattr(dynamics, "_SCAN_MAX_N", 0)
+        loop, loop_retractions = _counted_berry_maps(schedule, sigma, grid)
+        assert scan_retractions == loop_retractions
+        np.testing.assert_allclose(scan.frame_path.samples, loop.frame_path.samples,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scan.horizontal_path.samples, loop.horizontal_path.samples,
                                    rtol=0, atol=1e-13)
-        psi_end = phis[-1] @ gauges[-1]
-        np.testing.assert_allclose(res.fiber_gap, dag(psi_end) @ phis[-1], rtol=0, atol=1e-13)
-        assert frob(gauges[-1] - np.eye(2)) > 0.1  # a gauge factor far from I
+        np.testing.assert_allclose(scan.energies, loop.energies, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n, route", [(dynamics._SCAN_MAX_N, "scan"),
+                                          (dynamics._SCAN_MAX_N + 1, "loop")])
+    def test_the_crossover_picks_the_route(self, n, route, monkeypatch):
+        schedule, sigma, grid = self.problem(n, 5, 207)
+        steps = []
+        monkeypatch.setattr(dynamics, "_rk4_step",
+                            lambda *args, step=dynamics._rk4_step: steps.append(1) or step(*args))
+        berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
+        # the scan takes its stage slopes in one stacked _rk4_step per block
+        assert len(steps) == {"scan": 1, "loop": grid.steps}[route]
+
+    def test_grid_that_retracts_at_every_step_scans_in_linear_work(self, monkeypatch):
+        # h ||H|| = 1/4: every RK4 step leaves the frames by more than tol.ode
+        schedule, sigma, _ = self.problem(5, 12, 202)
+        grid = TimeGrid(0.0, 10.0, 120)
+        reference = _reference_berry_loop(schedule, sigma, grid)
+        assert reference[3] == grid.steps
+        scans = []
+        scan = dynamics.prefix_products
+        monkeypatch.setattr(dynamics, "prefix_products",
+                            lambda a: scans.append(len(a)) or scan(a))
+        res, retractions = _counted_berry_maps(schedule, sigma, grid)
+        assert retractions == grid.steps
+        # one run of all the steps, one of at most two maps after each retraction, and the
+        # gauge chain's; rescanning the rest of the steps each time would take 7,260 maps
+        assert len(scans) <= grid.steps + 2
+        assert sum(scans) <= 4 * grid.steps
+        _assert_matches_the_reference(res, reference)
 
     def test_blocks_of_three_steps_match_one_block(self, monkeypatch):
         schedule, sigma, grid = self.problem(4, 50, 203)
-        p0 = Projector.from_frame(sigma)
-        whole = berry_maps(schedule, p0, sigma, grid)
-        # a block holds the 4 slopes (4 x 2 complex) of 3 steps: _TABLE_BYTES // 16 bytes
-        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 16 * 3 * 4 * 16 * 4 * 2)
-        maps = []
+        reference = _reference_berry_loop(schedule, sigma, grid)
+        # a table holds the generators of 3 steps, 6 stage times (16 * 4 * 4 bytes each)
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 32 * 4 * 4)
         step_maps = dynamics._gauge_step_maps
-        monkeypatch.setattr(dynamics, "_gauge_step_maps",
-                            lambda phis, *args: maps.append(len(phis)) or step_maps(phis, *args))
-        blocks = berry_maps(schedule, p0, sigma, grid)
-        assert maps == [3] * 16 + [2]
-        for name in ("frame_path", "horizontal_path"):
-            np.testing.assert_array_equal(getattr(blocks, name).samples,
-                                          getattr(whole, name).samples)
-        np.testing.assert_array_equal(blocks.energies, whole.energies)
+        for crossover in (dynamics._SCAN_MAX_N, 0):  # the scan, then the loop
+            monkeypatch.setattr(dynamics, "_SCAN_MAX_N", crossover)
+            maps = []
+            monkeypatch.setattr(
+                dynamics, "_gauge_step_maps",
+                lambda phis, *args: maps.append(len(phis)) or step_maps(phis, *args))
+            blocks = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
+            assert maps == [3] * 16 + [2]
+            _assert_matches_the_reference(blocks, reference)
 
     @pytest.mark.parametrize("steps", [2, 7, 400])
     def test_two_stacked_retractions_per_run(self, steps, monkeypatch):
@@ -642,20 +714,39 @@ class TestGaugeRoute:
         assert calls == [(steps, 2, 2)] * 2
 
 
+def _overflowing_schedule():
+    h_mat = random_antihermitian(3, 205)
+    return constant_schedule(1e200 * h_mat / np.linalg.norm(h_mat))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
-@pytest.mark.parametrize("route", ["berry_maps", "integrate_frame", "integrate_projector"])
+@pytest.mark.parametrize("route", ["berry_maps", "berry_maps_loop", "integrate_frame",
+                                   "integrate_projector"])
 def test_overflowing_state_raises_non_finite(route, monkeypatch):
     # the RK4 stages of a generator of norm 1e200 overflow to inf and NaN in the
-    # first step; a NaN defect is not within tol.ode, so the retraction after
-    # that step meets the non-finite state and raises
-    h_mat = random_antihermitian(3, 205)
-    schedule = constant_schedule(1e200 * h_mat / np.linalg.norm(h_mat))
-    steps, rk4_step = [], dynamics._rk4_step
+    # first step; a NaN defect is not within tol.ode, so the retraction of node 1
+    # meets the non-finite state and raises: isometrize for frames, nearest_projector
+    # for projectors, on the loops after one _rk4_step and on the scan before any
+    retracted, steps = [], []
+    for name in ("isometrize", "nearest_projector"):
+        monkeypatch.setattr(dynamics, name, lambda f, *args, retract=getattr(dynamics, name):
+                            retracted.append(f) or retract(f, *args))
     monkeypatch.setattr(dynamics, "_rk4_step",
-                        lambda *args: steps.append(1) or rk4_step(*args))
+                        lambda *args, step=dynamics._rk4_step: steps.append(1) or step(*args))
     with pytest.raises(NonFinite, match="non-finite"):
-        RK4_ROUTES[route](schedule, random_frame(3, 1, 206), TimeGrid(0.0, 1.0, 10))
-    assert len(steps) == 1
+        RK4_ROUTES[route](_overflowing_schedule(), random_frame(3, 1, 206),
+                          TimeGrid(0.0, 1.0, 10))
+    assert len(retracted) == 1 and not np.isfinite(retracted[0]).all()
+    assert len(steps) == (route != "berry_maps")
+
+
+def test_overflowing_scan_raises_without_warnings():
+    # no filterwarnings mark: the scan runs under np.errstate, so the 1e200 generator
+    # ends in NonFinite alone, with no numpy RuntimeWarning (an error in this suite)
+    sigma = random_frame(3, 1, 206)
+    with pytest.raises(NonFinite, match="non-finite"):
+        berry_maps(_overflowing_schedule(), Projector.from_frame(sigma), sigma,
+                   TimeGrid(0.0, 1.0, 10))
 
 
 def _latitude_qfun(t):
@@ -959,6 +1050,13 @@ def test_one_step_is_too_short_for_the_stencils(call):
     # two samples: the finite differences need three, so ValueError, not IndexError
     with pytest.raises(ValueError, match="at least 3 samples"):
         call()
+
+
+def test_berry_maps_rejects_one_step_before_reading_the_schedule():
+    schedule, calls = counting_schedule(constant_schedule(np.zeros((2, 2))))
+    with pytest.raises(InvalidArgument, match="at least 3 samples"):
+        berry_maps(schedule, Projector.from_frame(_E1), _E1, _TWO_NODES)
+    assert calls == []
 
 
 @pytest.mark.parametrize("call", [
