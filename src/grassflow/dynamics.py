@@ -4,20 +4,20 @@ Integrates the frame equation phi' = H(t) phi and the projector equation
 P' = [H(t), P] with a classical 4th-order one-step method plus per-step
 retraction back onto the constraint set: oriented QR for integrated frames,
 spectral projection for projectors, and the polar factor (which commutes with
-the right U(m) action) for transported frames and gauge factors.  On top of
-the flows: horizontal transport, the dynamical vs. geometric Berry maps,
-purely off-diagonal ("geometric") schedules driving a prescribed projector
-curve, loop holonomy with a discrete projector-product oracle, and first-order
-holonomy synthesis from curvature generators.
+the right U(m) action) for gauge factors.  On top of the flows: horizontal
+transport, the dynamical vs. geometric Berry maps, purely off-diagonal
+("geometric") schedules driving a prescribed projector curve, loop holonomy with
+a discrete projector-product oracle, and first-order holonomy synthesis from
+curvature generators.
 
-The production routes transport in a local trivialization of the bundle, where
-parallel transport is an m x m gauge equation: ``berry_maps`` over the
-Schroedinger frame, sampled ``horizontal_transport`` over ``_local_section``,
-both chaining their stacked step maps by ``_gauge_chain``.  Every RK4 route reads
-its 2 * steps + 1 stage generators once each from checked schedule tables
-(``_stage_generators``).  At small n ``berry_maps`` chains stacked n x n RK4 step
-maps by ``_scan_frames``, at larger n it steps by ``_rk4_step``, and the reference
-routes step by ``_rk4_nodes``.
+Transport runs in a local trivialization of the bundle, where it is an m x m
+gauge equation: along a Hamiltonian flow by ``berry_maps`` over the Schroedinger
+frame (its ``horizontal_path``), along a sampled path by ``horizontal_transport``
+over ``_local_section``, both chaining their step maps by ``_gauge_chain``.
+Every RK4 route reads its 2 * steps + 1 stage generators once each from checked
+schedule tables (``_stage_generators``).  At small n ``berry_maps`` chains stacked
+n x n RK4 step maps by ``_scan_frames``, at larger n it steps by ``_rk4_step``, and
+the reference routes step by ``_rk4_nodes``.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not self.t1 > self.t0:
-            raise InvalidArgument("t1 must exceed t0")
         if self.steps < 1:
             raise InvalidArgument("steps must be positive")
+        if not self.h > 0.0:  # a step below the smallest float is 0: the nodes coincide
+            raise InvalidArgument("t1 must exceed t0 by a nonzero step")
 
     @property
     def h(self) -> float:
@@ -89,12 +89,12 @@ class HamiltonianSchedule:
         return self.table(np.array([t]))[0]
 
     def table(self, times: np.ndarray, n: Optional[int] = None) -> np.ndarray:
-        """(N, n, n) stack of H(t) at the 1-D ``times``, maybe a read-only view; else ValueError."""
+        """(N, n, n) stack of H at the 1-D ``times``, maybe a read-only view; or InvalidArgument."""
         times = np.asarray(times, dtype=float)
         hs = np.asarray(self.tabulate(times))
         want = times.shape + 2 * (hs.shape[-1:] if n is None else (n,))
         if hs.shape != want:
-            raise ValueError(f"schedule table has shape {hs.shape}, want {want}")
+            raise InvalidArgument(f"schedule table has shape {hs.shape}, want {want}")
         return hs
 
 
@@ -173,7 +173,7 @@ def geometric_schedule(qfun: Callable[[np.ndarray], np.ndarray]) -> HamiltonianS
     def table(times: np.ndarray) -> np.ndarray:
         q = qfun(times)
         if q.shape[:-2] != times.shape:
-            raise ValueError("qfun must map N times to an (N, n, n) stack")
+            raise InvalidArgument("qfun must map N times to an (N, n, n) stack")
         v = (qfun(times + _FD_STEP) - qfun(times - _FD_STEP)) / (2.0 * _FD_STEP)
         return _geometric_generator(q, v)
 
@@ -182,15 +182,11 @@ def geometric_schedule(qfun: Callable[[np.ndarray], np.ndarray]) -> HamiltonianS
 
 @dataclass(frozen=True)
 class ProjectorPath:
-    """Sampled solution of P' = [H, P] (or any sampled projector curve).
-
-    A ``schedule`` must be the flow that produced the samples: transport reads only samples[0].
-    """
+    """Sampled solution of P' = [H, P] (or any sampled projector curve)."""
 
     grid: TimeGrid
     samples: np.ndarray          # (steps+1, n, n)
     rank: int
-    schedule: Optional[HamiltonianSchedule] = None
 
     @property
     def n(self) -> int:
@@ -292,48 +288,30 @@ def integrate_frame(schedule: HamiltonianSchedule, phi0: np.ndarray,
 
 def integrate_projector(schedule: HamiltonianSchedule, p0: Projector, grid: TimeGrid,
                         tol: Tolerances = DEFAULT_TOLS) -> ProjectorPath:
-    """Integrate P' = [H(t), P] with per-step spectral retraction on demand."""
+    """Integrate P' = [H(t), P] with per-step spectral retraction on demand (a reference route)."""
     p = require_finite(p0.matrix, "initial projector")
     nodes = _rk4_nodes(schedule, commutator, p, grid,
                        lambda y: _retract_projector(y, p0.rank, tol), tol)
     samples = np.fromiter(nodes, np.dtype((complex, p.shape)), grid.steps + 1)
-    return ProjectorPath(grid=grid, samples=samples, rank=p0.rank, schedule=schedule)
+    return ProjectorPath(grid=grid, samples=samples, rank=p0.rank)
 
 
 def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
                          tol: Tolerances = DEFAULT_TOLS) -> FramePath:
-    """Parallel transport of a start frame along a projector path: psi' = P' psi.
+    """Parallel transport of a start frame along a sampled projector path: psi' = P' psi.
 
-    When the path carries its schedule, psi is co-integrated with
-    P' = [H(t), P(t)] by RK4 on the n x (n+m) state [P | psi] (4th order), P
-    retracted as by ``integrate_projector`` and only psi stored; only
-    ``samples[0]`` is read, so the schedule must be the flow that produced the
-    samples.  A bare sampled path is transported in a local trivialization:
-    psi_k = phi_k g_k over the section phi_k of ``_local_section``, with the
-    gauges of ``_gauge_chain`` for the maps G_k = phi_{k+1}* (1 + A_k) phi_k of the
-    2nd-order trapezoidal step A_k = (h/2)(D_k + D_{k+1}) + (h^2/2) D_{k+1} D_k
-    (D_k by central differences; A_k phi_k is formed without A_k), built in blocks
-    of _TABLE_BYTES / 4 bytes.  The polar factor is equivariant on both sides, so
-    psi does not depend on the section and transport is gauge equivariant.
+    Transport runs in a local trivialization: psi_k = phi_k g_k over the section
+    phi_k of ``_local_section``, with the gauges of ``_gauge_chain`` for the maps
+    G_k = phi_{k+1}* (1 + A_k) phi_k of the 2nd-order trapezoidal step
+    A_k = (h/2)(D_k + D_{k+1}) + (h^2/2) D_{k+1} D_k (D_k by central differences;
+    A_k phi_k is formed without A_k), built in blocks of _TABLE_BYTES / 4 bytes.
+    The polar factor is equivariant on both sides, so psi does not depend on the
+    section and transport is gauge equivariant.  Along a Hamiltonian flow the
+    4th-order transport is ``berry_maps(...).horizontal_path``.
     """
     sigma = require_over(sigma, path.samples[0], tol, "the path start")
     grid = path.grid
     h, n = grid.h, path.n
-
-    if path.schedule is not None:
-        def rhs(h_mat, y):
-            pdot = commutator(h_mat, y[:, :n])
-            return np.hstack([pdot, pdot @ y[:, n:]])
-
-        def retract(y):
-            return np.hstack([_retract_projector(y[:, :n], path.rank, tol),
-                              polar_retract(y[:, n:], tol)])
-
-        nodes = _rk4_nodes(path.schedule, rhs, np.hstack([path.samples[0], sigma]), grid,
-                           retract, tol)
-        psis = np.fromiter((y[:, n:] for y in nodes), np.dtype((complex, sigma.shape)),
-                           grid.steps + 1)  # the n x n part P is never stored
-        return FramePath(grid, psis)
 
     block = max(1, _TABLE_BYTES // (4 * 16 * n * n))
     frames = _local_section(path.samples, sigma, block, tol)
@@ -358,8 +336,9 @@ def horizontality_defects(frames: FramePath) -> np.ndarray:
     Uses 4th-order stencils so the measurement error stays well below the
     transported curve's own vertical drift.
     """
-    derivs = sampled_derivative(frames.samples, frames.grid.h, 4)
-    return np.linalg.norm(dag(frames.samples) @ derivs, axis=(1, 2))
+    with np.errstate(over="ignore"):  # roundoff over an h near the smallest float: inf
+        derivs = sampled_derivative(frames.samples, frames.grid.h, 4)
+        return np.linalg.norm(dag(frames.samples) @ derivs, axis=(1, 2))
 
 
 def horizontality_defect(frames: FramePath) -> float:
@@ -368,10 +347,10 @@ def horizontality_defect(frames: FramePath) -> float:
 
 
 def tracking_defect(path: ProjectorPath, frames: FramePath) -> float:
-    """max_k || psi_k psi_k* - P_k ||; ValueError unless both paths have the same nodes."""
+    """max_k || psi_k psi_k* - P_k ||; InvalidArgument unless both paths have the same nodes."""
     psi = frames.samples
     if len(psi) != len(path.samples):
-        raise ValueError("the frame and projector paths differ in length")
+        raise InvalidArgument("the frame and projector paths differ in length")
     return float(np.linalg.norm(psi @ dag(psi) - path.samples, axis=(1, 2)).max())
 
 

@@ -59,7 +59,7 @@ class Projector:
         matrix = require_finite(matrix, "projector")
         proj = cls(matrix=matrix, rank=rank)
         if proj.defect() > tol.structural * (1.0 + frob(matrix)):
-            raise ValueError("matrix is not a rank-m orthogonal projector")
+            raise InvalidArgument("matrix is not a rank-m orthogonal projector")
         return proj
 
     @classmethod
@@ -121,7 +121,7 @@ class ChartTangent:
     def __post_init__(self):
         expected = (self.base.n - self.base.m, self.base.m)
         if self.block.shape != expected:
-            raise ValueError(f"block shape {self.block.shape} != {expected}")
+            raise InvalidArgument(f"block shape {self.block.shape} != {expected}")
 
 
 @dataclass(frozen=True)
@@ -322,9 +322,9 @@ def covariant_derivative_along(projectors: np.ndarray, sections: np.ndarray,
     projectors = require_finite(projectors, "projector path")
     sections = require_finite(sections, "section samples")
     if len(projectors) != len(sections) or len(projectors) < 3:
-        raise ValueError("need matching sample counts, at least 3 nodes")
+        raise InvalidArgument("need matching sample counts, at least 3 nodes")
     if mode not in ("canonical", "complement", "sum"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
 
     def project(v):
         return np.einsum("kij,kj->ki", projectors, v)

@@ -33,9 +33,9 @@ class Tolerances:
 
     def __post_init__(self):
         if not (self.structural > 0 and self.ode > 0 and self.comparison > 0):
-            raise ValueError("tolerances must be strictly positive")
+            raise InvalidArgument("tolerances must be strictly positive")
         if self.structural > self.comparison:
-            raise ValueError("structural tolerance must not exceed comparison tolerance")
+            raise InvalidArgument("structural tolerance must not exceed comparison tolerance")
 
 
 DEFAULT_TOLS = Tolerances()
@@ -62,16 +62,31 @@ def require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _hermitian_defects(a: np.ndarray):
+    """|| a + a* || / s, || a || / s and 1 / s for each matrix of the finite a.
+
+    s = 1 unless a norm overflows; then s is the larger of 1 and the largest entry
+    modulus of each matrix, and the norms of a / s cannot overflow.
+    """
+    with np.errstate(over="ignore"):
+        defects, norms = (np.linalg.norm(x, axis=(-2, -1)) for x in (a + dag(a), a))
+    if not (np.isfinite(defects).all() and np.isfinite(norms).all()):
+        scale = np.abs(a).max(axis=(-2, -1), keepdims=True, initial=1.0)
+        return _hermitian_defects(a / scale)[:2] + (1.0 / scale[..., 0, 0],)
+    return defects, norms, 1.0
+
+
 def require_antihermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOLS,
                           name: str = "matrix") -> np.ndarray:
     """``a`` as a complex array, checked finite and anti-Hermitian.
 
     ``a`` is a matrix or a stack (..., n, n); each matrix must satisfy
-    || a + a* || <= comparison * (1 + || a ||).
+    || a + a* || <= comparison * (1 + || a ||), both sides divided by the s of
+    ``_hermitian_defects``.
     """
     a = require_finite(a, name)
-    defects = np.linalg.norm(a + dag(a), axis=(-2, -1))
-    if np.any(defects > tol.comparison * (1.0 + np.linalg.norm(a, axis=(-2, -1)))):
+    defects, norms, unit = _hermitian_defects(a)
+    if np.any(defects > tol.comparison * (unit + norms)):
         raise NotAntiHermitian(f"{name} is not anti-Hermitian")
     return a
 
@@ -153,15 +168,15 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential e^A of a matrix or of each matrix in a stack (..., n, n).
 
     When every matrix is anti-Hermitian to roundoff (|| A + A* || at most
-    4 n eps || A ||), e^A = V diag(e^{-i lam}) V* from the eigendecomposition
-    iA = V diag(lam) V*, unitary to roundoff (the normal-matrix route: Higham,
-    Functions of Matrices, SIAM 2008, ch. 10).  Any other input goes to
+    4 n eps || A ||, both divided by the s of ``_hermitian_defects``),
+    e^A = V diag(e^{-i lam}) V* from the eigendecomposition iA = V diag(lam) V*,
+    unitary to roundoff (the normal-matrix route: Higham, Functions of
+    Matrices, SIAM 2008, ch. 10).  Any other input goes to
     scipy's scaling-and-squaring Pade ``expm``; scipy is imported only then.
     """
     a = require_finite(a, "exponent")
-    defects = np.linalg.norm(a + dag(a), axis=(-2, -1))
-    eps = np.finfo(float).eps
-    if np.all(defects <= 4.0 * a.shape[-1] * eps * np.linalg.norm(a, axis=(-2, -1))):
+    defects, norms, _ = _hermitian_defects(a)
+    if np.all(defects <= 4.0 * a.shape[-1] * np.finfo(float).eps * norms):
         lam, v = np.linalg.eigh(1j * a)
         return (v * np.exp(-1j * lam)[..., np.newaxis, :]) @ dag(v)
     import scipy.linalg
@@ -203,7 +218,7 @@ def random_complex(n: int, m: int, seed) -> np.ndarray:
 def random_antihermitian(n: int, seed) -> np.ndarray:
     """Seeded anti-Hermitian matrix A = (G - G*)/2 with Gaussian G."""
     if n < 1:
-        raise ValueError("dimension must be >= 1")
+        raise InvalidArgument("dimension must be >= 1")
     g = random_complex(n, n, seed)
     return (g - dag(g)) / 2.0
 

@@ -1,18 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grassflow import cli
 from grassflow.cli import (CSV_HEADER, build_parser, build_setup,
                            build_tolerances, load_config, main, write_report)
-from grassflow.dynamics import (berry_maps, integrate_projector, loop_holonomy,
-                                pancharatnam_oracle)
+from grassflow.dynamics import berry_maps, pancharatnam_oracle
 from grassflow.linalg import dag
+
+from cointegrated import cointegrated_transport
 
 REQUIRED_KEYS = ["config", "holonomy_dynamical", "holonomy_geometric",
                  "fiber_gap", "berry_phase_arg", "closure_residual",
@@ -206,8 +211,8 @@ class TestHolonomy:
         assert run(tmp_path, "holonomy", config=cfg, steps=300) == 3
 
     def test_matches_the_transported_projector_loop(self, tmp_path):
-        # the frame-first run against transport along the separately
-        # integrated projector flow, on the same seeded inputs
+        # the frame-first run against transport co-integrated with the
+        # projector flow, on the same seeded inputs
         cfg = {"version": 1, "n": 4, "m": 2,
                "schedule": {"kind": "geometric_from_curve"}}
         out = tmp_path / "run"
@@ -217,7 +222,8 @@ class TestHolonomy:
             ["holonomy", "--config", str(tmp_path / "config.json"), "--steps", "800"]))
         tol = build_tolerances(loaded)
         schedule, p0, sigma, grid = build_setup(loaded, tol)
-        reference = loop_holonomy(integrate_projector(schedule, p0, grid, tol), sigma, tol)
+        frames = cointegrated_transport(schedule, p0, sigma, grid, tol).samples
+        reference = dag(frames[0]) @ frames[-1]
         got = np.array([[complex(z["re"], z["im"]) for z in row]
                         for row in report["holonomy_geometric"]])
         assert np.linalg.norm(got - reference) <= 1e-10
@@ -429,6 +435,19 @@ class TestUsage:
         assert "error: t1 must exceed t0" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
 
+    def test_grid_step_below_the_smallest_float_exits_1(self, tmp_path, capsys):
+        cfg = {"version": 1, "grid": {"t0": 0.0, "t1": 5e-324, "steps": 16}}
+        assert run(tmp_path, "flow", config=cfg, out=tmp_path / "run") == 1
+        assert "nonzero step" in capsys.readouterr().err
+
+    def test_tiny_grid_step_reports_an_infinite_horizontality_defect(self, tmp_path):
+        # roundoff over h = 1e-301 overflows the defect's norm; no numpy warning
+        # (an error in this suite) escapes the run
+        cfg = {"version": 1, "grid": {"t0": 0.0, "t1": 1e-300, "steps": 11}}
+        out = tmp_path / "run"
+        assert run(tmp_path, "holonomy", config=cfg, out=out) == 0
+        assert load(out)[0]["horizontality_defect"] == float("inf")
+
     def test_unknown_schedule_kind(self, tmp_path):
         assert run(tmp_path, "flow",
                    config={"version": 1, "schedule": {"kind": "warp"}},
@@ -456,3 +475,51 @@ def test_report_keys_in_order(tmp_path, command, cfg, keys):
     assert run(tmp_path, command, config=cfg, steps=300, out=out) == 0
     report, _ = load(out)
     assert list(report) == keys
+
+
+_WRONG_TYPE = st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                        st.lists(st.integers(-1, 2), max_size=2))
+
+
+def _wrong_or(values):
+    """``values``, one draw in eight a JSON value of the wrong type instead."""
+    return st.integers(0, 7).flatmap(lambda i: _WRONG_TYPE if i == 0 else values)
+
+
+_REAL = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(
+    [0, -1, 2, 1e-300, -1e200, 1e200, 1e308, float("inf"), float("nan")]))
+_MATRIX = _wrong_or(st.lists(st.lists(st.fixed_dictionaries({"re": _REAL, "im": _REAL}),
+                                      min_size=1, max_size=4), min_size=1, max_size=4))
+# the known config keys, each with values of the right and the wrong type, sign and shape
+CONFIGS = st.fixed_dictionaries({
+    "grid": _wrong_or(st.fixed_dictionaries(
+        {"steps": _wrong_or(st.integers(-1, 16))},
+        optional={"t0": _wrong_or(_REAL), "t1": _wrong_or(_REAL)})),
+}, optional={
+    "version": _wrong_or(st.sampled_from([1, 1, 1, 0, 2])),
+    "n": _wrong_or(st.integers(-1, 4)),
+    "m": _wrong_or(st.integers(-1, 4)),
+    "seed": _wrong_or(st.integers(-1, 3)),
+    "schedule": _wrong_or(st.fixed_dictionaries(
+        {"kind": _wrong_or(st.sampled_from(
+            ["rotating", "constant", "sampled", "geometric_from_curve", "warp"]))},
+        optional={"theta": _wrong_or(_REAL), "omega": _wrong_or(_REAL),
+                  "norm": _wrong_or(_REAL), "matrix": _MATRIX,
+                  "values": _wrong_or(st.lists(_MATRIX, max_size=5))})),
+    "tolerances": _wrong_or(st.dictionaries(
+        st.sampled_from(["structural", "ode", "comparison", "bogus"]), _wrong_or(_REAL))),
+    "synthesize": _wrong_or(st.fixed_dictionaries(
+        {}, optional={"scale": _wrong_or(_REAL), "w": _MATRIX})),
+})
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(["chart", "flow", "berry", "holonomy", "synthesize"]),
+       cfg=CONFIGS)
+def test_any_config_ends_in_an_exit_code(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**cfg, "output": None}))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(path)])
+    assert code in (0, 1, 2, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,8 @@ from grassflow.grassmann import (BasePoint, Projector, hamiltonian_value, linear
 from grassflow.linalg import (dag, frob, isometrize, mat_exp, nearest_projector, polar_retract,
                               random_antihermitian, random_frame, random_unitary)
 
+from cointegrated import cointegrated_transport
+
 
 def trig_schedule(a, b, freq=1.0):
     """H(t) = cos(freq t) a + sin(t) b, as a table over a 1-D array of times."""
@@ -49,14 +52,6 @@ def counting_schedule(inner):
     return HamiltonianSchedule(table), calls
 
 
-def _scheduled_transport(schedule, sigma, grid):
-    # scheduled transport co-integrates P from the schedule; the path gives its start
-    p0 = Projector.from_frame(sigma)
-    samples = np.repeat(p0.matrix[np.newaxis], grid.steps + 1, axis=0)
-    path = ProjectorPath(grid=grid, samples=samples, rank=p0.rank, schedule=schedule)
-    return horizontal_transport(path, sigma)
-
-
 def _berry_maps_loop(schedule, sigma, grid):
     # berry_maps on the per-step loop it takes above the crossover _SCAN_MAX_N
     with mock.patch.object(dynamics, "_SCAN_MAX_N", 0):
@@ -72,7 +67,6 @@ RK4_ROUTES = {
     "integrate_frame": integrate_frame,
     "integrate_projector": lambda sched, sigma, grid: integrate_projector(
         sched, Projector.from_frame(sigma), grid),
-    "horizontal_transport": _scheduled_transport,
 }
 
 
@@ -204,17 +198,14 @@ class TestHorizontalTransport:
         transported = horizontal_transport(path, phi0)
         assert horizontality_defect(transported) <= 1e-6
 
-    @pytest.mark.parametrize("sampled", [False, True], ids=["schedule", "sampled"])
-    def test_each_step_stores_the_retraction_of_its_frame(self, sampled, monkeypatch):
-        # every pre-retraction frame passes through polar_retract: record it there.  The
-        # sampled route retracts gauges, not frames: its step maps G_k in one stack, then
+    def test_each_step_stores_the_retraction_of_its_frame(self, monkeypatch):
+        # every pre-retraction matrix passes through polar_retract: record it there.
+        # Transport retracts gauges, not frames: its step maps G_k in one stack, then
         # their running products, and node k stores its section frame times the latter
         rng = np.random.default_rng(57)
         phi0 = random_frame(4, 2, rng)
         path = integrate_projector(smooth_schedule(4, rng), Projector.from_frame(phi0),
                                    TimeGrid(0.0, 1.0, 200))
-        if sampled:
-            path = ProjectorPath(grid=path.grid, samples=path.samples, rank=path.rank)
         raw = []
         retract = dynamics.polar_retract
 
@@ -224,43 +215,35 @@ class TestHorizontalTransport:
 
         monkeypatch.setattr(dynamics, "polar_retract", recording_retract)
         transported = horizontal_transport(path, phi0)
-        if sampled:
-            sections = _sequential_section(path.samples, phi0)
-            assert [f.shape for f in raw] == [(path.grid.steps, 2, 2)] * 2
-            np.testing.assert_allclose(raw[0], _sequential_step_maps(path, sections),
-                                       rtol=0, atol=1e-15)
-            np.testing.assert_array_equal(transported.samples[0], phi0)
-            np.testing.assert_allclose(transported.samples[1:], sections[1:] @ retract(raw[1]),
-                                       rtol=0, atol=1e-15)
-            return
-        assert len(raw) == path.grid.steps
-        assert max(frame_defect(f) for f in raw) > 0.0
+        sections = _sequential_section(path.samples, phi0)
+        assert [f.shape for f in raw] == [(path.grid.steps, 2, 2)] * 2
+        np.testing.assert_allclose(raw[0], _sequential_step_maps(path, sections),
+                                   rtol=0, atol=1e-15)
         np.testing.assert_array_equal(transported.samples[0], phi0)
-        np.testing.assert_allclose(transported.samples[1:], [retract(f) for f in raw],
+        np.testing.assert_allclose(transported.samples[1:], sections[1:] @ retract(raw[1]),
                                    rtol=0, atol=1e-15)
 
-    def test_scheduled_transport_stores_only_the_frames(self, monkeypatch):
-        # the frames are (steps+1, n, m); the co-integrated n x (n+m) state [P | psi]
-        # stacked over the run would be larger than the projector path itself
-        import tracemalloc
-
-        n, m = 32, 2
+    def test_a_flow_path_is_transported_along_its_samples(self):
+        # samples that do not follow the flow integrate_projector ran are what is
+        # transported: a constant path keeps sigma at every node
         rng = np.random.default_rng(74)
-        sigma = random_frame(n, m, rng)
-        grid = TimeGrid(0.0, 1.0, 200)
+        sigma = random_frame(4, 2, rng)
         p0 = Projector.from_frame(sigma)
-        samples = np.repeat(p0.matrix[np.newaxis], grid.steps + 1, axis=0)
-        path = ProjectorPath(grid=grid, samples=samples, rank=m,
-                             schedule=smooth_schedule(n, rng))
-        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 4 * 16 * n * n)
-        tracemalloc.start()
-        try:
-            transported = horizontal_transport(path, sigma)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert transported.samples.shape == (grid.steps + 1, n, m)
-        assert peak < path.samples.nbytes / 2
+        grid = TimeGrid(0.0, 1.0, 100)
+        path = dataclasses.replace(integrate_projector(smooth_schedule(4, rng), p0, grid),
+                                   samples=np.repeat(p0.matrix[np.newaxis], grid.steps + 1, 0))
+        np.testing.assert_allclose(horizontal_transport(path, sigma).samples,
+                                   np.repeat(sigma[np.newaxis], grid.steps + 1, 0),
+                                   rtol=0, atol=1e-14)
+
+    def test_a_flow_path_is_transported_as_its_bare_samples(self):
+        rng = np.random.default_rng(75)
+        sigma = random_frame(4, 2, rng)
+        path = integrate_projector(smooth_schedule(4, rng), Projector.from_frame(sigma),
+                                   TimeGrid(0.0, 1.0, 100))
+        bare = ProjectorPath(grid=path.grid, samples=path.samples.copy(), rank=path.rank)
+        np.testing.assert_array_equal(horizontal_transport(path, sigma).samples,
+                                      horizontal_transport(bare, sigma).samples)
 
 
 def _reference_projector_defect(p, rank):
@@ -415,7 +398,7 @@ class TestBerryMaps:
 
     def test_matches_independent_routes(self):
         # the frame-first loop against the frame flow and against transport
-        # co-integrated with the separately integrated projector flow
+        # co-integrated with the projector flow
         rng = np.random.default_rng(62)
         grid = TimeGrid(0.0, 1.0, 500)
         for _ in range(3):
@@ -427,8 +410,7 @@ class TestBerryMaps:
             p0 = Projector.from_frame(sigma)
             res = berry_maps(sched, p0, sigma, grid)
             phi_end = integrate_frame(sched, sigma, grid).samples[-1]
-            psi_end = horizontal_transport(integrate_projector(sched, p0, grid),
-                                           sigma).samples[-1]
+            psi_end = cointegrated_transport(sched, p0, sigma, grid).samples[-1]
             assert frob(res.dynamical - dag(sigma) @ phi_end) <= 1e-10
             assert frob(res.geometric - dag(sigma) @ psi_end) <= 1e-10
             assert frob(res.fiber_gap - dag(psi_end) @ phi_end) <= 1e-10

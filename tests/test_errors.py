@@ -1,0 +1,36 @@
+import numpy as np
+import pytest
+
+from grassflow import InvalidArgument
+from grassflow.dynamics import (FramePath, HamiltonianSchedule, ProjectorPath, TimeGrid,
+                                geometric_schedule, tracking_defect)
+from grassflow.grassmann import BasePoint, ChartTangent, Projector, covariant_derivative_along
+from grassflow.linalg import Tolerances, random_antihermitian
+
+_P = Projector.standard(3, 1).matrix
+_GRID = TimeGrid(0.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Tolerances(structural=0.0), "strictly positive"),
+    (lambda: Tolerances(structural=1e-3, comparison=1e-8), "must not exceed"),
+    (lambda: HamiltonianSchedule(lambda t: np.zeros((3, 3))).table(np.zeros(2)),
+     "schedule table"),
+    (lambda: geometric_schedule(lambda t: _P).table(np.zeros(2)), "qfun"),
+    (lambda: tracking_defect(ProjectorPath(_GRID, np.array([_P] * 3), rank=1),
+                             FramePath(_GRID, np.zeros((2, 3, 1)))), "differ in length"),
+    (lambda: covariant_derivative_along(np.array([_P] * 2), np.zeros((2, 3)), 0.5),
+     "at least 3 nodes"),
+    (lambda: covariant_derivative_along(np.array([_P] * 3), np.zeros((3, 3)), 0.5, "warp"),
+     "unknown mode"),
+    (lambda: ChartTangent(base=BasePoint.standard(3, 1), block=np.zeros((1, 2))),
+     "block shape"),
+    (lambda: Projector.from_matrix(0.7 * np.eye(2), 1), "not a rank-m"),
+    (lambda: random_antihermitian(0, 1), "dimension"),
+], ids=["tolerance_sign", "tolerance_order", "schedule_table", "geometric_qfun",
+        "tracking_lengths", "covariant_nodes", "covariant_mode", "chart_tangent",
+        "projector_from_matrix", "random_antihermitian"])
+def test_bad_arguments_raise_invalid_argument(call, match):
+    # InvalidArgument is a ValueError too: callers catching ValueError still do
+    with pytest.raises(InvalidArgument, match=match):
+        call()

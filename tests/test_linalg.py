@@ -256,6 +256,14 @@ class TestMatExp:
         stack = np.array([a, random_antihermitian(5, rng)])
         np.testing.assert_array_equal(mat_exp(stack), scipy.linalg.expm(stack))
 
+    def test_overflowing_hermitian_input_is_scipy_expm(self, monkeypatch):
+        # both norms of 1e200 * a overflow to inf; the spectral route would return a
+        # bounded unitary for a Hermitian exponent
+        calls = []
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or calls)
+        a = 1e200 * np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+        assert mat_exp(a) is calls and len(calls) == 1
+
 
 class TestRequireAntihermitian:
     def test_stack_applies_the_matrix_rule_to_each_matrix(self):
@@ -274,6 +282,15 @@ class TestRequireAntihermitian:
         require_antihermitian(stack[:2])
         with pytest.raises(NotAntiHermitian):
             require_antihermitian(stack)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_the_rule_holds_at_every_scale(self, scale):
+        # at 1e200 both sides of the unscaled rule overflow to inf
+        hermitian = scale * np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+        with pytest.raises(NotAntiHermitian):
+            require_antihermitian(hermitian)
+        require_antihermitian(1j * hermitian)
+        require_antihermitian(np.zeros((2, 2)))
 
     def test_non_finite_stack_rejected(self):
         stack = np.zeros((3, 2, 2), dtype=complex)
