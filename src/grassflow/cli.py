@@ -248,10 +248,13 @@ def _geometric_setup(sched_cfg, n, m, grid, rng):
 def write_report(cfg: dict, csv_rows, json_payload: dict):
     """Write PREFIX.csv and PREFIX.json, or the JSON to stdout without a prefix.
 
-    Each row is a tuple of floats, one per CSV column.
+    Each row is a tuple of floats, one per CSV column.  Strict JSON: NonFinite on inf or NaN.
     """
     csv_text = CSV_HEADER + "\n" + "".join(_CSV_ROW % row for row in csv_rows)
-    json_text = json.dumps(json_payload, indent=2) + "\n"
+    try:
+        json_text = json.dumps(json_payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFinite(f"report: {exc}") from None
     prefix = cfg.get("output")
     if prefix:
         with open(prefix + ".csv", "w") as fh:

@@ -13,7 +13,7 @@ curvature generators.
 Transport runs in a local trivialization of the bundle, where it is an m x m
 gauge equation: along a Hamiltonian flow by ``berry_maps`` over the Schroedinger
 frame (its ``horizontal_path``), along a sampled path by ``horizontal_transport``
-over ``_local_section``, both chaining their step maps by ``_gauge_chain``.
+from the fiber overlaps of ``_local_section``, both chaining by ``_gauge_chain``.
 Every RK4 route reads its 2 * steps + 1 stage generators once each from checked
 schedule tables (``_stage_generators``).  At small n ``berry_maps`` chains stacked
 n x n RK4 step maps by ``_scan_frames``, at larger n it steps by ``_rk4_step``, and
@@ -300,34 +300,27 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
                          tol: Tolerances = DEFAULT_TOLS) -> FramePath:
     """Parallel transport of a start frame along a sampled projector path: psi' = P' psi.
 
-    Transport runs in a local trivialization: psi_k = phi_k g_k over the section
-    phi_k of ``_local_section``, with the gauges of ``_gauge_chain`` for the maps
-    G_k = phi_{k+1}* (1 + A_k) phi_k of the 2nd-order trapezoidal step
-    A_k = (h/2)(D_k + D_{k+1}) + (h^2/2) D_{k+1} D_k (D_k by central differences;
-    A_k phi_k is formed without A_k), built in blocks of _TABLE_BYTES / 4 bytes.
-    The polar factor is equivariant on both sides, so psi does not depend on the
-    section and transport is gauge equivariant.  Along a Hamiltonian flow the
+    The discrete (Pancharatnam) connection psi_{k+1} = polar(P_{k+1} psi_k), of order 2,
+    on any path of 2 samples or more: psi_k = phi_k g_k over ``_local_section``, with the
+    ``_gauge_chain`` of the fiber overlaps phi_{k+1}* phi_k after one Newton-Schulz step
+    (the same polar factor, an O(h^4) defect: no SVD).  Along a Hamiltonian flow the
     4th-order transport is ``berry_maps(...).horizontal_path``.
     """
     sigma = require_over(sigma, path.samples[0], tol, "the path start")
-    grid = path.grid
-    h, n = grid.h, path.n
+    steps, eye = path.grid.steps, np.eye(sigma.shape[1])
 
-    block = max(1, _TABLE_BYTES // (4 * 16 * n * n))
+    block = max(1, _TABLE_BYTES // (4 * 16 * path.n * path.n))
     frames = _local_section(path.samples, sigma, block, tol)
-    maps = np.empty((grid.steps,) + 2 * sigma.shape[1:], dtype=complex)
-    for start in range(0, grid.steps, block):
-        stop, lo = min(start + block, grid.steps), max(start - 1, 0)
-        # central differences at nodes start..stop, one-sided only at the path ends
-        derivs = sampled_derivative(path.samples[lo:stop + 2], h, 2)[start - lo:stop + 1 - lo]
-        phi, k1 = frames[start:stop], derivs[:-1] @ frames[start:stop]
-        step = phi + (h / 2.0) * (k1 + derivs[1:] @ (phi + h * k1))
-        maps[start:stop] = dag(frames[start + 1:stop + 1]) @ step
+    maps = np.empty((steps,) + eye.shape, dtype=complex)
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
+        overlaps = dag(frames[start + 1:stop + 1]) @ frames[start:stop]
+        maps[start:stop] = overlaps @ (1.5 * eye - 0.5 * dag(overlaps) @ overlaps)
     gauges = _gauge_chain(maps, tol)
-    for start in range(0, grid.steps + 1, block):
+    for start in range(0, steps + 1, block):
         frames[start:start + block] = frames[start:start + block] @ gauges[start:start + block]
     frames[0] = sigma  # itself, not its section frame times g_0 = I (equal up to roundoff)
-    return FramePath(grid=grid, samples=frames)
+    return FramePath(grid=path.grid, samples=frames)
 
 
 def horizontality_defects(frames: FramePath) -> np.ndarray:
@@ -384,7 +377,7 @@ class HolonomyResult:
 
 
 # Bytes of one generator table read by an RK4 route (a geometric table holds
-# several stacks this size at once) and of four sampled-transport section blocks.
+# several stacks this size at once) and of four sampled-transport blocks of n x n samples.
 # A berry_maps block is the steps of one table, so a stack of its n x n RK4 step
 # maps takes half a table: a large-n run's peak memory stays fixed however many
 # steps it takes.
@@ -402,14 +395,17 @@ def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int,
     Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2.  Every
     table but the last holds an even number of stages, at most _TABLE_BYTES but
     two at least, so its steps end at the next table's first node.  Each table
-    is checked to be an (N, n, n) stack, finite and anti-Hermitian (a zero-stride
-    table of a constant schedule by its one matrix) before it is yielded.
+    is checked to be an (N, n, n) stack, finite and anti-Hermitian before it is
+    yielded, a zero-stride table by its one matrix unless that is the last checked.
     """
     times = grid.t0 + (grid.h / 2.0) * np.arange(2 * grid.steps + 1)
     chunk = 2 * max(1, _TABLE_BYTES // (32 * n * n))
+    checked = None  # the first matrix of the last table checked
     for start in range(0, len(times), chunk):
         hs = schedule.table(times[start:start + chunk], n)
-        require_antihermitian(hs[:1] if hs.strides[0] == 0 else hs, tol, "generator")
+        constant = hs.strides[0] == 0
+        if not (constant and np.array_equal(hs[0], checked)):
+            checked = require_antihermitian(hs[:1] if constant else hs, tol, "generator")[0].copy()
         yield hs
 
 
@@ -655,9 +651,8 @@ def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndar
     Step k checks the rank of that oracle's projected frame, O_k C_{k-1} / s_max(C_{k-1}).
     """
     overlaps = dag(frames[1:]) @ frames[:-1]
-    svals = np.linalg.svd(overlaps, compute_uv=False)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only once rank is lost
-        scales = np.exp(np.log(svals).mean(axis=1))
+        scales = np.exp(np.linalg.slogdet(overlaps)[1] / overlaps.shape[-1])  # |det O_k|^(1/m)
         chains = prefix_products(overlaps / scales[:, np.newaxis, np.newaxis])
     if not np.isfinite(chains).all():
         raise DegenerateStep("projection collapsed the frame rank")

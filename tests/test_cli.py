@@ -440,13 +440,14 @@ class TestUsage:
         assert run(tmp_path, "flow", config=cfg, out=tmp_path / "run") == 1
         assert "nonzero step" in capsys.readouterr().err
 
-    def test_tiny_grid_step_reports_an_infinite_horizontality_defect(self, tmp_path):
+    def test_tiny_grid_step_exits_3_on_an_infinite_horizontality_defect(self, tmp_path):
         # roundoff over h = 1e-301 overflows the defect's norm; no numpy warning
-        # (an error in this suite) escapes the run
+        # (an error in this suite) escapes the run, and strict JSON has no Infinity:
+        # the run exits 3 and writes no file
         cfg = {"version": 1, "grid": {"t0": 0.0, "t1": 1e-300, "steps": 11}}
         out = tmp_path / "run"
-        assert run(tmp_path, "holonomy", config=cfg, out=out) == 0
-        assert load(out)[0]["horizontality_defect"] == float("inf")
+        assert run(tmp_path, "holonomy", config=cfg, out=out) == 3
+        assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.json").exists()
 
     def test_unknown_schedule_kind(self, tmp_path):
         assert run(tmp_path, "flow",

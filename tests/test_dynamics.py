@@ -200,8 +200,9 @@ class TestHorizontalTransport:
 
     def test_each_step_stores_the_retraction_of_its_frame(self, monkeypatch):
         # every pre-retraction matrix passes through polar_retract: record it there.
-        # Transport retracts gauges, not frames: its step maps G_k in one stack, then
-        # their running products, and node k stores its section frame times the latter
+        # Transport retracts gauges, not frames: its step maps in one stack (the fiber
+        # overlaps O_k = phi_{k+1}* phi_k after one Newton-Schulz step), then their
+        # running products, and node k stores its section frame times the latter
         rng = np.random.default_rng(57)
         phi0 = random_frame(4, 2, rng)
         path = integrate_projector(smooth_schedule(4, rng), Projector.from_frame(phi0),
@@ -216,9 +217,10 @@ class TestHorizontalTransport:
         monkeypatch.setattr(dynamics, "polar_retract", recording_retract)
         transported = horizontal_transport(path, phi0)
         sections = _sequential_section(path.samples, phi0)
+        overlaps = dag(sections[1:]) @ sections[:-1]
+        newton_schulz = overlaps @ (3 * np.eye(2) - dag(overlaps) @ overlaps) / 2
         assert [f.shape for f in raw] == [(path.grid.steps, 2, 2)] * 2
-        np.testing.assert_allclose(raw[0], _sequential_step_maps(path, sections),
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(raw[0], newton_schulz, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(transported.samples[0], phi0)
         np.testing.assert_allclose(transported.samples[1:], sections[1:] @ retract(raw[1]),
                                    rtol=0, atol=1e-15)
@@ -476,6 +478,40 @@ class TestBerryMaps:
         assert all(len(times) <= 3 for times in calls)
         np.testing.assert_array_equal(np.concatenate(calls),
                                       (grid.h / 2.0) * np.arange(2 * grid.steps + 1))
+
+    def test_constant_schedule_over_many_tables_is_checked_once(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 32 * 4 * 4)  # 3 steps a table
+        checks = []
+        check = dynamics.require_antihermitian
+        monkeypatch.setattr(dynamics, "require_antihermitian",
+                            lambda a, *args: checks.append(a.shape) or check(a, *args))
+        sigma = random_frame(4, 2, 77)
+        berry_maps(constant_schedule(random_antihermitian(4, 78)), Projector.from_frame(sigma),
+                   sigma, TimeGrid(0.0, 1.0, 30))
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize("route", ["berry_maps", "berry_maps_loop"])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new_matrix", "same_buffer"])
+    def test_a_zero_stride_table_that_changes_matrix_is_checked(self, route, in_place,
+                                                                monkeypatch):
+        # tables of 3 steps, each a zero-stride view; the one from t = 0.5 on is
+        # Hermitian, and berry_maps reads a table before it steps the one before
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 32 * 4 * 4)
+        a = random_antihermitian(4, 79)
+        buffer = np.empty_like(a)
+
+        def table(times):
+            h_mat = a if times[0] < 0.5 else 1j * a
+            if in_place:  # one buffer, rewritten for every table
+                buffer[...] = h_mat
+                h_mat = buffer
+            return np.broadcast_to(h_mat, times.shape + a.shape)
+
+        steps = _forbid_steps(monkeypatch)
+        with pytest.raises(NotAntiHermitian, match="generator"):
+            RK4_ROUTES[route](HamiltonianSchedule(table), random_frame(4, 2, 80),
+                              TimeGrid(0.0, 1.0, 6))
+        assert steps == []
 
     def test_geometric_table_memory_is_bounded(self, monkeypatch):
         # one whole table at n=32 and 400 steps is 12.5 MiB, and a geometric
@@ -972,43 +1008,16 @@ def _sequential_section(samples, sigma):
     return np.array(frames)
 
 
-def _sequential_step_maps(path, frames):
-    """G_k = phi_{k+1}* (phi_k + (h/2)(D_k phi_k + D_{k+1}(phi_k + h D_k phi_k))), one by one."""
-    h, derivs = path.grid.h, sampled_derivative(path.samples, path.grid.h, 2)
-    maps = []
-    for k in range(path.grid.steps):
-        phi, k1 = frames[k], derivs[k] @ frames[k]
-        maps.append(dag(frames[k + 1]) @ (phi + (h / 2.0) * (k1 + derivs[k + 1] @ (phi + h * k1))))
-    return np.array(maps)
-
-
 def _svd_polar(f):
     u, _, vh = np.linalg.svd(f, full_matrices=False)
     return u @ vh
 
 
-def _sequential_transport(path, sigma):
-    """Sampled transport step by step: psi_k = phi_k g_k with g_{k+1} = polar(G_k g_k)."""
-    frames = _sequential_section(path.samples, sigma)
-    gauge, psis = np.eye(sigma.shape[1]), [sigma]
-    for k, step_map in enumerate(_sequential_step_maps(path, frames), 1):
-        gauge = _svd_polar(step_map @ gauge)
-        psis.append(frames[k] @ gauge)
-    return np.array(psis)
-
-
-def _trapezoid_loop(path, sigma):
-    """The per-step transport psi_{k+1} = polar(psi_k + A_k psi_k), by the SVD.
-
-    A_k = (h/2)(D_k + D_{k+1}) + (h^2/2) D_{k+1} D_k is the trapezoid step; the
-    frame itself, not a gauge, is retracted after every step.
-    """
-    h, derivs = path.grid.h, sampled_derivative(path.samples, path.grid.h, 2)
+def _projection_loop(path, sigma):
+    """Sampled transport step by step: psi_{k+1} = polar(P_{k+1} psi_k), by the SVD."""
     psis = [sigma]
-    for d0, d1 in zip(derivs, derivs[1:]):
-        psi = psis[-1]
-        k1 = d0 @ psi
-        psis.append(_svd_polar(psi + (h / 2.0) * (k1 + d1 @ (psi + h * k1))))
+    for p in path.samples[1:]:
+        psis.append(_svd_polar(p @ psis[-1]))
     return np.array(psis)
 
 
@@ -1024,10 +1033,8 @@ _TWO_NODES = TimeGrid(0.0, 1.0, 1)
 @pytest.mark.parametrize("call", [
     lambda: berry_maps(constant_schedule(np.zeros((2, 2))), Projector.from_frame(_E1), _E1,
                        _TWO_NODES),
-    lambda: horizontal_transport(
-        ProjectorPath(grid=_TWO_NODES, samples=np.array([_E1 @ dag(_E1)] * 2), rank=1), _E1),
     lambda: horizontality_defect(FramePath(grid=_TWO_NODES, samples=np.array([_E1] * 2))),
-], ids=["berry_maps", "sampled_transport", "horizontality_defect"])
+], ids=["berry_maps", "horizontality_defect"])
 def test_one_step_is_too_short_for_the_stencils(call):
     # two samples: the finite differences need three, so ValueError, not IndexError
     with pytest.raises(ValueError, match="at least 3 samples"):
@@ -1076,12 +1083,34 @@ class TestSampledTransport:
         orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
         assert all(1.8 <= order <= 2.2 for order in orders), orders
 
-    def test_step_maps_are_the_trapezoid_step(self):
-        # against the trapezoid step in the section, G_k = phi_{k+1}* (phi_k + A_k phi_k),
-        # with the SVD polar factor of G_k g_k taken step by step
+    def test_observed_order_at_rank_two(self):
+        # at m = 1 the transport is the Pancharatnam phase; a random loop in Gr_2(C^4)
+        # checks the order of the non-abelian holonomy, against 4th-order berry_maps
+        p0 = Projector(matrix=_random_loop_qfun(np.zeros(1))[0], rank=2)
+        sigma = BasePoint.from_projector(p0).frame
+        reference = berry_maps(geometric_schedule(_random_loop_qfun), p0, sigma,
+                               TimeGrid(0.0, 1.0, 8000)).geometric
+        errors = []
+        for steps in (100, 200, 400, 800):
+            samples = _random_loop_qfun(np.linspace(0.0, 1.0, steps + 1))
+            path = ProjectorPath(grid=TimeGrid(0.0, 1.0, steps), samples=samples, rank=2)
+            errors.append(frob(loop_holonomy(path, sigma) - reference))
+        orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert all(1.8 <= order <= 2.2 for order in orders), orders
+
+    def test_step_maps_are_the_projection_step(self):
+        # against psi_{k+1} = polar(P_{k+1} psi_k), the SVD polar factor taken step by step
         path, base, _ = _synthesized_loop(79, 5, 2, 0.3, 16)
         got = horizontal_transport(path, base.frame).samples
-        assert np.abs(got - _sequential_transport(path, base.frame)).max() <= 1e-14
+        assert np.abs(got - _projection_loop(path, base.frame)).max() <= 1e-14
+
+    def test_two_samples_are_transported(self):
+        # one step needs no stencil: psi_1 is the polar factor of P_1 sigma
+        samples = bloch_matrices(np.pi / 3, [0.0, 0.4])
+        path = ProjectorPath(grid=_TWO_NODES, samples=samples, rank=1)
+        sigma = BasePoint.from_projector(bloch_projector(np.pi / 3)).frame
+        got = horizontal_transport(path, sigma).samples
+        assert np.abs(got - _projection_loop(path, sigma)).max() <= 1e-15
 
     def test_step_maps_in_blocks_match_one_block(self, monkeypatch):
         path, base, _ = _synthesized_loop(76, 5, 2, 0.2, 40)
@@ -1135,14 +1164,14 @@ class TestSampledTransport:
 
     def test_reanchored_section_is_the_sequential_one(self):
         # a random loop in Gr_2(C^4) that leaves the start frame's chart: the section
-        # re-anchors on the way, node by node as the sequential rule does
+        # re-anchors on the way and the transport stays the per-step projection
         samples = _random_loop_qfun(np.linspace(0.0, 1.0, 401))
         path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 400), samples=samples, rank=2)
         sigma = BasePoint.from_projector(Projector(matrix=samples[0], rank=2)).frame
         drift = np.linalg.norm(dag(sigma) @ samples @ sigma - np.eye(2), axis=(1, 2))
         assert drift.max() > 0.5
         got = horizontal_transport(path, sigma).samples
-        assert np.abs(got - _sequential_transport(path, sigma)).max() <= 1e-14
+        assert np.abs(got - _projection_loop(path, sigma)).max() <= 1e-14
 
     @pytest.mark.parametrize("nodes", [1, 3, 100])
     def test_anchors_do_not_depend_on_the_blocks(self, nodes, monkeypatch):
@@ -1158,22 +1187,15 @@ class TestSampledTransport:
 
     def test_frames_track_the_projectors(self):
         # each psi_k is a section frame of P_k times a unitary, so it tracks P_k to
-        # roundoff (the per-step trapezoid loop drifted off by 7e-8 at 8000 steps)
+        # roundoff
         path, base, _ = _synthesized_loop(80, 6, 2, 0.1, 2000)
         assert tracking_defect(path, horizontal_transport(path, base.frame)) <= 1e-13
 
-    def test_converges_to_the_trapezoid_loop(self):
-        # the per-step trapezoid-and-retract loop is the same scheme up to where the
-        # frame is put back in the fiber: equal holonomies, frames that meet at order 2
-        gaps = []
-        for per_side in (500, 2000):
-            path, base, _ = _synthesized_loop(0, 6, 2, 0.1, per_side)
-            old = _trapezoid_loop(path, base.frame)
-            new = horizontal_transport(path, base.frame).samples
-            assert frob(dag(new[0]) @ new[-1] - dag(old[0]) @ old[-1]) <= 1e-10
-            gaps.append(np.abs(new - old).max())
-        order = np.log(gaps[0] / gaps[1]) / np.log(4.0)
-        assert 1.8 <= order <= 2.2, gaps
+    def test_equals_the_projection_loop_on_a_long_path(self):
+        # 8000 steps: the stacked chain's roundoff stays at the per-step loop's
+        path, base, _ = _synthesized_loop(0, 6, 2, 0.1, 2000)
+        got = horizontal_transport(path, base.frame).samples
+        assert np.abs(got - _projection_loop(path, base.frame)).max() <= 1e-13
 
     @pytest.mark.parametrize("jump", [[2, 3], [0, 2]], ids=["whole_fiber", "one_direction"])
     def test_orthogonal_jump_raises_a_grassflow_error(self, jump):
@@ -1341,10 +1363,11 @@ class TestPancharatnamOracle:
         with pytest.raises(DegenerateStep):
             _frame_oracle(frames)
 
-    @pytest.mark.parametrize("periods", [20, 300])
+    @pytest.mark.parametrize("periods", [20, 300, 1000])
     def test_uniformly_shrinking_chain_is_not_degenerate(self, periods):
         # [e1, e2] -> [e1, c e2 + s e3] -> [c e1 + s e4, c e2 + s e3] -> [c e1 + s e4, e2]
-        # -> [e1, e2]: each period scales the chain by c^2 I and keeps its rank
+        # -> [e1, e2]: each period scales the chain by c^2 I and keeps its rank.  Each
+        # overlap scaled by |det|^(1/m), not |det|, keeps 1000 periods from overflowing
         c, s = 0.5, np.sqrt(0.75)
         e = np.eye(4, dtype=complex)
         period = [np.stack(columns, axis=1) for columns in
