@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (BaseMismatch, DimensionTooSmall, NotAFrame, NotHorizontal,
-                     NotTangent)
+from .errors import (BaseMismatch, DimensionTooSmall, InvalidArgument, NotAFrame,
+                     NotHorizontal, NotTangent)
 from .grassmann import ChartTangent, Projector, chart_ambient
 from .linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
                      require_antihermitian, require_finite)
@@ -107,7 +107,10 @@ def curvature_generators(w: np.ndarray, n: int,
     diagonalized, w = tau* D tau, and each eigenvalue contributes a rank-one
     pair supported on a single complement direction (this only needs
     codimension 1).  Returns a list of (u, v) pairs of n x m arrays.
+    InvalidArgument unless w is one square matrix.
     """
+    if np.ndim(w) != 2 or np.shape(w)[0] != np.shape(w)[1]:
+        raise InvalidArgument(f"gauge algebra element has shape {np.shape(w)}, want (m, m)")
     w = require_antihermitian(w, tol, "gauge algebra element")
     m = w.shape[0]
     if n <= m:

@@ -24,11 +24,11 @@ import numpy as np
 
 from . import selftest
 from .bundle import curvature_generators, frame_defect
-from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, TimeGrid, _frame_oracle,
-                       _parallelogram_loop, berry_maps, bloch_matrices,
-                       bloch_projector, constant_schedule, geometric_schedule,
-                       horizontality_defects, loop_transport, rotating_schedule,
-                       sampled_schedule)
+from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, FramePath, TimeGrid, _frame_oracle,
+                       _graph_section, _parallelogram_loop, _require_closed,
+                       _section_transport, berry_maps, bloch_matrices, bloch_projector,
+                       constant_schedule, geometric_schedule, horizontality_defects,
+                       rotating_schedule, sampled_schedule)
 from .errors import (GapTooSmall, GrassflowError, InvalidArgument, NonFinite,
                      NotAntiHermitian, NotClosed)
 from .grassmann import (BasePoint, ChartTangent, Projector, chart_from_proj,
@@ -443,22 +443,29 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
     base = BasePoint.standard(n, m)
     pairs = curvature_generators(w, n, tol)
     per_side = max(2, build_grid(cfg).steps // (4 * max(1, len(pairs))))
-    path = _parallelogram_loop(pairs, scale, base, per_side)
+    # the loop of synthesize_holonomy_step, carried by its graph-frame section
+    blocks = _parallelogram_loop(pairs, scale, base, per_side)
+    section = FramePath(TimeGrid(0.0, 1.0, len(blocks) - 1), _graph_section(base, blocks))
+    grid = section.grid
     # echo the grid the loop actually used, so rows == steps + 1 holds
     cfg = copy.deepcopy(cfg)
-    cfg["grid"] = {"t0": path.grid.t0, "t1": path.grid.t1, "steps": path.grid.steps}
+    cfg["grid"] = {"t0": grid.t0, "t1": grid.t1, "steps": grid.steps}
     predicted = mat_exp(SYNTHESIS_CURVATURE_CONSTANT * scale ** 2 * w)
 
-    frames = loop_transport(path, base.frame, tol)
+    closure = section.closure_residual()
+    _require_closed(closure, m, tol)
+    p_defects = section.projector_defects()
+    # psi_k = phi_k g_k, written over the section frames once their defects are taken
+    frames = FramePath(grid, _section_transport(section.samples, tol))
     holonomy = dag(frames.samples[0]) @ frames.samples[-1]
-    p_defects, iso_defects = path.projector_defects(), frames.frame_defects()
-    rows = list(zip(path.grid.times, p_defects, iso_defects,
+    iso_defects = frames.frame_defects()
+    rows = list(zip(grid.times, p_defects, iso_defects,
                     horizontality_defects(frames), [0.0] * len(p_defects)))
     payload = _final_json(
         cfg,
         geometric=holonomy,
         berry_phase_arg=_phase_arg(holonomy, m),
-        closure_residual=path.closure_residual(),
+        closure_residual=closure,
         defect_max=max(float(p_defects.max()), float(iso_defects.max())),
         wall_time_s=time.perf_counter() - start,
         extras={"scale": scale,

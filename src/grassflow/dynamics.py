@@ -12,8 +12,10 @@ curvature generators.
 
 Transport runs in a local trivialization of the bundle, where it is an m x m
 gauge equation: along a Hamiltonian flow by ``berry_maps`` over the Schroedinger
-frame (its ``horizontal_path``), along a sampled path by ``horizontal_transport``
-from the fiber overlaps of ``_local_section``, both chaining by ``_gauge_chain``.
+frame (its ``horizontal_path``), along a sampled path by ``_section_transport`` from
+the fiber overlaps of a section: ``horizontal_transport`` takes the ``_local_section``
+of the projector samples, the CLI's ``synthesize`` the ``_graph_section`` of its chart
+loop, which forms no n x n matrix.  Both chain by ``_gauge_chain``.
 Every RK4 route reads its 2 * steps + 1 stage generators once each from checked
 schedule tables (``_stage_generators``).  At small n ``berry_maps`` chains stacked
 n x n RK4 step maps by ``_scan_frames``, at larger n it steps by ``_rk4_step``, and
@@ -23,15 +25,16 @@ the reference routes step by ``_rk4_nodes``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegenerateStep, InvalidArgument, NotClosed, PathTooRough
 from .bundle import curvature_generators, frame_defect, require_over
-from .grassmann import (BasePoint, Projector, chart_projectors, hamiltonian_value,
-                        projector_defect, sampled_derivative)
-from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob,
+from .grassmann import (BasePoint, Projector, chart_frames, chart_projectors,
+                        hamiltonian_value, projector_defect, sampled_derivative)
+from .linalg import (DEFAULT_TOLS, Tolerances, _small_matmul, commutator, dag, frob,
                      isometrize, nearest_projector, polar_retract, prefix_products,
                      require_antihermitian, require_finite)
 
@@ -220,22 +223,33 @@ class FramePath:
 
         phi phi* is Hermitian by construction, and with G = phi* phi,
         (phi phi*)^2 - phi phi* = phi (G - I) phi*, whose squared norm is
-        tr((G - I) G (G - I) G); tr(phi phi*) = tr G.  No n x n matrix is formed.
+        tr((G - I) G (G - I) G) = || (G - I) G ||^2, as (G - I) G is Hermitian;
+        tr(phi phi*) = tr G.  No n x n matrix is formed.
         """
         grams = dag(self.samples) @ self.samples
         m = grams.shape[-1]
-        dev = grams - np.eye(m)
-        idem = np.trace(dev @ grams @ dev @ grams, axis1=1, axis2=2).real
+        idem = np.linalg.norm(_small_matmul(grams - np.eye(m), grams), axis=(1, 2))
         trace = np.trace(grams, axis1=1, axis2=2) - m
-        return np.maximum(np.sqrt(np.abs(idem)), np.abs(trace))
+        return np.maximum(idem, np.abs(trace))
 
     def node_defect(self) -> float:
         return float(self.frame_defects().max())
+
+    def closure_residual(self) -> float:
+        """|| phi_N phi_N* - phi_0 phi_0* ||, the closure residual of the projector path."""
+        first, last = self.samples[0], self.samples[-1]
+        return frob(last @ dag(last) - first @ dag(first))
 
 
 def closure_tolerance(rank: int, tol: Tolerances = DEFAULT_TOLS) -> float:
     """Largest || P(T) - P(0) || at which a rank-``rank`` projector path counts as closed."""
     return tol.comparison * (1.0 + rank)
+
+
+def _require_closed(residual: float, rank: int, tol: Tolerances) -> None:
+    """NotClosed unless a loop's closure residual is within ``closure_tolerance``."""
+    if residual > closure_tolerance(rank, tol):
+        raise NotClosed(f"loop closure residual {residual:.3e}")
 
 
 def _rk4_step(f, y, h, h_start, h_mid, h_end, slopes=None):
@@ -301,24 +315,12 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
     """Parallel transport of a start frame along a sampled projector path: psi' = P' psi.
 
     The discrete (Pancharatnam) connection psi_{k+1} = polar(P_{k+1} psi_k), of order 2,
-    on any path of 2 samples or more: psi_k = phi_k g_k over ``_local_section``, with the
-    ``_gauge_chain`` of the fiber overlaps phi_{k+1}* phi_k after one Newton-Schulz step
-    (the same polar factor, an O(h^4) defect: no SVD).  Along a Hamiltonian flow the
-    4th-order transport is ``berry_maps(...).horizontal_path``.
+    on any path of 2 samples or more: ``_section_transport`` of the ``_local_section``
+    through sigma.  Along a Hamiltonian flow the 4th-order transport is
+    ``berry_maps(...).horizontal_path``.
     """
     sigma = require_over(sigma, path.samples[0], tol, "the path start")
-    steps, eye = path.grid.steps, np.eye(sigma.shape[1])
-
-    block = max(1, _TABLE_BYTES // (4 * 16 * path.n * path.n))
-    frames = _local_section(path.samples, sigma, block, tol)
-    maps = np.empty((steps,) + eye.shape, dtype=complex)
-    for start in range(0, steps, block):
-        stop = min(start + block, steps)
-        overlaps = dag(frames[start + 1:stop + 1]) @ frames[start:stop]
-        maps[start:stop] = overlaps @ (1.5 * eye - 0.5 * dag(overlaps) @ overlaps)
-    gauges = _gauge_chain(maps, tol)
-    for start in range(0, steps + 1, block):
-        frames[start:start + block] = frames[start:start + block] @ gauges[start:start + block]
+    frames = _section_transport(_local_section(path.samples, sigma, tol), tol)
     frames[0] = sigma  # itself, not its section frame times g_0 = I (equal up to roundoff)
     return FramePath(grid=path.grid, samples=frames)
 
@@ -377,7 +379,8 @@ class HolonomyResult:
 
 
 # Bytes of one generator table read by an RK4 route (a geometric table holds
-# several stacks this size at once) and of four sampled-transport blocks of n x n samples.
+# several stacks this size at once), and of four n x n samples: a sampled-transport
+# block (``_transport_block``) takes as many nodes of a path or of its section.
 # A berry_maps block is the steps of one table, so a stack of its n x n RK4 step
 # maps takes half a table: a large-n run's peak memory stays fixed however many
 # steps it takes.
@@ -449,8 +452,28 @@ def _gauge_step_maps(phis: np.ndarray, slopes, h: float):
     return c1, _rk4_maps(-c1, -c2, -c3, -c4, h)
 
 
-def _local_section(samples: np.ndarray, sigma: np.ndarray, block: int,
-                   tol: Tolerances) -> np.ndarray:
+def _transport_block(n: int) -> int:
+    """Nodes of a sampled-transport block: four of them hold _TABLE_BYTES of n x n samples."""
+    return max(1, _TABLE_BYTES // (4 * 16 * n * n))
+
+
+def _cholesky_frames(y: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """y L^-* for the Cholesky factors L L* = grams of a stack (N, n, m) and its (N, m, m) grams.
+
+    With grams = y* y these are orthonormal frames of the column spans of y.  Solved
+    column by column (phi L* = y, L* upper triangular), so no inverse is formed.
+    """
+    chol = np.linalg.cholesky(grams)
+    frames = np.empty(y.shape, dtype=complex)
+    for j in range(y.shape[-1]):
+        column = y[..., j]
+        for i in range(j):
+            column = column - frames[..., i] * chol[..., j, i, np.newaxis].conj()
+        frames[..., j] = column / chol[..., j, j, np.newaxis].real
+    return frames
+
+
+def _local_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Orthonormal frames phi_k = P_k a L_k^-* of im(P_k), L_k L_k* = a* P_k a, by blocks.
 
     The anchor a starts at sigma and becomes phi_{k-1} where || a* P_k a - I ||_F exceeds
@@ -459,6 +482,7 @@ def _local_section(samples: np.ndarray, sigma: np.ndarray, block: int,
     smallest eigenvalue since a* P_k a <= I, exceeds tol.structural.
     """
     frames = np.empty((len(samples),) + sigma.shape, dtype=complex)
+    block = _transport_block(samples.shape[-1])
     anchor, start, fresh = sigma, 0, True
     while start < len(samples):
         proj = samples[start:start + block] @ anchor
@@ -468,9 +492,47 @@ def _local_section(samples: np.ndarray, sigma: np.ndarray, block: int,
             raise DegenerateStep("a sampled fiber is orthogonal to the frame before it")
         kept[0] |= fresh  # a NaN gram is never kept: its node becomes fresh and raises
         cut = len(kept) if kept.all() else int(kept.argmin())
-        frames[start:start + cut] = proj[:cut] @ dag(np.linalg.inv(np.linalg.cholesky(grams[:cut])))
+        frames[start:start + cut] = _cholesky_frames(proj[:cut], grams[:cut])
         start, fresh = start + cut, cut < len(kept)
         anchor = frames[start - 1] if fresh else anchor
+    return frames
+
+
+def _graph_section(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
+    """Orthonormal frames phi_k = Y_k L_k^-* over the graphs of chart blocks f_k.
+
+    Y_k are the ``chart_frames`` and L_k L_k* = Y_k* Y_k = 1 + f_k* f_k; no n x n
+    matrix is formed.  NonFinite if a Gram matrix overflows.
+    """
+    blocks = np.asarray(blocks, dtype=complex)
+    grams = require_finite(np.eye(base.m) + dag(blocks) @ blocks, "loop Gram matrix")
+    return _cholesky_frames(chart_frames(base, blocks), grams)
+
+
+def _section_transport(frames: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The transport psi_k = phi_k g_k of phi_0 along an orthonormal section phi, in place.
+
+    The discrete (Pancharatnam) connection psi_{k+1} = polar(P_{k+1} psi_k) of the path
+    P_k = phi_k phi_k*, whichever section of it is given: the ``_gauge_chain`` g of the
+    fiber overlaps O_k = phi_{k+1}* phi_k after one Newton-Schulz step (the same polar
+    factor, an O(h^4) defect: no SVD), applied block by block (``_transport_block``).
+    DegenerateStep unless each |det O_k|^2 = det(phi_k* P_{k+1} phi_k) exceeds
+    tol.structural, the rule of ``_local_section`` (NaN fails it).
+    """
+    steps, (n, m) = len(frames) - 1, frames.shape[1:]
+    block, eye = _transport_block(n), np.eye(m)
+    maps = np.empty((steps, m, m), dtype=complex)
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
+        overlaps = dag(frames[start + 1:stop + 1]) @ frames[start:stop]
+        if not np.all(np.abs(np.linalg.det(overlaps)) ** 2 > tol.structural):
+            raise DegenerateStep("a sampled fiber is orthogonal to the frame before it")
+        maps[start:stop] = _small_matmul(
+            overlaps, 1.5 * eye - 0.5 * _small_matmul(dag(overlaps), overlaps))
+    gauges = _gauge_chain(maps, tol)
+    for start in range(0, steps + 1, block):
+        frames[start:start + block] = _small_matmul(frames[start:start + block],
+                                                    gauges[start:start + block])
     return frames
 
 
@@ -563,9 +625,9 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     gens[steps] = dag(phis[-1]) @ (end[0] @ phis[-1])
 
     fpath = FramePath(grid=grid, samples=phis)
-    hpath = FramePath(grid=grid, samples=phis @ _gauge_chain(maps, tol))
+    hpath = FramePath(grid=grid, samples=_small_matmul(phis, _gauge_chain(maps, tol)))
     phi_end, psi_end = fpath.samples[-1], hpath.samples[-1]
-    residual = frob(phi_end @ dag(phi_end) - sigma @ dag(sigma))
+    residual = fpath.closure_residual()
     return HolonomyResult(
         dynamical=dag(sigma) @ phi_end,
         geometric=dag(sigma) @ psi_end,
@@ -600,9 +662,7 @@ def geometric_hamiltonian(path: ProjectorPath,
 def loop_transport(path: ProjectorPath, sigma: np.ndarray,
                    tol: Tolerances = DEFAULT_TOLS) -> FramePath:
     """Horizontal transport of sigma around a projector loop, checked closed first."""
-    residual = path.closure_residual()
-    if residual > closure_tolerance(path.rank, tol):
-        raise NotClosed(f"loop closure residual {residual:.3e}")
+    _require_closed(path.closure_residual(), path.rank, tol)
     return horizontal_transport(path, sigma, tol)
 
 
@@ -670,25 +730,33 @@ def synthesize_holonomy_step(w: np.ndarray, scale: float, base: BasePoint,
     For each curvature generator pair (u_i, v_i) the chart coordinates trace
     the square 0 -> t u_i -> t (u_i + v_i) -> t v_i -> 0; the loops are
     concatenated.  The holonomy of the result is
-    exp(SYNTHESIS_CURVATURE_CONSTANT * t^2 * w) + O(t^3).
+    exp(SYNTHESIS_CURVATURE_CONSTANT * t^2 * w) + O(t^3).  ``w`` is an m x m
+    anti-Hermitian matrix for the rank m of ``base``; ``samples_per_side`` is a
+    positive integer.
     """
-    return _parallelogram_loop(curvature_generators(w, base.n, tol), scale, base,
-                               samples_per_side)
+    if np.shape(w) != (base.m, base.m):
+        raise InvalidArgument(f"w has shape {np.shape(w)}, want {(base.m, base.m)}")
+    blocks = _parallelogram_loop(curvature_generators(w, base.n, tol), scale, base,
+                                 samples_per_side)
+    return ProjectorPath(grid=TimeGrid(0.0, 1.0, len(blocks) - 1),
+                         samples=chart_projectors(base, blocks), rank=base.m)
 
 
 def _parallelogram_loop(pairs, scale: float, base: BasePoint,
-                        samples_per_side: int) -> ProjectorPath:
-    """The concatenated chart squares of ``synthesize_holonomy_step`` for given pairs."""
+                        samples_per_side: int) -> np.ndarray:
+    """The (N, n-m, m) chart blocks of the loop of ``synthesize_holonomy_step`` for given pairs."""
     if not 0.0 <= scale <= 0.5:
         raise InvalidArgument("scale must lie in [0, 0.5]")
+    integer = isinstance(samples_per_side, Integral) and not isinstance(samples_per_side, bool)
+    if not (integer and samples_per_side > 0):
+        raise InvalidArgument(f"samples_per_side must be a positive integer, "
+                              f"not {samples_per_side!r}")
     m = base.m
-
+    zero = np.zeros((base.n - m, m), dtype=complex)
     if not pairs or scale == 0.0:
-        samples = np.repeat(base.projector.matrix[np.newaxis], 3, axis=0)
-        return ProjectorPath(grid=TimeGrid(0.0, 1.0, 2), samples=samples, rank=m)
+        return np.repeat(zero[np.newaxis], 3, axis=0)
 
     waypoints = []
-    zero = np.zeros((base.n - m, m), dtype=complex)
     for u, v in pairs:
         bu, bv = scale * u[m:, :], scale * v[m:, :]
         waypoints.extend([(zero, bu), (bu, bu + bv), (bu + bv, bv), (bv, zero)])
@@ -701,7 +769,4 @@ def _parallelogram_loop(pairs, scale: float, base: BasePoint,
     for i, (start, end) in enumerate(waypoints):
         blocks[i * samples_per_side:(i + 1) * samples_per_side] = (1.0 - s) * start + s * end
     blocks[-1] = zero
-
-    samples = chart_projectors(base, blocks)
-    grid = TimeGrid(0.0, 1.0, len(samples) - 1)
-    return ProjectorPath(grid=grid, samples=samples, rank=m)
+    return blocks

@@ -146,15 +146,23 @@ def _require_tangent(p: Projector, v: EmbeddedTangent,
     return mat
 
 
+def chart_frames(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
+    """The (N, n, m) frames Y = frame + coframe f spanning the graphs of (N, n-m, m) chart blocks f.
+
+    Y* Y = 1 + f* f, as the adapted basis is orthonormal.
+    """
+    return base.frame + base.coframe @ np.asarray(blocks, dtype=complex)
+
+
 def chart_projectors(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
     """Projector matrices onto the graphs of a stack of chart blocks.
 
     ``blocks`` has shape (N, n-m, m); the result has shape (N, n, n).  The
-    graph of f is spanned by its frame Y = frame + coframe f, and its
-    projector is Y (Y* Y)^-1 Y*, from one stacked m x m solve, Hermitized.
+    graph of f is spanned by its ``chart_frames`` Y, and its projector is
+    Y (Y* Y)^-1 Y*, from one stacked m x m solve, Hermitized.
     Y* Y = 1 + f* f is always invertible, so this never fails.
     """
-    y = base.frame + base.coframe @ np.asarray(blocks, dtype=complex)
+    y = chart_frames(base, blocks)
     y_dag = dag(y)
     p = y @ np.linalg.solve(y_dag @ y, y_dag)
     del y, y_dag  # free the frames before Hermitizing allocates a second stack

@@ -112,6 +112,27 @@ def isometrize(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     return q * phase[np.newaxis, :]
 
 
+# Largest contracted dimension at which ``_small_matmul`` sums broadcast products.
+# numpy's stacked matmul makes one BLAS call per matrix; on (8000, k, k) stacks and one
+# CPU the k broadcast products took under half its time at k = 2, somewhat less at
+# k = 3 and over twice it at k = 4 (timings in CHANGES.md).
+_BROADCAST_MAX = 2
+
+
+def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of matrices or stacks, as broadcast products when the contracted dimension is small.
+
+    Up to _BROADCAST_MAX it sums that many broadcast products, equal to ``a @ b`` to
+    roundoff; any other operands go to ``a @ b`` itself.
+    """
+    if np.ndim(a) < 2 or np.ndim(b) < 2 or not 0 < a.shape[-1] == b.shape[-2] <= _BROADCAST_MAX:
+        return a @ b
+    out = a[..., :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
 # Largest entry of |f* f - I| at which polar_retract takes one Newton-Schulz step.
 _POLAR_NEWTON_DEFECT = 1e-8
 
@@ -131,10 +152,10 @@ def polar_retract(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """
     f = np.asarray(f)
     m = f.shape[-1]
-    e = dag(f) @ f
+    e = _small_matmul(dag(f), f)
     e.reshape(e.shape[:-2] + (m * m,))[..., ::m + 1] -= 1.0  # the diagonals, as a view
     if np.abs(e).max() <= _POLAR_NEWTON_DEFECT:
-        return f - f @ (e / 2.0)
+        return f - _small_matmul(f, e / 2.0)
     f = require_finite(f, "frame")
     u, s, vh = np.linalg.svd(f, full_matrices=False)
     smallest = s[..., -1].min()
@@ -157,10 +178,10 @@ def prefix_products(a: np.ndarray) -> np.ndarray:
     out[:count], out[count:] = a, np.eye(m)  # identities pad the last chunk
     runs = out.reshape(-1, size, m, m)
     for j in range(1, size):
-        runs[:, j] = runs[:, j] @ runs[:, j - 1]
+        runs[:, j] = _small_matmul(runs[:, j], runs[:, j - 1])
     for i in range(1, len(runs)):
         runs[i, -1] = runs[i, -1] @ runs[i - 1, -1]
-    runs[1:, :-1] = runs[1:, :-1] @ runs[:-1, -1:]
+    runs[1:, :-1] = _small_matmul(runs[1:, :-1], runs[:-1, -1:])
     return out[:count]
 
 

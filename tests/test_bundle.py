@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grassflow import (BaseMismatch, DimensionTooSmall, NotAFrame,
+from grassflow import (BaseMismatch, DimensionTooSmall, InvalidArgument, NotAFrame,
                        NotAntiHermitian, NotHorizontal)
 from grassflow.bundle import (connection_A, curvature_Omega,
                               curvature_generators, frame_defect,
@@ -196,6 +196,13 @@ class TestCurvatureGenerators:
     def test_rejects_hermitian(self):
         with pytest.raises(NotAntiHermitian):
             curvature_generators(np.eye(2, dtype=complex), 5)
+
+    @pytest.mark.parametrize("w", [np.zeros(2), np.zeros((2, 3)), np.zeros((2, 2, 2))],
+                             ids=["vector", "not_square", "zero_stack"])
+    def test_rejects_anything_but_one_square_matrix(self, w):
+        # a vector and a 2 x 3 matrix once ended in numpy errors, a zero stack in []
+        with pytest.raises(InvalidArgument):
+            curvature_generators(w, 4)
 
 
 class TestLocalTrivialization:

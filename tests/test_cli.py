@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from grassflow import cli
 from grassflow.cli import (CSV_HEADER, build_parser, build_setup,
                            build_tolerances, load_config, main, write_report)
-from grassflow.dynamics import berry_maps, pancharatnam_oracle
+from grassflow.dynamics import (berry_maps, loop_holonomy, pancharatnam_oracle,
+                                synthesize_holonomy_step)
+from grassflow.grassmann import BasePoint
 from grassflow.linalg import dag
 
 from cointegrated import cointegrated_transport
@@ -249,6 +251,36 @@ class TestSynthesize:
         report, _ = load(out)
         assert report["synthesis_deviation"] <= 5e-3
 
+
+    def test_benchmark_loop_is_the_library_loop(self, tmp_path, monkeypatch):
+        # n = 6, m = 2, seed 0, scale 0.1, 8000 steps: the CLI transports the loop's
+        # graph-frame section and never forms its projector stack, and its holonomy is
+        # loop_holonomy of the projector samples of the same loop
+        def refuse(*args):
+            raise AssertionError("chart_projectors called")
+
+        monkeypatch.setattr("grassflow.grassmann.chart_projectors", refuse)
+        monkeypatch.setattr("grassflow.dynamics.chart_projectors", refuse)
+        cfg = {"version": 1, "n": 6, "m": 2, "seed": 0, "synthesize": {"scale": 0.1}}
+        out = tmp_path / "run"
+        assert run(tmp_path, "synthesize", config=cfg, steps=8000, out=out) == 0
+        report, csv_lines = load(out)
+        assert len(csv_lines) - 1 == 8001
+        assert report["closure_residual"] == 0.0
+        assert report["synthesis_deviation"] <= 5e-3
+        monkeypatch.undo()
+        path = synthesize_holonomy_step(cli._deser_matrix(report["generator"]), 0.1,
+                                        BasePoint.standard(6, 2), 2000)
+        holonomy = cli._deser_matrix(report["holonomy_geometric"])
+        assert np.abs(holonomy - loop_holonomy(path, np.eye(6)[:, :2])).max() <= 1e-14
+
+    def test_loop_too_coarse_for_its_fibers_is_an_invariant_failure(self, tmp_path):
+        # |w| = 1e10 at scale 0.5: consecutive samples of the 65-node loop are nearly
+        # orthogonal fibers, a DegenerateStep (exit 2), not a holonomy
+        w = [[{"re": 0.0, "im": 1e10}, {"re": 0.0, "im": 0.0}],
+             [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": -1e10}]]
+        cfg = {"version": 1, "n": 6, "m": 2, "synthesize": {"scale": 0.5, "w": w}}
+        assert run(tmp_path, "synthesize", config=cfg, steps=64, out=tmp_path / "run") == 2
 
     def test_one_curvature_generators_call_per_run(self, tmp_path, monkeypatch):
         calls = []

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from grassflow import (BaseMismatch, DegenerateStep, GrassflowError, InvalidArgument,
                        NonFinite, NotAntiHermitian, NotClosed, PathTooRough)
 from grassflow import dynamics
-from grassflow.bundle import frame_defect
+from grassflow.bundle import curvature_generators, frame_defect
 from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedule,
                                 TimeGrid, _frame_oracle,
                                 berry_maps, bloch_matrices, bloch_projector,
@@ -1027,6 +1027,7 @@ LOOPS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
 
 
 _E1 = np.eye(2, dtype=complex)[:, :1]
+_W2 = np.diag([1j, -1j])
 _TWO_NODES = TimeGrid(0.0, 1.0, 1)
 
 
@@ -1057,8 +1058,13 @@ def test_berry_maps_rejects_one_step_before_reading_the_schedule():
     lambda: nearest_projector(np.eye(3), 3),
     lambda: nearest_projector(np.triu(np.ones((3, 3))), 1),
     lambda: isometrize(np.ones((2, 3))),
+    lambda: synthesize_holonomy_step(np.zeros((3, 3)), 0.1, BasePoint.standard(4, 2)),
+    lambda: synthesize_holonomy_step(np.array([[1j]]), 0.1, BasePoint.standard(4, 2)),
+    lambda: synthesize_holonomy_step(_W2, 0.1, BasePoint.standard(4, 2), -3),
+    lambda: synthesize_holonomy_step(_W2, 0.1, BasePoint.standard(4, 2), 2.5),
 ], ids=["grid_span", "grid_steps", "schedule_samples", "derivative_order", "loop_scale",
-        "projector_rank", "projector_not_hermitian", "frame_shape"])
+        "projector_rank", "projector_not_hermitian", "frame_shape", "w_larger_than_rank",
+        "w_smaller_than_rank", "negative_sides", "fractional_sides"])
 def test_bad_arguments_raise_invalid_argument(call):
     # a GrassflowError, which the CLI maps to exit 1, that is still a ValueError
     with pytest.raises(InvalidArgument) as info:
@@ -1111,6 +1117,33 @@ class TestSampledTransport:
         sigma = BasePoint.from_projector(bloch_projector(np.pi / 3)).frame
         got = horizontal_transport(path, sigma).samples
         assert np.abs(got - _projection_loop(path, sigma)).max() <= 1e-15
+
+    def test_graph_section_gives_the_sampled_transport(self):
+        # the synthesize-n6m2 loop (seed 0): transport from its graph-frame section, as
+        # the CLI runs it, is horizontal_transport of its projector samples
+        rng = np.random.default_rng(0)
+        w = random_antihermitian(2, rng)
+        w /= np.linalg.norm(w)
+        base = BasePoint.standard(6, 2)
+        blocks = dynamics._parallelogram_loop(curvature_generators(w, 6), 0.1, base, 2000)
+        path = synthesize_holonomy_step(w, 0.1, base, 2000)
+        section = dynamics._graph_section(base, blocks)
+        assert np.abs(section @ dag(section) - path.samples).max() <= 1e-15
+        got = dynamics._section_transport(section, dynamics.DEFAULT_TOLS)
+        assert np.abs(got - horizontal_transport(path, base.frame).samples).max() <= 1e-14
+
+    def test_bloch_section_gives_the_sampled_transport(self):
+        # the equator loop from its Bloch frames (cos(theta/2), e^(i a) sin(theta/2)), a
+        # section unlike the re-anchored local one, transports as its projector samples
+        theta, azimuths = np.pi / 2, np.linspace(0.0, 2 * np.pi, 801)
+        section = np.zeros((801, 2, 1), dtype=complex)
+        section[:, 0, 0] = np.cos(theta / 2.0)
+        section[:, 1, 0] = np.exp(1j * azimuths) * np.sin(theta / 2.0)
+        path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 800),
+                             samples=bloch_matrices(theta, azimuths), rank=1)
+        want = horizontal_transport(path, section[0]).samples
+        got = dynamics._section_transport(section, dynamics.DEFAULT_TOLS)
+        assert np.abs(got - want).max() <= 1e-14
 
     def test_step_maps_in_blocks_match_one_block(self, monkeypatch):
         path, base, _ = _synthesized_loop(76, 5, 2, 0.2, 40)
@@ -1207,6 +1240,14 @@ class TestSampledTransport:
         path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 9), samples=samples, rank=2)
         with pytest.raises(GrassflowError):
             horizontal_transport(path, eye[:, :2])
+
+    @pytest.mark.parametrize("jump", [[2, 3], [0, 2]], ids=["whole_fiber", "one_direction"])
+    def test_orthogonal_jump_in_a_given_section_raises_degenerate_step(self, jump):
+        # the same jumps as frames of a section: an overlap of determinant 0
+        eye = np.eye(4, dtype=complex)
+        section = np.array([eye[:, :2]] * 5 + [eye[:, jump]] * 5)
+        with pytest.raises(DegenerateStep):
+            dynamics._section_transport(section, dynamics.DEFAULT_TOLS)
 
     def test_non_finite_sample_raises_non_finite(self):
         path, base, _ = _synthesized_loop(81, 4, 2, 0.2, 8)

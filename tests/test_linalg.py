@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from grassflow import NotAntiHermitian, RankDeficient, GapTooSmall
 from grassflow import linalg
@@ -202,6 +203,49 @@ class TestPrefixProducts:
     def test_order_of_non_commuting_factors(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         np.testing.assert_array_equal(prefix_products(np.array([a, a.T]))[1], a.T @ a)
+
+
+def _operands(k, rows, cols, count, rng):
+    """A complex (count, rows, k) stack and a real or complex (count, k, cols) one."""
+    a = rng.standard_normal((count, rows, k)) + 1j * rng.standard_normal((count, rows, k))
+    b = rng.standard_normal((count, k, cols))
+    return a, b + 1j * rng.standard_normal(b.shape) if rng.uniform() < 0.5 else b
+
+
+class TestSmallMatmul:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, linalg._BROADCAST_MAX), rows=st.integers(1, 4),
+           cols=st.integers(1, 4), count=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
+           shape=st.sampled_from(["stacks", "matrix_left", "matrix_right", "strided"]))
+    def test_small_contraction_is_matmul_to_roundoff(self, k, rows, cols, count, seed, shape):
+        rng = np.random.default_rng(seed)
+        a, b = _operands(k, rows, cols, count, rng)
+        if shape == "matrix_left":  # one real matrix broadcast against the stack
+            a = rng.standard_normal((rows, k))
+        elif shape == "matrix_right":
+            b = rng.standard_normal((k, cols)) + 1j * rng.standard_normal((k, cols))
+        elif shape == "strided":  # every other member of a stack of pairs, as prefix_products reads it
+            a = np.repeat(a, 2, axis=0).reshape(-1, 2, rows, k)[:, 1]
+            b = np.repeat(b, 2, axis=0).reshape(-1, 2, k, cols)[:, 0]
+        want = a @ b
+        got = linalg._small_matmul(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        bound = 8 * k * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_larger_contraction_is_matmul_itself(self, k):
+        a, b = _operands(k, k, k, 50, np.random.default_rng(195))
+        np.testing.assert_array_equal(linalg._small_matmul(a, b), a @ b)
+        np.testing.assert_array_equal(linalg._small_matmul(a[0], b[0]), a[0] @ b[0])
+
+    def test_empty_stack(self):
+        got = linalg._small_matmul(np.zeros((0, 3, 2)), np.zeros((0, 2, 2), dtype=complex))
+        assert got.shape == (0, 3, 2) and got.dtype == complex
+
+    def test_mismatched_shapes_raise_as_matmul_does(self):
+        with pytest.raises(ValueError):
+            linalg._small_matmul(np.ones((4, 2, 2)), np.ones((4, 3, 2)))
 
 
 class TestMatExp:
