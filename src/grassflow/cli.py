@@ -25,10 +25,9 @@ import numpy as np
 from . import selftest
 from .bundle import curvature_generators, frame_defect
 from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, FramePath, TimeGrid, _frame_oracle,
-                       _graph_section, _parallelogram_loop, _require_closed,
-                       _section_transport, berry_maps, bloch_matrices, bloch_projector,
-                       constant_schedule, geometric_schedule, horizontality_defects,
-                       rotating_schedule, sampled_schedule)
+                       _graph_section, _orbit_schedule, _parallelogram_loop, _require_closed,
+                       _section_transport, berry_maps, bloch_projector, constant_schedule,
+                       horizontality_defects, rotating_schedule, sampled_schedule)
 from .errors import (GapTooSmall, GrassflowError, InvalidArgument, NonFinite,
                      NotAntiHermitian, NotClosed)
 from .grassmann import (BasePoint, ChartTangent, Projector, chart_from_proj,
@@ -217,6 +216,7 @@ def _require_generator(h_mat, n, tol, name):
 
 
 def _geometric_setup(sched_cfg, n, m, grid, rng):
+    """The loop Q(t) = e^{X(t)} P e^{-X(t)}, X(t0) = 0, as P and its ``_orbit_schedule``."""
     span = grid.t1 - grid.t0
     # theta and omega shape the latitude loop; the seeded random loop reads neither
     if "theta" in sched_cfg and (n, m) != (2, 1):
@@ -226,21 +226,23 @@ def _geometric_setup(sched_cfg, n, m, grid, rng):
     if "theta" in sched_cfg:
         theta = _number(sched_cfg["theta"], "schedule.theta")
         omega = _number(sched_cfg.get("omega", 2 * np.pi / span), "schedule.omega")
+        p0, turn = bloch_projector(theta), np.diag([0.0, 1j])
 
-        def qfun(t):
-            return bloch_matrices(theta, omega * (np.asarray(t) - grid.t0))
+        def exponent(t):  # X = omega (t - t0) diag(0, i): the azimuth omega (t - t0)
+            return (np.multiply.outer(omega * (t - grid.t0), turn),
+                    np.broadcast_to(omega * turn, t.shape + turn.shape))
     else:
         a = random_antihermitian(n, rng)
         b = random_antihermitian(n, rng)
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-        p_std = Projector.standard(n, m).matrix
+        p0 = Projector.standard(n, m)
 
-        def qfun(t):
-            s = 2 * np.pi * (np.asarray(t)[..., np.newaxis, np.newaxis] - grid.t0) / span
-            u = mat_exp(np.sin(s) * a + (1.0 - np.cos(s)) * b)
-            return u @ p_std @ dag(u)
+        def exponent(t):  # X = sin(s) a + (1 - cos s) b, s = 2 pi (t - t0) / span
+            s = 2 * np.pi * (t[:, np.newaxis, np.newaxis] - grid.t0) / span
+            return (np.sin(s) * a + (1.0 - np.cos(s)) * b,
+                    (2 * np.pi / span) * (np.cos(s) * a + np.sin(s) * b))
 
-    return Projector.from_matrix(qfun(grid.t0), m), geometric_schedule(qfun)
+    return p0, _orbit_schedule(p0.matrix, exponent)
 
 
 # ---------------------------------------------------------------- reporting

@@ -17,7 +17,10 @@ the fiber overlaps of a section: ``horizontal_transport`` takes the ``_local_sec
 of the projector samples, the CLI's ``synthesize`` the ``_graph_section`` of its chart
 loop, which forms no n x n matrix.  Both chain by ``_gauge_chain``.
 Every RK4 route reads its 2 * steps + 1 stage generators once each from checked
-schedule tables (``_stage_generators``).  At small n ``berry_maps`` chains stacked
+schedule tables (``_stage_generators``).  A geometric table of any curve Q(t) takes
+Q' by central differences (``geometric_schedule``); for a unitary orbit
+Q = e^X P e^-X, as both CLI loops are, ``_orbit_schedule`` takes it exactly from one
+stacked ``eigh`` of iX.  At small n ``berry_maps`` chains stacked
 n x n RK4 step maps by ``_scan_frames``, at larger n it steps by ``_rk4_step``, and
 the reference routes step by ``_rk4_nodes``.
 """
@@ -30,13 +33,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateStep, InvalidArgument, NotClosed, PathTooRough
+from .errors import DegenerateStep, InvalidArgument, NotAntiHermitian, NotClosed, PathTooRough
 from .bundle import curvature_generators, frame_defect, require_over
 from .grassmann import (BasePoint, Projector, chart_frames, chart_projectors,
                         hamiltonian_value, projector_defect, sampled_derivative)
-from .linalg import (DEFAULT_TOLS, Tolerances, _small_matmul, commutator, dag, frob,
-                     isometrize, nearest_projector, polar_retract, prefix_products,
-                     require_antihermitian, require_finite)
+from .linalg import (DEFAULT_TOLS, Tolerances, _antihermitian_eigh, _fixed_matmul,
+                     _small_matmul, commutator, dag, frob, isometrize, nearest_projector,
+                     polar_retract, prefix_products, require_antihermitian, require_finite)
 
 # Proportionality constant between the log-holonomy of a unit parallelogram
 # loop and the curvature generator it realizes:
@@ -46,9 +49,10 @@ from .linalg import (DEFAULT_TOLS, Tolerances, _small_matmul, commutator, dag, f
 # and asserted for m=2 in the test suite.
 SYNTHESIS_CURVATURE_CONSTANT = -2.0
 
-# Step of the central difference that gives Q' in ``geometric_schedule``, the largest
-# projector move || P_{k+1} - P_k || that ``geometric_hamiltonian`` accepts, and the
-# largest || a* P_k a - I ||_F at which ``_local_section`` keeps its anchor a.
+# Step of the central difference that gives Q' in ``geometric_schedule`` (absolute, in
+# units of t: it assumes a curve whose time scale is near 1), the largest projector
+# move || P_{k+1} - P_k || that ``geometric_hamiltonian`` accepts, and the largest
+# || a* P_k a - I ||_F at which ``_local_section`` keeps its anchor a.
 _FD_STEP = 1e-6
 _ROUGH_BOUND = 0.5
 _ANCHOR_DRIFT = 0.5
@@ -168,9 +172,11 @@ def geometric_schedule(qfun: Callable[[np.ndarray], np.ndarray]) -> HamiltonianS
 
     ``qfun`` maps a 1-D array of N times to the (N, n, n) stack of projector
     matrices (it must broadcast over the times); its derivative is taken by
-    central differences with step _FD_STEP.  The returned generator is
-    purely off-diagonal in the moving splitting im(Q) + ker(Q), so the lifted
-    flow is horizontal.
+    central differences with the absolute step _FD_STEP = 1e-6, so the curve's
+    time scale should be near 1 (a loop run over [0, 1e-3] or [0, 1e4] no longer
+    closes to tolerance).  The returned generator is purely off-diagonal in the
+    moving splitting im(Q) + ker(Q), so the lifted flow is horizontal.  A unitary
+    orbit has an exact, scale-free generator: ``_orbit_schedule``.
     """
 
     def table(times: np.ndarray) -> np.ndarray:
@@ -179,6 +185,52 @@ def geometric_schedule(qfun: Callable[[np.ndarray], np.ndarray]) -> HamiltonianS
             raise InvalidArgument("qfun must map N times to an (N, n, n) stack")
         v = (qfun(times + _FD_STEP) - qfun(times - _FD_STEP)) / (2.0 * _FD_STEP)
         return _geometric_generator(q, v)
+
+    return HamiltonianSchedule(table)
+
+
+def _scale_rows_cols(a: np.ndarray, d: np.ndarray) -> None:
+    """a_jk *= d_j conj(d_k) in place, for a stack a (..., n, n) and unimodular d (..., n)."""
+    a *= d[..., :, np.newaxis]
+    a *= d.conj()[..., np.newaxis, :]
+
+
+def _orbit_schedule(p: np.ndarray, exponent: Callable[[np.ndarray], tuple]) -> HamiltonianSchedule:
+    """``geometric_schedule`` of the orbit Q(t) = U P U*, U = e^{X(t)}, with Q' exact, not differenced.
+
+    ``exponent`` maps a 1-D array of N times to the (N, n, n) stacks X and X' (X' may
+    broadcast).  Q' = [Omega, Q] with Omega = U' U* = dexp_X(X'), so the generator is
+    H = Q Omega (1 - Q) + (1 - Q) Omega Q.  In the eigenbasis of iX = V diag(lam) V*,
+    U is diag(e^{-i lam}) and U* Omega U is Phi o (V* X' V), with the divided differences
+    Phi_jk = e^{i theta/2} sinc(theta / 2 pi) of the exponential, theta = lam_j - lam_k
+    (Daleckii-Krein: Higham, Functions of Matrices, SIAM 2008, Thm 3.11; dexp: Iserles,
+    Munthe-Kaas, Norsett & Zanna, Acta Numerica 9, 2000), finite at theta = 0.  So
+    H = B - B* with B = V (e^{-i theta} o A) V*, A = P_V (Phi o V* X' V)(1 - P_V) and
+    P_V = V* P V: one stacked ``eigh`` a table.  NotAntiHermitian unless X passes the
+    rule of ``mat_exp``'s spectral route (``_antihermitian_eigh``).
+    """
+
+    def table(times: np.ndarray) -> np.ndarray:
+        x, dx = exponent(times)
+        spectral = _antihermitian_eigh(require_finite(x, "orbit exponent"))
+        if spectral is None:
+            raise NotAntiHermitian("orbit exponent is not anti-Hermitian")
+        del x
+        lam, v = spectral
+        turn = np.exp(0.5j * lam)  # e^{i theta_jk / 2} = turn_j / turn_k
+        vh = dag(v)
+        a = vh @ dx @ v
+        del dx
+        a *= np.sinc((lam[..., :, np.newaxis] - lam[..., np.newaxis, :]) / (2.0 * np.pi))
+        _scale_rows_cols(a, turn)
+        p_v = _fixed_matmul(vh, p) @ v
+        a = p_v @ a
+        a -= a @ p_v
+        del p_v
+        _scale_rows_cols(a, turn.conj() ** 2)
+        a = v @ a @ vh
+        a -= dag(a)
+        return a
 
     return HamiltonianSchedule(table)
 
@@ -485,7 +537,7 @@ def _local_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> n
     block = _transport_block(samples.shape[-1])
     anchor, start, fresh = sigma, 0, True
     while start < len(samples):
-        proj = samples[start:start + block] @ anchor
+        proj = _fixed_matmul(samples[start:start + block], anchor)
         grams = dag(anchor) @ proj
         kept = np.linalg.norm(grams - np.eye(sigma.shape[1]), axis=(1, 2)) <= _ANCHOR_DRIFT
         if fresh and not abs(np.linalg.det(require_finite(grams[0], "path"))) > tol.structural:

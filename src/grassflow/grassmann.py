@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (InvalidArgument, NotAntiHermitian, NotTangent, NotUnitary, OutsideChart,
                      SectionNotInFiber)
-from .linalg import (DEFAULT_TOLS, Tolerances, commutator, dag, frob, isometrize,
+from .linalg import (DEFAULT_TOLS, Tolerances, _fixed_matmul, commutator, dag, frob, isometrize,
                      require_antihermitian, require_finite)
 
 
@@ -149,15 +149,18 @@ def _require_tangent(p: Projector, v: EmbeddedTangent,
 def chart_frames(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
     """The (N, n, m) frames Y = frame + coframe f spanning the graphs of (N, n-m, m) chart blocks f.
 
-    Y* Y = 1 + f* f, as the adapted basis is orthonormal.
+    Y* Y = 1 + f* f, as the adapted basis is orthonormal.  One block gives one frame.
     """
-    return base.frame + base.coframe @ np.asarray(blocks, dtype=complex)
+    y = _fixed_matmul(base.coframe, np.asarray(blocks, dtype=complex))
+    y += base.frame  # in place: no second stack
+    return y
 
 
 def chart_projectors(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
     """Projector matrices onto the graphs of a stack of chart blocks.
 
-    ``blocks`` has shape (N, n-m, m); the result has shape (N, n, n).  The
+    ``blocks`` has shape (N, n-m, m), or is one (n-m, m) block; the result has
+    shape (N, n, n), or (n, n).  The
     graph of f is spanned by its ``chart_frames`` Y, and its projector is
     Y (Y* Y)^-1 Y*, from one stacked m x m solve, Hermitized.
     Y* Y = 1 + f* f is always invertible, so this never fails.
@@ -173,7 +176,7 @@ def chart_projectors(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
 
 def proj_from_chart(base: BasePoint, f: ChartTangent) -> Projector:
     """The projector onto the graph of f, see ``chart_projectors``."""
-    return Projector(matrix=chart_projectors(base, f.block[np.newaxis])[0], rank=base.m)
+    return Projector(matrix=chart_projectors(base, f.block), rank=base.m)
 
 
 def chart_from_proj(base: BasePoint, q: Projector,

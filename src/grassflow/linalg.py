@@ -133,6 +133,17 @@ def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fixed_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of one matrix and a stack (either side), as one product over the flattened stack.
+
+    ``matmul`` broadcasts the matrix and makes one BLAS call per matrix of the stack;
+    this makes one, equal to it to roundoff.
+    """
+    if np.ndim(a) == 2 < np.ndim(b):  # a @ b = (b^T a^T)^T
+        return _fixed_matmul(np.swapaxes(b, -1, -2), a.T).swapaxes(-1, -2)
+    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+
+
 # Largest entry of |f* f - I| at which polar_retract takes one Newton-Schulz step.
 _POLAR_NEWTON_DEFECT = 1e-8
 
@@ -185,20 +196,31 @@ def prefix_products(a: np.ndarray) -> np.ndarray:
     return out[:count]
 
 
+def _antihermitian_eigh(a: np.ndarray):
+    """(lam, V) with iA = V diag(lam) V* for each matrix of the finite stack a, or None.
+
+    None unless every matrix is anti-Hermitian to roundoff: || A + A* || at most
+    4 n eps || A ||, both divided by the s of ``_hermitian_defects``.
+    """
+    defects, norms, _ = _hermitian_defects(a)
+    if np.all(defects <= 4.0 * a.shape[-1] * np.finfo(float).eps * norms):
+        return np.linalg.eigh(1j * a)
+    return None
+
+
 def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential e^A of a matrix or of each matrix in a stack (..., n, n).
 
-    When every matrix is anti-Hermitian to roundoff (|| A + A* || at most
-    4 n eps || A ||, both divided by the s of ``_hermitian_defects``),
+    When every matrix is anti-Hermitian to roundoff (``_antihermitian_eigh``),
     e^A = V diag(e^{-i lam}) V* from the eigendecomposition iA = V diag(lam) V*,
     unitary to roundoff (the normal-matrix route: Higham, Functions of
     Matrices, SIAM 2008, ch. 10).  Any other input goes to
     scipy's scaling-and-squaring Pade ``expm``; scipy is imported only then.
     """
     a = require_finite(a, "exponent")
-    defects, norms, _ = _hermitian_defects(a)
-    if np.all(defects <= 4.0 * a.shape[-1] * np.finfo(float).eps * norms):
-        lam, v = np.linalg.eigh(1j * a)
+    spectral = _antihermitian_eigh(a)
+    if spectral is not None:
+        lam, v = spectral
         return (v * np.exp(-1j * lam)[..., np.newaxis, :]) @ dag(v)
     import scipy.linalg
 

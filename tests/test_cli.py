@@ -99,6 +99,24 @@ class TestBerry:
         report, _ = load(out)
         assert report["fiber_gap_deviation"] <= 1e-8
 
+    @pytest.mark.parametrize("shape, steps", [
+        ({"n": 4, "m": 2, "schedule": {"kind": "geometric_from_curve"}}, 800),
+        ({"schedule": {"kind": "geometric_from_curve", "theta": 1.2}}, 2000),
+    ], ids=["random_loop", "latitude"])
+    def test_geometric_curve_holonomy_is_scale_free(self, tmp_path, shape, steps):
+        # the same loop over grids of very different time spans: no step of the
+        # schedule is absolute, so each run closes with the same holonomy
+        holonomies = []
+        for span in (1e-3, 1.0, 1e4):
+            cfg = {"version": 1, **shape, "grid": {"t0": 0.0, "t1": span, "steps": steps}}
+            out = tmp_path / f"span{span:g}"
+            assert run(tmp_path, "berry", config=cfg, out=out) == 0
+            report, _ = load(out)
+            assert report["fiber_gap_deviation"] <= 1e-8
+            holonomies.append(cli._deser_matrix(report["holonomy_geometric"]))
+        for holonomy in holonomies:
+            assert np.linalg.norm(holonomy - holonomies[1]) <= 1e-9
+
     def test_open_path_exits_3(self, tmp_path):
         cfg = {"version": 1, "n": 3, "m": 1,
                "schedule": {"kind": "constant", "norm": 2.0}}

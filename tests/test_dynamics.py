@@ -771,12 +771,33 @@ def _latitude_qfun(t):
     return dynamics.bloch_matrices(1.1, 2 * np.pi * np.asarray(t))
 
 
-def _random_loop_qfun(t, n=4, m=2, seed=67):
+def _random_loop_exponent(t, n=4, seed=67):
+    """X = sin(s) a + (1 - cos s) b, s = 2 pi t, and X'."""
     rng = np.random.default_rng(seed)
     a, b = random_antihermitian(n, rng), random_antihermitian(n, rng)
     s = 2 * np.pi * np.asarray(t)[..., np.newaxis, np.newaxis]
-    u = mat_exp(np.sin(s) * a + (1.0 - np.cos(s)) * b)
+    return np.sin(s) * a + (1.0 - np.cos(s)) * b, 2 * np.pi * (np.cos(s) * a + np.sin(s) * b)
+
+
+def _random_loop_qfun(t, n=4, m=2, seed=67):
+    u = mat_exp(_random_loop_exponent(t, n, seed)[0])
     return u @ Projector.standard(n, m).matrix @ dag(u)
+
+
+def _latitude_exponent(t):
+    """X = 2 pi t diag(0, i), which turns bloch_projector(1.1) along _latitude_qfun, and X'."""
+    turn = np.diag([0.0, 1j])
+    return np.multiply.outer(2 * np.pi * t, turn), np.broadcast_to(2 * np.pi * turn, t.shape + (2, 2))
+
+
+def _central(qfun, t, step):
+    """The central difference (Q(t + step) - Q(t - step)) / (2 step)."""
+    return (qfun(t + step) - qfun(t - step)) / (2.0 * step)
+
+
+# each curve Q(t) = e^X P e^-X above as its P and exponent, for dynamics._orbit_schedule
+_ORBITS = {_latitude_qfun: (bloch_projector(1.1).matrix, _latitude_exponent),
+           _random_loop_qfun: (Projector.standard(4, 2).matrix, _random_loop_exponent)}
 
 
 def _sampled_values(seed=68, steps=16):
@@ -824,17 +845,48 @@ class TestScheduleTable:
             w = np.clip(s - k, 0.0, 1.0)
             np.testing.assert_array_equal(h_mat, (1.0 - w) * values[k] + w * values[k + 1])
 
-    @pytest.mark.parametrize("qfun", [_latitude_qfun, _random_loop_qfun],
-                             ids=["latitude", "random_loop"])
-    def test_geometric_table_matches_the_evaluator(self, qfun):
-        fd_step = dynamics._FD_STEP
-        schedule = geometric_schedule(qfun)
+    @pytest.mark.parametrize("qfun, exact", [
+        (_latitude_qfun, False), (_random_loop_qfun, False),
+        (_latitude_qfun, True), (_random_loop_qfun, True),
+    ], ids=["latitude", "random_loop", "latitude_orbit", "random_loop_orbit"])
+    def test_geometric_table_matches_the_evaluator(self, qfun, exact):
+        schedule = dynamics._orbit_schedule(*_ORBITS[qfun]) if exact else geometric_schedule(qfun)
         table = schedule.table(self.TIMES)
         for t, h_mat in zip(self.TIMES, table):
             assert frob(h_mat - schedule(t)) <= 1e-14
-            # the definition, from three per-time curve evaluations
-            v = (qfun(t + fd_step) - qfun(t - fd_step)) / (2.0 * fd_step)
-            assert frob(h_mat - dynamics._geometric_generator(qfun(t), v)) <= 1e-14
+            # the definition, from per-time curve evaluations: the central difference of
+            # geometric_schedule, and for the exact orbit table its Richardson
+            # extrapolation (the h^2 error of the 1e-6 step is 3.5e-9 on the random loop)
+            if exact:
+                v = (4.0 * _central(qfun, t, 1e-4) - _central(qfun, t, 2e-4)) / 3.0
+            else:
+                v = _central(qfun, t, dynamics._FD_STEP)
+            error = frob(h_mat - dynamics._geometric_generator(qfun(t), v))
+            assert error <= (1e-9 if exact else 1e-14)
+
+    @pytest.mark.parametrize("qfun", [_latitude_qfun, _random_loop_qfun],
+                             ids=["latitude", "random_loop"])
+    def test_central_differences_converge_to_the_orbit_table(self, qfun):
+        exact = dynamics._orbit_schedule(*_ORBITS[qfun]).table(self.TIMES)
+        q, errors = qfun(self.TIMES), []
+        for step in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
+            error = dynamics._geometric_generator(q, _central(qfun, self.TIMES, step)) - exact
+            errors.append(np.linalg.norm(error, axis=(1, 2)).max())
+        orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert all(1.9 <= order <= 2.1 for order in orders), orders
+
+    def test_orbit_exponent_must_be_antihermitian(self):
+        p, exponent = _ORBITS[_random_loop_qfun]
+
+        def hermitian(t):  # i X: Hermitian, and 0 at t = 0
+            x, dx = exponent(t)
+            return 1j * x, dx
+
+        schedule = dynamics._orbit_schedule(p, hermitian)
+        with pytest.raises(NotAntiHermitian, match="exponent"):
+            schedule.table(self.TIMES)
+        with pytest.raises(NotAntiHermitian, match="exponent"):
+            schedule(0.3)
 
     @pytest.mark.parametrize("seed", [61, 62, 63])
     def test_sampled_schedule_observed_order(self, seed):

@@ -248,6 +248,34 @@ class TestSmallMatmul:
             linalg._small_matmul(np.ones((4, 2, 2)), np.ones((4, 3, 2)))
 
 
+class TestFixedMatmul:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, 6), rows=st.integers(1, 6), cols=st.integers(1, 6),
+           count=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
+           side=st.sampled_from(["left", "right"]), strided=st.booleans())
+    def test_matrix_and_stack_is_matmul_to_roundoff(self, k, rows, cols, count, seed, side,
+                                                     strided):
+        rng = np.random.default_rng(seed)
+        a, b = _operands(k, rows, cols, count, rng)
+        if strided:  # transposed views of transposed copies, as dag(v) is
+            a, b = (np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2) for x in (a, b))
+        if side == "left":  # one matrix times a stack
+            a = a[0] if count else rng.standard_normal((rows, k))
+        else:
+            b = b[0] if count else rng.standard_normal((k, cols))
+        want = a @ b
+        got = linalg._fixed_matmul(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        bound = 8 * k * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_standard_coframe_is_matmul_bitwise(self):
+        # 0/1 entries: every product is exact, whatever the order of the sums
+        _, blocks = _operands(4, 4, 2, 50, np.random.default_rng(196))
+        coframe = np.eye(6)[:, 2:]
+        np.testing.assert_array_equal(linalg._fixed_matmul(coframe, blocks), coframe @ blocks)
+
+
 class TestMatExp:
     def test_zero(self):
         np.testing.assert_allclose(mat_exp(np.zeros((3, 3))), np.eye(3))
