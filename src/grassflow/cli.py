@@ -169,7 +169,6 @@ def build_setup(cfg: dict, tol: Tolerances):
     n, m = cfg["n"], cfg["m"]
     sched_cfg = cfg["schedule"]
     kind = sched_cfg["kind"]  # kind and keys are checked by load_config
-    rng = np.random.default_rng(int(cfg["seed"]))
     grid = build_grid(cfg)
 
     if kind == "rotating":
@@ -180,6 +179,7 @@ def build_setup(cfg: dict, tol: Tolerances):
         schedule = rotating_schedule(omega)
         p0 = bloch_projector(theta)
     elif kind == "constant":
+        rng = _seeded(cfg)
         if "matrix" in sched_cfg:
             h_mat = _deser_matrix(sched_cfg["matrix"])
         else:
@@ -197,12 +197,20 @@ def build_setup(cfg: dict, tol: Tolerances):
                                               "sampled schedule value")
                            for v in raw])
         schedule = sampled_schedule(grid, values)
-        p0 = Projector.from_frame(random_frame(n, m, rng))
+        p0 = Projector.from_frame(random_frame(n, m, _seeded(cfg)))
     else:
-        p0, schedule = _geometric_setup(sched_cfg, n, m, grid, rng)
+        p0, schedule = _geometric_setup(sched_cfg, n, m, grid, cfg)
 
     sigma = BasePoint.from_projector(p0, tol).frame
     return schedule, p0, sigma, grid
+
+
+def _seeded(cfg: dict) -> np.random.Generator:
+    """The run's seeded generator; only runs that draw make one.
+
+    The first use of ``np.random`` imports it, about 10 ms of a run.
+    """
+    return np.random.default_rng(int(cfg["seed"]))
 
 
 def _require_generator(h_mat, n, tol, name):
@@ -215,7 +223,7 @@ def _require_generator(h_mat, n, tol, name):
         raise UsageError(str(exc)) from exc
 
 
-def _geometric_setup(sched_cfg, n, m, grid, rng):
+def _geometric_setup(sched_cfg, n, m, grid, cfg):
     """The loop Q(t) = e^{X(t)} P e^{-X(t)}, X(t0) = 0, as P and its ``_orbit_schedule``."""
     span = grid.t1 - grid.t0
     # theta and omega shape the latitude loop; the seeded random loop reads neither
@@ -232,6 +240,7 @@ def _geometric_setup(sched_cfg, n, m, grid, rng):
             return (np.multiply.outer(omega * (t - grid.t0), turn),
                     np.broadcast_to(omega * turn, t.shape + turn.shape))
     else:
+        rng = _seeded(cfg)
         a = random_antihermitian(n, rng)
         b = random_antihermitian(n, rng)
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
@@ -338,7 +347,7 @@ def cmd_chart(cfg: dict, tol: Tolerances) -> int:
     start = time.perf_counter()
     n, m = cfg["n"], cfg["m"]
     trials = build_grid(cfg).steps + 1
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = _seeded(cfg)
 
     rows = []
     max_roundtrip = 0.0
@@ -438,8 +447,7 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
     if "w" in syn:
         w = _require_generator(_deser_matrix(syn["w"]), m, tol, "synthesize.w")
     else:
-        rng = np.random.default_rng(int(cfg["seed"]))
-        w = random_antihermitian(m, rng)
+        w = random_antihermitian(m, _seeded(cfg))
         w /= max(np.linalg.norm(w), 1e-300)
 
     base = BasePoint.standard(n, m)

@@ -22,7 +22,12 @@ Q' by central differences (``geometric_schedule``); for a unitary orbit
 Q = e^X P e^-X, as both CLI loops are, ``_orbit_schedule`` takes it exactly from one
 stacked ``eigh`` of iX.  At small n ``berry_maps`` chains stacked
 n x n RK4 step maps by ``_scan_frames``, at larger n it steps by ``_rk4_step``, and
-the reference routes step by ``_rk4_nodes``.
+the reference routes step by ``_rk4_nodes``.  Stacks of 1 x 1 and 2 x 2 matrices make
+no per-matrix BLAS or LAPACK call: their products (the step maps, stage slopes and
+Gram products at n = 2, the gauge maps at m <= 2) are broadcast sums
+(``_small_matmul``), and the determinants and singular values of the overlaps and
+chains of ``_frame_oracle`` and ``_section_transport`` closed forms (``_small_det``,
+``_small_svals``).
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ from .errors import DegenerateStep, InvalidArgument, NotAntiHermitian, NotClosed
 from .bundle import curvature_generators, frame_defect, require_over
 from .grassmann import (BasePoint, Projector, chart_frames, chart_projectors,
                         hamiltonian_value, projector_defect, sampled_derivative)
-from .linalg import (DEFAULT_TOLS, Tolerances, _antihermitian_eigh, _fixed_matmul,
-                     _small_matmul, commutator, dag, frob, isometrize, nearest_projector,
-                     polar_retract, prefix_products, require_antihermitian, require_finite)
+from .linalg import (DEFAULT_TOLS, Tolerances, _antihermitian_eigh, _fixed_matmul, _small_det,
+                     _small_matmul, _small_svals, commutator, dag, frob, isometrize,
+                     nearest_projector, polar_retract, prefix_products, require_antihermitian,
+                     require_finite)
 
 # Proportionality constant between the log-holonomy of a unit parallelogram
 # loop and the curvature generator it realizes:
@@ -481,9 +487,9 @@ def _rk4_maps(g1, g2, g3, g4, h: float) -> np.ndarray:
     B_2 = G_2 (I + (h/2) B_1), B_3 = G_3 (I + (h/2) B_2) and B_4 = G_4 (I + h B_3).
     """
     eye = np.eye(g1.shape[-1])
-    b2 = g2 @ (eye + (h / 2.0) * g1)
-    b3 = g3 @ (eye + (h / 2.0) * b2)
-    b4 = g4 @ (eye + h * b3)
+    b2 = _small_matmul(g2, eye + (h / 2.0) * g1)
+    b3 = _small_matmul(g3, eye + (h / 2.0) * b2)
+    b4 = _small_matmul(g4, eye + h * b3)
     return eye + (h / 6.0) * (g1 + 2.0 * b2 + 2.0 * b3 + b4)
 
 
@@ -497,10 +503,10 @@ def _gauge_step_maps(phis: np.ndarray, slopes, h: float):
     g_{k+1} = L_k g_k for their ``_rk4_maps`` L_k (the equation is linear in g).
     """
     a1, a2, a3, a4 = slopes
-    c1 = dag(phis) @ a1
-    c2 = dag(phis + (h / 2.0) * a1) @ a2
-    c3 = dag(phis + (h / 2.0) * a2) @ a3
-    c4 = dag(phis + h * a3) @ a4
+    c1 = _small_matmul(dag(phis), a1)
+    c2 = _small_matmul(dag(phis + (h / 2.0) * a1), a2)
+    c3 = _small_matmul(dag(phis + (h / 2.0) * a2), a3)
+    c4 = _small_matmul(dag(phis + h * a3), a4)
     return c1, _rk4_maps(-c1, -c2, -c3, -c4, h)
 
 
@@ -577,7 +583,7 @@ def _section_transport(frames: np.ndarray, tol: Tolerances) -> np.ndarray:
     for start in range(0, steps, block):
         stop = min(start + block, steps)
         overlaps = dag(frames[start + 1:stop + 1]) @ frames[start:stop]
-        if not np.all(np.abs(np.linalg.det(overlaps)) ** 2 > tol.structural):
+        if not np.all(np.abs(_small_det(overlaps)) ** 2 > tol.structural):
             raise DegenerateStep("a sampled fiber is orthogonal to the frame before it")
         maps[start:stop] = _small_matmul(
             overlaps, 1.5 * eye - 0.5 * _small_matmul(dag(overlaps), overlaps))
@@ -598,7 +604,7 @@ def _scan_frames(maps: np.ndarray, frames: np.ndarray, tol: Tolerances) -> None:
     """
     start, size = 0, len(maps)
     while start < len(maps):
-        run = prefix_products(maps[start:start + size]) @ frames[start]
+        run = _small_matmul(prefix_products(maps[start:start + size]), frames[start])
         kept = frame_defect(run) <= tol.ode
         cut = len(run) if kept.all() else int(kept.argmin())
         frames[start + 1:start + cut + 1] = run[:cut]
@@ -643,7 +649,8 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     first two are the U(m) holonomies of the loop; the fiber gap is always a
     gauge element and measures the accumulated vertical drift.  The node
     energies -i tr(phi_k* H(t_k) phi_k) come from the first RK4 stage and
-    each is checked to be real.  The per-node audits (projector defect of
+    each is checked to be real to its roundoff, which scales with || H(t_k) ||
+    (``hamiltonian_value``).  The per-node audits (projector defect of
     phi phi*, the worse isometry defect of phi and psi, horizontality defect
     of psi) are computed here, once.
     """
@@ -654,18 +661,22 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     h, steps = grid.h, grid.steps
     phis = np.empty((steps + 1, n, m), dtype=complex)
     gens = np.empty((steps + 1, m, m), dtype=complex)  # phi_k* H(t_k) phi_k
+    norms = np.empty(steps + 1)  # || H(t_k) ||, the scale of the roundoff in gens
     maps = np.empty((steps, m, m), dtype=complex)
     phis[0] = sigma
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
         for hs, end in _step_tables(_stage_generators(schedule, grid, n, tol)):
             stop = start + len(hs) // 2
+            # a constant table by its one matrix (vdot: a third of the time of frob)
+            norms[start:stop] = (np.sqrt(np.vdot(hs[0], hs[0]).real) if hs.strides[0] == 0
+                                 else np.linalg.norm(hs[0::2], axis=(1, 2)))
             if n <= _SCAN_MAX_N:
                 nodes, mids = np.concatenate([hs[0::2], end]), hs[1::2]
                 step_maps = _rk4_maps(nodes[:-1], mids, mids, nodes[1:], h)
                 _scan_frames(step_maps, phis[start:stop + 1], tol)
                 slopes = [None] * 4
-                _rk4_step(np.matmul, phis[start:stop], h, nodes[:-1], mids, nodes[1:], slopes)
+                _rk4_step(_small_matmul, phis[start:stop], h, nodes[:-1], mids, nodes[1:], slopes)
             else:
                 slopes = np.empty((4, stop - start, n, m), dtype=complex)
                 for k, stage in enumerate(zip(hs[0::2], hs[1::2], [*hs[2::2], end[0]])):
@@ -674,7 +685,9 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
                     phis[start + k + 1] = phi if kept else isometrize(phi, tol)
             gens[start:stop], maps[start:stop] = _gauge_step_maps(phis[start:stop], slopes, h)
             start = stop
-    gens[steps] = dag(phis[-1]) @ (end[0] @ phis[-1])
+    # the last node as the others: its stage-1 slope, then the Gram product
+    gens[steps] = _small_matmul(dag(phis[-1]), _small_matmul(end[0], phis[-1]))
+    norms[steps] = frob(end[0])
 
     fpath = FramePath(grid=grid, samples=phis)
     hpath = FramePath(grid=grid, samples=_small_matmul(phis, _gauge_chain(maps, tol)))
@@ -689,7 +702,7 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
         projector_defects=fpath.projector_defects(),
         isometry_defects=np.maximum(fpath.frame_defects(), hpath.frame_defects()),
         horizontality_defects=horizontality_defects(hpath),
-        energies=hamiltonian_value(gens, tol),
+        energies=hamiltonian_value(gens, tol, norms),
         frame_path=fpath,
         horizontal_path=hpath,
     )
@@ -762,13 +775,13 @@ def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndar
     chained by ``prefix_products`` at |det O_k| = 1, which keeps C finite while its rank holds.
     Step k checks the rank of that oracle's projected frame, O_k C_{k-1} / s_max(C_{k-1}).
     """
-    overlaps = dag(frames[1:]) @ frames[:-1]
+    overlaps = _small_matmul(dag(frames[1:]), frames[:-1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only once rank is lost
-        scales = np.exp(np.linalg.slogdet(overlaps)[1] / overlaps.shape[-1])  # |det O_k|^(1/m)
+        scales = np.abs(_small_det(overlaps)) ** (1.0 / overlaps.shape[-1])  # |det O_k|^(1/m)
         chains = prefix_products(overlaps / scales[:, np.newaxis, np.newaxis])
     if not np.isfinite(chains).all():
         raise DegenerateStep("projection collapsed the frame rank")
-    chain_svals = np.linalg.svd(chains, compute_uv=False)
+    chain_svals = _small_svals(chains)
     steps = scales / np.append(1.0, chain_svals[:-1, 0])
     _require_rank(chain_svals * steps[:, np.newaxis], tol)
     return isometrize(dag(frames[0]) @ frames[-1] @ (chains[-1] / chain_svals[-1, 0]), tol)

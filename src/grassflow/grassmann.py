@@ -247,14 +247,17 @@ def linear_hamiltonian(u: np.ndarray, p: Projector,
     return hamiltonian_value(u @ p.matrix, tol)
 
 
-def hamiltonian_value(product: np.ndarray, tol: Tolerances = DEFAULT_TOLS):
+def hamiltonian_value(product: np.ndarray, tol: Tolerances = DEFAULT_TOLS, scale=0.0):
     """-i tr(product) for product = u P, or phi* u phi over a frame of P.
 
     Both traces equal the linear Hamiltonian of u at P; a non-real value
-    means u is not anti-Hermitian.  A stack (..., k, k) gives an array.
+    means u is not anti-Hermitian: |Im| above structural * (1 + |Re| + scale).
+    ``scale``, a float or one per matrix, is the norm of u where the caller holds
+    it: the trace carries roundoff of about eps || u ||, however small its value.
+    A stack (..., k, k) gives an array.
     """
     value = -1j * np.trace(product, axis1=-2, axis2=-1)
-    if np.any(np.abs(value.imag) > tol.structural * (1.0 + np.abs(value.real))):
+    if np.any(np.abs(value.imag) > tol.structural * (1.0 + np.abs(value.real) + scale)):
         raise NotAntiHermitian("trace -i tr(uP) is not real; u is not anti-Hermitian")
     return value.real if value.ndim else float(value.real)
 

@@ -3,7 +3,8 @@
 Matrices are plain complex ``numpy`` arrays throughout the package.  This
 module provides the few operations everything else is built on: adjoints and
 commutators, the oriented QR factorization (``isometrize``), the polar
-retraction of a frame or a stack of frames, running products of a stack, the
+retraction of a frame or a stack of frames, running products of a stack, closed
+forms for the determinants and singular values of 1 x 1 and 2 x 2 stacks, the
 matrix exponential of a matrix or a stack (spectral for anti-Hermitian input;
 scipy is imported only for any other input), the spectral retraction onto
 rank-m projectors, and seeded random generators.
@@ -131,6 +132,47 @@ def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for j in range(1, a.shape[-1]):
         out += a[..., j:j + 1] * b[..., j:j + 1, :]
     return out
+
+
+def _small_det(a: np.ndarray) -> np.ndarray:
+    """det of each matrix of a stack (..., m, m): closed form for m <= 2, else ``np.linalg.det``.
+
+    numpy's ``det`` makes one LAPACK call per matrix; ad - bc is one broadcast expression.
+    """
+    m = a.shape[-1]
+    if m == 1:
+        return a[..., 0, 0]
+    if m == 2:
+        det = a[..., 0, 0] * a[..., 1, 1]
+        det -= a[..., 0, 1] * a[..., 1, 0]
+        return det
+    return np.linalg.det(a)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing det takes the LAPACK route
+def _small_svals(a: np.ndarray) -> np.ndarray:
+    """Descending singular values of each matrix of a finite stack (..., m, m).
+
+    Closed form for m <= 2: s = |a| at m = 1; at m = 2, with rows (a, b), (c, d) and
+    u = det / |det| (u = 1 at det = 0), s_1 +- s_2 = || (a +- u conj(d), b -+ u conj(c)) ||,
+    since the squared norms are || a ||_F^2 +- 2 |det| = (s_1 +- s_2)^2.  Each is a sum of
+    squares whose terms err by a few eps s_1, so each s is within a few eps s_1 of LAPACK's.
+    A stack whose det overflows, and any larger m, go to ``np.linalg.svd``.
+    """
+    m = a.shape[-1]
+    if m == 1:
+        return np.abs(a[..., 0])
+    if m == 2:
+        det = _small_det(a)
+        size = np.abs(det)
+        u = np.divide(det, size, out=np.ones_like(det), where=size > 0)
+        ud, uc = u * a[..., 1, 1].conj(), u * a[..., 1, 0].conj()
+        plus, minus = (np.hypot(np.abs(a[..., 0, 0] + sign * ud),
+                                np.abs(a[..., 0, 1] - sign * uc)) for sign in (1.0, -1.0))
+        svals = np.stack([plus + minus, np.maximum(plus - minus, 0.0)], axis=-1) / 2.0
+        if np.isfinite(svals).all():
+            return svals
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def _fixed_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

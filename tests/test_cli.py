@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 from grassflow import cli
 from grassflow.cli import (CSV_HEADER, build_parser, build_setup,
                            build_tolerances, load_config, main, write_report)
-from grassflow.dynamics import (berry_maps, loop_holonomy, pancharatnam_oracle,
-                                synthesize_holonomy_step)
-from grassflow.grassmann import BasePoint
-from grassflow.linalg import dag
+from grassflow.dynamics import (TimeGrid, _orbit_schedule, berry_maps, bloch_projector,
+                                constant_schedule, loop_holonomy, pancharatnam_oracle,
+                                rotating_schedule, sampled_schedule, synthesize_holonomy_step)
+from grassflow.grassmann import BasePoint, Projector
+from grassflow.linalg import Tolerances, dag, random_antihermitian, random_frame
 
 from cointegrated import cointegrated_transport
 
@@ -105,17 +106,19 @@ class TestBerry:
     ], ids=["random_loop", "latitude"])
     def test_geometric_curve_holonomy_is_scale_free(self, tmp_path, shape, steps):
         # the same loop over grids of very different time spans: no step of the
-        # schedule is absolute, so each run closes with the same holonomy
-        holonomies = []
-        for span in (1e-3, 1.0, 1e4):
+        # schedule is absolute, so each run closes with the same holonomy.  Below a
+        # span of about 3e-6 the generators exceed 1e5, and their node energies,
+        # near 0, carry roundoff of eps || H ||: their realness rule scales with || H ||
+        holonomies = {}
+        for span in (1e-12, 1e-8, 1e-3, 1.0, 1e4):
             cfg = {"version": 1, **shape, "grid": {"t0": 0.0, "t1": span, "steps": steps}}
             out = tmp_path / f"span{span:g}"
             assert run(tmp_path, "berry", config=cfg, out=out) == 0
             report, _ = load(out)
             assert report["fiber_gap_deviation"] <= 1e-8
-            holonomies.append(cli._deser_matrix(report["holonomy_geometric"]))
-        for holonomy in holonomies:
-            assert np.linalg.norm(holonomy - holonomies[1]) <= 1e-9
+            holonomies[span] = cli._deser_matrix(report["holonomy_geometric"])
+        for holonomy in holonomies.values():
+            assert np.linalg.norm(holonomy - holonomies[1.0]) <= 1e-9
 
     def test_open_path_exits_3(self, tmp_path):
         cfg = {"version": 1, "n": 3, "m": 1,
@@ -361,6 +364,93 @@ print(json.dumps(seen))
     result = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
                             capture_output=True, text=True, env=env, check=True)
     assert json.loads(result.stdout.splitlines()[-1]) == [False] * (len(runs) + 1)
+
+
+def test_draw_free_runs_load_no_random_module(tmp_path):
+    """The default berry run and the latitude loop draw nothing, so never import numpy.random."""
+    script = """
+import sys
+import grassflow.cli as cli
+assert cli.main(['berry', '--out', sys.argv[1] + '/default']) == 0
+with open(sys.argv[1] + '/latitude.json', 'w') as fh:
+    fh.write('{"schedule": {"kind": "geometric_from_curve", "theta": 1.2}}')
+assert cli.main(['berry', '--config', sys.argv[1] + '/latitude.json',
+                 '--out', sys.argv[1] + '/latitude']) == 0
+print('numpy.random' in sys.modules)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                            capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
+
+
+_SAMPLE_VALUE = [[{"re": 0.0, "im": 1.0}, {"re": 0.0, "im": 0.0}],
+                 [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": -1.0}]]
+
+
+@pytest.mark.parametrize("schedule, n, m", [
+    ({"kind": "rotating"}, 2, 1),
+    ({"kind": "constant"}, 4, 2),
+    ({"kind": "constant", "norm": 3.0}, 3, 1),
+    ({"kind": "constant", "matrix": _SAMPLE_VALUE}, 2, 1),
+    ({"kind": "sampled", "values": [_SAMPLE_VALUE] * 5}, 2, 1),
+    ({"kind": "geometric_from_curve"}, 4, 2),
+    ({"kind": "geometric_from_curve", "theta": 1.2}, 2, 1),
+], ids=["rotating", "constant", "constant-norm", "constant-matrix", "sampled",
+        "random-loop", "latitude"])
+def test_seeded_setup_draws_one_stream_in_order(schedule, n, m):
+    # build_setup against the draws of one default_rng(seed) stream, taken in this order:
+    # a constant generator, then the start frame; or the random loop's a, then b
+    tol = Tolerances()
+    grid = TimeGrid(0.0, 1.0, 4)
+    times = grid.t0 + (grid.h / 2.0) * np.arange(2 * grid.steps + 1)
+    for seed in range(10):
+        cfg = {"n": n, "m": m, "seed": seed, "schedule": schedule,
+               "grid": {"t0": grid.t0, "t1": grid.t1, "steps": grid.steps}}
+        table, p0, sigma = _seeded_reference(schedule, n, m, grid, np.random.default_rng(seed))
+        got_schedule, got_p0, got_sigma, _ = build_setup(cfg, tol)
+        np.testing.assert_array_equal(got_schedule.table(times, n), table(times))
+        np.testing.assert_array_equal(got_p0.matrix, p0.matrix)
+        np.testing.assert_array_equal(got_sigma, sigma)
+        assert got_p0.rank == p0.rank
+
+
+def _seeded_reference(schedule, n, m, grid, rng):
+    """The schedule table, p0 and sigma of a config, drawn from ``rng`` in the CLI's order."""
+    kind = schedule["kind"]
+    if kind == "rotating":
+        table, p0 = rotating_schedule(2 * np.pi).table, bloch_projector(np.pi / 2)
+    elif kind == "sampled":
+        table = sampled_schedule(grid, [cli._deser_matrix(_SAMPLE_VALUE)] * 5).table
+        p0 = Projector.from_frame(random_frame(n, m, rng))
+    elif kind == "constant":
+        if "matrix" in schedule:
+            h_mat = cli._deser_matrix(_SAMPLE_VALUE)
+        else:
+            h_mat = random_antihermitian(n, rng)
+            h_mat *= schedule.get("norm", 2.0) / np.linalg.norm(h_mat)
+        table = constant_schedule(h_mat).table
+        p0 = Projector.from_frame(random_frame(n, m, rng))
+    elif "theta" in schedule:
+        p0 = bloch_projector(schedule["theta"])
+        omega, turn = 2 * np.pi / (grid.t1 - grid.t0), np.diag([0.0, 1j])
+        table = _orbit_schedule(p0.matrix, lambda t: (
+            np.multiply.outer(omega * (t - grid.t0), turn),
+            np.broadcast_to(omega * turn, t.shape + turn.shape))).table
+    else:
+        a, b = random_antihermitian(n, rng), random_antihermitian(n, rng)
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        p0, span = Projector.standard(n, m), grid.t1 - grid.t0
+
+        def exponent(t):
+            s = 2 * np.pi * (t[:, np.newaxis, np.newaxis] - grid.t0) / span
+            return (np.sin(s) * a + (1.0 - np.cos(s)) * b,
+                    (2 * np.pi / span) * (np.cos(s) * a + np.sin(s) * b))
+
+        table = _orbit_schedule(p0.matrix, exponent).table
+    return table, p0, BasePoint.from_projector(p0).frame
 
 
 class TestSelftest:

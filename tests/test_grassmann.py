@@ -255,6 +255,17 @@ class TestLinearHamiltonian:
         with pytest.raises(NotAntiHermitian):
             hamiltonian_value(stack)
 
+    def test_scale_is_the_norm_of_the_generator(self):
+        # a zero energy of a generator of norm 1e6 with roundoff 1e-9 in its trace
+        product = np.diag([1e-9 + 1e6j, -1e6j])
+        with pytest.raises(NotAntiHermitian):
+            hamiltonian_value(product)
+        assert hamiltonian_value(product, scale=1e6) == pytest.approx(0.0, abs=1e-6)
+        with pytest.raises(NotAntiHermitian):  # the rule scales with the norm, no further
+            hamiltonian_value(np.diag([1e-3 + 1e6j, -1e6j]), scale=1e6)
+        with pytest.raises(NotAntiHermitian):  # and holds each matrix to its own norm
+            hamiltonian_value(np.array([product, product]), scale=np.array([1e6, 1.0]))
+
 
 class TestSymplecticForm:
     def test_degenerate_pair_vanishes(self):

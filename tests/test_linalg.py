@@ -276,6 +276,46 @@ class TestFixedMatmul:
         np.testing.assert_array_equal(linalg._fixed_matmul(coframe, blocks), coframe @ blocks)
 
 
+def _small_stack(kind, m, count, rng):
+    """A complex (count, m, m) stack of one kind for the small det/svd kernels."""
+    a = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+    if kind == "near_unitary":
+        return np.linalg.qr(a)[0] + 1e-9 * a
+    if kind == "rank_deficient":  # the last row a multiple of the first
+        a[:, -1] = (rng.standard_normal((count, 1)) + 1j) * a[:, 0]
+    elif kind == "zero":
+        a[:] = 0.0
+    elif kind.startswith("scaled"):
+        a *= float(kind[len("scaled"):])
+    return a
+
+
+class TestSmallDetSvals:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(1, 3), count=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["random", "near_unitary", "rank_deficient", "zero",
+                                 "scaled1e150", "scaled1e-150"]))
+    def test_lapack_to_roundoff(self, m, count, seed, kind):
+        a = _small_stack(kind, m, count, np.random.default_rng(seed))
+        want = np.linalg.svd(a, compute_uv=False)
+        got = linalg._small_svals(a)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        smax = want[:, :1]
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * smax)
+        with np.errstate(over="ignore"):  # the det of a 1e150 stack overflows at m = 3
+            det, want_det = linalg._small_det(a), np.linalg.det(a)
+        if m > 2:
+            np.testing.assert_array_equal(det, want_det)
+        else:
+            # numpy's det is exp of its log-determinant: its own error grows with |log det|
+            bound = 1e3 * np.finfo(float).eps * smax[:, 0] ** m
+            assert np.all(np.abs(det - want_det) <= bound)
+
+    def test_overflowing_det_takes_the_lapack_route(self):
+        a = _small_stack("scaled1e200", 2, 6, np.random.default_rng(197))
+        np.testing.assert_array_equal(linalg._small_svals(a), np.linalg.svd(a, compute_uv=False))
+
+
 class TestMatExp:
     def test_zero(self):
         np.testing.assert_allclose(mat_exp(np.zeros((3, 3))), np.eye(3))
