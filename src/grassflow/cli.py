@@ -298,7 +298,9 @@ def _phase_arg(holonomy: np.ndarray, m: int):
     """arg det of the fiber map; reported only in the abelian (m=1) case."""
     if m != 1:
         return None
-    return float(np.angle(np.linalg.det(holonomy)))
+    det = np.linalg.det(holonomy)
+    # an imaginary part within eps |det| is roundoff: a holonomy of -1 reports pi, whatever its sign
+    return float(np.angle(det.real if abs(det.imag) <= np.finfo(float).eps * abs(det) else det))
 
 
 def _finish(cfg: dict, rows, payload: dict, bound: float, message: str) -> int:

@@ -16,18 +16,17 @@ frame (its ``horizontal_path``), along a sampled path by ``_section_transport`` 
 the fiber overlaps of a section: ``horizontal_transport`` takes the ``_local_section``
 of the projector samples, the CLI's ``synthesize`` the ``_graph_section`` of its chart
 loop, which forms no n x n matrix.  Both chain by ``_gauge_chain``.
-Every RK4 route reads its 2 * steps + 1 stage generators once each from checked
-schedule tables (``_stage_generators``).  A geometric table of any curve Q(t) takes
-Q' by central differences (``geometric_schedule``); for a unitary orbit
-Q = e^X P e^-X, as both CLI loops are, ``_orbit_schedule`` takes it exactly from one
-stacked ``eigh`` of iX.  At small n ``berry_maps`` chains stacked
-n x n RK4 step maps by ``_scan_frames``, at larger n it steps by ``_rk4_step``, and
-the reference routes step by ``_rk4_nodes``.  Stacks of 1 x 1 and 2 x 2 matrices make
-no per-matrix BLAS or LAPACK call: their products (the step maps, stage slopes and
-Gram products at n = 2, the gauge maps at m <= 2) are broadcast sums
-(``_small_matmul``), and the determinants and singular values of the overlaps and
-chains of ``_frame_oracle`` and ``_section_transport`` closed forms (``_small_det``,
-``_small_svals``).
+Every RK4 route reads its 2 * steps + 1 stage generators once each from checked schedule
+tables (``_stage_generators``).  A geometric table of any curve Q(t) takes Q' by central
+differences (``geometric_schedule``); for a unitary orbit Q = e^X P e^-X, as both CLI
+loops are, ``_orbit_schedule`` takes it exactly from one stacked ``eigh`` of iX.  The
+frame equation has one integrator, ``_frame_blocks``, which ``integrate_frame`` and
+``berry_maps`` share; the projector flow, a reference route, steps by ``_rk4_nodes``.
+Stacks of 1 x 1 and 2 x 2 matrices make no per-matrix BLAS or LAPACK call: their
+products (the step maps, stage slopes and Gram products at n = 2, the gauge maps at
+m <= 2) are broadcast sums (``_small_matmul``), and the determinants and singular values
+of the overlaps and chains of ``_frame_oracle`` and ``_section_transport`` closed forms
+(``_small_det``, ``_small_svals``).
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from .errors import DegenerateStep, InvalidArgument, NotAntiHermitian, NotClosed
 from .bundle import curvature_generators, frame_defect, require_over
 from .grassmann import (BasePoint, Projector, chart_frames, chart_projectors,
                         hamiltonian_value, projector_defect, sampled_derivative)
-from .linalg import (DEFAULT_TOLS, Tolerances, _antihermitian_eigh, _fixed_matmul, _small_det,
-                     _small_matmul, _small_svals, commutator, dag, frob, isometrize,
+from .linalg import (DEFAULT_TOLS, Tolerances, _antihermitian_eigh, _fixed_matmul, _require_tall,
+                     _small_det, _small_matmul, _small_svals, commutator, dag, frob, isometrize,
                      nearest_projector, polar_retract, prefix_products, require_antihermitian,
                      require_finite)
 
@@ -64,6 +63,12 @@ _ROUGH_BOUND = 0.5
 _ANCHOR_DRIFT = 0.5
 
 
+def _require_count(value, name: str) -> None:
+    """InvalidArgument unless value is a positive integer (an ``Integral``, not a bool)."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value > 0):
+        raise InvalidArgument(f"{name} must be a positive integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [t0, t1] with ``steps`` intervals (steps+1 nodes)."""
@@ -73,10 +78,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise InvalidArgument("steps must be positive")
-        if not self.h > 0.0:  # a step below the smallest float is 0: the nodes coincide
-            raise InvalidArgument("t1 must exceed t0 by a nonzero step")
+        _require_count(self.steps, "steps")
+        # a step below the smallest float is 0 (the nodes coincide), an overflowing span inf
+        if not 0.0 < self.h < np.inf:
+            raise InvalidArgument("t1 must exceed t0 by a finite nonzero step")
 
     @property
     def h(self) -> float:
@@ -351,11 +356,13 @@ def _retract_projector(p, rank: int, tol: Tolerances):
 
 def integrate_frame(schedule: HamiltonianSchedule, phi0: np.ndarray,
                     grid: TimeGrid, tol: Tolerances = DEFAULT_TOLS) -> FramePath:
-    """Integrate phi' = H(t) phi with per-step re-isometrization on demand."""
-    phi0 = require_finite(phi0, "initial frame")
-    nodes = _rk4_nodes(schedule, np.matmul, phi0, grid,
-                       lambda y: y if frame_defect(y) <= tol.ode else isometrize(y, tol), tol)
-    return FramePath(grid, np.fromiter(nodes, np.dtype((complex, phi0.shape)), grid.steps + 1))
+    """phi' = H(t) phi from a tall (or square) phi0 by ``_frame_blocks``, isometrized on demand."""
+    phi0 = _require_tall(require_finite(phi0, "initial frame"))
+    frames = np.empty((grid.steps + 1,) + phi0.shape, dtype=complex)
+    frames[0] = phi0
+    for _ in _frame_blocks(schedule, frames, grid, tol):
+        pass
+    return FramePath(grid, frames)
 
 
 def integrate_projector(schedule: HamiltonianSchedule, p0: Projector, grid: TimeGrid,
@@ -439,12 +446,12 @@ class HolonomyResult:
 # Bytes of one generator table read by an RK4 route (a geometric table holds
 # several stacks this size at once), and of four n x n samples: a sampled-transport
 # block (``_transport_block``) takes as many nodes of a path or of its section.
-# A berry_maps block is the steps of one table, so a stack of its n x n RK4 step
-# maps takes half a table: a large-n run's peak memory stays fixed however many
+# A ``_frame_blocks`` block is the steps of one table, so a stack of its n x n RK4
+# step maps takes half a table: a large-n run's peak memory stays fixed however many
 # steps it takes.
 _TABLE_BYTES = 1 << 22
 
-# Largest n at which berry_maps chains stacked n x n RK4 step maps by
+# Largest n at which ``_frame_blocks`` chains stacked n x n RK4 step maps by
 # ``prefix_products``; above it the per-step loop, O(n^2 m) a step, is faster.
 _SCAN_MAX_N = 16
 
@@ -614,6 +621,39 @@ def _scan_frames(maps: np.ndarray, frames: np.ndarray, tol: Tolerances) -> None:
         start, size = start + cut, 2 * cut
 
 
+def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGrid,
+                  tol: Tolerances, scan_slopes: bool = False):
+    """Fill phis[1:] with the RK4 frames of phi' = H(t) phi from phis[0], a table at a time.
+
+    An RK4 step of the linear equation is an n x n matrix R_k (``_rk4_maps``).  Up to
+    _SCAN_MAX_N a table's R_k are stacked and chained by ``_scan_frames``; above it a
+    per-step loop, O(n^2 m) a step, forms no n x n stack.  Either way phi is isometrized
+    where its frame defect is not within ``tol.ode``.  Yields each table's steps (a slice),
+    its stage generators, the (1, n, n) node ending them and their stage slopes (4, B, n, m),
+    which the scan takes by one stacked ``_rk4_step`` only if ``scan_slopes``.
+    """
+    n, m = phis.shape[1:]
+    h, start = grid.h, 0
+    for hs, end in _step_tables(_stage_generators(schedule, grid, n, tol)):
+        block = slice(start, start + len(hs) // 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
+            if n <= _SCAN_MAX_N:
+                nodes, mids = np.concatenate([hs[0::2], end]), hs[1::2]
+                step_maps = _rk4_maps(nodes[:-1], mids, mids, nodes[1:], h)
+                _scan_frames(step_maps, phis[start:block.stop + 1], tol)
+                slopes = [None] * 4
+                if scan_slopes:
+                    _rk4_step(_small_matmul, phis[block], h, nodes[:-1], mids, nodes[1:], slopes)
+            else:
+                slopes = np.empty((4, block.stop - start, n, m), dtype=complex)
+                for k, stage in enumerate(zip(hs[0::2], hs[1::2], [*hs[2::2], end[0]])):
+                    phi = _rk4_step(np.matmul, phis[start + k], h, *stage, slopes[:, k])
+                    kept = frame_defect(phi) <= tol.ode
+                    phis[start + k + 1] = phi if kept else isometrize(phi, tol)
+        yield block, hs, end, slopes
+        start = block.stop
+
+
 def _gauge_chain(maps: np.ndarray, tol: Tolerances) -> np.ndarray:
     """g_0 = I and g_{k+1} = N(maps[k]) g_k: the maps retracted onto U(m), chained, retracted.
 
@@ -634,14 +674,11 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     transport of sigma along P = phi phi*.  This is the Aharonov-Anandan
     split of the evolution into a dynamical and a geometric part (PRL 58,
     1593 (1987); non-abelian form: Anandan, Phys. Lett. A 133, 171 (1988)).
-    Both equations are linear, so an RK4 step is a matrix: phi_{k+1} = R_k phi_k
-    (the n x n ``_rk4_maps``) and g_{k+1} = L_k g_k.  For n up to _SCAN_MAX_N the
-    R_k of each schedule table's steps are stacked and chained into frames by
-    ``_scan_frames``; above it a per-step loop, O(n^2 m) a step, keeps the stage
-    slopes it computes.  Either way phi is isometrized where its frame defect is not
-    within ``tol.ode``, and ``_gauge_step_maps`` turns each block's stage slopes into
-    the m x m L_k, chained by ``_gauge_chain``.  A grid of fewer than 2 steps raises
-    InvalidArgument before any table is read.
+    The frames phi are those of ``integrate_frame`` (``_frame_blocks``); the gauge
+    equation is linear too, so an RK4 step is an m x m matrix, g_{k+1} = L_k g_k:
+    ``_gauge_step_maps`` turns each block's stage slopes into the L_k, chained by
+    ``_gauge_chain``.  A grid of fewer than 2 steps raises InvalidArgument before any
+    table is read.
 
     Returns ``dynamical = sigma* phi(T)``, ``geometric = sigma* psi(T)`` and
     ``fiber_gap = psi(T)* phi(T) = g(T)*``.  When the projector path closes
@@ -664,27 +701,12 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     norms = np.empty(steps + 1)  # || H(t_k) ||, the scale of the roundoff in gens
     maps = np.empty((steps, m, m), dtype=complex)
     phis[0] = sigma
-    start = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
-        for hs, end in _step_tables(_stage_generators(schedule, grid, n, tol)):
-            stop = start + len(hs) // 2
+        for block, hs, end, slopes in _frame_blocks(schedule, phis, grid, tol, scan_slopes=True):
             # a constant table by its one matrix (vdot: a third of the time of frob)
-            norms[start:stop] = (np.sqrt(np.vdot(hs[0], hs[0]).real) if hs.strides[0] == 0
-                                 else np.linalg.norm(hs[0::2], axis=(1, 2)))
-            if n <= _SCAN_MAX_N:
-                nodes, mids = np.concatenate([hs[0::2], end]), hs[1::2]
-                step_maps = _rk4_maps(nodes[:-1], mids, mids, nodes[1:], h)
-                _scan_frames(step_maps, phis[start:stop + 1], tol)
-                slopes = [None] * 4
-                _rk4_step(_small_matmul, phis[start:stop], h, nodes[:-1], mids, nodes[1:], slopes)
-            else:
-                slopes = np.empty((4, stop - start, n, m), dtype=complex)
-                for k, stage in enumerate(zip(hs[0::2], hs[1::2], [*hs[2::2], end[0]])):
-                    phi = _rk4_step(np.matmul, phis[start + k], h, *stage, slopes[:, k])
-                    kept = frame_defect(phi) <= tol.ode
-                    phis[start + k + 1] = phi if kept else isometrize(phi, tol)
-            gens[start:stop], maps[start:stop] = _gauge_step_maps(phis[start:stop], slopes, h)
-            start = stop
+            norms[block] = (np.sqrt(np.vdot(hs[0], hs[0]).real) if hs.strides[0] == 0
+                            else np.linalg.norm(hs[0::2], axis=(1, 2)))
+            gens[block], maps[block] = _gauge_step_maps(phis[block], slopes, h)
     # the last node as the others: its stage-1 slope, then the Gram product
     gens[steps] = _small_matmul(dag(phis[-1]), _small_matmul(end[0], phis[-1]))
     norms[steps] = frob(end[0])
@@ -812,10 +834,7 @@ def _parallelogram_loop(pairs, scale: float, base: BasePoint,
     """The (N, n-m, m) chart blocks of the loop of ``synthesize_holonomy_step`` for given pairs."""
     if not 0.0 <= scale <= 0.5:
         raise InvalidArgument("scale must lie in [0, 0.5]")
-    integer = isinstance(samples_per_side, Integral) and not isinstance(samples_per_side, bool)
-    if not (integer and samples_per_side > 0):
-        raise InvalidArgument(f"samples_per_side must be a positive integer, "
-                              f"not {samples_per_side!r}")
+    _require_count(samples_per_side, "samples_per_side")
     m = base.m
     zero = np.zeros((base.n - m, m), dtype=complex)
     if not pairs or scale == 0.0:

@@ -92,6 +92,13 @@ def require_antihermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOLS,
     return a
 
 
+def _require_tall(f: np.ndarray, stack: bool = False) -> np.ndarray:
+    """f, or InvalidArgument unless a tall (or square) matrix, or with ``stack`` a stack of them."""
+    if f.ndim < 2 or (f.ndim > 2 and not stack) or f.shape[-2] < f.shape[-1]:
+        raise InvalidArgument("expected a tall (or square) n x m matrix" + " or stack" * stack)
+    return f
+
+
 def isometrize(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Oriented orthonormalization of a full-column-rank matrix.
 
@@ -99,9 +106,7 @@ def isometrize(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     strictly positive real diagonal.  Column spans of Q and f coincide
     prefix-by-prefix, which is the complex analogue of matching orientations.
     """
-    f = require_finite(f, "frame seed")
-    if f.ndim != 2 or f.shape[0] < f.shape[1]:
-        raise InvalidArgument("expected a tall (or square) n x m matrix")
+    f = _require_tall(require_finite(f, "frame seed"))
     svals = np.linalg.svd(f, compute_uv=False)
     if svals[-1] <= tol.structural:
         raise RankDeficient(
@@ -194,7 +199,7 @@ _POLAR_NEWTON_DEFECT = 1e-8
 def polar_retract(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Closest frame to f in Frobenius norm: the unitary polar factor U V*.
 
-    ``f`` is a matrix or a stack (..., n, m), retracted matrix by matrix.
+    ``f`` is a tall (or square) matrix or a stack (..., n, m), retracted matrix by matrix.
     Unlike the oriented QR, this retraction commutes with the right U(m)
     action exactly, which keeps repeated-retraction schemes gauge equivariant.
     If no entry of E = f* f - I exceeds _POLAR_NEWTON_DEFECT anywhere in the
@@ -203,7 +208,7 @@ def polar_retract(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     of Matrices, SIAM 2008, sec. 8.3); any other f (NaN and inf fail the test)
     takes the SVD of the whole stack.
     """
-    f = np.asarray(f)
+    f = _require_tall(np.asarray(f), stack=True)
     m = f.shape[-1]
     e = _small_matmul(dag(f), f)
     e.reshape(e.shape[:-2] + (m * m,))[..., ::m + 1] -= 1.0  # the diagonals, as a view
@@ -260,6 +265,8 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     scipy's scaling-and-squaring Pade ``expm``; scipy is imported only then.
     """
     a = require_finite(a, "exponent")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise InvalidArgument("expected a square n x n matrix or stack")
     spectral = _antihermitian_eigh(a)
     if spectral is not None:
         lam, v = spectral

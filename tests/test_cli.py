@@ -83,6 +83,15 @@ class TestBerry:
         assert set(entry) == {"re", "im"}
         assert abs(complex(entry["re"], entry["im"]) - (-1.0)) <= 1e-4
 
+    @pytest.mark.parametrize("steps", [333, 1000, 4000])
+    def test_default_loop_phase_is_pi(self, tmp_path, steps):
+        # the holonomy is -1 up to a roundoff imaginary part of either sign, which
+        # would put np.angle on either side of its branch cut
+        out = tmp_path / "run"
+        assert run(tmp_path, "berry", steps=steps, out=out) == 0
+        report, _ = load(out)
+        assert report["berry_phase_arg"] == report["oracle_phase_arg"] == np.pi
+
     def test_degenerate_loop(self, tmp_path):
         cfg = {"version": 1,
                "schedule": {"kind": "rotating", "theta": 0.01,
@@ -579,6 +588,13 @@ class TestUsage:
         cfg = {"version": 1, "grid": {"t0": 0.0, "t1": 5e-324, "steps": 16}}
         assert run(tmp_path, "flow", config=cfg, out=tmp_path / "run") == 1
         assert "nonzero step" in capsys.readouterr().err
+
+    def test_overflowing_grid_span_exits_1(self, tmp_path, capsys):
+        # t1 - t0 overflows to inf: rejected with the grid, before integrating
+        cfg = {"version": 1, "grid": {"t0": -1e308, "t1": 1e308, "steps": 10}}
+        assert run(tmp_path, "flow", config=cfg, out=tmp_path / "run") == 1
+        assert "finite nonzero step" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
 
     def test_tiny_grid_step_exits_3_on_an_infinite_horizontality_defect(self, tmp_path):
         # roundoff over h = 1e-301 overflows the defect's norm; no numpy warning

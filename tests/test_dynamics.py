@@ -118,6 +118,35 @@ class TestIntegrateFrame:
         for pa, pb in zip(a.samples, b.samples):
             assert frob(pb - pa @ g) <= 1e-12
 
+    @pytest.mark.parametrize("table_bytes", [None, 3 * 32 * 4 * 4], ids=["one-table", "tables"])
+    @pytest.mark.parametrize("crossover", [dynamics._SCAN_MAX_N, 0], ids=["scan", "loop"])
+    @pytest.mark.parametrize("n, steps, seed", [(4, 300, 200), (5, 12, 202), (16, 60, 206)],
+                             ids=["n4", "n5-coarse", "n16"])
+    def test_frames_are_those_of_berry_maps(self, n, steps, seed, crossover, table_bytes,
+                                            monkeypatch):
+        # one frame integrator: berry_maps' frames bit for bit, retractions included
+        # (the coarse grid isometrizes), in one table or many, with no per-step
+        # _rk4_step on the scan
+        schedule, sigma, grid = TestGaugeRoute.problem(n, steps, seed)
+        monkeypatch.setattr(dynamics, "_SCAN_MAX_N", crossover)
+        if table_bytes is not None:
+            monkeypatch.setattr(dynamics, "_TABLE_BYTES", table_bytes)
+        res = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
+        calls = []
+        monkeypatch.setattr(dynamics, "_rk4_step",
+                            lambda *args, step=dynamics._rk4_step: calls.append(1) or step(*args))
+        frames = integrate_frame(schedule, sigma, grid).samples
+        assert np.array_equal(frames, res.frame_path.samples)
+        assert len(calls) == (0 if crossover else steps)
+
+    def test_one_step_grid(self):
+        # one table of three stage times, which ends at its own last node
+        h_mat = random_antihermitian(3, 57)
+        phi0 = random_frame(3, 1, 58)
+        path = integrate_frame(constant_schedule(h_mat), phi0, TimeGrid(0.0, 0.01, 1))
+        assert path.samples.shape == (2, 3, 1)
+        assert frob(path.samples[-1] - mat_exp(0.01 * h_mat) @ phi0) <= 1e-11
+
 
 class TestIntegrateProjector:
     def test_zero_hamiltonian(self):
@@ -399,7 +428,7 @@ class TestBerryMaps:
         assert frob(dag(res.fiber_gap) @ res.fiber_gap - np.eye(2)) <= 1e-8
 
     def test_matches_independent_routes(self):
-        # the frame-first loop against the frame flow and against transport
+        # berry_maps against the per-step loop over [phi; g] and against transport
         # co-integrated with the projector flow
         rng = np.random.default_rng(62)
         grid = TimeGrid(0.0, 1.0, 500)
@@ -411,7 +440,7 @@ class TestBerryMaps:
             sigma = random_frame(5, 2, rng)
             p0 = Projector.from_frame(sigma)
             res = berry_maps(sched, p0, sigma, grid)
-            phi_end = integrate_frame(sched, sigma, grid).samples[-1]
+            phi_end = _reference_berry_loop(sched, sigma, grid)[0][-1]
             psi_end = cointegrated_transport(sched, p0, sigma, grid).samples[-1]
             assert frob(res.dynamical - dag(sigma) @ phi_end) <= 1e-10
             assert frob(res.geometric - dag(sigma) @ psi_end) <= 1e-10
@@ -744,7 +773,7 @@ def test_overflowing_state_raises_non_finite(route, monkeypatch):
     # the RK4 stages of a generator of norm 1e200 overflow to inf and NaN in the
     # first step; a NaN defect is not within tol.ode, so the retraction of node 1
     # meets the non-finite state and raises: isometrize for frames, nearest_projector
-    # for projectors, on the loops after one _rk4_step and on the scan before any
+    # for projectors, on the loops after one _rk4_step and on the frame scan before any
     retracted, steps = [], []
     for name in ("isometrize", "nearest_projector"):
         monkeypatch.setattr(dynamics, name, lambda f, *args, retract=getattr(dynamics, name):
@@ -755,16 +784,16 @@ def test_overflowing_state_raises_non_finite(route, monkeypatch):
         RK4_ROUTES[route](_overflowing_schedule(), random_frame(3, 1, 206),
                           TimeGrid(0.0, 1.0, 10))
     assert len(retracted) == 1 and not np.isfinite(retracted[0]).all()
-    assert len(steps) == (route != "berry_maps")
+    assert len(steps) == (route in ("berry_maps_loop", "integrate_projector"))
 
 
-def test_overflowing_scan_raises_without_warnings():
+@pytest.mark.parametrize("route", ["berry_maps", "integrate_frame"])
+def test_overflowing_scan_raises_without_warnings(route):
     # no filterwarnings mark: the scan runs under np.errstate, so the 1e200 generator
     # ends in NonFinite alone, with no numpy RuntimeWarning (an error in this suite)
-    sigma = random_frame(3, 1, 206)
     with pytest.raises(NonFinite, match="non-finite"):
-        berry_maps(_overflowing_schedule(), Projector.from_frame(sigma), sigma,
-                   TimeGrid(0.0, 1.0, 10))
+        RK4_ROUTES[route](_overflowing_schedule(), random_frame(3, 1, 206),
+                          TimeGrid(0.0, 1.0, 10))
 
 
 def _latitude_qfun(t):
@@ -1110,12 +1139,21 @@ def test_berry_maps_rejects_one_step_before_reading_the_schedule():
     lambda: nearest_projector(np.eye(3), 3),
     lambda: nearest_projector(np.triu(np.ones((3, 3))), 1),
     lambda: isometrize(np.ones((2, 3))),
+    lambda: polar_retract(np.ones(3)),
+    lambda: polar_retract(np.ones((2, 3))),
+    lambda: polar_retract(np.ones((4, 2, 3))),
+    lambda: mat_exp(np.ones((2, 3))),
+    lambda: mat_exp(np.ones(3)),
+    lambda: integrate_frame(constant_schedule(np.zeros((4, 4))), np.ones(4), _TWO_NODES),
+    lambda: integrate_frame(constant_schedule(np.zeros((2, 2))), np.ones((2, 3)), _TWO_NODES),
     lambda: synthesize_holonomy_step(np.zeros((3, 3)), 0.1, BasePoint.standard(4, 2)),
     lambda: synthesize_holonomy_step(np.array([[1j]]), 0.1, BasePoint.standard(4, 2)),
     lambda: synthesize_holonomy_step(_W2, 0.1, BasePoint.standard(4, 2), -3),
     lambda: synthesize_holonomy_step(_W2, 0.1, BasePoint.standard(4, 2), 2.5),
 ], ids=["grid_span", "grid_steps", "schedule_samples", "derivative_order", "loop_scale",
-        "projector_rank", "projector_not_hermitian", "frame_shape", "w_larger_than_rank",
+        "projector_rank", "projector_not_hermitian", "frame_shape", "polar_vector",
+        "polar_wide", "polar_wide_stack", "exp_not_square", "exp_vector",
+        "initial_frame_vector", "initial_frame_wide", "w_larger_than_rank",
         "w_smaller_than_rank", "negative_sides", "fractional_sides"])
 def test_bad_arguments_raise_invalid_argument(call):
     # a GrassflowError, which the CLI maps to exit 1, that is still a ValueError

@@ -27,10 +27,24 @@ _GRID = TimeGrid(0.0, 1.0, 2)
      "block shape"),
     (lambda: Projector.from_matrix(0.7 * np.eye(2), 1), "not a rank-m"),
     (lambda: random_antihermitian(0, 1), "dimension"),
+    (lambda: TimeGrid(0, 1, 2.5), "positive integer"),
+    (lambda: TimeGrid(0, 1, True), "positive integer"),
+    (lambda: TimeGrid(0, 1, "4"), "positive integer"),
+    (lambda: TimeGrid(-1e308, 1e308, 10), "finite nonzero step"),
+    (lambda: TimeGrid(0.0, np.inf, 10), "finite nonzero step"),
+    (lambda: TimeGrid(np.nan, 1.0, 10), "finite nonzero step"),
 ], ids=["tolerance_sign", "tolerance_order", "schedule_table", "geometric_qfun",
         "tracking_lengths", "covariant_nodes", "covariant_mode", "chart_tangent",
-        "projector_from_matrix", "random_antihermitian"])
+        "projector_from_matrix", "random_antihermitian", "grid_fractional_steps",
+        "grid_bool_steps", "grid_string_steps", "grid_overflowing_span", "grid_infinite_end",
+        "grid_nan_start"])
 def test_bad_arguments_raise_invalid_argument(call, match):
     # InvalidArgument is a ValueError too: callers catching ValueError still do
     with pytest.raises(InvalidArgument, match=match):
         call()
+
+
+@pytest.mark.parametrize("steps", [np.int64(4), np.int32(1), 7])
+def test_grid_takes_integral_steps(steps):
+    grid = TimeGrid(0.0, 1.0, steps)
+    assert len(grid.times) == steps + 1
