@@ -22,7 +22,6 @@ import time
 
 import numpy as np
 
-from . import selftest
 from .bundle import curvature_generators, frame_defect
 from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, FramePath, TimeGrid, _frame_oracle,
                        _graph_section, _orbit_schedule, _parallelogram_loop, _require_closed,
@@ -30,7 +29,7 @@ from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, FramePath, TimeGrid, _frame
                        horizontality_defects, rotating_schedule, sampled_schedule)
 from .errors import (GapTooSmall, GrassflowError, InvalidArgument, NonFinite,
                      NotAntiHermitian, NotClosed)
-from .grassmann import (BasePoint, ChartTangent, Projector, chart_from_proj,
+from .grassmann import (BasePoint, ChartTangent, Projector, _adapted_basis, chart_from_proj,
                         chart_transport, proj_from_chart)
 from .linalg import (Tolerances, dag, frob, mat_exp, random_antihermitian,
                      random_complex, random_frame, random_unitary,
@@ -201,7 +200,7 @@ def build_setup(cfg: dict, tol: Tolerances):
     else:
         p0, schedule = _geometric_setup(sched_cfg, n, m, grid, cfg)
 
-    sigma = BasePoint.from_projector(p0, tol).frame
+    sigma = _adapted_basis(p0, tol, coframe=False)[0]  # from_projector's frame, no coframe
     return schedule, p0, sigma, grid
 
 
@@ -491,6 +490,7 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
 
 def cmd_selftest(cfg: dict, tol: Tolerances) -> int:
     """run the invariant suite of every module"""
+    from . import selftest  # imported here: no other subcommand compiles it
     results, report = selftest.run_all(tol)
     sys.stdout.write(report)
     prefix = cfg.get("output")

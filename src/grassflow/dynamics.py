@@ -22,6 +22,7 @@ differences (``geometric_schedule``); for a unitary orbit Q = e^X P e^-X, as bot
 loops are, ``_orbit_schedule`` takes it exactly from one stacked ``eigh`` of iX.  The
 frame equation has one integrator, ``_frame_blocks``, which ``integrate_frame`` and
 ``berry_maps`` share; the projector flow, a reference route, steps by ``_rk4_nodes``.
+Above n = 16 a ``constant_schedule`` steps by its one RK4 map, in blocks sized by their slopes.
 Stacks of 1 x 1 and 2 x 2 matrices make no per-matrix BLAS or LAPACK call: their
 products (the step maps, stage slopes and Gram products at n = 2, the gauge maps at
 m <= 2) are broadcast sums (``_small_matmul``), and the determinants and singular values
@@ -116,10 +117,18 @@ class HamiltonianSchedule:
         return hs
 
 
+@dataclass(frozen=True, eq=False)
+class _ConstantTable:
+    """The table of ``constant_schedule``: its one matrix at any times, as a zero-stride view."""
+
+    matrix: np.ndarray
+
+    def __call__(self, times: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.matrix, times.shape + self.matrix.shape)
+
+
 def constant_schedule(h_mat: np.ndarray) -> HamiltonianSchedule:
-    h_mat = require_finite(h_mat, "generator")
-    # the table is a zero-stride view: one matrix however many times
-    return HamiltonianSchedule(lambda times: np.broadcast_to(h_mat, times.shape + h_mat.shape))
+    return HamiltonianSchedule(_ConstantTable(require_finite(h_mat, "generator")))
 
 
 def rotating_schedule(omega: float) -> HamiltonianSchedule:
@@ -446,9 +455,9 @@ class HolonomyResult:
 # Bytes of one generator table read by an RK4 route (a geometric table holds
 # several stacks this size at once), and of four n x n samples: a sampled-transport
 # block (``_transport_block``) takes as many nodes of a path or of its section.
-# A ``_frame_blocks`` block is the steps of one table, so a stack of its n x n RK4
-# step maps takes half a table: a large-n run's peak memory stays fixed however many
-# steps it takes.
+# A ``_frame_blocks`` block is the steps of one table, so a stack of its n x n RK4 step
+# maps takes half a table (above _SCAN_MAX_N a constant schedule's block is the steps whose
+# four (B, n, m) stage slopes take one): peak memory stays fixed however many steps a run takes.
 _TABLE_BYTES = 1 << 22
 
 # Largest n at which ``_frame_blocks`` chains stacked n x n RK4 step maps by
@@ -457,17 +466,20 @@ _SCAN_MAX_N = 16
 
 
 def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int,
-                      tol: Tolerances):
+                      tol: Tolerances, m: Optional[int] = None):
     """Tables of H at the 2 * steps + 1 RK4 stage times t0 + (h/2) j, in order.
 
-    Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2.  Every
-    table but the last holds an even number of stages, at most _TABLE_BYTES but
-    two at least, so its steps end at the next table's first node.  Each table
-    is checked to be an (N, n, n) stack, finite and anti-Hermitian before it is
-    yielded, a zero-stride table by its one matrix unless that is the last checked.
+    Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2.  Every table
+    but the last holds an even number of stages, at most _TABLE_BYTES but two at least,
+    so its steps end at the next table's first node; given the frame width ``m`` above
+    _SCAN_MAX_N, a ``constant_schedule`` table holds those of the B steps whose (4, B, n, m)
+    stage slopes take _TABLE_BYTES.  Each table is checked to be an (N, n, n) stack, finite
+    and anti-Hermitian before it is yielded, a zero-stride table by its one matrix unless
+    that is the last checked.
     """
     times = grid.t0 + (grid.h / 2.0) * np.arange(2 * grid.steps + 1)
-    chunk = 2 * max(1, _TABLE_BYTES // (32 * n * n))
+    by_slopes = m and n > _SCAN_MAX_N and isinstance(schedule.tabulate, _ConstantTable)
+    chunk = 2 * max(1, _TABLE_BYTES // (64 * n * m if by_slopes else 32 * n * n))
     checked = None  # the first matrix of the last table checked
     for start in range(0, len(times), chunk):
         hs = schedule.table(times[start:start + chunk], n)
@@ -622,19 +634,22 @@ def _scan_frames(maps: np.ndarray, frames: np.ndarray, tol: Tolerances) -> None:
 
 
 def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGrid,
-                  tol: Tolerances, scan_slopes: bool = False):
+                  tol: Tolerances, stacked_slopes: bool = False):
     """Fill phis[1:] with the RK4 frames of phi' = H(t) phi from phis[0], a table at a time.
 
     An RK4 step of the linear equation is an n x n matrix R_k (``_rk4_maps``).  Up to
     _SCAN_MAX_N a table's R_k are stacked and chained by ``_scan_frames``; above it a
-    per-step loop, O(n^2 m) a step, forms no n x n stack.  Either way phi is isometrized
-    where its frame defect is not within ``tol.ode``.  Yields each table's steps (a slice),
-    its stage generators, the (1, n, n) node ending them and their stage slopes (4, B, n, m),
-    which the scan takes by one stacked ``_rk4_step`` only if ``scan_slopes``.
+    per-step loop, O(n^2 m) a step, forms no n x n stack: four stage products a step, or for
+    a ``constant_schedule`` one, phi + (R - I) phi, R = I + hH + ... + (hH)^4 / 24 formed once.
+    Either way phi is isometrized where its frame defect is not within ``tol.ode``.
+    Yields each table's steps (a slice), its stage generators, the (1, n, n) node ending
+    them and their stage slopes (4, B, n, m), which the scan and a constant schedule take
+    after the steps, by one stacked ``_rk4_step``, only if ``stacked_slopes``.
     """
     n, m = phis.shape[1:]
-    h, start = grid.h, 0
-    for hs, end in _step_tables(_stage_generators(schedule, grid, n, tol)):
+    h, start, increment = grid.h, 0, None
+    constant = isinstance(schedule.tabulate, _ConstantTable)
+    for hs, end in _step_tables(_stage_generators(schedule, grid, n, tol, m)):
         block = slice(start, start + len(hs) // 2)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
             if n <= _SCAN_MAX_N:
@@ -642,14 +657,19 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
                 step_maps = _rk4_maps(nodes[:-1], mids, mids, nodes[1:], h)
                 _scan_frames(step_maps, phis[start:block.stop + 1], tol)
                 slopes = [None] * 4
-                if scan_slopes:
+                if stacked_slopes:
                     _rk4_step(_small_matmul, phis[block], h, nodes[:-1], mids, nodes[1:], slopes)
             else:
-                slopes = np.empty((4, block.stop - start, n, m), dtype=complex)
+                if constant and not start:  # R - I, from the matrix the first table checked
+                    increment = _rk4_maps(*[end[0]] * 4, h) - np.eye(n)
+                slopes = [None] * 4 if constant else np.empty((4, len(hs) // 2, n, m), complex)
                 for k, stage in enumerate(zip(hs[0::2], hs[1::2], [*hs[2::2], end[0]])):
-                    phi = _rk4_step(np.matmul, phis[start + k], h, *stage, slopes[:, k])
+                    phi = (phis[start + k] + increment @ phis[start + k] if constant
+                           else _rk4_step(np.matmul, phis[start + k], h, *stage, slopes[:, k]))
                     kept = frame_defect(phi) <= tol.ode
                     phis[start + k + 1] = phi if kept else isometrize(phi, tol)
+                if constant and stacked_slopes:  # one product a stage for the whole block
+                    _rk4_step(_fixed_matmul, phis[block], h, end[0], end[0], end[0], slopes)
         yield block, hs, end, slopes
         start = block.stop
 
@@ -702,11 +722,12 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     maps = np.empty((steps, m, m), dtype=complex)
     phis[0] = sigma
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
-        for block, hs, end, slopes in _frame_blocks(schedule, phis, grid, tol, scan_slopes=True):
+        for block, hs, end, slopes in _frame_blocks(schedule, phis, grid, tol, stacked_slopes=True):
             # a constant table by its one matrix (vdot: a third of the time of frob)
             norms[block] = (np.sqrt(np.vdot(hs[0], hs[0]).real) if hs.strides[0] == 0
                             else np.linalg.norm(hs[0::2], axis=(1, 2)))
             gens[block], maps[block] = _gauge_step_maps(phis[block], slopes, h)
+            del slopes  # not held through the next block or the audits
     # the last node as the others: its stage-1 slope, then the Gram product
     gens[steps] = _small_matmul(dag(phis[-1]), _small_matmul(end[0], phis[-1]))
     norms[steps] = frob(end[0])
@@ -769,7 +790,9 @@ def pancharatnam_oracle(samples: np.ndarray, sigma: np.ndarray,
     frame.  Converges to ``loop_holonomy`` as the sampling refines, by a
     route entirely independent of the transport ODE.
     """
-    samples = require_finite(np.asarray(samples), "loop samples")
+    samples = require_finite(samples, "loop samples")
+    if samples.ndim != 3 or not len(samples) or samples.shape[1] != samples.shape[2]:
+        raise InvalidArgument("loop samples must be an (N, n, n) stack")
     rank = int(round(float(np.trace(samples[0]).real)))
     if frob(samples[-1] - samples[0]) > closure_tolerance(rank, tol):
         raise NotClosed("first and last samples differ")

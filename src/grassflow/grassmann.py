@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import (InvalidArgument, NotAntiHermitian, NotTangent, NotUnitary, OutsideChart,
                      SectionNotInFiber)
-from .linalg import (DEFAULT_TOLS, Tolerances, _fixed_matmul, commutator, dag, frob, isometrize,
-                     require_antihermitian, require_finite)
+from .linalg import (DEFAULT_TOLS, Tolerances, _fixed_matmul, _require_square, commutator, dag,
+                     frob, isometrize, require_antihermitian, require_finite)
 
 
 def projector_defect(p: np.ndarray, rank: int):
@@ -56,7 +56,7 @@ class Projector:
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, rank: int,
                     tol: Tolerances = DEFAULT_TOLS) -> "Projector":
-        matrix = require_finite(matrix, "projector")
+        matrix = _require_square(require_finite(matrix, "projector"))
         proj = cls(matrix=matrix, rank=rank)
         if proj.defect() > tol.structural * (1.0 + frob(matrix)):
             raise InvalidArgument("matrix is not a rank-m orthogonal projector")
@@ -75,6 +75,13 @@ class Projector:
         p = np.zeros((n, n), dtype=complex)
         p[:m, :m] = np.eye(m)
         return cls(matrix=p, rank=m)
+
+
+def _adapted_basis(proj: Projector, tol: Tolerances, coframe: bool = True):
+    """``BasePoint.from_projector``'s frame and coframe (None unless ``coframe``) from eigh(P)."""
+    n, m = proj.n, proj.rank
+    _, v = np.linalg.eigh((proj.matrix + dag(proj.matrix)) / 2.0)  # kernel first, image last
+    return isometrize(v[:, n - m:], tol), isometrize(v[:, :n - m], tol) if coframe else None
 
 
 @dataclass(frozen=True)
@@ -97,12 +104,7 @@ class BasePoint:
     def from_projector(cls, proj: Projector,
                        tol: Tolerances = DEFAULT_TOLS) -> "BasePoint":
         """Deterministic adapted basis from the eigendecomposition of P."""
-        n, m = proj.n, proj.rank
-        h = (proj.matrix + dag(proj.matrix)) / 2.0
-        _, v = np.linalg.eigh(h)  # ascending: kernel first, image last
-        frame = isometrize(v[:, n - m:], tol)
-        coframe = isometrize(v[:, :n - m], tol)
-        return cls(projector=proj, frame=frame, coframe=coframe)
+        return cls(proj, *_adapted_basis(proj, tol))
 
     @classmethod
     def standard(cls, n: int, m: int) -> "BasePoint":

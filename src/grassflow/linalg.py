@@ -99,6 +99,13 @@ def _require_tall(f: np.ndarray, stack: bool = False) -> np.ndarray:
     return f
 
 
+def _require_square(a: np.ndarray, stack: bool = False) -> np.ndarray:
+    """a, or InvalidArgument unless a square matrix, or with ``stack`` a stack of them."""
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-2] != a.shape[-1]:
+        raise InvalidArgument("expected a square n x n matrix" + " or stack" * stack)
+    return a
+
+
 def isometrize(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Oriented orthonormalization of a full-column-rank matrix.
 
@@ -264,9 +271,7 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     Matrices, SIAM 2008, ch. 10).  Any other input goes to
     scipy's scaling-and-squaring Pade ``expm``; scipy is imported only then.
     """
-    a = require_finite(a, "exponent")
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise InvalidArgument("expected a square n x n matrix or stack")
+    a = _require_square(require_finite(a, "exponent"), stack=True)
     spectral = _antihermitian_eigh(a)
     if spectral is not None:
         lam, v = spectral
@@ -285,7 +290,7 @@ def nearest_projector(m_mat: np.ndarray, m: int,
     GapTooSmall when the m-th spectral gap is below the structural tolerance
     (the dominant subspace is then ill-defined).
     """
-    m_mat = require_finite(m_mat, "matrix")
+    m_mat = _require_square(require_finite(m_mat, "matrix"))
     n = m_mat.shape[0]
     if not (0 < m < n):
         raise InvalidArgument("rank m must satisfy 0 < m < n")
@@ -303,14 +308,14 @@ def nearest_projector(m_mat: np.ndarray, m: int,
 
 def random_complex(n: int, m: int, seed) -> np.ndarray:
     """Seeded complex Gaussian n x m matrix; ``seed`` may also be a Generator."""
+    if n < 1 or m < 1:
+        raise InvalidArgument("dimension must be >= 1")
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
 def random_antihermitian(n: int, seed) -> np.ndarray:
     """Seeded anti-Hermitian matrix A = (G - G*)/2 with Gaussian G."""
-    if n < 1:
-        raise InvalidArgument("dimension must be >= 1")
     g = random_complex(n, n, seed)
     return (g - dag(g)) / 2.0
 

@@ -395,6 +395,23 @@ print('numpy.random' in sys.modules)
     assert result.stdout.splitlines()[-1] == "False"
 
 
+def test_importing_the_cli_leaves_selftest_unloaded():
+    """Only the selftest subcommand imports grassflow.selftest, so no other run compiles it."""
+    script = """
+import sys
+import grassflow.cli as cli
+loaded = 'grassflow.selftest' in sys.modules
+assert cli.main(['flow', '--steps', '4']) == 0
+print(loaded, 'grassflow.selftest' in sys.modules)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.splitlines()[-1] == "False False"
+
+
 _SAMPLE_VALUE = [[{"re": 0.0, "im": 1.0}, {"re": 0.0, "im": 0.0}],
                  [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": -1.0}]]
 

@@ -761,6 +761,114 @@ class TestGaugeRoute:
         assert calls == [(steps, 2, 2)] * 2
 
 
+def _materialized(schedule):
+    """The same generators as a schedule whose tables are stored stacks, not zero-stride views."""
+    return HamiltonianSchedule(lambda t: np.ascontiguousarray(schedule.table(t)))
+
+
+def _retracted_nodes(route, schedule, sigma, grid):
+    """route(schedule, sigma, grid) and the nodes whose frame ``isometrize`` gave."""
+    isometrized = []
+
+    def counted(f, tol):
+        isometrized.append(isometrize(f, tol))
+        return isometrized[-1]
+
+    with mock.patch.object(dynamics, "isometrize", counted):
+        res = route(schedule, sigma, grid)
+    frames = getattr(res, "frame_path", res).samples
+    nodes = [k for k, phi in enumerate(frames) if any(np.array_equal(phi, q) for q in isometrized)]
+    assert len(nodes) == len(isometrized)
+    return res, nodes
+
+
+class TestConstantRoute:
+    """Above _SCAN_MAX_N a constant schedule steps by its one RK4 map, in blocks of frame state."""
+
+    @staticmethod
+    def problem(n, seed, norm=2.0):
+        rng = np.random.default_rng(seed)
+        h_mat = random_antihermitian(n, rng)
+        return constant_schedule(norm * h_mat / np.linalg.norm(h_mat)), random_frame(n, 2, rng)
+
+    @pytest.mark.parametrize("n", [17, 32])
+    def test_matches_the_general_route(self, n):
+        schedule, sigma = self.problem(n, 300 + n)
+        grid = TimeGrid(0.0, 1.0, 200)
+        assert n > dynamics._SCAN_MAX_N
+        p0 = Projector.from_frame(sigma)
+        const, general = (berry_maps(s, p0, sigma, grid) for s in (schedule,
+                                                                     _materialized(schedule)))
+        np.testing.assert_allclose(const.frame_path.samples, general.frame_path.samples,
+                                   rtol=0, atol=1e-13)
+        for key in ("dynamical", "geometric", "fiber_gap", "energies"):
+            np.testing.assert_allclose(getattr(const, key), getattr(general, key),
+                                       rtol=0, atol=1e-13)
+        # one frame integrator on the constant route too
+        assert np.array_equal(integrate_frame(schedule, sigma, grid).samples,
+                              const.frame_path.samples)
+
+    @pytest.mark.parametrize("route", ["berry_maps", "integrate_frame"])
+    def test_retracts_at_the_nodes_of_the_general_route(self, route):
+        # h ||H||_2 near 0.055: the frames leave tol.ode every 15 steps or so
+        schedule, sigma = self.problem(17, 310, norm=4.0)
+        grid = TimeGrid(0.0, 12.0, 400)
+        const, const_nodes = _retracted_nodes(RK4_ROUTES[route], schedule, sigma, grid)
+        general, general_nodes = _retracted_nodes(RK4_ROUTES[route], _materialized(schedule),
+                                                  sigma, grid)
+        assert 10 < len(const_nodes) < grid.steps // 10
+        assert const_nodes == general_nodes
+        frames = [getattr(res, "frame_path", res).samples for res in (const, general)]
+        np.testing.assert_allclose(*frames, rtol=0, atol=1e-12)
+
+    def test_blocks_hold_a_bounded_frame_state(self, monkeypatch):
+        # five steps' (4, B, n, m) stage slopes a block: a long run takes many blocks, one R
+        n, m, steps = 17, 2, 23
+        schedule, sigma = self.problem(n, 320)
+        grid = TimeGrid(0.0, 1.0, steps)
+        one_block = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 5 * 4 * 16 * n * m)
+        blocks, step_maps = [], []
+        gauge_step_maps, rk4_maps = dynamics._gauge_step_maps, dynamics._rk4_maps
+        monkeypatch.setattr(
+            dynamics, "_gauge_step_maps",
+            lambda phis, *args: blocks.append(len(phis)) or gauge_step_maps(phis, *args))
+        monkeypatch.setattr(dynamics, "_rk4_maps",
+                            lambda g, *args: step_maps.append(g.shape) or rk4_maps(g, *args))
+        res = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
+        assert blocks == [5, 5, 5, 5, 3]
+        assert [shape for shape in step_maps if shape[-1] == n] == [(n, n)]
+        np.testing.assert_array_equal(res.frame_path.samples, one_block.frame_path.samples)
+        np.testing.assert_allclose(res.geometric, one_block.geometric, rtol=0, atol=1e-14)
+
+    def test_the_matrix_is_checked_once(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 4 * 16 * 17 * 2)  # 3 steps a table
+        checks = []
+        check = dynamics.require_antihermitian
+        monkeypatch.setattr(dynamics, "require_antihermitian",
+                            lambda a, *args: checks.append(a.shape) or check(a, *args))
+        schedule, sigma = self.problem(17, 330)
+        berry_maps(schedule, Projector.from_frame(sigma), sigma, TimeGrid(0.0, 1.0, 30))
+        assert checks == [(1, 17, 17)]
+
+    @pytest.mark.parametrize("route", ["berry_maps", "integrate_frame"])
+    @pytest.mark.parametrize("bad, error", [(1j, NotAntiHermitian), (np.nan, NonFinite)],
+                             ids=["hermitian", "non_finite"])
+    def test_a_bad_matrix_raises_before_any_step(self, route, bad, error, monkeypatch):
+        a = random_antihermitian(17, 340)
+        steps = _forbid_steps(monkeypatch)
+        monkeypatch.setattr(dynamics, "_rk4_maps", lambda *args: steps.append(args) or 1 / 0)
+        # NaN is rejected by constant_schedule itself; its table is checked all the same
+        schedule = HamiltonianSchedule(dynamics._ConstantTable(bad * a))
+        with pytest.raises(error, match="generator"):
+            RK4_ROUTES[route](schedule, random_frame(17, 2, 341), TimeGrid(0.0, 1.0, 10))
+        assert steps == []
+
+    def test_a_non_finite_matrix_is_rejected_on_construction(self):
+        with pytest.raises(NonFinite, match="generator"):
+            constant_schedule(np.full((17, 17), np.nan))
+
+
 def _overflowing_schedule():
     h_mat = random_antihermitian(3, 205)
     return constant_schedule(1e200 * h_mat / np.linalg.norm(h_mat))
@@ -773,7 +881,8 @@ def test_overflowing_state_raises_non_finite(route, monkeypatch):
     # the RK4 stages of a generator of norm 1e200 overflow to inf and NaN in the
     # first step; a NaN defect is not within tol.ode, so the retraction of node 1
     # meets the non-finite state and raises: isometrize for frames, nearest_projector
-    # for projectors, on the loops after one _rk4_step and on the frame scan before any
+    # for projectors, on the projector loop after one _rk4_step; the frame scan and the
+    # frame loop, which steps a constant schedule by its one RK4 map, take none
     retracted, steps = [], []
     for name in ("isometrize", "nearest_projector"):
         monkeypatch.setattr(dynamics, name, lambda f, *args, retract=getattr(dynamics, name):
@@ -784,13 +893,13 @@ def test_overflowing_state_raises_non_finite(route, monkeypatch):
         RK4_ROUTES[route](_overflowing_schedule(), random_frame(3, 1, 206),
                           TimeGrid(0.0, 1.0, 10))
     assert len(retracted) == 1 and not np.isfinite(retracted[0]).all()
-    assert len(steps) == (route in ("berry_maps_loop", "integrate_projector"))
+    assert len(steps) == (route == "integrate_projector")
 
 
-@pytest.mark.parametrize("route", ["berry_maps", "integrate_frame"])
+@pytest.mark.parametrize("route", ["berry_maps", "berry_maps_loop", "integrate_frame"])
 def test_overflowing_scan_raises_without_warnings(route):
-    # no filterwarnings mark: the scan runs under np.errstate, so the 1e200 generator
-    # ends in NonFinite alone, with no numpy RuntimeWarning (an error in this suite)
+    # no filterwarnings mark: the scan and the loop run under np.errstate, so the 1e200
+    # generator ends in NonFinite alone, with no numpy RuntimeWarning (an error in this suite)
     with pytest.raises(NonFinite, match="non-finite"):
         RK4_ROUTES[route](_overflowing_schedule(), random_frame(3, 1, 206),
                           TimeGrid(0.0, 1.0, 10))
@@ -1150,11 +1259,21 @@ def test_berry_maps_rejects_one_step_before_reading_the_schedule():
     lambda: synthesize_holonomy_step(np.array([[1j]]), 0.1, BasePoint.standard(4, 2)),
     lambda: synthesize_holonomy_step(_W2, 0.1, BasePoint.standard(4, 2), -3),
     lambda: synthesize_holonomy_step(_W2, 0.1, BasePoint.standard(4, 2), 2.5),
+    lambda: nearest_projector(np.ones(3), 1),
+    lambda: nearest_projector(np.ones((2, 3)), 1),
+    lambda: Projector.from_matrix(np.ones(3), 1),
+    lambda: pancharatnam_oracle(np.ones(3), _E1),
+    lambda: pancharatnam_oracle(np.ones((3, 2, 3)), _E1),
+    lambda: pancharatnam_oracle(np.ones((0, 2, 2)), _E1),
+    lambda: random_unitary(0, 1),
+    lambda: random_frame(3, 0, 1),
 ], ids=["grid_span", "grid_steps", "schedule_samples", "derivative_order", "loop_scale",
         "projector_rank", "projector_not_hermitian", "frame_shape", "polar_vector",
         "polar_wide", "polar_wide_stack", "exp_not_square", "exp_vector",
         "initial_frame_vector", "initial_frame_wide", "w_larger_than_rank",
-        "w_smaller_than_rank", "negative_sides", "fractional_sides"])
+        "w_smaller_than_rank", "negative_sides", "fractional_sides", "projector_vector",
+        "projector_wide", "from_matrix_vector", "oracle_vector", "oracle_wide_samples",
+        "oracle_no_samples", "unitary_empty", "frame_no_columns"])
 def test_bad_arguments_raise_invalid_argument(call):
     # a GrassflowError, which the CLI maps to exit 1, that is still a ValueError
     with pytest.raises(InvalidArgument) as info:
