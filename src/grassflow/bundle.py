@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (BaseMismatch, DimensionTooSmall, InvalidArgument, NotAFrame,
                      NotHorizontal, NotTangent)
 from .grassmann import ChartTangent, Projector, chart_ambient
-from .linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
+from .linalg import (DEFAULT_TOLS, Tolerances, _require_tall, dag, frob, isometrize,
                      require_antihermitian, require_finite)
 
 
@@ -25,7 +25,7 @@ def frame_defect(phi: np.ndarray):
 
 
 def require_frame(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    phi = require_finite(phi, "frame")
+    phi = _require_tall(require_finite(phi, "frame"))
     if frame_defect(phi) > tol.comparison * phi.shape[1]:
         raise NotAFrame("phi* phi deviates from the identity")
     return phi
@@ -43,9 +43,12 @@ def require_over(phi: np.ndarray, p: np.ndarray, tol: Tolerances = DEFAULT_TOLS,
                  where: str = "the base point") -> np.ndarray:
     """A finite frame that lies over the projector matrix p, else BaseMismatch.
 
+    InvalidArgument unless phi is an n x m frame (1 <= m <= n) and p an n x n matrix;
     im(phi) counts as im(p) when || phi phi* - p || <= comparison * n.
     """
-    phi = require_finite(phi, "frame")
+    phi = _require_tall(require_finite(phi, "frame"))
+    if np.shape(p) != 2 * phi.shape[:1]:
+        raise InvalidArgument(f"a {phi.shape} frame cannot lie over a {np.shape(p)} matrix")
     if frob(phi @ dag(phi) - p) > tol.comparison * p.shape[0]:
         raise BaseMismatch(f"im(frame) differs from {where}")
     return phi

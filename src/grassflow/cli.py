@@ -29,8 +29,8 @@ from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, FramePath, TimeGrid, _frame
                        horizontality_defects, rotating_schedule, sampled_schedule)
 from .errors import (GapTooSmall, GrassflowError, InvalidArgument, NonFinite,
                      NotAntiHermitian, NotClosed)
-from .grassmann import (BasePoint, ChartTangent, Projector, _adapted_basis, chart_from_proj,
-                        chart_transport, proj_from_chart)
+from .grassmann import (BasePoint, ChartTangent, Projector, _adapted_basis, _random_base,
+                        chart_from_proj, chart_transport, proj_from_chart)
 from .linalg import (Tolerances, dag, frob, mat_exp, random_antihermitian,
                      random_complex, random_frame, random_unitary,
                      require_antihermitian)
@@ -354,10 +354,7 @@ def cmd_chart(cfg: dict, tol: Tolerances) -> int:
     max_roundtrip = 0.0
     max_equivariance = 0.0
     for k in range(trials):
-        u0 = random_unitary(n, rng)
-        p = u0 @ Projector.standard(n, m).matrix @ dag(u0)
-        base = BasePoint.from_projector(
-            Projector(matrix=(p + dag(p)) / 2.0, rank=m), tol)
+        base = _random_base(n, m, rng, tol)
         blk = random_complex(n - m, m, rng)
         blk *= float(rng.uniform(0.0, 10.0)) / max(np.linalg.norm(blk), 1e-300)
         f = ChartTangent(base=base, block=blk)

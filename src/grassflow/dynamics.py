@@ -27,7 +27,8 @@ Stacks of 1 x 1 and 2 x 2 matrices make no per-matrix BLAS or LAPACK call: their
 products (the step maps, stage slopes and Gram products at n = 2, the gauge maps at
 m <= 2) are broadcast sums (``_small_matmul``), and the determinants and singular values
 of the overlaps and chains of ``_frame_oracle`` and ``_section_transport`` closed forms
-(``_small_det``, ``_small_svals``).
+(``_small_det``, ``_small_svals``).  Each fiber projection keeps rank m by one rule,
+``_require_rank`` on the squared singular values of its overlap or projected frame.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from .errors import DegenerateStep, InvalidArgument, NotAntiHermitian, NotClosed
 from .bundle import curvature_generators, frame_defect, require_over
 from .grassmann import (BasePoint, Projector, chart_frames, chart_projectors,
                         hamiltonian_value, projector_defect, sampled_derivative)
-from .linalg import (DEFAULT_TOLS, Tolerances, _antihermitian_eigh, _fixed_matmul, _require_tall,
-                     _small_det, _small_matmul, _small_svals, commutator, dag, frob, isometrize,
-                     nearest_projector, polar_retract, prefix_products, require_antihermitian,
-                     require_finite)
+from .linalg import (DEFAULT_TOLS, Tolerances, _antihermitian_eigh, _fixed_matmul, _require_rank,
+                     _require_tall, _small_det, _small_matmul, _small_svals, commutator, dag, frob,
+                     isometrize, nearest_projector, polar_retract, prefix_products,
+                     require_antihermitian, require_finite)
 
 # Proportionality constant between the log-holonomy of a unit parallelogram
 # loop and the curvature generator it realizes:
@@ -68,6 +69,13 @@ def _require_count(value, name: str) -> None:
     """InvalidArgument unless value is a positive integer (an ``Integral``, not a bool)."""
     if not (isinstance(value, Integral) and not isinstance(value, bool) and value > 0):
         raise InvalidArgument(f"{name} must be a positive integer, not {value!r}")
+
+
+def _require_stack(samples: np.ndarray) -> np.ndarray:
+    """samples, or InvalidArgument unless projector samples form a nonempty (N, n, n) stack."""
+    if np.ndim(samples) != 3 or not len(samples) or samples.shape[1] != samples.shape[2]:
+        raise InvalidArgument("projector samples must be an (N, n, n) stack")
+    return samples
 
 
 @dataclass(frozen=True)
@@ -393,7 +401,7 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
     through sigma.  Along a Hamiltonian flow the 4th-order transport is
     ``berry_maps(...).horizontal_path``.
     """
-    sigma = require_over(sigma, path.samples[0], tol, "the path start")
+    sigma = require_over(sigma, _require_stack(path.samples)[0], tol, "the path start")
     frames = _section_transport(_local_section(path.samples, sigma, tol), tol)
     frames[0] = sigma  # itself, not its section frame times g_0 = I (equal up to roundoff)
     return FramePath(grid=path.grid, samples=frames)
@@ -555,8 +563,8 @@ def _local_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> n
 
     The anchor a starts at sigma and becomes phi_{k-1} where || a* P_k a - I ||_F exceeds
     _ANCHOR_DRIFT (then an eigenvalue may be below 1/2), so the anchors depend on the
-    path alone.  On a new anchor, DegenerateStep unless det(a* P_k a), at most its
-    smallest eigenvalue since a* P_k a <= I, exceeds tol.structural.
+    path alone.  On a new anchor, DegenerateStep unless a* P_k a keeps rank m by
+    ``_require_rank`` on its eigenvalues.
     """
     frames = np.empty((len(samples),) + sigma.shape, dtype=complex)
     block = _transport_block(samples.shape[-1])
@@ -565,8 +573,8 @@ def _local_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> n
         proj = _fixed_matmul(samples[start:start + block], anchor)
         grams = dag(anchor) @ proj
         kept = np.linalg.norm(grams - np.eye(sigma.shape[1]), axis=(1, 2)) <= _ANCHOR_DRIFT
-        if fresh and not abs(np.linalg.det(require_finite(grams[0], "path"))) > tol.structural:
-            raise DegenerateStep("a sampled fiber is orthogonal to the frame before it")
+        if fresh:
+            _require_rank(_small_svals(require_finite(grams[0], "path")), tol, DegenerateStep)
         kept[0] |= fresh  # a NaN gram is never kept: its node becomes fresh and raises
         cut = len(kept) if kept.all() else int(kept.argmin())
         frames[start:start + cut] = _cholesky_frames(proj[:cut], grams[:cut])
@@ -593,17 +601,16 @@ def _section_transport(frames: np.ndarray, tol: Tolerances) -> np.ndarray:
     P_k = phi_k phi_k*, whichever section of it is given: the ``_gauge_chain`` g of the
     fiber overlaps O_k = phi_{k+1}* phi_k after one Newton-Schulz step (the same polar
     factor, an O(h^4) defect: no SVD), applied block by block (``_transport_block``).
-    DegenerateStep unless each |det O_k|^2 = det(phi_k* P_{k+1} phi_k) exceeds
-    tol.structural, the rule of ``_local_section`` (NaN fails it).
+    DegenerateStep unless each phi_k* P_{k+1} phi_k = O_k* O_k keeps rank m by
+    ``_require_rank`` on the squared singular values of O_k; NonFinite if an O_k is not finite.
     """
     steps, (n, m) = len(frames) - 1, frames.shape[1:]
     block, eye = _transport_block(n), np.eye(m)
     maps = np.empty((steps, m, m), dtype=complex)
     for start in range(0, steps, block):
         stop = min(start + block, steps)
-        overlaps = dag(frames[start + 1:stop + 1]) @ frames[start:stop]
-        if not np.all(np.abs(_small_det(overlaps)) ** 2 > tol.structural):
-            raise DegenerateStep("a sampled fiber is orthogonal to the frame before it")
+        overlaps = require_finite(dag(frames[start + 1:stop + 1]) @ frames[start:stop], "overlap")
+        _require_rank(_small_svals(overlaps) ** 2, tol, DegenerateStep)
         maps[start:stop] = _small_matmul(
             overlaps, 1.5 * eye - 0.5 * _small_matmul(dag(overlaps), overlaps))
     gauges = _gauge_chain(maps, tol)
@@ -788,29 +795,21 @@ def pancharatnam_oracle(samples: np.ndarray, sigma: np.ndarray,
     Pushes the start frame through P_1, ..., P_{N-1} by successive
     projection, then orient-isometrizes the m x m overlap with the start
     frame.  Converges to ``loop_holonomy`` as the sampling refines, by a
-    route entirely independent of the transport ODE.
+    route entirely independent of the transport ODE.  DegenerateStep unless each
+    projected frame keeps rank m by ``_require_rank`` on its squared singular values.
     """
-    samples = require_finite(samples, "loop samples")
-    if samples.ndim != 3 or not len(samples) or samples.shape[1] != samples.shape[2]:
-        raise InvalidArgument("loop samples must be an (N, n, n) stack")
+    samples = _require_stack(require_finite(samples, "loop samples"))
     rank = int(round(float(np.trace(samples[0]).real)))
-    if frob(samples[-1] - samples[0]) > closure_tolerance(rank, tol):
-        raise NotClosed("first and last samples differ")
+    _require_closed(frob(samples[-1] - samples[0]), rank, tol)
     sigma = require_over(sigma, samples[0], tol, "the first sample")
 
     v = sigma.copy()
     for p in samples[1:]:
         v = p @ v
         svals = np.linalg.svd(v, compute_uv=False)
-        _require_rank(svals, tol)
+        _require_rank(svals ** 2, tol, DegenerateStep)
         v = v / svals[0]
     return isometrize(dag(sigma) @ v, tol)
-
-
-def _require_rank(svals: np.ndarray, tol: Tolerances) -> None:
-    """DegenerateStep unless s_min > structural * max(s_max, 1) for each row of singular values."""
-    if np.any(svals[..., -1] <= tol.structural * np.maximum(svals[..., 0], 1.0)):
-        raise DegenerateStep("projection collapsed the frame rank")
 
 
 def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -818,7 +817,7 @@ def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndar
 
     P_k ... P_1 phi_0 = phi_k C_k, C_k = O_k ... O_1 for the overlaps O_k = phi_k* phi_{k-1},
     chained by ``prefix_products`` at |det O_k| = 1, which keeps C finite while its rank holds.
-    Step k checks the rank of that oracle's projected frame, O_k C_{k-1} / s_max(C_{k-1}).
+    Step k checks that oracle's projected frame O_k C_{k-1} / s_max(C_{k-1}) by its rule.
     """
     overlaps = _small_matmul(dag(frames[1:]), frames[:-1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only once rank is lost
@@ -828,7 +827,7 @@ def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndar
         raise DegenerateStep("projection collapsed the frame rank")
     chain_svals = _small_svals(chains)
     steps = scales / np.append(1.0, chain_svals[:-1, 0])
-    _require_rank(chain_svals * steps[:, np.newaxis], tol)
+    _require_rank((chain_svals * steps[:, np.newaxis]) ** 2, tol, DegenerateStep)
     return isometrize(dag(frames[0]) @ frames[-1] @ (chains[-1] / chain_svals[-1, 0]), tol)
 
 

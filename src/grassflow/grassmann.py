@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import (InvalidArgument, NotAntiHermitian, NotTangent, NotUnitary, OutsideChart,
                      SectionNotInFiber)
-from .linalg import (DEFAULT_TOLS, Tolerances, _fixed_matmul, _require_square, commutator, dag,
-                     frob, isometrize, require_antihermitian, require_finite)
+from .linalg import (DEFAULT_TOLS, Tolerances, _fixed_matmul, _require_rank, _require_square,
+                     commutator, dag, frob, isometrize, random_unitary, require_antihermitian,
+                     require_finite)
 
 
 def projector_defect(p: np.ndarray, rank: int):
@@ -71,10 +72,10 @@ class Projector:
 
     @classmethod
     def standard(cls, n: int, m: int) -> "Projector":
-        """Projector onto the span of the first m coordinate vectors."""
-        p = np.zeros((n, n), dtype=complex)
-        p[:m, :m] = np.eye(m)
-        return cls(matrix=p, rank=m)
+        """Projector onto the first m coordinate vectors; InvalidArgument unless 1 <= m <= n."""
+        if not 1 <= m <= n:
+            raise InvalidArgument(f"rank m = {m} must satisfy 1 <= m <= n = {n}")
+        return cls(matrix=np.diag(np.arange(n) < m).astype(complex), rank=m)
 
 
 def _adapted_basis(proj: Projector, tol: Tolerances, coframe: bool = True):
@@ -108,9 +109,14 @@ class BasePoint:
 
     @classmethod
     def standard(cls, n: int, m: int) -> "BasePoint":
-        eye = np.eye(n, dtype=complex)
-        return cls(projector=Projector.standard(n, m),
-                   frame=eye[:, :m], coframe=eye[:, m:])
+        return cls(Projector.standard(n, m), *np.hsplit(np.eye(n, dtype=complex), [m]))
+
+
+def _random_base(n: int, m: int, rng, tol: Tolerances = DEFAULT_TOLS) -> BasePoint:
+    """The base point at u P u* for the standard rank-m P and a seeded random unitary u."""
+    u = random_unitary(n, rng)
+    p = u @ Projector.standard(n, m).matrix @ dag(u)
+    return BasePoint.from_projector(Projector(matrix=(p + dag(p)) / 2, rank=m), tol)
 
 
 @dataclass(frozen=True)
@@ -185,14 +191,15 @@ def chart_from_proj(base: BasePoint, q: Projector,
                     tol: Tolerances = DEFAULT_TOLS) -> ChartTangent:
     """Inverse chart map: f = (coframe* Q frame)(frame* Q frame)^-1.
 
-    Raises OutsideChart when im(Q) fails to be transverse to the base's
-    orthogonal complement.
+    NonFinite or InvalidArgument unless Q is a finite n x n matrix; OutsideChart unless im(Q)
+    is transverse to the base's complement: frame* Q frame keeps rank m (``_require_rank``).
     """
-    top = dag(base.frame) @ q.matrix @ base.frame      # m x m
-    bottom = dag(base.coframe) @ q.matrix @ base.frame
-    svals = np.linalg.svd(top, compute_uv=False)
-    if svals[-1] <= tol.structural:
-        raise OutsideChart("frame* Q frame is numerically singular")
+    q_mat = require_finite(q.matrix, "projector")
+    if q_mat.shape != (base.n, base.n):
+        raise InvalidArgument(f"projector has shape {q_mat.shape}, want {(base.n, base.n)}")
+    top = dag(base.frame) @ q_mat @ base.frame      # m x m
+    bottom = dag(base.coframe) @ q_mat @ base.frame
+    _require_rank(np.linalg.svd(top, compute_uv=False), tol, OutsideChart)
     return ChartTangent(base=base, block=bottom @ np.linalg.inv(top))
 
 

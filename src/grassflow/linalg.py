@@ -1,13 +1,13 @@
 """Dense complex linear algebra primitives.
 
 Matrices are plain complex ``numpy`` arrays throughout the package.  This
-module provides the few operations everything else is built on: adjoints and
-commutators, the oriented QR factorization (``isometrize``), the polar
-retraction of a frame or a stack of frames, running products of a stack, closed
-forms for the determinants and singular values of 1 x 1 and 2 x 2 stacks, the
-matrix exponential of a matrix or a stack (spectral for anti-Hermitian input;
-scipy is imported only for any other input), the spectral retraction onto
-rank-m projectors, and seeded random generators.
+module provides the few operations everything else is built on: adjoints and commutators,
+the one rank test of every frame, overlap and fiber projection (``_require_rank``), the
+oriented QR factorization (``isometrize``), the polar retraction of a frame or a stack of
+frames, running products of a stack, closed forms for the determinants and singular values
+of 1 x 1 and 2 x 2 stacks, the matrix exponential of a matrix or a stack (spectral for
+anti-Hermitian input; scipy is imported only for any other input), the spectral retraction
+onto rank-m projectors, and seeded random generators.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ def require_antihermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOLS,
 
 
 def _require_tall(f: np.ndarray, stack: bool = False) -> np.ndarray:
-    """f, or InvalidArgument unless a tall (or square) matrix, or with ``stack`` a stack of them."""
-    if f.ndim < 2 or (f.ndim > 2 and not stack) or f.shape[-2] < f.shape[-1]:
-        raise InvalidArgument("expected a tall (or square) n x m matrix" + " or stack" * stack)
+    """f, or InvalidArgument unless an n x m matrix, 1 <= m <= n (or with ``stack`` a stack)."""
+    if f.ndim < 2 or (f.ndim > 2 and not stack) or not 1 <= f.shape[-1] <= f.shape[-2]:
+        raise InvalidArgument("expected an n x m matrix" + " or stack" * stack + ", 1 <= m <= n")
     return f
 
 
@@ -106,23 +106,28 @@ def _require_square(a: np.ndarray, stack: bool = False) -> np.ndarray:
     return a
 
 
+def _require_rank(svals: np.ndarray, tol: Tolerances, error: type) -> None:
+    """``error`` unless each row of descending values has s_min > structural * max(s_max, 1).
+
+    NaN fails it.  A frame passes its singular values, a fiber projection those of a* P a.
+    """
+    if not np.all(svals[..., -1] > tol.structural * np.maximum(svals[..., 0], 1.0)):
+        raise error(f"rank lost: s_min {np.min(svals[..., -1]):.3e} <= structural * max(s_max, 1)")
+
+
 def isometrize(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Oriented orthonormalization of a full-column-rank matrix.
 
     Returns the unique Q with f = Q R, Q* Q = I and R upper triangular with
     strictly positive real diagonal.  Column spans of Q and f coincide
     prefix-by-prefix, which is the complex analogue of matching orientations.
+    RankDeficient unless f keeps rank m by ``_require_rank``.
     """
     f = _require_tall(require_finite(f, "frame seed"))
-    svals = np.linalg.svd(f, compute_uv=False)
-    if svals[-1] <= tol.structural:
-        raise RankDeficient(
-            f"smallest singular value {svals[-1]:.3e} <= structural tolerance")
+    _require_rank(np.linalg.svd(f, compute_uv=False), tol, RankDeficient)
     q, r = np.linalg.qr(f)
-    d = np.diagonal(r).copy()
-    # d cannot vanish for full-rank input; rotate phases into R
-    phase = d / np.abs(d)
-    return q * phase[np.newaxis, :]
+    d = np.diagonal(r)  # nonzero at full rank: rotate its phases into R
+    return q * (d / np.abs(d))
 
 
 # Largest contracted dimension at which ``_small_matmul`` sums broadcast products.
@@ -155,9 +160,7 @@ def _small_det(a: np.ndarray) -> np.ndarray:
     if m == 1:
         return a[..., 0, 0]
     if m == 2:
-        det = a[..., 0, 0] * a[..., 1, 1]
-        det -= a[..., 0, 1] * a[..., 1, 0]
-        return det
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     return np.linalg.det(a)
 
 
@@ -213,7 +216,7 @@ def polar_retract(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     stack, it is one Newton-Schulz step f (3I - f* f)/2 = f (I - E/2), which
     leaves a defect of about (3/4) ||E||^2, below roundoff (Higham, Functions
     of Matrices, SIAM 2008, sec. 8.3); any other f (NaN and inf fail the test)
-    takes the SVD of the whole stack.
+    takes the SVD of the whole stack, RankDeficient unless it passes ``_require_rank``.
     """
     f = _require_tall(np.asarray(f), stack=True)
     m = f.shape[-1]
@@ -221,11 +224,8 @@ def polar_retract(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     e.reshape(e.shape[:-2] + (m * m,))[..., ::m + 1] -= 1.0  # the diagonals, as a view
     if np.abs(e).max() <= _POLAR_NEWTON_DEFECT:
         return f - _small_matmul(f, e / 2.0)
-    f = require_finite(f, "frame")
-    u, s, vh = np.linalg.svd(f, full_matrices=False)
-    smallest = s[..., -1].min()
-    if smallest <= tol.structural:
-        raise RankDeficient(f"smallest singular value {smallest:.3e} <= structural tolerance")
+    u, s, vh = np.linalg.svd(require_finite(f, "frame"), full_matrices=False)
+    _require_rank(s, tol, RankDeficient)
     return u @ vh
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bundle, dynamics, grassmann
-from .grassmann import BasePoint, ChartTangent, Projector
+from .grassmann import BasePoint, ChartTangent, Projector, _random_base
 from .linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
                      mat_exp, nearest_projector, random_antihermitian,
                      random_complex, random_frame, random_unitary)
@@ -38,12 +38,6 @@ def _guard(results, name, bound, fn):
         return
     results.append(CheckResult(name=name, value=float(value), bound=bound,
                                passed=float(value) <= bound))
-
-
-def _random_base(n, m, rng, tol):
-    u = random_unitary(n, rng)
-    p = u @ Projector.standard(n, m).matrix @ dag(u)
-    return BasePoint.from_projector(Projector(matrix=(p + dag(p)) / 2, rank=m), tol)
 
 
 def _random_block(base, rng, scale=1.0):

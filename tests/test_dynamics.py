@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassflow import (BaseMismatch, DegenerateStep, GrassflowError, InvalidArgument,
-                       NonFinite, NotAntiHermitian, NotClosed, PathTooRough)
+                       NonFinite, NotAntiHermitian, NotClosed, OutsideChart, PathTooRough)
 from grassflow import dynamics
-from grassflow.bundle import curvature_generators, frame_defect
+from grassflow.bundle import curvature_generators, frame_defect, project_frame
 from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedule,
                                 TimeGrid, _frame_oracle,
                                 berry_maps, bloch_matrices, bloch_projector,
@@ -20,8 +20,8 @@ from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedul
                                 sampled_schedule, synthesize_holonomy_step,
                                 tracking_defect, horizontality_defect,
                                 FramePath, ProjectorPath)
-from grassflow.grassmann import (BasePoint, Projector, hamiltonian_value, linear_hamiltonian,
-                                 projector_defect, sampled_derivative)
+from grassflow.grassmann import (BasePoint, Projector, chart_from_proj, hamiltonian_value,
+                                 linear_hamiltonian, projector_defect, sampled_derivative)
 from grassflow.linalg import (dag, frob, isometrize, mat_exp, nearest_projector, polar_retract,
                               random_antihermitian, random_frame, random_unitary)
 
@@ -1219,6 +1219,8 @@ LOOPS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
 _E1 = np.eye(2, dtype=complex)[:, :1]
 _W2 = np.diag([1j, -1j])
 _TWO_NODES = TimeGrid(0.0, 1.0, 1)
+_STANDARD_PATH = ProjectorPath(TimeGrid(0.0, 1.0, 2),
+                               np.array([Projector.standard(4, 1).matrix] * 3), rank=1)
 
 
 @pytest.mark.parametrize("call", [
@@ -1267,13 +1269,24 @@ def test_berry_maps_rejects_one_step_before_reading_the_schedule():
     lambda: pancharatnam_oracle(np.ones((0, 2, 2)), _E1),
     lambda: random_unitary(0, 1),
     lambda: random_frame(3, 0, 1),
+    lambda: isometrize(np.ones((3, 0))),
+    lambda: polar_retract(np.ones((3, 0))),
+    lambda: horizontal_transport(_STANDARD_PATH, np.ones((3, 1))),
+    lambda: loop_holonomy(ProjectorPath(_TWO_NODES, np.ones((2, 2)), rank=1), _E1),
+    lambda: horizontal_transport(ProjectorPath(_TWO_NODES, np.ones((0, 2, 2)), rank=1), _E1),
+    lambda: Projector.standard(2, 3),
+    lambda: BasePoint.standard(3, 0),
+    lambda: project_frame(np.ones(3)),
 ], ids=["grid_span", "grid_steps", "schedule_samples", "derivative_order", "loop_scale",
         "projector_rank", "projector_not_hermitian", "frame_shape", "polar_vector",
         "polar_wide", "polar_wide_stack", "exp_not_square", "exp_vector",
         "initial_frame_vector", "initial_frame_wide", "w_larger_than_rank",
         "w_smaller_than_rank", "negative_sides", "fractional_sides", "projector_vector",
         "projector_wide", "from_matrix_vector", "oracle_vector", "oracle_wide_samples",
-        "oracle_no_samples", "unitary_empty", "frame_no_columns"])
+        "oracle_no_samples", "unitary_empty", "frame_no_columns", "frame_seed_no_columns",
+        "polar_no_columns", "transport_frame_too_short", "path_of_vectors",
+        "path_no_samples", "standard_rank_above_n", "standard_rank_zero",
+        "bundle_frame_vector"])
 def test_bad_arguments_raise_invalid_argument(call):
     # a GrassflowError, which the CLI maps to exit 1, that is still a ValueError
     with pytest.raises(InvalidArgument) as info:
@@ -1458,6 +1471,15 @@ class TestSampledTransport:
         with pytest.raises(DegenerateStep):
             dynamics._section_transport(section, dynamics.DEFAULT_TOLS)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_non_finite_overlap_raises_a_grassflow_error(self, m):
+        # NaN fails the rank rule at m = 1; above it the overlaps are checked finite
+        # first, so numpy's LinAlgError (an SVD of NaN) does not escape
+        section = np.array([np.eye(5, dtype=complex)[:, :m]] * 6)
+        section[3, 0, 0] = np.nan
+        with pytest.raises(GrassflowError):
+            dynamics._section_transport(section, dynamics.DEFAULT_TOLS)
+
     def test_non_finite_sample_raises_non_finite(self):
         path, base, _ = _synthesized_loop(81, 4, 2, 0.2, 8)
         samples = path.samples.copy()
@@ -1547,22 +1569,91 @@ def _turning_frames(steps):
     return frames
 
 
-def _contracting_frames():
+def _contracting_frames(steps=32):
     """Frames [cos a_k e1 + sin a_k e3, cos b_k e2 + sin b_k e4] of a closed loop in C^4.
 
-    Overlaps are diag(cos(a_k - a_{k-1}), cos(b_k - b_{k-1})).  32 steps of b by pi/3 leave
-    the chain diag(1, 2^-32); the next overlap, diag(0.4, 0.4), gives the projected frame the
-    smallest singular value 0.4 * 2^-32 < 1e-10, although the chain's own ratio stays 2^-32.
+    Overlaps are diag(cos(a_k - a_{k-1}), cos(b_k - b_{k-1})).  ``steps`` steps of b by pi/3
+    leave the chain diag(1, 2^-steps); the next overlap, diag(0.4, 0.4), gives the projected
+    frame the smallest singular value 0.4 * 2^-steps, although the chain's own ratio stays
+    2^-steps.
     """
     turn = np.arccos(0.4)
-    a = np.concatenate([np.zeros(33), np.linspace(turn, 0.0, 13)])
-    b_turned = 32 * np.pi / 3 + turn
-    b = np.concatenate([np.arange(33) * np.pi / 3,
+    a = np.concatenate([np.zeros(steps + 1), np.linspace(turn, 0.0, 13)])
+    b_turned = steps * np.pi / 3 + turn
+    b = np.concatenate([np.arange(steps + 1) * np.pi / 3,
                         np.linspace(b_turned, np.pi * round(b_turned / np.pi), 13)])
     frames = np.zeros((len(a), 4, 2), dtype=complex)
     frames[:, 0, 0], frames[:, 2, 0] = np.cos(a), np.sin(a)
     frames[:, 1, 1], frames[:, 3, 1] = np.cos(b), np.sin(b)
     return frames
+
+
+def _equal_angle_loop(n, m, cos, rng):
+    """Frames phi_0, phi_1, phi_0 whose m principal angles all have cosine ``cos``."""
+    u = random_unitary(n, rng)
+    turned = (cos * u[:, :m] + np.sqrt(1.0 - cos ** 2) * u[:, m:2 * m]) @ random_unitary(m, rng)
+    return np.array([u[:, :m], turned, u[:, :m]])
+
+
+def _rank_routes(frames):
+    """Each fiber-projection route on the loop of ``frames``: True, or the error it raised."""
+    m = frames.shape[-1]
+    samples = frames @ dag(frames)
+    samples = (samples + dag(samples)) / 2.0
+    base = BasePoint.from_projector(Projector(samples[0], m))
+    routes = {
+        "section": lambda: dynamics._section_transport(frames.copy(), dynamics.DEFAULT_TOLS),
+        "horizontal": lambda: horizontal_transport(
+            ProjectorPath(TimeGrid(0.0, 1.0, 2), samples, m), frames[0]),
+        "frame_oracle": lambda: _frame_oracle(frames),
+        "pancharatnam": lambda: pancharatnam_oracle(samples, frames[0]),
+        "chart": lambda: chart_from_proj(base, Projector(samples[1], m)),
+    }
+    outcomes = {}
+    for name, route in routes.items():
+        try:
+            route()
+            outcomes[name] = True
+        except (DegenerateStep, OutsideChart) as exc:
+            outcomes[name] = type(exc)
+    return outcomes
+
+
+class TestOneRankRule:
+    """Every fiber-projection route keeps rank m by one rule: cos^2 > structural here."""
+
+    FAILED = {"section": DegenerateStep, "horizontal": DegenerateStep,
+              "frame_oracle": DegenerateStep, "pancharatnam": DegenerateStep,
+              "chart": OutsideChart}
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 40])
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(extra=st.integers(0, 2), exponent=st.floats(0.05, 1.0), above=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_all_routes_raise_or_all_pass(self, m, extra, exponent, above, seed):
+        # cos = sqrt(structural) * 10^(+-exponent): the squared singular values of each
+        # overlap are cos^2, clear of the threshold structural by a factor 10^(2 exponent)
+        cos = np.sqrt(dynamics.DEFAULT_TOLS.structural) * 10.0 ** (exponent if above else -exponent)
+        frames = _equal_angle_loop(2 * m + extra, m, cos, np.random.default_rng(seed))
+        want = {name: True for name in self.FAILED} if above else self.FAILED
+        assert _rank_routes(frames) == want
+
+    def test_projected_frame_alone_fails_the_rule(self):
+        # 16 steps leave projected frames of s_min 2^-16, whose square clears structural;
+        # the next overlap, diag(0.4, 0.4), takes it to 0.4 * 2^-16, whose square does not
+        frames = _contracting_frames(16)
+        _frame_oracle(frames[:17])
+        with pytest.raises(DegenerateStep):
+            pancharatnam_oracle(frames @ dag(frames), frames[0])
+        with pytest.raises(DegenerateStep):
+            _frame_oracle(frames)
+
+    @pytest.mark.parametrize("degrees", [40.0, 45.0, 60.0])
+    def test_forty_angles_of_forty_five_degrees_pass_on_every_route(self, degrees):
+        # s_min of each overlap is cos(45 deg) = 0.707; a determinant rule read
+        # |det O|^2 = 2^-40 < structural and rejected the loop on the section routes
+        frames = _equal_angle_loop(80, 40, np.cos(np.radians(degrees)), np.random.default_rng(4))
+        assert _rank_routes(frames) == {name: True for name in self.FAILED}
 
 
 class TestPancharatnamOracle:

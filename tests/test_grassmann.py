@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassflow import NotAntiHermitian, NotTangent, NotUnitary, OutsideChart, SectionNotInFiber
+from grassflow import (InvalidArgument, NonFinite, NotAntiHermitian, NotTangent, NotUnitary,
+                       OutsideChart, SectionNotInFiber)
 from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent,
                                  Projector, chart_ambient, chart_from_proj, chart_projectors,
                                  chart_transport,
@@ -116,6 +117,14 @@ class TestChartFromProj:
         with pytest.raises(OutsideChart):
             chart_from_proj(STD21, Projector.standard(2, 1).__class__(
                 matrix=np.diag([0.0, 1.0]).astype(complex), rank=1))
+
+    @pytest.mark.parametrize("q, error", [
+        (Projector(matrix=np.full((4, 4), np.nan, dtype=complex), rank=2), NonFinite),
+        (Projector.standard(3, 2), InvalidArgument),
+    ], ids=["nan_projector", "projector_of_another_n"])
+    def test_malformed_projector_raises_before_the_svd(self, q, error):
+        with pytest.raises(error):
+            chart_from_proj(BasePoint.standard(4, 2), q)
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(11)

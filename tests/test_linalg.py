@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grassflow import NotAntiHermitian, RankDeficient, GapTooSmall
 from grassflow import linalg
@@ -170,6 +172,52 @@ class TestPolarRetract:
         stack[2, :, 1] = 2.0 * stack[2, :, 0]
         with pytest.raises(RankDeficient):
             polar_retract(stack)
+
+
+class TestOneRankRule:
+    """isometrize and polar_retract's SVD route keep rank m by one rule, ``_require_rank``."""
+
+    @staticmethod
+    def frame(kind, n, m, scale, rng):
+        if kind == "random":
+            return scale * random_complex(n, m, rng)
+        # U diag(s) V* with s_max in [0.1, 10] and s_min near the rule's threshold
+        largest = 10.0 ** rng.uniform(-1.0, 1.0)
+        smallest = 1e-10 * max(largest, 1.0) * 10.0 ** rng.uniform(-2.0, 2.0)
+        svals = np.geomspace(largest, smallest, m) if m > 1 else np.array([smallest])
+        return (random_frame(n, m, rng) * (scale * svals)) @ dag(random_unitary(m, rng))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 40])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(extra=st.integers(0, 3), kind=st.sampled_from(["random", "near_rank_deficient"]),
+           scale=st.sampled_from([1.0, 1e150, 1e-150]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_both_frame_routes_follow_the_rule(self, m, extra, kind, scale, seed):
+        f = self.frame(kind, m + extra, m, scale, np.random.default_rng(seed))
+        svals = np.linalg.svd(f, compute_uv=False)
+        # log10 of s_min over the rule's threshold structural * max(s_max, 1)
+        margin = np.log10(svals[-1] / (DEFAULT_TOLS.structural * max(svals[0], 1.0)))
+        assume(abs(margin) > 0.05)  # clear of the threshold by more than roundoff
+        outcomes = []
+        with mock.patch.object(linalg, "_POLAR_NEWTON_DEFECT", -1.0):  # always the SVD
+            for route in (isometrize, polar_retract):
+                try:
+                    route(f)
+                    outcomes.append(True)
+                except RankDeficient:
+                    outcomes.append(False)
+        assert outcomes == [margin > 0] * 2
+
+    @pytest.mark.parametrize("svals", [[1.0, np.nan], [np.nan, 1.0], [np.nan, np.nan]])
+    def test_nan_fails_the_rule(self, svals):
+        with pytest.raises(RankDeficient):
+            linalg._require_rank(np.array(svals), DEFAULT_TOLS, RankDeficient)
+
+    def test_large_frame_is_judged_by_its_own_scale(self):
+        # singular values (1e12, 1): s_min / s_max = 1e-12 fails, though s_min = 1 > 1e-10
+        f = (random_frame(6, 2, 0) * np.array([1e12, 1.0])) @ dag(random_unitary(2, 1))
+        for route in (isometrize, polar_retract):
+            with pytest.raises(RankDeficient):
+                route(f)
 
 
 class TestPrefixProducts:
