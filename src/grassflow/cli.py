@@ -25,15 +25,15 @@ import numpy as np
 from .bundle import curvature_generators, frame_defect
 from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, FramePath, TimeGrid, _frame_oracle,
                        _graph_section, _orbit_schedule, _parallelogram_loop, _require_closed,
-                       _section_transport, berry_maps, bloch_projector, constant_schedule,
-                       horizontality_defects, rotating_schedule, sampled_schedule)
+                       _section_transport, _transport_block, berry_maps, bloch_projector,
+                       constant_schedule, horizontality_defects, rotating_schedule,
+                       sampled_schedule)
 from .errors import (GapTooSmall, GrassflowError, InvalidArgument, NonFinite,
                      NotAntiHermitian, NotClosed)
 from .grassmann import (BasePoint, ChartTangent, Projector, _adapted_basis, _random_base,
                         chart_from_proj, chart_transport, proj_from_chart)
-from .linalg import (Tolerances, dag, frob, mat_exp, random_antihermitian,
-                     random_complex, random_frame, random_unitary,
-                     require_antihermitian)
+from .linalg import (Tolerances, dag, frob, isometrize, mat_exp, random_antihermitian,
+                     random_complex, random_frame, require_antihermitian)
 
 CSV_HEADER = "t,projector_defect,isometry_defect,horizontality_defect,energy"
 # one %-format per row; %.17g writes each float exactly as f"{x:.17g}" does
@@ -205,10 +205,7 @@ def build_setup(cfg: dict, tol: Tolerances):
 
 
 def _seeded(cfg: dict) -> np.random.Generator:
-    """The run's seeded generator; only runs that draw make one.
-
-    The first use of ``np.random`` imports it, about 10 ms of a run.
-    """
+    """The run's seeded generator; only runs that draw make one (it imports np.random: ~10 ms)."""
     return np.random.default_rng(int(cfg["seed"]))
 
 
@@ -240,8 +237,7 @@ def _geometric_setup(sched_cfg, n, m, grid, cfg):
                     np.broadcast_to(omega * turn, t.shape + turn.shape))
     else:
         rng = _seeded(cfg)
-        a = random_antihermitian(n, rng)
-        b = random_antihermitian(n, rng)
+        a, b = (random_antihermitian(n, rng) for _ in range(2))
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
         p0 = Projector.standard(n, m)
 
@@ -343,41 +339,44 @@ def _berry_maps_report(cfg: dict, tol: Tolerances, message: str,
 
 # ---------------------------------------------------------------- subcommands
 
+def _frobs(a: np.ndarray) -> np.ndarray:
+    """``frob`` of each matrix of a stack, bitwise: the dot products it takes, as matmuls."""
+    r = a.reshape(len(a), 1, -1)
+    return np.sqrt(sum(x @ x.swapaxes(1, 2) for x in (r.real, r.imag))[:, 0, 0])
+
+
 def cmd_chart(cfg: dict, tol: Tolerances) -> int:
     """seeded chart round-trip and equivariance checks"""
     start = time.perf_counter()
     n, m = cfg["n"], cfg["m"]
-    trials = build_grid(cfg).steps + 1
-    rng = _seeded(cfg)
+    trials, rng = build_grid(cfg).steps + 1, _seeded(cfg)
 
-    rows = []
-    max_roundtrip = 0.0
-    max_equivariance = 0.0
-    for k in range(trials):
-        base = _random_base(n, m, rng, tol)
-        blk = random_complex(n - m, m, rng)
-        blk *= float(rng.uniform(0.0, 10.0)) / max(np.linalg.norm(blk), 1e-300)
+    rows, roundtrips, equivariances = [], [0.0], [0.0]
+    size = _transport_block(n)  # trials a stack: peak memory stays fixed however many there are
+    for first in range(0, trials, size):
+        draws = []  # u, block and g of each trial, in the order a trial-by-trial run draws them
+        for _ in range(min(size, trials - first)):
+            u, blk = random_complex(n, n, rng), random_complex(n - m, m, rng)
+            blk *= float(rng.uniform(0.0, 10.0)) / max(np.linalg.norm(blk), 1e-300)
+            draws.append((u, blk, random_complex(n, n, rng)))
+        u, blk, g = map(np.array, zip(*draws))
+        u, g = isometrize(np.array([u, g]), tol)
+        base = _random_base(u, m, tol)
         f = ChartTangent(base=base, block=blk)
-
         q = proj_from_chart(base, f)
-        back = chart_from_proj(base, q, tol)
-        roundtrip = frob(back.block - f.block)
-
-        g = random_unitary(n, rng)
+        roundtrips.extend(_frobs(chart_from_proj(base, q, tol).block - blk))
         moved = chart_transport(g, f, tol)
-        equivariance = frob(proj_from_chart(moved.base, moved).matrix
-                            - g @ q.matrix @ dag(g))
+        equivariances.extend(_frobs(proj_from_chart(moved.base, moved).matrix
+                                    - g @ q.matrix @ dag(g)))
+        rows += zip(np.arange(first, first + len(blk), 1.0), q.defect(),
+                    frame_defect(base.frame), [0.0] * len(blk), [0.0] * len(blk))
 
-        max_roundtrip = max(max_roundtrip, roundtrip)
-        max_equivariance = max(max_equivariance, equivariance)
-        rows.append((float(k), q.defect(), frame_defect(base.frame), 0.0, 0.0))
-
+    max_roundtrip, max_equivariance = float(max(roundtrips)), float(max(equivariances))
     payload = _final_json(
         cfg,
         defect_max=max(max_roundtrip, max_equivariance),
         wall_time_s=time.perf_counter() - start,
-        extras={"max_roundtrip_error": max_roundtrip,
-                "max_equivariance_error": max_equivariance,
+        extras={"max_roundtrip_error": max_roundtrip, "max_equivariance_error": max_equivariance,
                 "trials": trials},
     )
     return _finish(cfg, rows, payload, tol.comparison,
@@ -392,8 +391,7 @@ def cmd_flow(cfg: dict, tol: Tolerances) -> int:
 def _closed_oracle(res, tol: Tolerances) -> np.ndarray:
     """The Pancharatnam oracle on the nodes phi_k phi_k* of a run; NotClosed if open."""
     if not res.closed:
-        raise NotClosed(f"projector path does not close: "
-                        f"residual {res.closure_residual:.3e}")
+        raise NotClosed(f"projector path does not close: residual {res.closure_residual:.3e}")
     return _frame_oracle(res.frame_path.samples, tol)
 
 

@@ -151,8 +151,9 @@ def rotating_schedule(omega: float) -> HamiltonianSchedule:
 def bloch_matrices(theta: float, azimuths) -> np.ndarray:
     """The 2 x 2 matrix of ``bloch_projector(theta, a)`` for each of ``azimuths``.
 
-    An array of azimuths of shape S gives a stack of shape S + (2, 2).
+    A shape-S array of azimuths gives an S + (2, 2) stack; NonFinite on a non-finite angle.
     """
+    require_finite(np.append(theta, azimuths), "Bloch angles")
     phase = np.exp(1j * np.asarray(azimuths, dtype=float))
     v = np.empty(phase.shape + (2, 1), dtype=complex)
     v[..., 0, 0] = np.cos(theta / 2.0)
@@ -284,7 +285,8 @@ class ProjectorPath:
         return float(self.projector_defects().max())
 
     def closure_residual(self) -> float:
-        return frob(self.samples[-1] - self.samples[0])
+        """|| P(T) - P(0) ||; InvalidArgument unless the samples are a nonempty (N, n, n) stack."""
+        return frob(_require_stack(self.samples)[-1] - self.samples[0])
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 A point of Gr_m(C^n) is a rank-m Hermitian idempotent P.  Around a base
 point X = im(P) the manifold is charted by Hom(X, X_perp): a chart tangent
-is an (n-m) x m block in an adapted orthonormal basis [frame | coframe],
-and its graph is a nearby subspace.  This module implements the chart maps,
+is an (n-m) x m block in an adapted orthonormal basis [frame | coframe], and its graph
+is a nearby subspace.  This module implements the chart maps (on matrices or stacks),
 the two tangent representations and the isomorphism between them, the
 unitary action, the coadjoint-orbit symplectic form with its Hamiltonian
 fields, the Grassmannian connection form F = 2P dP - dP, and covariant
@@ -19,8 +19,7 @@ import numpy as np
 from .errors import (InvalidArgument, NotAntiHermitian, NotTangent, NotUnitary, OutsideChart,
                      SectionNotInFiber)
 from .linalg import (DEFAULT_TOLS, Tolerances, _fixed_matmul, _require_rank, _require_square,
-                     commutator, dag, frob, isometrize, random_unitary, require_antihermitian,
-                     require_finite)
+                     commutator, dag, frob, isometrize, require_antihermitian, require_finite)
 
 
 def projector_defect(p: np.ndarray, rank: int):
@@ -48,7 +47,7 @@ class Projector:
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def defect(self) -> float:
         """Worst violation of the projector invariants, see ``projector_defect``."""
@@ -82,7 +81,7 @@ def _adapted_basis(proj: Projector, tol: Tolerances, coframe: bool = True):
     """``BasePoint.from_projector``'s frame and coframe (None unless ``coframe``) from eigh(P)."""
     n, m = proj.n, proj.rank
     _, v = np.linalg.eigh((proj.matrix + dag(proj.matrix)) / 2.0)  # kernel first, image last
-    return isometrize(v[:, n - m:], tol), isometrize(v[:, :n - m], tol) if coframe else None
+    return isometrize(v[..., n - m:], tol), isometrize(v[..., :n - m], tol) if coframe else None
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ class BasePoint:
     @classmethod
     def from_projector(cls, proj: Projector,
                        tol: Tolerances = DEFAULT_TOLS) -> "BasePoint":
-        """Deterministic adapted basis from the eigendecomposition of P."""
+        """Deterministic adapted basis from the eigendecomposition of P, or of each P of a stack."""
         return cls(proj, *_adapted_basis(proj, tol))
 
     @classmethod
@@ -112,22 +111,21 @@ class BasePoint:
         return cls(Projector.standard(n, m), *np.hsplit(np.eye(n, dtype=complex), [m]))
 
 
-def _random_base(n: int, m: int, rng, tol: Tolerances = DEFAULT_TOLS) -> BasePoint:
-    """The base point at u P u* for the standard rank-m P and a seeded random unitary u."""
-    u = random_unitary(n, rng)
-    p = u @ Projector.standard(n, m).matrix @ dag(u)
+def _random_base(u: np.ndarray, m: int, tol: Tolerances = DEFAULT_TOLS) -> BasePoint:
+    """The base point at u P u* for the standard rank-m P and a unitary u, or a stack of them."""
+    p = u @ Projector.standard(u.shape[-1], m).matrix @ dag(u)
     return BasePoint.from_projector(Projector(matrix=(p + dag(p)) / 2, rank=m), tol)
 
 
 @dataclass(frozen=True)
 class ChartTangent:
-    """A tangent vector at a base point, as the (n-m) x m block of Hom(X, X_perp)."""
+    """A tangent vector at a base point, as the (n-m) x m block of Hom(X, X_perp), or a stack."""
 
     base: BasePoint
     block: np.ndarray
 
     def __post_init__(self):
-        expected = (self.base.n - self.base.m, self.base.m)
+        expected = self.base.frame.shape[:-2] + (self.base.n - self.base.m, self.base.m)
         if self.block.shape != expected:
             raise InvalidArgument(f"block shape {self.block.shape} != {expected}")
 
@@ -183,7 +181,7 @@ def chart_projectors(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
 
 
 def proj_from_chart(base: BasePoint, f: ChartTangent) -> Projector:
-    """The projector onto the graph of f, see ``chart_projectors``."""
+    """The projector onto the graph of f, see ``chart_projectors``; a stack for a stacked f."""
     return Projector(matrix=chart_projectors(base, f.block), rank=base.m)
 
 
@@ -191,12 +189,12 @@ def chart_from_proj(base: BasePoint, q: Projector,
                     tol: Tolerances = DEFAULT_TOLS) -> ChartTangent:
     """Inverse chart map: f = (coframe* Q frame)(frame* Q frame)^-1.
 
-    NonFinite or InvalidArgument unless Q is a finite n x n matrix; OutsideChart unless im(Q)
-    is transverse to the base's complement: frame* Q frame keeps rank m (``_require_rank``).
+    NonFinite or InvalidArgument unless Q is finite and of the base's shape; OutsideChart unless
+    each im(Q) is transverse to ker P: frame* Q frame keeps rank m (``_require_rank``).
     """
-    q_mat = require_finite(q.matrix, "projector")
-    if q_mat.shape != (base.n, base.n):
-        raise InvalidArgument(f"projector has shape {q_mat.shape}, want {(base.n, base.n)}")
+    q_mat, want = require_finite(q.matrix, "projector"), base.projector.matrix.shape
+    if q_mat.shape != want:
+        raise InvalidArgument(f"projector has shape {q_mat.shape}, want {want}")
     top = dag(base.frame) @ q_mat @ base.frame      # m x m
     bottom = dag(base.coframe) @ q_mat @ base.frame
     _require_rank(np.linalg.svd(top, compute_uv=False), tol, OutsideChart)
@@ -223,9 +221,11 @@ def tangent_extract(base: BasePoint, v: EmbeddedTangent,
 
 def transported_base(u: np.ndarray, base: BasePoint,
                      tol: Tolerances = DEFAULT_TOLS) -> BasePoint:
-    """The base point at u(X) with frames carried by u (then re-oriented)."""
-    u = require_finite(u, "unitary")
-    if frob(dag(u) @ u - np.eye(u.shape[0])) > tol.comparison * u.shape[0]:
+    """The base point at u(X), frames carried by u and re-oriented; u has the base's shape."""
+    u, n = require_finite(u, "unitary"), base.n
+    if u.shape != base.projector.matrix.shape:
+        raise InvalidArgument(f"unitary has shape {u.shape}, want {base.projector.matrix.shape}")
+    if np.any(np.linalg.norm(dag(u) @ u - np.eye(n), axis=(-2, -1)) > tol.comparison * n):
         raise NotUnitary("matrix is not unitary")
     p = u @ base.projector.matrix @ dag(u)
     return BasePoint(projector=Projector(matrix=(p + dag(p)) / 2.0, rank=base.m),
@@ -235,7 +235,7 @@ def transported_base(u: np.ndarray, base: BasePoint,
 
 def chart_transport(u: np.ndarray, f: ChartTangent,
                     tol: Tolerances = DEFAULT_TOLS) -> ChartTangent:
-    """Push a chart tangent through a unitary: the block of u f u^-1 at u(X)."""
+    """Push a chart tangent through a unitary: the block of u f u^-1 at u(X); u, f may be stacks."""
     new_base = transported_base(u, f.base, tol)
     pushed = u @ chart_ambient(f) @ dag(u)
     return ChartTangent(base=new_base,

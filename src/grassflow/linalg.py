@@ -3,7 +3,7 @@
 Matrices are plain complex ``numpy`` arrays throughout the package.  This
 module provides the few operations everything else is built on: adjoints and commutators,
 the one rank test of every frame, overlap and fiber projection (``_require_rank``), the
-oriented QR factorization (``isometrize``), the polar retraction of a frame or a stack of
+oriented QR factorization (``isometrize``) and the polar retraction of a frame or a stack of
 frames, running products of a stack, closed forms for the determinants and singular values
 of 1 x 1 and 2 x 2 stacks, the matrix exponential of a matrix or a stack (spectral for
 anti-Hermitian input; scipy is imported only for any other input), the spectral retraction
@@ -116,18 +116,18 @@ def _require_rank(svals: np.ndarray, tol: Tolerances, error: type) -> None:
 
 
 def isometrize(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Oriented orthonormalization of a full-column-rank matrix.
+    """Oriented orthonormalization of a full-column-rank matrix, or of each in a stack (..., n, m).
 
     Returns the unique Q with f = Q R, Q* Q = I and R upper triangular with
     strictly positive real diagonal.  Column spans of Q and f coincide
     prefix-by-prefix, which is the complex analogue of matching orientations.
-    RankDeficient unless f keeps rank m by ``_require_rank``.
+    RankDeficient unless each f keeps rank m by ``_require_rank``.
     """
-    f = _require_tall(require_finite(f, "frame seed"))
+    f = _require_tall(require_finite(f, "frame seed"), stack=True)
     _require_rank(np.linalg.svd(f, compute_uv=False), tol, RankDeficient)
     q, r = np.linalg.qr(f)
-    d = np.diagonal(r)  # nonzero at full rank: rotate its phases into R
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)  # nonzero at full rank: rotate its phases into R
+    return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
 # Largest contracted dimension at which ``_small_matmul`` sums broadcast products.
@@ -194,8 +194,10 @@ def _fixed_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b of one matrix and a stack (either side), as one product over the flattened stack.
 
     ``matmul`` broadcasts the matrix and makes one BLAS call per matrix of the stack;
-    this makes one, equal to it to roundoff.
+    this makes one, equal to it to roundoff.  Two matrices or two stacks go to ``a @ b``.
     """
+    if np.ndim(a) > 2 < np.ndim(b):  # two stacks: no flattened product
+        return a @ b
     if np.ndim(a) == 2 < np.ndim(b):  # a @ b = (b^T a^T)^T
         return _fixed_matmul(np.swapaxes(b, -1, -2), a.T).swapaxes(-1, -2)
     return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])

@@ -14,9 +14,8 @@ import numpy as np
 
 from . import bundle, dynamics, grassmann
 from .grassmann import BasePoint, ChartTangent, Projector, _random_base
-from .linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
-                     mat_exp, nearest_projector, random_antihermitian,
-                     random_complex, random_frame, random_unitary)
+from .linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize, mat_exp, nearest_projector,
+                     random_antihermitian, random_complex, random_frame, random_unitary)
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def checks_grassmann(tol: Tolerances):
         for _ in range(50):
             n = int(rng.integers(2, 17))
             m = int(rng.integers(1, n))
-            base = _random_base(n, m, rng, tol)
+            base = _random_base(random_unitary(n, rng), m, tol)
             f = _random_block(base, rng, scale=float(rng.uniform(0, 10)))
             q = grassmann.proj_from_chart(base, f)
             back = grassmann.chart_from_proj(base, q, tol)
@@ -116,7 +115,7 @@ def checks_grassmann(tol: Tolerances):
     def embed_extract():
         worst = 0.0
         for _ in range(20):
-            base = _random_base(6, 2, rng, tol)
+            base = _random_base(random_unitary(6, rng), 2, tol)
             f = _random_block(base, rng)
             v = grassmann.tangent_embed(f)
             back = grassmann.tangent_extract(base, v, tol)
@@ -130,7 +129,7 @@ def checks_grassmann(tol: Tolerances):
         for _ in range(20):
             n = int(rng.integers(2, 9))
             m = int(rng.integers(1, n))
-            base = _random_base(n, m, rng, tol)
+            base = _random_base(random_unitary(n, rng), m, tol)
             f = _random_block(base, rng, scale=2.0)
             u = random_unitary(n, rng)
             moved = grassmann.chart_transport(u, f, tol)
@@ -143,7 +142,7 @@ def checks_grassmann(tol: Tolerances):
     def symplectic_algebra():
         worst = 0.0
         for _ in range(20):
-            base = _random_base(5, 2, rng, tol)
+            base = _random_base(random_unitary(5, rng), 2, tol)
             p = base.projector
             a = grassmann.tangent_embed(_random_block(base, rng))
             b = grassmann.tangent_embed(_random_block(base, rng))
@@ -168,7 +167,7 @@ def checks_grassmann(tol: Tolerances):
         for _ in range(20):
             n = int(rng.integers(2, 9))
             m = int(rng.integers(1, n))
-            base = _random_base(n, m, rng, tol)
+            base = _random_base(random_unitary(n, rng), m, tol)
             u = random_antihermitian(n, rng)
             f = _random_block(base, rng)
             v = grassmann.tangent_embed(f)
@@ -188,7 +187,7 @@ def checks_grassmann(tol: Tolerances):
     def ham_tangency():
         worst = 0.0
         for _ in range(20):
-            base = _random_base(6, 2, rng, tol)
+            base = _random_base(random_unitary(6, rng), 2, tol)
             p = base.projector.matrix
             v = grassmann.ham_field(random_antihermitian(6, rng), base.projector, tol).matrix
             worst = max(worst, frob(p @ v + v @ p - v))
@@ -225,7 +224,7 @@ def checks_bundle(tol: Tolerances):
     def lift_horizontal():
         worst = 0.0
         for _ in range(20):
-            base = _random_base(6, 2, rng, tol)
+            base = _random_base(random_unitary(6, rng), 2, tol)
             phi = base.frame @ random_unitary(2, rng)
             xi = bundle.horizontal_lift(phi, _random_block(base, rng), tol)
             worst = max(worst, frob(bundle.connection_A(phi, xi, tol)))
@@ -235,7 +234,7 @@ def checks_bundle(tol: Tolerances):
     def dpi_identity():
         worst = 0.0
         for _ in range(20):
-            base = _random_base(6, 2, rng, tol)
+            base = _random_base(random_unitary(6, rng), 2, tol)
             phi = base.frame
             xi = bundle.horizontal_lift(phi, _random_block(base, rng), tol)
             push = xi @ dag(phi) + phi @ dag(xi)
@@ -269,8 +268,7 @@ def checks_dynamics(tol: Tolerances):
     grid = dynamics.TimeGrid(0.0, 1.0, 800)
 
     def smooth_schedule():
-        a = random_antihermitian(n, rng)
-        b = random_antihermitian(n, rng)
+        a, b = (random_antihermitian(n, rng) for _ in range(2))
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
         return dynamics.HamiltonianSchedule(
             lambda t: np.multiply.outer(np.cos(t), a) + np.multiply.outer(np.sin(t), b))

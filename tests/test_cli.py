@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from grassflow.dynamics import (TimeGrid, _orbit_schedule, berry_maps, bloch_pro
                                 constant_schedule, loop_holonomy, pancharatnam_oracle,
                                 rotating_schedule, sampled_schedule, synthesize_holonomy_step)
 from grassflow.grassmann import BasePoint, Projector
-from grassflow.linalg import Tolerances, dag, random_antihermitian, random_frame
+from grassflow.linalg import Tolerances, dag, frob, random_antihermitian, random_frame
 
 from cointegrated import cointegrated_transport
 
@@ -64,6 +65,26 @@ class TestChart:
 
     def test_invalid_dimensions(self, tmp_path):
         assert run(tmp_path, "chart", config={"version": 1, "n": 2, "m": 3}) == 1
+
+    def test_qr_calls_do_not_grow_with_the_trials(self, tmp_path, monkeypatch):
+        # the trials run as stacks: a QR call factors a stack, not one trial's matrix
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args: calls.append(a.shape) or qr(a, *args))
+        counts = []
+        for steps in (10, 400):
+            calls.clear()
+            assert run(tmp_path, "chart", config={"version": 1, "n": 5, "m": 2},
+                       steps=steps, out=tmp_path / "run") == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_frobs_is_frob_of_each_matrix_bitwise(self):
+        rng = np.random.default_rng(5)
+        for shape in [(1, 1), (2, 2), (3, 2), (1, 4), (16, 16)]:
+            stack = rng.standard_normal((40,) + shape) + 1j * rng.standard_normal((40,) + shape)
+            stack *= 10.0 ** rng.uniform(-14, 2, (40, 1, 1))
+            np.testing.assert_array_equal(cli._frobs(stack), [frob(a) for a in stack])
 
     def test_bad_version(self, tmp_path):
         assert run(tmp_path, "chart", config={"version": 2}) == 1
@@ -649,6 +670,15 @@ def test_report_keys_in_order(tmp_path, command, cfg, keys):
     assert run(tmp_path, command, config=cfg, steps=300, out=out) == 0
     report, _ = load(out)
     assert list(report) == keys
+
+
+@pytest.mark.parametrize("command", ["chart", "flow", "berry", "holonomy", "synthesize"])
+def test_wall_time_is_within_the_run(tmp_path, command):
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    assert run(tmp_path, command, steps=300, out=out) == 0
+    elapsed = time.perf_counter() - start
+    assert 0.0 <= load(out)[0]["wall_time_s"] <= elapsed
 
 
 _WRONG_TYPE = st.one_of(st.none(), st.booleans(), st.text(max_size=2),

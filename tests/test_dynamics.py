@@ -905,6 +905,17 @@ def test_overflowing_scan_raises_without_warnings(route):
                           TimeGrid(0.0, 1.0, 10))
 
 
+@pytest.mark.parametrize("theta, azimuths", [(np.nan, 0.0), (np.inf, 0.0), (1.1, np.nan),
+                                             (1.1, [0.0, -np.inf])],
+                         ids=["nan_theta", "inf_theta", "nan_azimuth", "inf_azimuth_in_a_stack"])
+def test_non_finite_bloch_angles_raise_non_finite(theta, azimuths):
+    with pytest.raises(NonFinite, match="Bloch angles"):
+        dynamics.bloch_matrices(theta, azimuths)
+    if np.ndim(azimuths) == 0:
+        with pytest.raises(NonFinite, match="Bloch angles"):
+            bloch_projector(theta, azimuths)
+
+
 def _latitude_qfun(t):
     return dynamics.bloch_matrices(1.1, 2 * np.pi * np.asarray(t))
 
@@ -1277,6 +1288,7 @@ def test_berry_maps_rejects_one_step_before_reading_the_schedule():
     lambda: Projector.standard(2, 3),
     lambda: BasePoint.standard(3, 0),
     lambda: project_frame(np.ones(3)),
+    lambda: loop_holonomy(ProjectorPath(_TWO_NODES, np.ones((0, 2, 2)), rank=1), _E1),
 ], ids=["grid_span", "grid_steps", "schedule_samples", "derivative_order", "loop_scale",
         "projector_rank", "projector_not_hermitian", "frame_shape", "polar_vector",
         "polar_wide", "polar_wide_stack", "exp_not_square", "exp_vector",
@@ -1286,7 +1298,7 @@ def test_berry_maps_rejects_one_step_before_reading_the_schedule():
         "oracle_no_samples", "unitary_empty", "frame_no_columns", "frame_seed_no_columns",
         "polar_no_columns", "transport_frame_too_short", "path_of_vectors",
         "path_no_samples", "standard_rank_above_n", "standard_rank_zero",
-        "bundle_frame_vector"])
+        "bundle_frame_vector", "loop_no_samples"])
 def test_bad_arguments_raise_invalid_argument(call):
     # a GrassflowError, which the CLI maps to exit 1, that is still a ValueError
     with pytest.raises(InvalidArgument) as info:

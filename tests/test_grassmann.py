@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassflow import (InvalidArgument, NonFinite, NotAntiHermitian, NotTangent, NotUnitary,
-                       OutsideChart, SectionNotInFiber)
+                       OutsideChart, RankDeficient, SectionNotInFiber)
 from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent,
                                  Projector, chart_ambient, chart_from_proj, chart_projectors,
                                  chart_transport,
@@ -101,6 +101,54 @@ def test_chart_roundtrip_of_stacked_projectors(seed, n, m_frac, count):
     for k, blk in enumerate(blocks):
         back = chart_from_proj(base, Projector(matrix=stacked[k], rank=m))
         assert frob(back.block - blk) <= 1e-10  # the criterion 01 bound
+
+
+def _conjugated_projectors(u, m):
+    """u P u*, Hermitized, for the standard rank-m P and each unitary of a stack u."""
+    p = u @ Projector.standard(u.shape[-1], m).matrix @ dag(u)
+    return Projector(matrix=(p + dag(p)) / 2, rank=m)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
+       m_frac=st.floats(0.0, 1.0), count=st.integers(1, 6))
+def test_stacked_chart_maps_are_the_single_matrix_maps_bitwise(seed, n, m_frac, count):
+    rng = np.random.default_rng(seed)
+    m = min(n - 1, 1 + int(m_frac * (n - 1)))
+    raw = np.array([random_complex(n, n, rng) for _ in range(2 * count)])
+    unitaries = isometrize(raw)
+    np.testing.assert_array_equal(unitaries, [isometrize(a) for a in raw])
+    u, g = unitaries[:count], unitaries[count:]
+
+    base = BasePoint.from_projector(_conjugated_projectors(u, m))
+    f = ChartTangent(base=base, block=random_blocks(base, count, rng))
+    q = proj_from_chart(base, f)
+    back = chart_from_proj(base, q)
+    moved = chart_transport(g, f)
+    for k in range(count):
+        b = BasePoint.from_projector(_conjugated_projectors(u[k], m))
+        fk = ChartTangent(base=b, block=f.block[k])
+        qk = proj_from_chart(b, fk)
+        moved_k = chart_transport(g[k], fk)
+        for stacked, single in [(base.projector.matrix, b.projector.matrix),
+                                (base.frame, b.frame), (base.coframe, b.coframe),
+                                (q.matrix, qk.matrix), (back.block, chart_from_proj(b, qk).block),
+                                (moved.block, moved_k.block),
+                                (moved.base.projector.matrix, moved_k.base.projector.matrix),
+                                (moved.base.frame, moved_k.base.frame),
+                                (moved.base.coframe, moved_k.base.coframe)]:
+            np.testing.assert_array_equal(stacked[k], single)
+
+    # each check of the stack fails if one of its matrices does
+    k = int(rng.integers(count))
+    frames = base.frame.copy()
+    frames[k, :, -1] = 0.0
+    with pytest.raises(RankDeficient):
+        isometrize(frames)
+    stretched = g.copy()
+    stretched[k] *= 2.0
+    with pytest.raises(NotUnitary):
+        chart_transport(stretched, f)
 
 
 class TestChartFromProj:
