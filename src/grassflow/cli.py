@@ -205,7 +205,10 @@ def build_setup(cfg: dict, tol: Tolerances):
 
 
 def _seeded(cfg: dict) -> np.random.Generator:
-    """The run's seeded generator; only runs that draw make one (it imports np.random: ~10 ms)."""
+    """The run's seeded generator; only runs that draw make one.
+
+    The first use of ``np.random`` imports it, about 10 ms of a run.
+    """
     return np.random.default_rng(int(cfg["seed"]))
 
 
@@ -237,7 +240,8 @@ def _geometric_setup(sched_cfg, n, m, grid, cfg):
                     np.broadcast_to(omega * turn, t.shape + turn.shape))
     else:
         rng = _seeded(cfg)
-        a, b = (random_antihermitian(n, rng) for _ in range(2))
+        a = random_antihermitian(n, rng)
+        b = random_antihermitian(n, rng)
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
         p0 = Projector.standard(n, m)
 
@@ -339,20 +343,18 @@ def _berry_maps_report(cfg: dict, tol: Tolerances, message: str,
 
 # ---------------------------------------------------------------- subcommands
 
-def _frobs(a: np.ndarray) -> np.ndarray:
-    """``frob`` of each matrix of a stack, bitwise: the dot products it takes, as matmuls."""
-    r = a.reshape(len(a), 1, -1)
-    return np.sqrt(sum(x @ x.swapaxes(1, 2) for x in (r.real, r.imag))[:, 0, 0])
-
-
 def cmd_chart(cfg: dict, tol: Tolerances) -> int:
     """seeded chart round-trip and equivariance checks"""
     start = time.perf_counter()
     n, m = cfg["n"], cfg["m"]
-    trials, rng = build_grid(cfg).steps + 1, _seeded(cfg)
+    trials = build_grid(cfg).steps + 1
+    rng = _seeded(cfg)
 
-    rows, roundtrips, equivariances = [], [0.0], [0.0]
-    size = _transport_block(n)  # trials a stack: peak memory stays fixed however many there are
+    rows = []
+    max_roundtrip = 0.0
+    max_equivariance = 0.0
+    # a trial holds about 16 n x n arrays, four times a transport node: peak memory stays fixed
+    size = max(1, _transport_block(n) // 4)
     for first in range(0, trials, size):
         draws = []  # u, block and g of each trial, in the order a trial-by-trial run draws them
         for _ in range(min(size, trials - first)):
@@ -364,19 +366,19 @@ def cmd_chart(cfg: dict, tol: Tolerances) -> int:
         base = _random_base(u, m, tol)
         f = ChartTangent(base=base, block=blk)
         q = proj_from_chart(base, f)
-        roundtrips.extend(_frobs(chart_from_proj(base, q, tol).block - blk))
+        max_roundtrip = max(max_roundtrip, *map(frob, chart_from_proj(base, q, tol).block - blk))
         moved = chart_transport(g, f, tol)
-        equivariances.extend(_frobs(proj_from_chart(moved.base, moved).matrix
-                                    - g @ q.matrix @ dag(g)))
+        gaps = proj_from_chart(moved.base, moved).matrix - g @ q.matrix @ dag(g)
+        max_equivariance = max(max_equivariance, *map(frob, gaps))
         rows += zip(np.arange(first, first + len(blk), 1.0), q.defect(),
                     frame_defect(base.frame), [0.0] * len(blk), [0.0] * len(blk))
 
-    max_roundtrip, max_equivariance = float(max(roundtrips)), float(max(equivariances))
     payload = _final_json(
         cfg,
         defect_max=max(max_roundtrip, max_equivariance),
         wall_time_s=time.perf_counter() - start,
-        extras={"max_roundtrip_error": max_roundtrip, "max_equivariance_error": max_equivariance,
+        extras={"max_roundtrip_error": max_roundtrip,
+                "max_equivariance_error": max_equivariance,
                 "trials": trials},
     )
     return _finish(cfg, rows, payload, tol.comparison,
@@ -391,7 +393,8 @@ def cmd_flow(cfg: dict, tol: Tolerances) -> int:
 def _closed_oracle(res, tol: Tolerances) -> np.ndarray:
     """The Pancharatnam oracle on the nodes phi_k phi_k* of a run; NotClosed if open."""
     if not res.closed:
-        raise NotClosed(f"projector path does not close: residual {res.closure_residual:.3e}")
+        raise NotClosed(f"projector path does not close: "
+                        f"residual {res.closure_residual:.3e}")
     return _frame_oracle(res.frame_path.samples, tol)
 
 

@@ -163,11 +163,10 @@ def chart_frames(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
 
 
 def chart_projectors(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
-    """Projector matrices onto the graphs of a stack of chart blocks.
+    """Projector matrices onto the graphs of chart blocks: (N, n-m, m) blocks give (N, n, n).
 
-    ``blocks`` has shape (N, n-m, m), or is one (n-m, m) block; the result has
-    shape (N, n, n), or (n, n).  The
-    graph of f is spanned by its ``chart_frames`` Y, and its projector is
+    The blocks sit at one base point, or at a stack of N; one (n-m, m) block gives one (n, n)
+    matrix.  The graph of f is spanned by its ``chart_frames`` Y, and its projector is
     Y (Y* Y)^-1 Y*, from one stacked m x m solve, Hermitized.
     Y* Y = 1 + f* f is always invertible, so this never fails.
     """

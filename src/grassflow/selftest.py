@@ -14,8 +14,9 @@ import numpy as np
 
 from . import bundle, dynamics, grassmann
 from .grassmann import BasePoint, ChartTangent, Projector, _random_base
-from .linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize, mat_exp, nearest_projector,
-                     random_antihermitian, random_complex, random_frame, random_unitary)
+from .linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
+                     mat_exp, nearest_projector, random_antihermitian,
+                     random_complex, random_frame, random_unitary)
 
 
 @dataclass(frozen=True)
@@ -268,7 +269,8 @@ def checks_dynamics(tol: Tolerances):
     grid = dynamics.TimeGrid(0.0, 1.0, 800)
 
     def smooth_schedule():
-        a, b = (random_antihermitian(n, rng) for _ in range(2))
+        a = random_antihermitian(n, rng)
+        b = random_antihermitian(n, rng)
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
         return dynamics.HamiltonianSchedule(
             lambda t: np.multiply.outer(np.cos(t), a) + np.multiply.outer(np.sin(t), b))

@@ -19,7 +19,7 @@ from grassflow.dynamics import (TimeGrid, _orbit_schedule, berry_maps, bloch_pro
                                 constant_schedule, loop_holonomy, pancharatnam_oracle,
                                 rotating_schedule, sampled_schedule, synthesize_holonomy_step)
 from grassflow.grassmann import BasePoint, Projector
-from grassflow.linalg import Tolerances, dag, frob, random_antihermitian, random_frame
+from grassflow.linalg import Tolerances, dag, random_antihermitian, random_frame
 
 from cointegrated import cointegrated_transport
 
@@ -78,13 +78,6 @@ class TestChart:
                        steps=steps, out=tmp_path / "run") == 0
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
-
-    def test_frobs_is_frob_of_each_matrix_bitwise(self):
-        rng = np.random.default_rng(5)
-        for shape in [(1, 1), (2, 2), (3, 2), (1, 4), (16, 16)]:
-            stack = rng.standard_normal((40,) + shape) + 1j * rng.standard_normal((40,) + shape)
-            stack *= 10.0 ** rng.uniform(-14, 2, (40, 1, 1))
-            np.testing.assert_array_equal(cli._frobs(stack), [frob(a) for a in stack])
 
     def test_bad_version(self, tmp_path):
         assert run(tmp_path, "chart", config={"version": 2}) == 1

@@ -36,8 +36,6 @@ _TWO_BASES = BasePoint.from_projector(Projector(matrix=np.array([_P, _P]), rank=
     (lambda: TimeGrid(0.0, np.inf, 10), "finite nonzero step"),
     (lambda: TimeGrid(np.nan, 1.0, 10), "finite nonzero step"),
     (lambda: ChartTangent(base=_TWO_BASES, block=np.zeros((3, 2, 1))), "block shape"),
-    (lambda: ChartTangent(base=BasePoint.standard(3, 1), block=np.zeros((2, 2, 1))),
-     "block shape"),
     (lambda: chart_from_proj(_TWO_BASES, Projector(matrix=np.array([_P] * 3), rank=1)),
      "projector has shape"),
     (lambda: chart_transport(np.array([np.eye(3)] * 3),
@@ -47,7 +45,7 @@ _TWO_BASES = BasePoint.from_projector(Projector(matrix=np.array([_P, _P]), rank=
         "tracking_lengths", "covariant_nodes", "covariant_mode", "chart_tangent",
         "projector_from_matrix", "random_antihermitian", "grid_fractional_steps",
         "grid_bool_steps", "grid_string_steps", "grid_overflowing_span", "grid_infinite_end",
-        "grid_nan_start", "chart_tangent_stack_lengths", "chart_tangent_stack_at_one_base",
+        "grid_nan_start", "chart_tangent_stack_lengths",
         "chart_from_proj_stack_lengths", "chart_transport_stack_lengths"])
 def test_bad_arguments_raise_invalid_argument(call, match):
     # InvalidArgument is a ValueError too: callers catching ValueError still do

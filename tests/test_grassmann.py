@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from grassflow import (InvalidArgument, NonFinite, NotAntiHermitian, NotTangent, NotUnitary,
                        OutsideChart, RankDeficient, SectionNotInFiber)
 from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent,
-                                 Projector, chart_ambient, chart_from_proj, chart_projectors,
+                                 Projector, _random_base, chart_ambient, chart_from_proj, chart_projectors,
                                  chart_transport,
                                  covariant_derivative_along,
                                  grassmann_connection_F, grassmann_curvature_F,
@@ -21,9 +21,7 @@ STD21 = BasePoint.standard(2, 1)
 
 
 def random_base(n, m, rng):
-    u = random_unitary(n, rng)
-    p = u @ Projector.standard(n, m).matrix @ dag(u)
-    return BasePoint.from_projector(Projector(matrix=(p + dag(p)) / 2, rank=m))
+    return _random_base(random_unitary(n, rng), m)
 
 
 def random_block(base, rng, scale=1.0):
@@ -103,12 +101,6 @@ def test_chart_roundtrip_of_stacked_projectors(seed, n, m_frac, count):
         assert frob(back.block - blk) <= 1e-10  # the criterion 01 bound
 
 
-def _conjugated_projectors(u, m):
-    """u P u*, Hermitized, for the standard rank-m P and each unitary of a stack u."""
-    p = u @ Projector.standard(u.shape[-1], m).matrix @ dag(u)
-    return Projector(matrix=(p + dag(p)) / 2, rank=m)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
        m_frac=st.floats(0.0, 1.0), count=st.integers(1, 6))
@@ -120,13 +112,13 @@ def test_stacked_chart_maps_are_the_single_matrix_maps_bitwise(seed, n, m_frac, 
     np.testing.assert_array_equal(unitaries, [isometrize(a) for a in raw])
     u, g = unitaries[:count], unitaries[count:]
 
-    base = BasePoint.from_projector(_conjugated_projectors(u, m))
+    base = _random_base(u, m)
     f = ChartTangent(base=base, block=random_blocks(base, count, rng))
     q = proj_from_chart(base, f)
     back = chart_from_proj(base, q)
     moved = chart_transport(g, f)
     for k in range(count):
-        b = BasePoint.from_projector(_conjugated_projectors(u[k], m))
+        b = _random_base(u[k], m)
         fk = ChartTangent(base=b, block=f.block[k])
         qk = proj_from_chart(b, fk)
         moved_k = chart_transport(g[k], fk)
