@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import sys
 import time
 
@@ -126,6 +127,13 @@ def load_config(args) -> dict:
     if not isinstance(kind, str) or kind not in _SCHEDULE_KEYS:
         raise UsageError(f"unknown schedule kind {kind!r}")
     _require_keys(cfg["schedule"], _SCHEDULE_KEYS[kind], "schedule")
+    for key in ("theta", "omega", "norm"):  # the matrices are checked where they are read
+        if key in cfg["schedule"]:
+            _number(cfg["schedule"][key], f"schedule.{key}")
+    syn = cfg.get("synthesize", {})
+    _require_keys(syn, {"scale", "w"}, "synthesize")
+    if not 0.0 <= _number(syn.get("scale", 0.1), "synthesize.scale") <= 0.5:
+        raise UsageError("synthesize.scale must lie in [0, 0.5]")
     if not (cfg["output"] is None or isinstance(cfg["output"], str)):
         raise UsageError("output must be a string prefix or null")
     if args.seed is not None:
@@ -134,6 +142,9 @@ def load_config(args) -> dict:
         cfg["grid"]["steps"] = args.steps
     if args.out is not None:
         cfg["output"] = args.out
+    folder = os.path.dirname(cfg["output"] or "")
+    if folder and not os.path.isdir(folder):
+        raise UsageError(f"output directory {folder!r} does not exist")
 
     n, m = _number(cfg["n"], "n", integer=True), _number(cfg["m"], "m", integer=True)
     if not 1 <= m < n <= 256:
@@ -173,8 +184,8 @@ def build_setup(cfg: dict, tol: Tolerances):
     if kind == "rotating":
         if (n, m) != (2, 1):
             raise UsageError("rotating schedule requires n=2, m=1")
-        theta = _number(sched_cfg.get("theta", np.pi / 2), "schedule.theta")
-        omega = _number(sched_cfg.get("omega", 2 * np.pi), "schedule.omega")
+        theta = float(sched_cfg.get("theta", np.pi / 2))  # numbers, by load_config
+        omega = float(sched_cfg.get("omega", 2 * np.pi))
         schedule = rotating_schedule(omega)
         p0 = bloch_projector(theta)
     elif kind == "constant":
@@ -183,7 +194,7 @@ def build_setup(cfg: dict, tol: Tolerances):
             h_mat = _deser_matrix(sched_cfg["matrix"])
         else:
             h_mat = random_antihermitian(n, rng)
-            norm = _number(sched_cfg.get("norm", 2.0), "schedule.norm")
+            norm = float(sched_cfg.get("norm", 2.0))
             h_mat *= norm / max(np.linalg.norm(h_mat), 1e-300)
         schedule = constant_schedule(
             _require_generator(h_mat, n, tol, "constant schedule matrix"))
@@ -231,8 +242,8 @@ def _geometric_setup(sched_cfg, n, m, grid, cfg):
     if "omega" in sched_cfg and "theta" not in sched_cfg:
         raise UsageError("schedule.omega requires schedule.theta")
     if "theta" in sched_cfg:
-        theta = _number(sched_cfg["theta"], "schedule.theta")
-        omega = _number(sched_cfg.get("omega", 2 * np.pi / span), "schedule.omega")
+        theta = float(sched_cfg["theta"])
+        omega = float(sched_cfg.get("omega", 2 * np.pi / span))
         p0, turn = bloch_projector(theta), np.diag([0.0, 1j])
 
         def exponent(t):  # X = omega (t - t0) diag(0, i): the azimuth omega (t - t0)
@@ -267,13 +278,20 @@ def write_report(cfg: dict, csv_rows, json_payload: dict):
         raise NonFinite(f"report: {exc}") from None
     prefix = cfg.get("output")
     if prefix:
-        with open(prefix + ".csv", "w") as fh:
-            fh.write(csv_text)
-        with open(prefix + ".json", "w") as fh:
-            fh.write(json_text)
+        _write(prefix + ".csv", csv_text)
+        _write(prefix + ".json", json_text)
         print(f"wrote {prefix}.csv ({len(csv_rows)} rows) and {prefix}.json")
     else:
         sys.stdout.write(json_text)
+
+
+def _write(path: str, text: str):
+    """Write one report file; UsageError (exit 1) if it cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write report: {exc}") from None
 
 
 def _final_json(cfg, *, dynamical=None, geometric=None, fiber_gap=None,
@@ -392,10 +410,9 @@ def cmd_flow(cfg: dict, tol: Tolerances) -> int:
 
 def _closed_oracle(res, tol: Tolerances) -> np.ndarray:
     """The Pancharatnam oracle on the nodes phi_k phi_k* of a run; NotClosed if open."""
-    if not res.closed:
-        raise NotClosed(f"projector path does not close: "
-                        f"residual {res.closure_residual:.3e}")
-    return _frame_oracle(res.frame_path.samples, tol)
+    frames = res.frame_path.samples
+    _require_closed(res.closure_residual, frames.shape[-1], tol)  # the rank m of the run
+    return _frame_oracle(frames, tol)
 
 
 def _berry_extras(cfg: dict, res, tol: Tolerances) -> dict:
@@ -408,7 +425,7 @@ def _berry_extras(cfg: dict, res, tol: Tolerances) -> dict:
 
     if cfg["schedule"].get("kind") == "rotating" and m == 1:
         phase = _phase_arg(res.geometric, m)
-        theta = _number(cfg["schedule"].get("theta", np.pi / 2), "schedule.theta")
+        theta = float(cfg["schedule"].get("theta", np.pi / 2))
         reference = float(np.pi * (1.0 - np.cos(theta)))
         # compare phases on the circle: the holonomy angle is defined mod 2 pi
         deviation = min(
@@ -441,8 +458,7 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
     start = time.perf_counter()
     n, m = cfg["n"], cfg["m"]
     syn = cfg.get("synthesize", {})
-    _require_keys(syn, {"scale", "w"}, "synthesize")
-    scale = _number(syn.get("scale", 0.1), "synthesize.scale")  # the loop checks its range
+    scale = float(syn.get("scale", 0.1))  # a number in [0, 0.5], by load_config
     if "w" in syn:
         w = _require_generator(_deser_matrix(syn["w"]), m, tol, "synthesize.w")
     else:
@@ -493,8 +509,7 @@ def cmd_selftest(cfg: dict, tol: Tolerances) -> int:
     sys.stdout.write(report)
     prefix = cfg.get("output")
     if prefix:
-        with open(prefix + ".txt", "w") as fh:
-            fh.write(report)
+        _write(prefix + ".txt", report)
     return 0 if all(r.passed for r in results) else 2
 
 

@@ -651,9 +651,9 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
     per-step loop, O(n^2 m) a step, forms no n x n stack: four stage products a step, or for
     a ``constant_schedule`` one, phi + (R - I) phi, R = I + hH + ... + (hH)^4 / 24 formed once.
     Either way phi is isometrized where its frame defect is not within ``tol.ode``.
-    Yields each table's steps (a slice), its stage generators, the (1, n, n) node ending
-    them and their stage slopes (4, B, n, m), which the scan and a constant schedule take
-    after the steps, by one stacked ``_rk4_step``, only if ``stacked_slopes``.
+    Yields each table's steps (a slice), the (1, n, n) node ending them and their stage
+    slopes (4, B, n, m), which the scan and a constant schedule take after the steps, by
+    one stacked ``_rk4_step``, only if ``stacked_slopes``.
     """
     n, m = phis.shape[1:]
     h, start, increment = grid.h, 0, None
@@ -679,7 +679,7 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
                     phis[start + k + 1] = phi if kept else isometrize(phi, tol)
                 if constant and stacked_slopes:  # one product a stage for the whole block
                     _rk4_step(_fixed_matmul, phis[block], h, end[0], end[0], end[0], slopes)
-        yield block, hs, end, slopes
+        yield block, end, slopes
         start = block.stop
 
 
@@ -714,9 +714,10 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     (|| phi(T) phi(T)* - sigma sigma* || within ``closure_tolerance``) the
     first two are the U(m) holonomies of the loop; the fiber gap is always a
     gauge element and measures the accumulated vertical drift.  The node
-    energies -i tr(phi_k* H(t_k) phi_k) come from the first RK4 stage and
-    each is checked to be real to its roundoff, which scales with || H(t_k) ||
-    (``hamiltonian_value``).  The per-node audits (projector defect of
+    energies -i tr(phi_k* H(t_k) phi_k) are ``hamiltonian_value`` of the node generators
+    the gauge maps already form (the first RK4 stage): each table of H was checked
+    anti-Hermitian by ``require_antihermitian`` before a step used it, and ``structural``
+    enters no further test of the energies.  The per-node audits (projector defect of
     phi phi*, the worse isometry defect of phi and psi, horizontality defect
     of psi) are computed here, once.
     """
@@ -727,19 +728,14 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     h, steps = grid.h, grid.steps
     phis = np.empty((steps + 1, n, m), dtype=complex)
     gens = np.empty((steps + 1, m, m), dtype=complex)  # phi_k* H(t_k) phi_k
-    norms = np.empty(steps + 1)  # || H(t_k) ||, the scale of the roundoff in gens
     maps = np.empty((steps, m, m), dtype=complex)
     phis[0] = sigma
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
-        for block, hs, end, slopes in _frame_blocks(schedule, phis, grid, tol, stacked_slopes=True):
-            # a constant table by its one matrix (vdot: a third of the time of frob)
-            norms[block] = (np.sqrt(np.vdot(hs[0], hs[0]).real) if hs.strides[0] == 0
-                            else np.linalg.norm(hs[0::2], axis=(1, 2)))
+        for block, end, slopes in _frame_blocks(schedule, phis, grid, tol, stacked_slopes=True):
             gens[block], maps[block] = _gauge_step_maps(phis[block], slopes, h)
             del slopes  # not held through the next block or the audits
     # the last node as the others: its stage-1 slope, then the Gram product
     gens[steps] = _small_matmul(dag(phis[-1]), _small_matmul(end[0], phis[-1]))
-    norms[steps] = frob(end[0])
 
     fpath = FramePath(grid=grid, samples=phis)
     hpath = FramePath(grid=grid, samples=_small_matmul(phis, _gauge_chain(maps, tol)))
@@ -754,7 +750,7 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
         projector_defects=fpath.projector_defects(),
         isometry_defects=np.maximum(fpath.frame_defects(), hpath.frame_defects()),
         horizontality_defects=horizontality_defects(hpath),
-        energies=hamiltonian_value(gens, tol, norms),
+        energies=hamiltonian_value(gens),
         frame_path=fpath,
         horizontal_path=hpath,
     )

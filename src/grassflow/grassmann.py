@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidArgument, NotAntiHermitian, NotTangent, NotUnitary, OutsideChart,
-                     SectionNotInFiber)
+from .errors import InvalidArgument, NotTangent, NotUnitary, OutsideChart, SectionNotInFiber
 from .linalg import (DEFAULT_TOLS, Tolerances, _fixed_matmul, _require_rank, _require_square,
                      commutator, dag, frob, isometrize, require_antihermitian, require_finite)
 
@@ -250,24 +249,25 @@ def lie_field_chart(u: np.ndarray, base: BasePoint,
 
 def linear_hamiltonian(u: np.ndarray, p: Projector,
                        tol: Tolerances = DEFAULT_TOLS) -> float:
-    """The linear Hamiltonian -i tr(u P) attached to a generator u."""
+    """The linear Hamiltonian -i tr(u P) attached to a generator u.
+
+    u is checked by ``require_antihermitian``, the one anti-Hermitian rule: ``structural``
+    enters no test of u, and the value is ``hamiltonian_value`` of u P.
+    """
     u = require_antihermitian(u, tol, "generator")
-    return hamiltonian_value(u @ p.matrix, tol)
+    return hamiltonian_value(u @ p.matrix)
 
 
-def hamiltonian_value(product: np.ndarray, tol: Tolerances = DEFAULT_TOLS, scale=0.0):
-    """-i tr(product) for product = u P, or phi* u phi over a frame of P.
+def hamiltonian_value(product: np.ndarray):
+    """Re(-i tr(product)) for product = u P, or phi* u phi over a frame of P.
 
-    Both traces equal the linear Hamiltonian of u at P; a non-real value
-    means u is not anti-Hermitian: |Im| above structural * (1 + |Re| + scale).
-    ``scale``, a float or one per matrix, is the norm of u where the caller holds
-    it: the trace carries roundoff of about eps || u ||, however small its value.
+    Both traces equal the linear Hamiltonian of u at P, which is real for an
+    anti-Hermitian u; the imaginary part is roundoff, dropped with no test and no
+    tolerance (u is checked where it enters, by ``require_antihermitian``).
     A stack (..., k, k) gives an array.
     """
-    value = -1j * np.trace(product, axis1=-2, axis2=-1)
-    if np.any(np.abs(value.imag) > tol.structural * (1.0 + np.abs(value.real) + scale)):
-        raise NotAntiHermitian("trace -i tr(uP) is not real; u is not anti-Hermitian")
-    return value.real if value.ndim else float(value.real)
+    value = (-1j * np.trace(product, axis1=-2, axis2=-1)).real
+    return value if value.ndim else float(value)
 
 
 def symplectic_form(p: Projector, phi: EmbeddedTangent, psi: EmbeddedTangent,

@@ -23,9 +23,11 @@ from .errors import GapTooSmall, InvalidArgument, NonFinite, NotAntiHermitian, R
 class Tolerances:
     """Numerical thresholds used across the package.
 
-    structural: invariant checks (idempotency, isometry defect).
+    structural: invariant checks (idempotency, isometry defect, rank); it enters
+    no anti-Hermitian test.
     ode: post-step retraction trigger during integration.
-    comparison: equality threshold for comparing computed values.
+    comparison: equality threshold for comparing computed values, and the bound of
+    the one anti-Hermitian rule, ``require_antihermitian``.
     """
 
     structural: float = 1e-10

@@ -222,6 +222,23 @@ class TestFlow:
         assert "non-finite" in result.stderr
         assert not (tmp_path / "run.csv").exists()
 
+    def test_generator_accepted_at_entry_is_integrated(self, tmp_path):
+        # A + 4e-9 S passes the config's anti-Hermitian check; the energy column is
+        # Re(-i tr(phi_k* H phi_k)), held to no second realness rule after the run
+        a = random_antihermitian(3, np.random.default_rng(92))
+        h_mat = 2.0 * a / np.linalg.norm(a) + 4e-9 * np.diag([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        cfg = {"version": 1, "n": 3, "m": 1, "grid": {"steps": 50},
+               "schedule": {"kind": "constant", "matrix": cli._ser_matrix(h_mat)}}
+        out = tmp_path / "run"
+        assert run(tmp_path, "flow", config=cfg, out=out) == 0
+        energies = [float(line.split(",")[-1]) for line in load(out)[1][1:]]
+        loaded = load_config(build_parser().parse_args(
+            ["flow", "--config", str(tmp_path / "config.json")]))
+        schedule, p0, sigma, grid = build_setup(loaded, build_tolerances(loaded))
+        phis = berry_maps(schedule, p0, sigma, grid).frame_path.samples
+        want = (-1j * np.trace(dag(phis) @ h_mat @ phis, axis1=1, axis2=2)).real
+        np.testing.assert_allclose(energies, want, rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("command, cfg", [
         ("flow", {"version": 1, "n": 3, "m": 1, "seed": 9,
                   "schedule": {"kind": "constant", "norm": 1.5}}),
@@ -502,7 +519,7 @@ class TestSelftest:
         assert "all" in first and "passed" in first
 
     def test_tolerance_override_forces_failures(self, tmp_path, capsys):
-        cfg = {"version": 1, "tolerances": {"structural": 1e-30}}
+        cfg = {"version": 1, "tolerances": {"structural": 1e-30, "comparison": 1e-30}}
         assert run(tmp_path, "selftest", config=cfg) == 2
         assert "FAIL" in capsys.readouterr().out
 
@@ -594,6 +611,39 @@ class TestUsage:
         out = tmp_path / "run"
         assert run(tmp_path, "synthesize", config=cfg, steps=64, out=out) == 1
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("config", [
+        {"synthesize": {"bogus": 1}},
+        {"synthesize": {"scale": 0.9}},
+        {"schedule": {"kind": "rotating", "theta": "x"}},
+        {"schedule": {"kind": "constant", "norm": "big"}},
+    ], ids=["synthesize_unknown_key", "scale_above_half", "theta_text", "norm_text"])
+    def test_every_subcommand_rejects_the_same_config(self, tmp_path, capsys, command, config):
+        out = tmp_path / "run"
+        assert run(tmp_path, command, config=config, steps=20, out=out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.glob("run.*"))
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_out_into_a_missing_directory_exits_1_before_the_run(self, tmp_path, capsys,
+                                                                 monkeypatch, command):
+        def never(*args):
+            pytest.fail("the run started")
+        monkeypatch.setattr(cli, "berry_maps", never)
+        monkeypatch.setitem(cli._COMMANDS, command, never)
+        assert main([command, "--steps", "20", "--out", str(tmp_path / "missing" / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, suffix", [("chart", ".csv"), ("selftest", ".txt")])
+    def test_unwritable_report_exits_1_with_one_error_line(self, tmp_path, capsys,
+                                                          command, suffix):
+        (tmp_path / ("run" + suffix)).mkdir()  # the report file cannot be opened
+        assert main([command, "--steps", "9", "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report") and err.count("\n") == 1
 
     def test_report_is_rejected_as_config(self, tmp_path):
         assert run(tmp_path, "chart", steps=9, out=tmp_path / "first") == 0

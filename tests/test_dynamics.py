@@ -1127,6 +1127,16 @@ class TestGeometricHamiltonian:
         res = berry_maps(sched, p0, sigma, path.grid)
         assert frob(res.fiber_gap - np.eye(2)) <= 1e-8
 
+    def test_structural_enters_no_test_of_the_energies(self):
+        # the exactly anti-Hermitian geometric generator passed its table check; the
+        # energies, zero up to roundoff, meet no second rule, however small structural is
+        p0 = Projector.standard(4, 2)
+        schedule = dynamics._orbit_schedule(*_ORBITS[_random_loop_qfun])
+        res = berry_maps(schedule, p0, BasePoint.standard(4, 2).frame, TimeGrid(0.0, 1.0, 800),
+                         dynamics.Tolerances(structural=1e-30))
+        assert frob(res.fiber_gap - np.eye(2)) <= 1e-8
+        assert np.abs(res.energies).max() <= 1e-7  # zero along the exact loop
+
     def test_rough_path_rejected(self):
         grid = TimeGrid(0.0, 1.0, 2)
         samples = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),

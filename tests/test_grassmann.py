@@ -300,20 +300,17 @@ class TestLinearHamiltonian:
         values = hamiltonian_value(stack)
         assert values.shape == (7,)
         np.testing.assert_array_equal(values, [hamiltonian_value(a) for a in stack])
-        stack[4] += 1e-6 * np.eye(3)  # one non-real trace among real ones
-        with pytest.raises(NotAntiHermitian):
-            hamiltonian_value(stack)
 
-    def test_scale_is_the_norm_of_the_generator(self):
-        # a zero energy of a generator of norm 1e6 with roundoff 1e-9 in its trace
-        product = np.diag([1e-9 + 1e6j, -1e6j])
-        with pytest.raises(NotAntiHermitian):
-            hamiltonian_value(product)
-        assert hamiltonian_value(product, scale=1e6) == pytest.approx(0.0, abs=1e-6)
-        with pytest.raises(NotAntiHermitian):  # the rule scales with the norm, no further
-            hamiltonian_value(np.diag([1e-3 + 1e6j, -1e6j]), scale=1e6)
-        with pytest.raises(NotAntiHermitian):  # and holds each matrix to its own norm
-            hamiltonian_value(np.array([product, product]), scale=np.array([1e6, 1.0]))
+    def test_generator_accepted_at_entry_has_its_value(self):
+        # A + 4e-9 S passes require_antihermitian; its energy is the real part of -i tr(uP),
+        # with no second realness test after the entry check
+        rng = np.random.default_rng(91)
+        a = random_antihermitian(3, rng)
+        a *= 2.0 / np.linalg.norm(a)
+        s = np.diag([1.0, -1.0, 0.0]) / np.sqrt(2.0)  # Hermitian, of unit norm
+        u, p = a + 4e-9 * s, Projector.standard(3, 1)
+        assert linear_hamiltonian(u, p) == (-1j * np.trace(u @ p.matrix)).real
+        assert abs((-1j * np.trace(u @ p.matrix)).imag) > 1e-9  # not real beyond roundoff
 
 
 class TestSymplecticForm:
