@@ -34,6 +34,8 @@ def require_frame(phi: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray
 def require_frame_tangent(phi: np.ndarray, xi: np.ndarray,
                           tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     xi = require_finite(xi, "frame tangent")
+    if xi.shape != np.shape(phi):
+        raise InvalidArgument(f"frame tangent has shape {xi.shape}, want {np.shape(phi)}")
     if frob(dag(xi) @ phi + dag(phi) @ xi) > tol.comparison * (1.0 + frob(xi)):
         raise NotTangent("xi* phi + phi* xi != 0")
     return xi
@@ -96,6 +98,8 @@ def curvature_Omega(phi: np.ndarray, u: np.ndarray, v: np.ndarray,
     phi = require_frame(phi, tol)
     for xi in (u, v):
         xi = require_finite(xi, "horizontal tangent")
+        if xi.shape != phi.shape:
+            raise InvalidArgument(f"horizontal tangent has shape {xi.shape}, want {phi.shape}")
         if frob(dag(phi) @ xi) > tol.comparison * (1.0 + frob(xi)):
             raise NotHorizontal("tangent has a vertical component")
     return (dag(u) @ v - dag(v) @ u) / 2.0

@@ -416,7 +416,7 @@ def _closed_oracle(res, tol: Tolerances) -> np.ndarray:
 
 
 def _berry_extras(cfg: dict, res, tol: Tolerances) -> dict:
-    """Closed-loop checks of a berry run: fiber gap, oracle, analytic phase."""
+    """Closed-loop checks of a berry run: fiber gap, oracle, analytic phase k pi (1 - cos theta)."""
     m = cfg["m"]
     oracle = _closed_oracle(res, tol)
     extras = {"fiber_gap_deviation": frob(res.fiber_gap - np.eye(m)),
@@ -426,7 +426,10 @@ def _berry_extras(cfg: dict, res, tol: Tolerances) -> dict:
     if cfg["schedule"].get("kind") == "rotating" and m == 1:
         phase = _phase_arg(res.geometric, m)
         theta = float(cfg["schedule"].get("theta", np.pi / 2))
-        reference = float(np.pi * (1.0 - np.cos(theta)))
+        # the loop is closed, so it winds k = omega (t1 - t0) / 2 pi times, to roundoff
+        span = cfg["grid"]["t1"] - cfg["grid"]["t0"]
+        turns = round(float(cfg["schedule"].get("omega", 2 * np.pi)) * span / (2 * np.pi))
+        reference = float(turns * np.pi * (1.0 - np.cos(theta)))
         # compare phases on the circle: the holonomy angle is defined mod 2 pi
         deviation = min(
             abs(np.angle(np.exp(1j * (phase - reference)))),

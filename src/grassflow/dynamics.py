@@ -16,23 +16,24 @@ frame (its ``horizontal_path``), along a sampled path by ``_section_transport`` 
 the fiber overlaps of a section: ``horizontal_transport`` takes the ``_local_section``
 of the projector samples, the CLI's ``synthesize`` the ``_graph_section`` of its chart
 loop, which forms no n x n matrix.  Both chain by ``_gauge_chain``.
-Every RK4 route reads its 2 * steps + 1 stage generators once each from checked schedule
-tables (``_stage_generators``).  A geometric table of any curve Q(t) takes Q' by central
-differences (``geometric_schedule``); for a unitary orbit Q = e^X P e^-X, as both CLI
-loops are, ``_orbit_schedule`` takes it exactly from one stacked ``eigh`` of iX.  The
-frame equation has one integrator, ``_frame_blocks``, which ``integrate_frame`` and
-``berry_maps`` share; the projector flow, a reference route, steps by ``_rk4_nodes``.
-Above n = 16 a ``constant_schedule`` steps by its one RK4 map, in blocks sized by their slopes.
-Stacks of 1 x 1 and 2 x 2 matrices make no per-matrix BLAS or LAPACK call: their
-products (the step maps, stage slopes and Gram products at n = 2, the gauge maps at
-m <= 2) are broadcast sums (``_small_matmul``), and the determinants and singular values
-of the overlaps and chains of ``_frame_oracle`` and ``_section_transport`` closed forms
-(``_small_det``, ``_small_svals``).  Each fiber projection keeps rank m by one rule,
+Every RK4 route reads its 2 * steps + 1 stage generators once each, a checked table at a time
+with the node ending its steps (``_stage_generators``).  A geometric table of any curve Q(t)
+takes Q' by central differences (``geometric_schedule``); for a unitary orbit Q = e^X P e^-X,
+as both CLI loops are, ``_orbit_schedule`` takes it exactly from one stacked ``eigh`` of iX.
+The frame equation has one integrator, ``_frame_blocks``, which ``integrate_frame`` and
+``berry_maps`` share; the projector flow, a reference route, steps by ``_rk4_nodes``.  Above
+n = 16 a ``constant_schedule`` steps by its one RK4 map, in blocks sized by their slopes.
+Stacked products by ``_matmul`` make no per-matrix BLAS call for 1 x 1 and 2 x 2 factors (the
+step maps and Gram products at n = 2, the gauge maps at m <= 2) or for a stack times one
+matrix (a scan's frames, a section's projections).  The determinants and singular values of
+the overlaps and chains of ``_frame_oracle`` and ``_section_transport`` are closed forms at
+m <= 2 (``_small_det``, ``_small_svals``).  Each fiber projection keeps rank m by one rule,
 ``_require_rank`` on the squared singular values of its overlap or projected frame.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Callable, Optional
@@ -43,10 +44,10 @@ from .errors import DegenerateStep, InvalidArgument, NotAntiHermitian, NotClosed
 from .bundle import curvature_generators, frame_defect, require_over
 from .grassmann import (BasePoint, Projector, chart_frames, chart_projectors,
                         hamiltonian_value, projector_defect, sampled_derivative)
-from .linalg import (DEFAULT_TOLS, Tolerances, _antihermitian_eigh, _fixed_matmul, _require_rank,
-                     _require_tall, _small_det, _small_matmul, _small_svals, commutator, dag, frob,
-                     isometrize, nearest_projector, polar_retract, prefix_products,
-                     require_antihermitian, require_finite)
+from .linalg import (DEFAULT_TOLS, Tolerances, _antihermitian_eigh, _matmul, _require_rank,
+                     _require_tall, _small_det, _small_svals, commutator, dag, frob, isometrize,
+                     nearest_projector, polar_retract, prefix_products, require_antihermitian,
+                     require_finite)
 
 # Proportionality constant between the log-holonomy of a unit parallelogram
 # loop and the curvature generator it realizes:
@@ -252,7 +253,7 @@ def _orbit_schedule(p: np.ndarray, exponent: Callable[[np.ndarray], tuple]) -> H
         del dx
         a *= np.sinc((lam[..., :, np.newaxis] - lam[..., np.newaxis, :]) / (2.0 * np.pi))
         _scale_rows_cols(a, turn)
-        p_v = _fixed_matmul(vh, p) @ v
+        p_v = _matmul(vh, p) @ v
         a = p_v @ a
         a -= a @ p_v
         del p_v
@@ -310,7 +311,7 @@ class FramePath:
         """
         grams = dag(self.samples) @ self.samples
         m = grams.shape[-1]
-        idem = np.linalg.norm(_small_matmul(grams - np.eye(m), grams), axis=(1, 2))
+        idem = np.linalg.norm(_matmul(grams - np.eye(m), grams), axis=(1, 2))
         trace = np.trace(grams, axis1=1, axis2=2) - m
         return np.maximum(idem, np.abs(trace))
 
@@ -351,16 +352,16 @@ def _rk4_step(f, y, h, h_start, h_mid, h_end, slopes=None):
 def _rk4_nodes(schedule, rhs, y, grid: TimeGrid, retract, tol: Tolerances):
     """y at each grid node of y' = rhs(H(t), y) by RK4, ``retract`` applied after every step.
 
-    The first generator table is checked before the start node is yielded.
+    Steps over the tables of ``_stage_generators``; the first is checked before the start
+    node is yielded.
     """
-    stages = (h for table in _stage_generators(schedule, grid, y.shape[0], tol) for h in table)
-    h_node = next(stages)
+    tables = _stage_generators(schedule, grid, y.shape[0], tol)
+    first = next(tables)
     yield y
-    for _ in range(grid.steps):
-        h_mid, h_next = next(stages), next(stages)
-        y = retract(_rk4_step(rhs, y, grid.h, h_node, h_mid, h_next))
-        h_node = h_next
-        yield y
+    for hs, end in itertools.chain([first], tables):
+        for stage in zip(hs[0::2], hs[1::2], [*hs[2::2], end[0]]):
+            y = retract(_rk4_step(rhs, y, grid.h, *stage))
+            yield y
 
 
 def _retract_projector(p, rank: int, tol: Tolerances):
@@ -477,33 +478,26 @@ _SCAN_MAX_N = 16
 
 def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int,
                       tol: Tolerances, m: Optional[int] = None):
-    """Tables of H at the 2 * steps + 1 RK4 stage times t0 + (h/2) j, in order.
+    """Each table of H at the RK4 stage times t0 + (h/2) j, with the (1, n, n) node ending it.
 
-    Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2.  Every table
-    but the last holds an even number of stages, at most _TABLE_BYTES but two at least,
-    so its steps end at the next table's first node; given the frame width ``m`` above
-    _SCAN_MAX_N, a ``constant_schedule`` table holds those of the B steps whose (4, B, n, m)
-    stage slopes take _TABLE_BYTES.  Each table is checked to be an (N, n, n) stack, finite
-    and anti-Hermitian before it is yielded, a zero-stride table by its one matrix unless
-    that is the last checked.
+    Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2, and the 2 * steps + 1
+    stage times are read once each, a table at a time.  A table yielded holds the 2B stage
+    generators of B steps, at most _TABLE_BYTES but one step at least; given the frame
+    width ``m`` above _SCAN_MAX_N, a ``constant_schedule`` table holds those of the B steps
+    whose (4, B, n, m) stage slopes take _TABLE_BYTES.  Each table is read, and checked to be
+    an (N, n, n) stack, finite and anti-Hermitian, before the steps of the one before are
+    yielded: a ``constant_schedule`` by its one matrix once, any other table in full.
     """
     times = grid.t0 + (grid.h / 2.0) * np.arange(2 * grid.steps + 1)
-    by_slopes = m and n > _SCAN_MAX_N and isinstance(schedule.tabulate, _ConstantTable)
+    constant = isinstance(schedule.tabulate, _ConstantTable)
+    by_slopes = m and n > _SCAN_MAX_N and constant
     chunk = 2 * max(1, _TABLE_BYTES // (64 * n * m if by_slopes else 32 * n * n))
-    checked = None  # the first matrix of the last table checked
     for start in range(0, len(times), chunk):
-        hs = schedule.table(times[start:start + chunk], n)
-        constant = hs.strides[0] == 0
-        if not (constant and np.array_equal(hs[0], checked)):
-            checked = require_antihermitian(hs[:1] if constant else hs, tol, "generator")[0].copy()
-        yield hs
-
-
-def _step_tables(tables):
-    """Each stage table's 2B stage generators of B steps, and the (1, n, n) node ending them."""
-    hs = next(tables)
-    for table in tables:
-        yield hs, table[:1]
+        table = schedule.table(times[start:start + chunk], n)
+        if not (constant and start):
+            require_antihermitian(table[:1] if constant else table, tol, "generator")
+        if start:  # the table before ends at this one's first node
+            yield hs, table[:1]
         hs = table
     if len(hs) > 1:
         yield hs[:-1], hs[-1:]
@@ -516,9 +510,9 @@ def _rk4_maps(g1, g2, g3, g4, h: float) -> np.ndarray:
     B_2 = G_2 (I + (h/2) B_1), B_3 = G_3 (I + (h/2) B_2) and B_4 = G_4 (I + h B_3).
     """
     eye = np.eye(g1.shape[-1])
-    b2 = _small_matmul(g2, eye + (h / 2.0) * g1)
-    b3 = _small_matmul(g3, eye + (h / 2.0) * b2)
-    b4 = _small_matmul(g4, eye + h * b3)
+    b2 = _matmul(g2, eye + (h / 2.0) * g1)
+    b3 = _matmul(g3, eye + (h / 2.0) * b2)
+    b4 = _matmul(g4, eye + h * b3)
     return eye + (h / 6.0) * (g1 + 2.0 * b2 + 2.0 * b3 + b4)
 
 
@@ -532,10 +526,10 @@ def _gauge_step_maps(phis: np.ndarray, slopes, h: float):
     g_{k+1} = L_k g_k for their ``_rk4_maps`` L_k (the equation is linear in g).
     """
     a1, a2, a3, a4 = slopes
-    c1 = _small_matmul(dag(phis), a1)
-    c2 = _small_matmul(dag(phis + (h / 2.0) * a1), a2)
-    c3 = _small_matmul(dag(phis + (h / 2.0) * a2), a3)
-    c4 = _small_matmul(dag(phis + h * a3), a4)
+    c1 = _matmul(dag(phis), a1)
+    c2 = _matmul(dag(phis + (h / 2.0) * a1), a2)
+    c3 = _matmul(dag(phis + (h / 2.0) * a2), a3)
+    c4 = _matmul(dag(phis + h * a3), a4)
     return c1, _rk4_maps(-c1, -c2, -c3, -c4, h)
 
 
@@ -572,7 +566,7 @@ def _local_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> n
     block = _transport_block(samples.shape[-1])
     anchor, start, fresh = sigma, 0, True
     while start < len(samples):
-        proj = _fixed_matmul(samples[start:start + block], anchor)
+        proj = _matmul(samples[start:start + block], anchor)
         grams = dag(anchor) @ proj
         kept = np.linalg.norm(grams - np.eye(sigma.shape[1]), axis=(1, 2)) <= _ANCHOR_DRIFT
         if fresh:
@@ -613,12 +607,11 @@ def _section_transport(frames: np.ndarray, tol: Tolerances) -> np.ndarray:
         stop = min(start + block, steps)
         overlaps = require_finite(dag(frames[start + 1:stop + 1]) @ frames[start:stop], "overlap")
         _require_rank(_small_svals(overlaps) ** 2, tol, DegenerateStep)
-        maps[start:stop] = _small_matmul(
-            overlaps, 1.5 * eye - 0.5 * _small_matmul(dag(overlaps), overlaps))
+        maps[start:stop] = _matmul(overlaps, 1.5 * eye - 0.5 * _matmul(dag(overlaps), overlaps))
     gauges = _gauge_chain(maps, tol)
     for start in range(0, steps + 1, block):
-        frames[start:start + block] = _small_matmul(frames[start:start + block],
-                                                    gauges[start:start + block])
+        frames[start:start + block] = _matmul(frames[start:start + block],
+                                              gauges[start:start + block])
     return frames
 
 
@@ -632,7 +625,7 @@ def _scan_frames(maps: np.ndarray, frames: np.ndarray, tol: Tolerances) -> None:
     """
     start, size = 0, len(maps)
     while start < len(maps):
-        run = _small_matmul(prefix_products(maps[start:start + size]), frames[start])
+        run = _matmul(prefix_products(maps[start:start + size]), frames[start])
         kept = frame_defect(run) <= tol.ode
         cut = len(run) if kept.all() else int(kept.argmin())
         frames[start + 1:start + cut + 1] = run[:cut]
@@ -646,19 +639,20 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
                   tol: Tolerances, stacked_slopes: bool = False):
     """Fill phis[1:] with the RK4 frames of phi' = H(t) phi from phis[0], a table at a time.
 
-    An RK4 step of the linear equation is an n x n matrix R_k (``_rk4_maps``).  Up to
-    _SCAN_MAX_N a table's R_k are stacked and chained by ``_scan_frames``; above it a
-    per-step loop, O(n^2 m) a step, forms no n x n stack: four stage products a step, or for
-    a ``constant_schedule`` one, phi + (R - I) phi, R = I + hH + ... + (hH)^4 / 24 formed once.
-    Either way phi is isometrized where its frame defect is not within ``tol.ode``.
-    Yields each table's steps (a slice), the (1, n, n) node ending them and their stage
-    slopes (4, B, n, m), which the scan and a constant schedule take after the steps, by
-    one stacked ``_rk4_step``, only if ``stacked_slopes``.
+    The tables and their end nodes are those of ``_stage_generators``.  An RK4 step of the
+    linear equation is an n x n matrix R_k (``_rk4_maps``).  Up to _SCAN_MAX_N a table's R_k
+    are stacked and chained by ``_scan_frames``; above it a per-step loop, O(n^2 m) a step,
+    forms no n x n stack: four stage products a step, or for a ``constant_schedule`` one,
+    phi + (R - I) phi, R = I + hH + ... + (hH)^4 / 24 formed once.  Either way phi is
+    isometrized where its frame defect is not within ``tol.ode``, and every stage product is
+    a ``_matmul``.  Yields each table's steps (a slice), the (1, n, n) node ending them and
+    their stage slopes (4, B, n, m), which the scan and a constant schedule take after the
+    steps, by one stacked ``_rk4_step``, only if ``stacked_slopes``.
     """
     n, m = phis.shape[1:]
     h, start, increment = grid.h, 0, None
     constant = isinstance(schedule.tabulate, _ConstantTable)
-    for hs, end in _step_tables(_stage_generators(schedule, grid, n, tol, m)):
+    for hs, end in _stage_generators(schedule, grid, n, tol, m):
         block = slice(start, start + len(hs) // 2)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
             if n <= _SCAN_MAX_N:
@@ -667,18 +661,18 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
                 _scan_frames(step_maps, phis[start:block.stop + 1], tol)
                 slopes = [None] * 4
                 if stacked_slopes:
-                    _rk4_step(_small_matmul, phis[block], h, nodes[:-1], mids, nodes[1:], slopes)
+                    _rk4_step(_matmul, phis[block], h, nodes[:-1], mids, nodes[1:], slopes)
             else:
                 if constant and not start:  # R - I, from the matrix the first table checked
                     increment = _rk4_maps(*[end[0]] * 4, h) - np.eye(n)
                 slopes = [None] * 4 if constant else np.empty((4, len(hs) // 2, n, m), complex)
                 for k, stage in enumerate(zip(hs[0::2], hs[1::2], [*hs[2::2], end[0]])):
                     phi = (phis[start + k] + increment @ phis[start + k] if constant
-                           else _rk4_step(np.matmul, phis[start + k], h, *stage, slopes[:, k]))
+                           else _rk4_step(_matmul, phis[start + k], h, *stage, slopes[:, k]))
                     kept = frame_defect(phi) <= tol.ode
                     phis[start + k + 1] = phi if kept else isometrize(phi, tol)
                 if constant and stacked_slopes:  # one product a stage for the whole block
-                    _rk4_step(_fixed_matmul, phis[block], h, end[0], end[0], end[0], slopes)
+                    _rk4_step(_matmul, phis[block], h, end[0], end[0], end[0], slopes)
         yield block, end, slopes
         start = block.stop
 
@@ -735,10 +729,10 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
             gens[block], maps[block] = _gauge_step_maps(phis[block], slopes, h)
             del slopes  # not held through the next block or the audits
     # the last node as the others: its stage-1 slope, then the Gram product
-    gens[steps] = _small_matmul(dag(phis[-1]), _small_matmul(end[0], phis[-1]))
+    gens[steps] = _matmul(dag(phis[-1]), _matmul(end[0], phis[-1]))
 
     fpath = FramePath(grid=grid, samples=phis)
-    hpath = FramePath(grid=grid, samples=_small_matmul(phis, _gauge_chain(maps, tol)))
+    hpath = FramePath(grid=grid, samples=_matmul(phis, _gauge_chain(maps, tol)))
     phi_end, psi_end = fpath.samples[-1], hpath.samples[-1]
     residual = fpath.closure_residual()
     return HolonomyResult(
@@ -763,9 +757,9 @@ def geometric_hamiltonian(path: ProjectorPath,
     H(t_k) = Q'(t_k) (2 Q(t_k) - 1) with Q' by central differences; between
     nodes the samples are interpolated linearly.  Raises PathTooRough when a
     single step moves the projector further than _ROUGH_BOUND (derivative
-    estimates would be meaningless).
+    estimates would be meaningless); InvalidArgument unless the samples are an (N, n, n) stack.
     """
-    steps = np.linalg.norm(np.diff(path.samples, axis=0), axis=(1, 2))
+    steps = np.linalg.norm(np.diff(_require_stack(path.samples), axis=0), axis=(1, 2))
     if steps.size and float(steps.max()) > _ROUGH_BOUND:
         raise PathTooRough("consecutive projector samples are too far apart")
     derivs = sampled_derivative(path.samples, path.grid.h, 2)
@@ -817,7 +811,7 @@ def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndar
     chained by ``prefix_products`` at |det O_k| = 1, which keeps C finite while its rank holds.
     Step k checks that oracle's projected frame O_k C_{k-1} / s_max(C_{k-1}) by its rule.
     """
-    overlaps = _small_matmul(dag(frames[1:]), frames[:-1])
+    overlaps = _matmul(dag(frames[1:]), frames[:-1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only once rank is lost
         scales = np.abs(_small_det(overlaps)) ** (1.0 / overlaps.shape[-1])  # |det O_k|^(1/m)
         chains = prefix_products(overlaps / scales[:, np.newaxis, np.newaxis])

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NotTangent, NotUnitary, OutsideChart, SectionNotInFiber
-from .linalg import (DEFAULT_TOLS, Tolerances, _fixed_matmul, _require_rank, _require_square,
-                     commutator, dag, frob, isometrize, require_antihermitian, require_finite)
+from .linalg import (DEFAULT_TOLS, Tolerances, _matmul, _require_rank, _require_square,
+                     _require_tall, commutator, dag, frob, isometrize, require_antihermitian,
+                     require_finite)
 
 
 def projector_defect(p: np.ndarray, rank: int):
@@ -64,7 +65,7 @@ class Projector:
     @classmethod
     def from_frame(cls, phi: np.ndarray) -> "Projector":
         """Projector onto the column span of an orthonormal frame: phi phi*."""
-        phi = np.asarray(phi, dtype=complex)
+        phi = _require_tall(np.asarray(phi, dtype=complex))
         p = phi @ dag(phi)
         return cls(matrix=(p + dag(p)) / 2.0, rank=phi.shape[1])
 
@@ -146,6 +147,8 @@ def tangency_defect(p: Projector, v: np.ndarray) -> float:
 def _require_tangent(p: Projector, v: EmbeddedTangent,
                      tol: Tolerances) -> np.ndarray:
     mat = require_finite(v.matrix, "tangent")
+    if mat.shape != p.matrix.shape:
+        raise InvalidArgument(f"tangent has shape {mat.shape}, want {p.matrix.shape}")
     if tangency_defect(p, mat) > tol.comparison * (1.0 + frob(mat)):
         raise NotTangent("matrix violates the tangency constraints at P")
     return mat
@@ -156,7 +159,7 @@ def chart_frames(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
 
     Y* Y = 1 + f* f, as the adapted basis is orthonormal.  One block gives one frame.
     """
-    y = _fixed_matmul(base.coframe, np.asarray(blocks, dtype=complex))
+    y = _matmul(base.coframe, np.asarray(blocks, dtype=complex))
     y += base.frame  # in place: no second stack
     return y
 

@@ -83,11 +83,11 @@ def require_antihermitian(a: np.ndarray, tol: Tolerances = DEFAULT_TOLS,
                           name: str = "matrix") -> np.ndarray:
     """``a`` as a complex array, checked finite and anti-Hermitian.
 
-    ``a`` is a matrix or a stack (..., n, n); each matrix must satisfy
-    || a + a* || <= comparison * (1 + || a ||), both sides divided by the s of
-    ``_hermitian_defects``.
+    InvalidArgument unless ``a`` is a square matrix or a stack (..., n, n); each matrix
+    must satisfy || a + a* || <= comparison * (1 + || a ||), both sides divided by the s
+    of ``_hermitian_defects``.
     """
-    a = require_finite(a, name)
+    a = _require_square(require_finite(a, name), stack=True)
     defects, norms, unit = _hermitian_defects(a)
     if np.any(defects > tol.comparison * (unit + norms)):
         raise NotAntiHermitian(f"{name} is not anti-Hermitian")
@@ -132,25 +132,31 @@ def isometrize(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     return q * (d / np.abs(d))[..., np.newaxis, :]
 
 
-# Largest contracted dimension at which ``_small_matmul`` sums broadcast products.
+# Largest contracted dimension at which ``_matmul`` sums broadcast products.
 # numpy's stacked matmul makes one BLAS call per matrix; on (8000, k, k) stacks and one
 # CPU the k broadcast products took under half its time at k = 2, somewhat less at
 # k = 3 and over twice it at k = 4 (timings in CHANGES.md).
 _BROADCAST_MAX = 2
 
 
-def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b of matrices or stacks, as broadcast products when the contracted dimension is small.
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of matrices or stacks, by the route the operands' shapes pick.
 
-    Up to _BROADCAST_MAX it sums that many broadcast products, equal to ``a @ b`` to
-    roundoff; any other operands go to ``a @ b`` itself.
+    Up to a contracted dimension of _BROADCAST_MAX it sums that many broadcast products;
+    above it one matrix and a stack (either side) make one product over the flattened
+    stack, where ``matmul`` broadcasts the matrix and makes one BLAS call per matrix of
+    the stack.  Each route equals ``a @ b`` to roundoff; any other operands go to ``a @ b``.
     """
-    if np.ndim(a) < 2 or np.ndim(b) < 2 or not 0 < a.shape[-1] == b.shape[-2] <= _BROADCAST_MAX:
-        return a @ b
-    out = a[..., :1] * b[..., :1, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., j:j + 1] * b[..., j:j + 1, :]
-    return out
+    if np.ndim(a) >= 2 <= np.ndim(b) and 0 < a.shape[-1] == b.shape[-2] <= _BROADCAST_MAX:
+        out = a[..., :1] * b[..., :1, :]
+        for j in range(1, a.shape[-1]):
+            out += a[..., j:j + 1] * b[..., j:j + 1, :]
+        return out
+    if np.ndim(a) == 2 < np.ndim(b):  # a @ b = (b^T a^T)^T
+        return _matmul(np.swapaxes(b, -1, -2), a.T).swapaxes(-1, -2)
+    if np.ndim(a) > 2 == np.ndim(b):
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    return a @ b
 
 
 def _small_det(a: np.ndarray) -> np.ndarray:
@@ -192,19 +198,6 @@ def _small_svals(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _fixed_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b of one matrix and a stack (either side), as one product over the flattened stack.
-
-    ``matmul`` broadcasts the matrix and makes one BLAS call per matrix of the stack;
-    this makes one, equal to it to roundoff.  Two matrices or two stacks go to ``a @ b``.
-    """
-    if np.ndim(a) > 2 < np.ndim(b):  # two stacks: no flattened product
-        return a @ b
-    if np.ndim(a) == 2 < np.ndim(b):  # a @ b = (b^T a^T)^T
-        return _fixed_matmul(np.swapaxes(b, -1, -2), a.T).swapaxes(-1, -2)
-    return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
-
-
 # Largest entry of |f* f - I| at which polar_retract takes one Newton-Schulz step.
 _POLAR_NEWTON_DEFECT = 1e-8
 
@@ -224,10 +217,10 @@ def polar_retract(f: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """
     f = _require_tall(np.asarray(f), stack=True)
     m = f.shape[-1]
-    e = _small_matmul(dag(f), f)
+    e = _matmul(dag(f), f)
     e.reshape(e.shape[:-2] + (m * m,))[..., ::m + 1] -= 1.0  # the diagonals, as a view
     if np.abs(e).max() <= _POLAR_NEWTON_DEFECT:
-        return f - _small_matmul(f, e / 2.0)
+        return f - _matmul(f, e / 2.0)
     u, s, vh = np.linalg.svd(require_finite(f, "frame"), full_matrices=False)
     _require_rank(s, tol, RankDeficient)
     return u @ vh
@@ -247,10 +240,10 @@ def prefix_products(a: np.ndarray) -> np.ndarray:
     out[:count], out[count:] = a, np.eye(m)  # identities pad the last chunk
     runs = out.reshape(-1, size, m, m)
     for j in range(1, size):
-        runs[:, j] = _small_matmul(runs[:, j], runs[:, j - 1])
+        runs[:, j] = _matmul(runs[:, j], runs[:, j - 1])
     for i in range(1, len(runs)):
         runs[i, -1] = runs[i, -1] @ runs[i - 1, -1]
-    runs[1:, :-1] = _small_matmul(runs[1:, :-1], runs[:-1, -1:])
+    runs[1:, :-1] = _matmul(runs[1:, :-1], runs[:-1, -1:])
     return out[:count]
 
 

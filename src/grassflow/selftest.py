@@ -29,11 +29,12 @@ class CheckResult:
 
 
 def _guard(results, name, bound, trial, trials=1):
-    """Run a check's ``trials`` trials and report the largest value; exceptions become failed rows."""
+    """Run a check's ``trials`` trials and report the largest value; exceptions become failed rows.
+
+    A NaN from any trial is the row's value, and fails it.
+    """
     try:
-        value = trial()
-        for _ in range(trials - 1):
-            value = max(value, trial())
+        value = np.max([trial() for _ in range(trials)])
     except Exception as exc:  # noqa: BLE001 - report, don't abort
         results.append(CheckResult(name=name, value=float("nan"), bound=bound,
                                    passed=False, note=type(exc).__name__))

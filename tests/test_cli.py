@@ -97,6 +97,22 @@ class TestBerry:
         assert set(entry) == {"re", "im"}
         assert abs(complex(entry["re"], entry["im"]) - (-1.0)) <= 1e-4
 
+    @pytest.mark.parametrize("schedule, grid, turns", [
+        ({"omega": 4 * np.pi}, {}, 2),
+        ({"omega": 4 * np.pi, "theta": 1.0}, {}, 2),
+        ({}, {"t1": 2.0}, 2),
+        ({"omega": 0.0}, {}, 0),
+    ], ids=["omega_4pi", "omega_4pi_theta_1", "t1_2", "omega_0"])
+    def test_analytic_reference_counts_the_windings(self, tmp_path, schedule, grid, turns):
+        cfg = {"version": 1, "schedule": {"kind": "rotating", **schedule},
+               "grid": {"t0": 0.0, "t1": 1.0, "steps": 4000, **grid}}
+        out = tmp_path / "run"
+        assert run(tmp_path, "berry", config=cfg, out=out) == 0
+        report, _ = load(out)
+        theta = schedule.get("theta", np.pi / 2)
+        assert report["analytic_reference"] == pytest.approx(turns * np.pi * (1 - np.cos(theta)))
+        assert report["analytic_deviation"] <= 1e-4
+
     @pytest.mark.parametrize("steps", [333, 1000, 4000])
     def test_default_loop_phase_is_pi(self, tmp_path, steps):
         # the holonomy is -1 up to a roundoff imaginary part of either sign, which
@@ -517,6 +533,18 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         assert capsys.readouterr().out == first
         assert "all" in first and "passed" in first
+
+    @pytest.mark.parametrize("values, passed", [
+        ([1e-15, np.nan, 2e-15], False), ([np.nan], False), ([2e-15, 1e-15], True),
+    ])
+    def test_guard_keeps_a_nan_from_any_trial(self, values, passed):
+        from grassflow import selftest
+
+        trials, results = iter(values), []
+        selftest._guard(results, "check", 1e-12, lambda: next(trials), trials=len(values))
+        (row,) = results
+        assert row.passed is passed and row.note == ""
+        np.testing.assert_array_equal(row.value, max(values) if passed else np.nan)
 
     def test_tolerance_override_forces_failures(self, tmp_path, capsys):
         cfg = {"version": 1, "tolerances": {"structural": 1e-30, "comparison": 1e-30}}

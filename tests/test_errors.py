@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 
 from grassflow import InvalidArgument
+from grassflow.bundle import connection_A, curvature_Omega, split_vertical_horizontal
 from grassflow.dynamics import (FramePath, HamiltonianSchedule, ProjectorPath, TimeGrid,
-                                geometric_schedule, tracking_defect)
-from grassflow.grassmann import (BasePoint, ChartTangent, Projector, chart_from_proj,
-                                 chart_transport, covariant_derivative_along)
+                                geometric_hamiltonian, geometric_schedule, tracking_defect)
+from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent, Projector,
+                                 chart_from_proj, chart_transport, covariant_derivative_along,
+                                 grassmann_connection_F, ham_field, lie_field_chart,
+                                 linear_hamiltonian, symplectic_form, tangent_extract)
 from grassflow.linalg import Tolerances, random_antihermitian
 
 _P = Projector.standard(3, 1).matrix
 _GRID = TimeGrid(0.0, 1.0, 2)
 _TWO_BASES = BasePoint.from_projector(Projector(matrix=np.array([_P, _P]), rank=1))
+# a point of Gr_2(C^4), its frame, and a tangent of the wrong size there
+_P4, _B4 = Projector.standard(4, 2), BasePoint.standard(4, 2)
+_PHI4, _V3 = _B4.frame, EmbeddedTangent(np.ones((3, 3)))
 
 
 @pytest.mark.parametrize("call, match", [
@@ -41,12 +47,28 @@ _TWO_BASES = BasePoint.from_projector(Projector(matrix=np.array([_P, _P]), rank=
     (lambda: chart_transport(np.array([np.eye(3)] * 3),
                              ChartTangent(base=_TWO_BASES, block=np.zeros((2, 2, 1)))),
      "unitary has shape"),
+    (lambda: linear_hamiltonian(np.ones(4), _P4), "square"),
+    (lambda: lie_field_chart(np.ones(4), _B4), "square"),
+    (lambda: ham_field(np.ones(4), _P4), "square"),
+    (lambda: connection_A(_PHI4, np.ones((3, 2))), "frame tangent has shape"),
+    (lambda: split_vertical_horizontal(_PHI4, np.ones((3, 2))), "frame tangent has shape"),
+    (lambda: symplectic_form(_P4, _V3, _V3), "tangent has shape"),
+    (lambda: tangent_extract(_B4, _V3), "tangent has shape"),
+    (lambda: grassmann_connection_F(_P4, _V3), "tangent has shape"),
+    (lambda: curvature_Omega(_PHI4, np.ones((3, 2)), np.ones((3, 2))),
+     "horizontal tangent has shape"),
+    (lambda: Projector.from_frame(np.ones(3)), "n x m matrix"),
+    (lambda: geometric_hamiltonian(ProjectorPath(_GRID, np.eye(3), rank=1)), "stack"),
 ], ids=["tolerance_sign", "tolerance_order", "schedule_table", "geometric_qfun",
         "tracking_lengths", "covariant_nodes", "covariant_mode", "chart_tangent",
         "projector_from_matrix", "random_antihermitian", "grid_fractional_steps",
         "grid_bool_steps", "grid_string_steps", "grid_overflowing_span", "grid_infinite_end",
         "grid_nan_start", "chart_tangent_stack_lengths",
-        "chart_from_proj_stack_lengths", "chart_transport_stack_lengths"])
+        "chart_from_proj_stack_lengths", "chart_transport_stack_lengths",
+        "linear_hamiltonian_vector", "lie_field_chart_vector", "ham_field_vector",
+        "connection_A_tangent_size", "split_tangent_size", "symplectic_form_tangent_size",
+        "tangent_extract_size", "grassmann_connection_F_tangent_size",
+        "curvature_Omega_tangent_size", "from_frame_vector", "geometric_hamiltonian_matrix"])
 def test_bad_arguments_raise_invalid_argument(call, match):
     # InvalidArgument is a ValueError too: callers catching ValueError still do
     with pytest.raises(InvalidArgument, match=match):

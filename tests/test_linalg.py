@@ -260,12 +260,14 @@ def _operands(k, rows, cols, count, rng):
     return a, b + 1j * rng.standard_normal(b.shape) if rng.uniform() < 0.5 else b
 
 
-class TestSmallMatmul:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(k=st.integers(1, linalg._BROADCAST_MAX), rows=st.integers(1, 4),
-           cols=st.integers(1, 4), count=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
-           shape=st.sampled_from(["stacks", "matrix_left", "matrix_right", "strided"]))
-    def test_small_contraction_is_matmul_to_roundoff(self, k, rows, cols, count, seed, shape):
+class TestMatmul:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, 6), rows=st.integers(1, 6), cols=st.integers(1, 6),
+           count=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
+           shape=st.sampled_from(["stacks", "matrix_left", "matrix_right", "strided"]),
+           transposed=st.booleans())
+    def test_every_route_is_matmul_to_roundoff(self, k, rows, cols, count, seed, shape,
+                                               transposed):
         rng = np.random.default_rng(seed)
         a, b = _operands(k, rows, cols, count, rng)
         if shape == "matrix_left":  # one real matrix broadcast against the stack
@@ -275,53 +277,46 @@ class TestSmallMatmul:
         elif shape == "strided":  # every other member of a stack of pairs, as prefix_products reads it
             a = np.repeat(a, 2, axis=0).reshape(-1, 2, rows, k)[:, 1]
             b = np.repeat(b, 2, axis=0).reshape(-1, 2, k, cols)[:, 0]
+        if transposed:  # transposed views of transposed copies, as dag(v) is
+            a, b = (np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2) for x in (a, b))
         want = a @ b
-        got = linalg._small_matmul(a, b)
+        got = linalg._matmul(a, b)
         assert got.shape == want.shape and got.dtype == want.dtype
         bound = 8 * k * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
         assert np.all(np.abs(got - want) <= bound)
 
     @pytest.mark.parametrize("k", [3, 4])
-    def test_larger_contraction_is_matmul_itself(self, k):
+    def test_two_stacks_above_the_broadcast_bound_are_matmul_itself(self, k):
         a, b = _operands(k, k, k, 50, np.random.default_rng(195))
-        np.testing.assert_array_equal(linalg._small_matmul(a, b), a @ b)
-        np.testing.assert_array_equal(linalg._small_matmul(a[0], b[0]), a[0] @ b[0])
+        np.testing.assert_array_equal(linalg._matmul(a, b), a @ b)
+        np.testing.assert_array_equal(linalg._matmul(a[0], b[0]), a[0] @ b[0])
 
-    def test_empty_stack(self):
-        got = linalg._small_matmul(np.zeros((0, 3, 2)), np.zeros((0, 2, 2), dtype=complex))
-        assert got.shape == (0, 3, 2) and got.dtype == complex
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_empty_stack(self, k):
+        for a, b in [(np.zeros((0, 3, k)), np.zeros((0, k, 2), dtype=complex)),
+                     (np.zeros((0, 3, k)), np.zeros((k, 2), dtype=complex)),
+                     (np.zeros((3, k)), np.zeros((0, k, 2), dtype=complex))]:
+            got = linalg._matmul(a, b)
+            assert got.shape == (0, 3, 2) and got.dtype == complex
 
-    def test_mismatched_shapes_raise_as_matmul_does(self):
+    @pytest.mark.parametrize("a, b", [
+        (np.ones((4, 2, 2)), np.ones((4, 3, 2))),  # broadcast sums
+        (np.ones((4, 3, 3)), np.ones((4, 2, 3))),  # two stacks
+        (np.ones((4, 3, 3)), np.ones((2, 3))),     # a stack and a matrix
+        (np.ones((3, 3)), np.ones((4, 2, 3))),     # a matrix and a stack
+        (np.ones((3, 4, 2)), np.ones((2, 2, 2))),  # stacks that do not broadcast
+    ])
+    def test_mismatched_shapes_raise_as_matmul_does(self, a, b):
         with pytest.raises(ValueError):
-            linalg._small_matmul(np.ones((4, 2, 2)), np.ones((4, 3, 2)))
-
-
-class TestFixedMatmul:
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(k=st.integers(1, 6), rows=st.integers(1, 6), cols=st.integers(1, 6),
-           count=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
-           side=st.sampled_from(["left", "right"]), strided=st.booleans())
-    def test_matrix_and_stack_is_matmul_to_roundoff(self, k, rows, cols, count, seed, side,
-                                                     strided):
-        rng = np.random.default_rng(seed)
-        a, b = _operands(k, rows, cols, count, rng)
-        if strided:  # transposed views of transposed copies, as dag(v) is
-            a, b = (np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2) for x in (a, b))
-        if side == "left":  # one matrix times a stack
-            a = a[0] if count else rng.standard_normal((rows, k))
-        else:
-            b = b[0] if count else rng.standard_normal((k, cols))
-        want = a @ b
-        got = linalg._fixed_matmul(a, b)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        bound = 8 * k * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
-        assert np.all(np.abs(got - want) <= bound)
+            a @ b
+        with pytest.raises(ValueError):
+            linalg._matmul(a, b)
 
     def test_standard_coframe_is_matmul_bitwise(self):
         # 0/1 entries: every product is exact, whatever the order of the sums
         _, blocks = _operands(4, 4, 2, 50, np.random.default_rng(196))
         coframe = np.eye(6)[:, 2:]
-        np.testing.assert_array_equal(linalg._fixed_matmul(coframe, blocks), coframe @ blocks)
+        np.testing.assert_array_equal(linalg._matmul(coframe, blocks), coframe @ blocks)
 
 
 def _small_stack(kind, m, count, rng):
