@@ -21,8 +21,8 @@ with the node ending its steps (``_stage_generators``).  A geometric table of an
 takes Q' by central differences (``geometric_schedule``); for a unitary orbit Q = e^X P e^-X,
 as both CLI loops are, ``_orbit_schedule`` takes it exactly from one stacked ``eigh`` of iX.
 The frame equation has one integrator, ``_frame_blocks``, which ``integrate_frame`` and
-``berry_maps`` share; the projector flow, a reference route, steps by ``_rk4_nodes``.  Above
-n = 16 a ``constant_schedule`` steps by its one RK4 map, in blocks sized by their slopes.
+``berry_maps`` share; the projector flow, a reference route, steps by ``_rk4_nodes``.  A
+``constant_schedule`` runs by one ``eigh``, in which basis its RK4 steps are diagonal.
 Stacked products by ``_matmul`` make no per-matrix BLAS call for 1 x 1 and 2 x 2 factors (the
 step maps and Gram products at n = 2, the gauge maps at m <= 2) or for a stack times one
 matrix (a scan's frames, a section's projections).  The determinants and singular values of
@@ -45,9 +45,9 @@ from .bundle import curvature_generators, frame_defect, require_over
 from .grassmann import (BasePoint, Projector, chart_frames, chart_projectors,
                         hamiltonian_value, projector_defect, sampled_derivative)
 from .linalg import (DEFAULT_TOLS, Tolerances, _antihermitian_eigh, _matmul, _require_rank,
-                     _require_tall, _small_det, _small_svals, commutator, dag, frob, isometrize,
-                     nearest_projector, polar_retract, prefix_products, require_antihermitian,
-                     require_finite)
+                     _require_square, _require_tall, _small_det, _small_svals, commutator, dag,
+                     frob, isometrize, nearest_projector, polar_retract, prefix_products,
+                     require_antihermitian, require_finite)
 
 # Proportionality constant between the log-holonomy of a unit parallelogram
 # loop and the curvature generator it realizes:
@@ -137,7 +137,8 @@ class _ConstantTable:
 
 
 def constant_schedule(h_mat: np.ndarray) -> HamiltonianSchedule:
-    return HamiltonianSchedule(_ConstantTable(require_finite(h_mat, "generator")))
+    """H(t) = h_mat; InvalidArgument unless a square matrix, NonFinite unless finite."""
+    return HamiltonianSchedule(_ConstantTable(_require_square(require_finite(h_mat, "generator"))))
 
 
 def rotating_schedule(omega: float) -> HamiltonianSchedule:
@@ -467,8 +468,8 @@ class HolonomyResult:
 # several stacks this size at once), and of four n x n samples: a sampled-transport
 # block (``_transport_block``) takes as many nodes of a path or of its section.
 # A ``_frame_blocks`` block is the steps of one table, so a stack of its n x n RK4 step
-# maps takes half a table (above _SCAN_MAX_N a constant schedule's block is the steps whose
-# four (B, n, m) stage slopes take one): peak memory stays fixed however many steps a run takes.
+# maps takes half a table (a constant schedule's run is the steps whose (m, m, n) stage
+# products take one): peak memory stays fixed however many steps a run takes.
 _TABLE_BYTES = 1 << 22
 
 # Largest n at which ``_frame_blocks`` chains stacked n x n RK4 step maps by
@@ -476,22 +477,18 @@ _TABLE_BYTES = 1 << 22
 _SCAN_MAX_N = 16
 
 
-def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int,
-                      tol: Tolerances, m: Optional[int] = None):
+def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int, tol: Tolerances):
     """Each table of H at the RK4 stage times t0 + (h/2) j, with the (1, n, n) node ending it.
 
     Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2, and the 2 * steps + 1
     stage times are read once each, a table at a time.  A table yielded holds the 2B stage
-    generators of B steps, at most _TABLE_BYTES but one step at least; given the frame
-    width ``m`` above _SCAN_MAX_N, a ``constant_schedule`` table holds those of the B steps
-    whose (4, B, n, m) stage slopes take _TABLE_BYTES.  Each table is read, and checked to be
-    an (N, n, n) stack, finite and anti-Hermitian, before the steps of the one before are
-    yielded: a ``constant_schedule`` by its one matrix once, any other table in full.
+    generators of B steps, at most _TABLE_BYTES but one step at least.  Each table is read, and
+    checked to be an (N, n, n) stack, finite and anti-Hermitian, before the steps of the one
+    before are yielded: a ``constant_schedule`` by its one matrix once, any other in full.
     """
     times = grid.t0 + (grid.h / 2.0) * np.arange(2 * grid.steps + 1)
     constant = isinstance(schedule.tabulate, _ConstantTable)
-    by_slopes = m and n > _SCAN_MAX_N and constant
-    chunk = 2 * max(1, _TABLE_BYTES // (64 * n * m if by_slopes else 32 * n * n))
+    chunk = 2 * max(1, _TABLE_BYTES // (32 * n * n))
     for start in range(0, len(times), chunk):
         table = schedule.table(times[start:start + chunk], n)
         if not (constant and start):
@@ -516,21 +513,15 @@ def _rk4_maps(g1, g2, g3, g4, h: float) -> np.ndarray:
     return eye + (h / 6.0) * (g1 + 2.0 * b2 + 2.0 * b3 + b4)
 
 
-def _gauge_step_maps(phis: np.ndarray, slopes, h: float):
-    """Node generators phi_k* H(t_k) phi_k and RK4 gauge maps L_k of a block of steps.
+def _slope_stages(phis: np.ndarray, slopes, h: float):
+    """Stage generators c_i = s_i* a_i of the steps from the frames ``phis`` (N, n, m).
 
-    ``phis`` (N, n, m) are the frames at the start of each step and ``slopes``
-    (4, N, n, m) their stage slopes a_i = H s_i at the stage frames s_1 = phi_k,
+    ``slopes`` (4, N, n, m) are the stage slopes a_i = H s_i at the stage frames s_1 = phi_k,
     s_2 = phi_k + (h/2) a_1, s_3 = phi_k + (h/2) a_2 and s_4 = phi_k + h a_3.
-    With c_i = s_i* a_i, g' = -(phi* H phi) g has the stage generators -c_i, and
-    g_{k+1} = L_k g_k for their ``_rk4_maps`` L_k (the equation is linear in g).
     """
     a1, a2, a3, a4 = slopes
-    c1 = _matmul(dag(phis), a1)
-    c2 = _matmul(dag(phis + (h / 2.0) * a1), a2)
-    c3 = _matmul(dag(phis + (h / 2.0) * a2), a3)
-    c4 = _matmul(dag(phis + h * a3), a4)
-    return c1, _rk4_maps(-c1, -c2, -c3, -c4, h)
+    return (_matmul(dag(phis), a1), _matmul(dag(phis + (h / 2.0) * a1), a2),
+            _matmul(dag(phis + (h / 2.0) * a2), a3), _matmul(dag(phis + h * a3), a4))
 
 
 def _transport_block(n: int) -> int:
@@ -615,65 +606,95 @@ def _section_transport(frames: np.ndarray, tol: Tolerances) -> np.ndarray:
     return frames
 
 
-def _scan_frames(maps: np.ndarray, frames: np.ndarray, tol: Tolerances) -> None:
-    """Fill frames[1:] with phi_{k+1} = maps[k] phi_k from frames[0], retracted as by a step loop.
+def _scan_frames(run, frames: np.ndarray, tol: Tolerances, cap: int) -> None:
+    """Fill frames[1:] from frames[0] in runs of at most ``cap`` steps, retracted as a step loop.
 
-    A run of frames comes from ``prefix_products``, its frame defects in one stack.  The
-    first frame not within ``tol.ode`` (NaN included: ``isometrize`` raises) is isometrized
-    and the next run starts from it, over twice the frames of the run before (all maps at
-    first): a grid that retracts at every step costs O(N) products, not O(N^2).
+    ``run(j, k, count)`` gives the frames of nodes k + 1, ..., k + count (fewer at the end) from
+    node k, unretracted since node j.  The first frame of a run not within ``tol.ode`` (NaN
+    included: ``isometrize`` raises) is isometrized and the next run starts from it, over twice
+    the steps of the run before: a grid that retracts at every step costs O(N) work, not O(N^2).
     """
-    start, size = 0, len(maps)
-    while start < len(maps):
-        run = _matmul(prefix_products(maps[start:start + size]), frames[start])
-        kept = frame_defect(run) <= tol.ode
-        cut = len(run) if kept.all() else int(kept.argmin())
-        frames[start + 1:start + cut + 1] = run[:cut]
-        if cut < len(run):
-            frames[start + cut + 1] = isometrize(run[cut], tol)
+    anchor, start, size = 0, 0, cap
+    while start < len(frames) - 1:
+        ahead = run(anchor, start, size)
+        kept = frame_defect(ahead) <= tol.ode
+        cut = len(ahead) if kept.all() else int(kept.argmin())
+        frames[start + 1:start + cut + 1] = ahead[:cut]
+        if cut < len(ahead):
             cut += 1
-        start, size = start + cut, 2 * cut
+            frames[start + cut] = isometrize(ahead[cut - 1], tol)
+            anchor = start + cut
+        start, size = start + cut, min(2 * cut, cap)
+
+
+def _eigen_frames(matrix: np.ndarray, phis: np.ndarray, grid: TimeGrid, tol: Tolerances,
+                  stages: bool):
+    """``_frame_blocks`` of a constant H, in the eigenbasis iS = V diag(lam) V* of S = (H - H*)/2.
+
+    With z = -i h lam, an RK4 step from phi = V u has the stage frames V (q_i o u), q = (1,
+    1 + z/2, 1 + z/2 + z^2/4, 1 + z + z^2/2 + z^3/4), and is V (p o u) for the stability polynomial
+    p = 1 + (z/6)(q_1 + 2 q_2 + 2 q_3 + q_4) = 1 + z + ... + z^4/24 (Hairer & Wanner, Solving
+    ODEs II, sec. IV.2).  So phi_k = V (p^(k-j) o V* phi_j) from the last node j retracted, one
+    product with V a ``_scan_frames`` run, and the stage generators s_i* S s_i are
+    c_i = u_k* (|q_i|^2 mu o u_k), mu = -i lam, u_k = V* phi_k: O(n m^2) a step.  A run's
+    (m, m, n) stage products take at most _TABLE_BYTES.  H is checked once, before the ``eigh``.
+    """
+    require_antihermitian(matrix, tol, "generator")
+    steps, (n, m) = len(phis) - 1, phis.shape[1:]
+    out = np.empty((4, steps, m, m), dtype=complex) if stages else None
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
+        lam, v = np.linalg.eigh(1j * (matrix / 2.0 - dag(matrix) / 2.0))  # halved: no overflow
+        z = -1j * grid.h * lam
+        q = np.array([np.ones(n), 1 + z / 2, 1 + z / 2 + z**2 / 4, 1 + z + z**2 / 2 + z**3 / 4])
+        log_step = np.log(1.0 + (z / 6.0) * ([1.0, 2.0, 2.0, 1.0] @ q))
+        weights = (-1j * lam[:, np.newaxis]) * np.abs(q.T) ** 2  # (n, 4)
+
+        def run(j, k, count):  # from the rows u_k^T of nodes k, ..., k + count
+            powers = np.arange(k - j, min(k + count, steps) - j + 1)[:, np.newaxis, np.newaxis]
+            rows = np.exp(powers * log_step) * (phis[j].T @ v.conj())  # C order: no copies
+            if stages:
+                pairs = rows[:-1, :, np.newaxis].conj() * rows[:-1, np.newaxis]
+                out[:, k:k + len(pairs)] = np.moveaxis(_matmul(pairs, weights), -1, 0)
+            return _matmul(rows[1:], v.T).swapaxes(-1, -2)
+
+        _scan_frames(run, phis, tol, max(1, _TABLE_BYTES // (16 * n * m * m)))
+    yield slice(0, steps), matrix[np.newaxis], out
 
 
 def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGrid,
-                  tol: Tolerances, stacked_slopes: bool = False):
+                  tol: Tolerances, stages: bool = False):
     """Fill phis[1:] with the RK4 frames of phi' = H(t) phi from phis[0], a table at a time.
 
-    The tables and their end nodes are those of ``_stage_generators``.  An RK4 step of the
-    linear equation is an n x n matrix R_k (``_rk4_maps``).  Up to _SCAN_MAX_N a table's R_k
-    are stacked and chained by ``_scan_frames``; above it a per-step loop, O(n^2 m) a step,
-    forms no n x n stack: four stage products a step, or for a ``constant_schedule`` one,
-    phi + (R - I) phi, R = I + hH + ... + (hH)^4 / 24 formed once.  Either way phi is
-    isometrized where its frame defect is not within ``tol.ode``, and every stage product is
-    a ``_matmul``.  Yields each table's steps (a slice), the (1, n, n) node ending them and
-    their stage slopes (4, B, n, m), which the scan and a constant schedule take after the
-    steps, by one stacked ``_rk4_step``, only if ``stacked_slopes``.
+    A ``constant_schedule`` takes ``_eigen_frames``, any other the tables of ``_stage_generators``.
+    An RK4 step of the linear equation is an n x n matrix R_k (``_rk4_maps``).  Up to
+    _SCAN_MAX_N a table's R_k are chained by ``_scan_frames``; above it a per-step loop of four
+    stage products, O(n^2 m) a step, isometrizes phi where its frame defect is not within
+    ``tol.ode``.  Yields each table's steps (a slice), the (1, n, n) node ending them and, only
+    if ``stages``, their stage generators c_i = s_i* H s_i (``_slope_stages``).
     """
-    n, m = phis.shape[1:]
-    h, start, increment = grid.h, 0, None
-    constant = isinstance(schedule.tabulate, _ConstantTable)
-    for hs, end in _stage_generators(schedule, grid, n, tol, m):
+    if isinstance(schedule.tabulate, _ConstantTable):
+        yield from _eigen_frames(schedule.tabulate.matrix, phis, grid, tol, stages)
+        return
+    n, h, start = phis.shape[1], grid.h, 0
+    for hs, end in _stage_generators(schedule, grid, n, tol):
         block = slice(start, start + len(hs) // 2)
+        nodes, mids = np.concatenate([hs[0::2], end]), hs[1::2]
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
             if n <= _SCAN_MAX_N:
-                nodes, mids = np.concatenate([hs[0::2], end]), hs[1::2]
                 step_maps = _rk4_maps(nodes[:-1], mids, mids, nodes[1:], h)
-                _scan_frames(step_maps, phis[start:block.stop + 1], tol)
+                frames = phis[start:block.stop + 1]
+                _scan_frames(lambda j, k, count: _matmul(prefix_products(step_maps[k:k + count]),
+                                                         frames[k]), frames, tol, len(step_maps))
                 slopes = [None] * 4
-                if stacked_slopes:
+                if stages:
                     _rk4_step(_matmul, phis[block], h, nodes[:-1], mids, nodes[1:], slopes)
             else:
-                if constant and not start:  # R - I, from the matrix the first table checked
-                    increment = _rk4_maps(*[end[0]] * 4, h) - np.eye(n)
-                slopes = [None] * 4 if constant else np.empty((4, len(hs) // 2, n, m), complex)
-                for k, stage in enumerate(zip(hs[0::2], hs[1::2], [*hs[2::2], end[0]])):
-                    phi = (phis[start + k] + increment @ phis[start + k] if constant
-                           else _rk4_step(_matmul, phis[start + k], h, *stage, slopes[:, k]))
+                slopes = np.empty((4, len(mids)) + phis.shape[1:], complex)
+                for k, stage in enumerate(zip(nodes[:-1], mids, nodes[1:])):
+                    phi = _rk4_step(_matmul, phis[start + k], h, *stage, slopes[:, k])
                     kept = frame_defect(phi) <= tol.ode
                     phis[start + k + 1] = phi if kept else isometrize(phi, tol)
-                if constant and stacked_slopes:  # one product a stage for the whole block
-                    _rk4_step(_matmul, phis[block], h, end[0], end[0], end[0], slopes)
-        yield block, end, slopes
+        yield block, end, (_slope_stages(phis[block], slopes, h) if stages else None)
         start = block.stop
 
 
@@ -698,8 +719,9 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     split of the evolution into a dynamical and a geometric part (PRL 58,
     1593 (1987); non-abelian form: Anandan, Phys. Lett. A 133, 171 (1988)).
     The frames phi are those of ``integrate_frame`` (``_frame_blocks``); the gauge
-    equation is linear too, so an RK4 step is an m x m matrix, g_{k+1} = L_k g_k:
-    ``_gauge_step_maps`` turns each block's stage slopes into the L_k, chained by
+    equation is linear too, so an RK4 step is an m x m matrix, g_{k+1} = L_k g_k: the
+    ``_rk4_maps`` of the stage generators -c_i that ``_frame_blocks`` gives each block (from its
+    stage slopes, or for a ``constant_schedule`` in H's eigenbasis), chained by
     ``_gauge_chain``.  A grid of fewer than 2 steps raises InvalidArgument before any
     table is read.
 
@@ -725,10 +747,9 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     maps = np.empty((steps, m, m), dtype=complex)
     phis[0] = sigma
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
-        for block, end, slopes in _frame_blocks(schedule, phis, grid, tol, stacked_slopes=True):
-            gens[block], maps[block] = _gauge_step_maps(phis[block], slopes, h)
-            del slopes  # not held through the next block or the audits
-    # the last node as the others: its stage-1 slope, then the Gram product
+        for block, end, (c1, c2, c3, c4) in _frame_blocks(schedule, phis, grid, tol, True):
+            gens[block], maps[block] = c1, _rk4_maps(-c1, -c2, -c3, -c4, h)
+    # the last node's generator phi* H phi, H the node ending the last table
     gens[steps] = _matmul(dag(phis[-1]), _matmul(end[0], phis[-1]))
 
     fpath = FramePath(grid=grid, samples=phis)

@@ -243,10 +243,17 @@ def chart_transport(u: np.ndarray, f: ChartTangent,
                         block=dag(new_base.coframe) @ pushed @ new_base.frame)
 
 
+def _require_generator(u: np.ndarray, n: int, tol: Tolerances) -> np.ndarray:
+    """u checked by ``require_antihermitian``, after InvalidArgument unless it is n x n."""
+    if np.shape(u)[-2:] != (n, n):
+        raise InvalidArgument(f"generator must be a square {n} x {n} matrix, not {np.shape(u)}")
+    return require_antihermitian(u, tol, "generator")
+
+
 def lie_field_chart(u: np.ndarray, base: BasePoint,
                     tol: Tolerances = DEFAULT_TOLS) -> ChartTangent:
     """Chart block of the vector field generated by u in u(n): (1-P) u restricted to X."""
-    u = require_antihermitian(u, tol, "generator")
+    u = _require_generator(u, base.n, tol)
     return ChartTangent(base=base, block=dag(base.coframe) @ u @ base.frame)
 
 
@@ -257,7 +264,7 @@ def linear_hamiltonian(u: np.ndarray, p: Projector,
     u is checked by ``require_antihermitian``, the one anti-Hermitian rule: ``structural``
     enters no test of u, and the value is ``hamiltonian_value`` of u P.
     """
-    u = require_antihermitian(u, tol, "generator")
+    u = _require_generator(u, p.n, tol)
     return hamiltonian_value(u @ p.matrix)
 
 
@@ -284,7 +291,7 @@ def symplectic_form(p: Projector, phi: EmbeddedTangent, psi: EmbeddedTangent,
 def ham_field(u: np.ndarray, p: Projector,
               tol: Tolerances = DEFAULT_TOLS) -> EmbeddedTangent:
     """Hamiltonian vector field of the linear Hamiltonian of u: [u, P]."""
-    u = require_antihermitian(u, tol, "generator")
+    u = _require_generator(u, p.n, tol)
     return EmbeddedTangent(matrix=commutator(u, p.matrix))
 
 
@@ -346,6 +353,8 @@ def covariant_derivative_along(projectors: np.ndarray, sections: np.ndarray,
     """
     projectors = require_finite(projectors, "projector path")
     sections = require_finite(sections, "section samples")
+    if sections.ndim != 2 or projectors.shape[1:] != 2 * sections.shape[1:]:
+        raise InvalidArgument("need an (N, n, n) projector path and (N, n) section samples")
     if len(projectors) != len(sections) or len(projectors) < 3:
         raise InvalidArgument("need matching sample counts, at least 3 nodes")
     if mode not in ("canonical", "complement", "sum"):

@@ -53,7 +53,8 @@ def counting_schedule(inner):
 
 
 def _berry_maps_loop(schedule, sigma, grid):
-    # berry_maps on the per-step loop it takes above the crossover _SCAN_MAX_N
+    # berry_maps on the per-step loop it takes above the crossover _SCAN_MAX_N (a constant
+    # schedule takes its eigenbasis route at any n)
     with mock.patch.object(dynamics, "_SCAN_MAX_N", 0):
         return berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
 
@@ -509,15 +510,16 @@ class TestBerryMaps:
                                       (grid.h / 2.0) * np.arange(2 * grid.steps + 1))
 
     def test_constant_schedule_over_many_tables_is_checked_once(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 32 * 4 * 4)  # 3 steps a table
-        checks = []
+        # the projector route reads 3 steps a table; the frame routes read no table
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 32 * 4 * 4)
         check = dynamics.require_antihermitian
-        monkeypatch.setattr(dynamics, "require_antihermitian",
-                            lambda a, *args: checks.append(a.shape) or check(a, *args))
-        sigma = random_frame(4, 2, 77)
-        berry_maps(constant_schedule(random_antihermitian(4, 78)), Projector.from_frame(sigma),
-                   sigma, TimeGrid(0.0, 1.0, 30))
-        assert len(checks) == 1
+        for route in RK4_ROUTES.values():
+            checks = []
+            monkeypatch.setattr(dynamics, "require_antihermitian",
+                                lambda a, *args: checks.append(a.shape) or check(a, *args))
+            route(constant_schedule(random_antihermitian(4, 78)), random_frame(4, 2, 77),
+                  TimeGrid(0.0, 1.0, 30))
+            assert len(checks) == 1
 
     @pytest.mark.parametrize("route", ["berry_maps", "berry_maps_loop"])
     @pytest.mark.parametrize("in_place", [False, True], ids=["new_matrix", "same_buffer"])
@@ -740,12 +742,12 @@ class TestGaugeRoute:
         reference = _reference_berry_loop(schedule, sigma, grid)
         # a table holds the generators of 3 steps, 6 stage times (16 * 4 * 4 bytes each)
         monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 32 * 4 * 4)
-        step_maps = dynamics._gauge_step_maps
+        step_maps = dynamics._slope_stages
         for crossover in (dynamics._SCAN_MAX_N, 0):  # the scan, then the loop
             monkeypatch.setattr(dynamics, "_SCAN_MAX_N", crossover)
             maps = []
             monkeypatch.setattr(
-                dynamics, "_gauge_step_maps",
+                dynamics, "_slope_stages",
                 lambda phis, *args: maps.append(len(phis)) or step_maps(phis, *args))
             blocks = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
             assert maps == [3] * 16 + [2]
@@ -783,19 +785,19 @@ def _retracted_nodes(route, schedule, sigma, grid):
 
 
 class TestConstantRoute:
-    """Above _SCAN_MAX_N a constant schedule steps by its one RK4 map, in blocks of frame state."""
+    """A constant schedule runs in its generator's eigenbasis: one eigh, no per-step loop."""
 
     @staticmethod
     def problem(n, seed, norm=2.0):
         rng = np.random.default_rng(seed)
         h_mat = random_antihermitian(n, rng)
-        return constant_schedule(norm * h_mat / np.linalg.norm(h_mat)), random_frame(n, 2, rng)
+        return (constant_schedule(norm * h_mat / np.linalg.norm(h_mat)),
+                random_frame(n, min(n, 2), rng))
 
-    @pytest.mark.parametrize("n", [17, 32])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 17, 32])
     def test_matches_the_general_route(self, n):
         schedule, sigma = self.problem(n, 300 + n)
         grid = TimeGrid(0.0, 1.0, 200)
-        assert n > dynamics._SCAN_MAX_N
         p0 = Projector.from_frame(sigma)
         const, general = (berry_maps(s, p0, sigma, grid) for s in (schedule,
                                                                      _materialized(schedule)))
@@ -810,46 +812,68 @@ class TestConstantRoute:
 
     @pytest.mark.parametrize("route", ["berry_maps", "integrate_frame"])
     def test_retracts_at_the_nodes_of_the_general_route(self, route):
-        # h ||H||_2 near 0.055: the frames leave tol.ode every 15 steps or so
-        schedule, sigma = self.problem(17, 310, norm=4.0)
+        # h ||H||_2 near 0.04 at n = 5 and 0.055 at n = 17: the frames leave tol.ode every
+        # 20 and 15 steps or so
         grid = TimeGrid(0.0, 12.0, 400)
-        const, const_nodes = _retracted_nodes(RK4_ROUTES[route], schedule, sigma, grid)
-        general, general_nodes = _retracted_nodes(RK4_ROUTES[route], _materialized(schedule),
-                                                  sigma, grid)
-        assert 10 < len(const_nodes) < grid.steps // 10
-        assert const_nodes == general_nodes
-        frames = [getattr(res, "frame_path", res).samples for res in (const, general)]
-        np.testing.assert_allclose(*frames, rtol=0, atol=1e-12)
+        for n, norm in ((5, 2.2), (17, 4.0)):
+            schedule, sigma = self.problem(n, 310, norm=norm)
+            const, const_nodes = _retracted_nodes(RK4_ROUTES[route], schedule, sigma, grid)
+            general, general_nodes = _retracted_nodes(RK4_ROUTES[route],
+                                                      _materialized(schedule), sigma, grid)
+            assert 10 < len(const_nodes) < grid.steps // 10
+            assert const_nodes == general_nodes
+            frames = [getattr(res, "frame_path", res).samples for res in (const, general)]
+            np.testing.assert_allclose(*frames, rtol=0, atol=1e-12)
+
+    def test_observed_order_against_expm(self):
+        import scipy.linalg
+
+        schedule, sigma = self.problem(17, 315, norm=6.0)
+        exact = scipy.linalg.expm(schedule.tabulate.matrix) @ sigma
+        errors = [frob(integrate_frame(schedule, sigma, TimeGrid(0.0, 1.0, steps)).samples[-1]
+                       - exact) for steps in (20, 40, 80)]
+        ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+        assert all(12.0 <= ratio <= 20.0 for ratio in ratios), ratios
+
+    def test_one_eigh_and_no_step_loop(self, monkeypatch):
+        schedule, sigma = self.problem(17, 317)
+        eighs, calls = [], []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+        for name in ("_rk4_step", "_rk4_nodes", "_stage_generators", "_slope_stages"):
+            monkeypatch.setattr(dynamics, name, lambda *args: calls.append(args) or 1 / 0)
+        res = berry_maps(schedule, Projector.from_frame(sigma), sigma, TimeGrid(0.0, 1.0, 200))
+        assert eighs == [(17, 17)] and calls == []
+        assert res.closed is False and res.energies.shape == (201,)
 
     def test_blocks_hold_a_bounded_frame_state(self, monkeypatch):
-        # five steps' (4, B, n, m) stage slopes a block: a long run takes many blocks, one R
+        # five steps' (m, m, n) stage products a run: a long grid takes many runs, with
+        # the frames of one run bit for bit
         n, m, steps = 17, 2, 23
         schedule, sigma = self.problem(n, 320)
         grid = TimeGrid(0.0, 1.0, steps)
-        one_block = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
-        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 5 * 4 * 16 * n * m)
-        blocks, step_maps = [], []
-        gauge_step_maps, rk4_maps = dynamics._gauge_step_maps, dynamics._rk4_maps
-        monkeypatch.setattr(
-            dynamics, "_gauge_step_maps",
-            lambda phis, *args: blocks.append(len(phis)) or gauge_step_maps(phis, *args))
-        monkeypatch.setattr(dynamics, "_rk4_maps",
-                            lambda g, *args: step_maps.append(g.shape) or rk4_maps(g, *args))
+        one_run = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 5 * 16 * n * m * m)
+        runs, scan = [], dynamics._scan_frames
+
+        def recorded_scan(run, *args):
+            return scan(lambda *run_args: runs.append(run(*run_args)) or runs[-1], *args)
+
+        monkeypatch.setattr(dynamics, "_scan_frames", recorded_scan)
         res = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
-        assert blocks == [5, 5, 5, 5, 3]
-        assert [shape for shape in step_maps if shape[-1] == n] == [(n, n)]
-        np.testing.assert_array_equal(res.frame_path.samples, one_block.frame_path.samples)
-        np.testing.assert_allclose(res.geometric, one_block.geometric, rtol=0, atol=1e-14)
+        assert [frames.shape for frames in runs] == [(5, n, m)] * 4 + [(3, n, m)]
+        np.testing.assert_array_equal(res.frame_path.samples, one_run.frame_path.samples)
+        np.testing.assert_allclose(res.geometric, one_run.geometric, rtol=0, atol=1e-14)
 
     def test_the_matrix_is_checked_once(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 4 * 16 * 17 * 2)  # 3 steps a table
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 16 * 17 * 2 * 2)  # 3 steps a run
         checks = []
         check = dynamics.require_antihermitian
         monkeypatch.setattr(dynamics, "require_antihermitian",
                             lambda a, *args: checks.append(a.shape) or check(a, *args))
         schedule, sigma = self.problem(17, 330)
         berry_maps(schedule, Projector.from_frame(sigma), sigma, TimeGrid(0.0, 1.0, 30))
-        assert checks == [(1, 17, 17)]
+        assert checks == [(17, 17)]
 
     @pytest.mark.parametrize("route", ["berry_maps", "integrate_frame"])
     @pytest.mark.parametrize("bad, error", [(1j, NotAntiHermitian), (np.nan, NonFinite)],
@@ -857,12 +881,20 @@ class TestConstantRoute:
     def test_a_bad_matrix_raises_before_any_step(self, route, bad, error, monkeypatch):
         a = random_antihermitian(17, 340)
         steps = _forbid_steps(monkeypatch)
-        monkeypatch.setattr(dynamics, "_rk4_maps", lambda *args: steps.append(args) or 1 / 0)
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: steps.append(args) or 1 / 0)
         # NaN is rejected by constant_schedule itself; its table is checked all the same
         schedule = HamiltonianSchedule(dynamics._ConstantTable(bad * a))
         with pytest.raises(error, match="generator"):
             RK4_ROUTES[route](schedule, random_frame(17, 2, 341), TimeGrid(0.0, 1.0, 10))
         assert steps == []
+
+    @pytest.mark.parametrize("route", ["berry_maps", "integrate_frame"])
+    def test_an_overflowing_generator_raises_non_finite_without_warnings(self, route):
+        # no filterwarnings mark: a generator of norm 1e300 passes the check, its anti-Hermitian
+        # part is formed without overflow, and the overflowing steps end in NonFinite alone
+        schedule, sigma = self.problem(17, 345, norm=1e300)
+        with pytest.raises(NonFinite, match="non-finite"):
+            RK4_ROUTES[route](schedule, sigma, TimeGrid(0.0, 1.0, 10))
 
     def test_a_non_finite_matrix_is_rejected_on_construction(self):
         with pytest.raises(NonFinite, match="generator"):
@@ -881,8 +913,8 @@ def test_overflowing_state_raises_non_finite(route, monkeypatch):
     # the RK4 stages of a generator of norm 1e200 overflow to inf and NaN in the
     # first step; a NaN defect is not within tol.ode, so the retraction of node 1
     # meets the non-finite state and raises: isometrize for frames, nearest_projector
-    # for projectors, on the projector loop after one _rk4_step; the frame scan and the
-    # frame loop, which steps a constant schedule by its one RK4 map, take none
+    # for projectors, on the projector loop after one _rk4_step; the frame routes, which
+    # run a constant schedule in its eigenbasis, take none
     retracted, steps = [], []
     for name in ("isometrize", "nearest_projector"):
         monkeypatch.setattr(dynamics, name, lambda f, *args, retract=getattr(dynamics, name):
@@ -898,7 +930,7 @@ def test_overflowing_state_raises_non_finite(route, monkeypatch):
 
 @pytest.mark.parametrize("route", ["berry_maps", "berry_maps_loop", "integrate_frame"])
 def test_overflowing_scan_raises_without_warnings(route):
-    # no filterwarnings mark: the scan and the loop run under np.errstate, so the 1e200
+    # no filterwarnings mark: the frame routes run under np.errstate, so the 1e200
     # generator ends in NonFinite alone, with no numpy RuntimeWarning (an error in this suite)
     with pytest.raises(NonFinite, match="non-finite"):
         RK4_ROUTES[route](_overflowing_schedule(), random_frame(3, 1, 206),

@@ -4,7 +4,8 @@ import pytest
 from grassflow import InvalidArgument
 from grassflow.bundle import connection_A, curvature_Omega, split_vertical_horizontal
 from grassflow.dynamics import (FramePath, HamiltonianSchedule, ProjectorPath, TimeGrid,
-                                geometric_hamiltonian, geometric_schedule, tracking_defect)
+                                constant_schedule, geometric_hamiltonian, geometric_schedule,
+                                tracking_defect)
 from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent, Projector,
                                  chart_from_proj, chart_transport, covariant_derivative_along,
                                  grassmann_connection_F, ham_field, lie_field_chart,
@@ -59,6 +60,12 @@ _PHI4, _V3 = _B4.frame, EmbeddedTangent(np.ones((3, 3)))
      "horizontal tangent has shape"),
     (lambda: Projector.from_frame(np.ones(3)), "n x m matrix"),
     (lambda: geometric_hamiltonian(ProjectorPath(_GRID, np.eye(3), rank=1)), "stack"),
+    (lambda: constant_schedule(np.zeros(3)), "square"),
+    (lambda: constant_schedule(np.zeros((3, 4))), "square"),
+    (lambda: linear_hamiltonian(np.zeros((3, 3)), _P4), "square 4 x 4"),
+    (lambda: lie_field_chart(np.zeros((3, 3)), _B4), "square 4 x 4"),
+    (lambda: ham_field(np.zeros((3, 3)), _P4), "square 4 x 4"),
+    (lambda: covariant_derivative_along(np.ones(4), np.ones(4), 0.1), "projector path"),
 ], ids=["tolerance_sign", "tolerance_order", "schedule_table", "geometric_qfun",
         "tracking_lengths", "covariant_nodes", "covariant_mode", "chart_tangent",
         "projector_from_matrix", "random_antihermitian", "grid_fractional_steps",
@@ -68,7 +75,10 @@ _PHI4, _V3 = _B4.frame, EmbeddedTangent(np.ones((3, 3)))
         "linear_hamiltonian_vector", "lie_field_chart_vector", "ham_field_vector",
         "connection_A_tangent_size", "split_tangent_size", "symplectic_form_tangent_size",
         "tangent_extract_size", "grassmann_connection_F_tangent_size",
-        "curvature_Omega_tangent_size", "from_frame_vector", "geometric_hamiltonian_matrix"])
+        "curvature_Omega_tangent_size", "from_frame_vector", "geometric_hamiltonian_matrix",
+        "constant_schedule_vector", "constant_schedule_rectangle",
+        "linear_hamiltonian_other_n", "lie_field_chart_other_n", "ham_field_other_n",
+        "covariant_vectors"])
 def test_bad_arguments_raise_invalid_argument(call, match):
     # InvalidArgument is a ValueError too: callers catching ValueError still do
     with pytest.raises(InvalidArgument, match=match):
