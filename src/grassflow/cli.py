@@ -32,9 +32,10 @@ from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, FramePath, TimeGrid, _frame
 from .errors import (GapTooSmall, GrassflowError, InvalidArgument, NonFinite,
                      NotAntiHermitian, NotClosed)
 from .grassmann import (BasePoint, ChartTangent, Projector, _adapted_basis, _random_base,
-                        chart_from_proj, chart_transport, proj_from_chart)
+                        _require_generator as _checked_generator, chart_from_proj,
+                        chart_transport, proj_from_chart)
 from .linalg import (Tolerances, dag, frob, isometrize, mat_exp, random_antihermitian,
-                     random_complex, random_frame, require_antihermitian)
+                     random_complex, random_frame)
 
 CSV_HEADER = "t,projector_defect,isometry_defect,horizontality_defect,energy"
 # one %-format per row; %.17g writes each float exactly as f"{x:.17g}" does
@@ -209,7 +210,7 @@ def build_setup(cfg: dict, tol: Tolerances):
         schedule = sampled_schedule(grid, values)
         p0 = Projector.from_frame(random_frame(n, m, _seeded(cfg)))
     else:
-        p0, schedule = _geometric_setup(sched_cfg, n, m, grid, cfg)
+        p0, schedule = _geometric_setup(sched_cfg, n, m, grid, cfg, tol)
 
     sigma = _adapted_basis(p0, tol, coframe=False)[0]  # from_projector's frame, no coframe
     return schedule, p0, sigma, grid
@@ -225,15 +226,13 @@ def _seeded(cfg: dict) -> np.random.Generator:
 
 def _require_generator(h_mat, n, tol, name):
     """A config generator as an n x n anti-Hermitian matrix, checked before integrating."""
-    if h_mat.shape != (n, n):
-        raise UsageError(f"{name} must be {n} x {n}")
     try:
-        return require_antihermitian(h_mat, tol, name)
+        return _checked_generator(h_mat, n, tol, name)
     except (NotAntiHermitian, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _geometric_setup(sched_cfg, n, m, grid, cfg):
+def _geometric_setup(sched_cfg, n, m, grid, cfg, tol):
     """The loop Q(t) = e^{X(t)} P e^{-X(t)}, X(t0) = 0, as P and its ``_orbit_schedule``."""
     span = grid.t1 - grid.t0
     # theta and omega shape the latitude loop; the seeded random loop reads neither
@@ -261,7 +260,7 @@ def _geometric_setup(sched_cfg, n, m, grid, cfg):
             return (np.sin(s) * a + (1.0 - np.cos(s)) * b,
                     (2 * np.pi / span) * (np.cos(s) * a + np.sin(s) * b))
 
-    return p0, _orbit_schedule(p0.matrix, exponent)
+    return p0, _orbit_schedule(p0.matrix, exponent, tol)
 
 
 # ---------------------------------------------------------------- reporting

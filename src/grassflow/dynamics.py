@@ -35,16 +35,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateStep, InvalidArgument, NotAntiHermitian, NotClosed, PathTooRough
+from .errors import DegenerateStep, InvalidArgument, NotClosed, PathTooRough
 from .bundle import curvature_generators, frame_defect, require_over
 from .grassmann import (BasePoint, Projector, chart_frames, chart_projectors,
                         hamiltonian_value, projector_defect, sampled_derivative)
-from .linalg import (DEFAULT_TOLS, Tolerances, _antihermitian_eigh, _matmul, _require_rank,
+from .linalg import (DEFAULT_TOLS, Tolerances, _matmul, _require_count, _require_rank,
                      _require_square, _require_tall, _small_det, _small_svals, commutator, dag,
                      frob, isometrize, nearest_projector, polar_retract, prefix_products,
                      require_antihermitian, require_finite)
@@ -66,16 +65,14 @@ _ROUGH_BOUND = 0.5
 _ANCHOR_DRIFT = 0.5
 
 
-def _require_count(value, name: str) -> None:
-    """InvalidArgument unless value is a positive integer (an ``Integral``, not a bool)."""
-    if not (isinstance(value, Integral) and not isinstance(value, bool) and value > 0):
-        raise InvalidArgument(f"{name} must be a positive integer, not {value!r}")
-
-
-def _require_stack(samples: np.ndarray) -> np.ndarray:
-    """samples, or InvalidArgument unless projector samples form a nonempty (N, n, n) stack."""
-    if np.ndim(samples) != 3 or not len(samples) or samples.shape[1] != samples.shape[2]:
-        raise InvalidArgument("projector samples must be an (N, n, n) stack")
+def _require_stack(samples: np.ndarray, name: str = "projector samples",
+                   square: bool = True) -> np.ndarray:
+    """samples, or InvalidArgument unless a nonempty stack: (N, n, n), or without ``square``
+    (N, n, m) with 1 <= m <= n."""
+    shape = np.shape(samples)
+    if len(shape) != 3 or not shape[0] or not (
+            shape[1] == shape[2] if square else 1 <= shape[2] <= shape[1]):
+        raise InvalidArgument(f"{name} must be a nonempty (N, n, {'n' if square else 'm'}) stack")
     return samples
 
 
@@ -170,8 +167,8 @@ def bloch_projector(theta: float, azimuth: float = 0.0) -> Projector:
 
 
 def sampled_schedule(grid: TimeGrid, values: np.ndarray) -> HamiltonianSchedule:
-    """Schedule from per-node samples, linearly interpolated in between."""
-    values = require_finite(np.asarray(values), "schedule samples")
+    """Schedule from per-node samples (N, n, n), linearly interpolated in between."""
+    values = _require_stack(require_finite(values, "schedule samples"), "schedule samples")
     if len(values) != grid.steps + 1:
         raise InvalidArgument("need one sample per grid node")
     t0, h = grid.t0, grid.h
@@ -226,7 +223,8 @@ def _scale_rows_cols(a: np.ndarray, d: np.ndarray) -> None:
     a *= d.conj()[..., np.newaxis, :]
 
 
-def _orbit_schedule(p: np.ndarray, exponent: Callable[[np.ndarray], tuple]) -> HamiltonianSchedule:
+def _orbit_schedule(p: np.ndarray, exponent: Callable[[np.ndarray], tuple],
+                    tol: Tolerances = DEFAULT_TOLS) -> HamiltonianSchedule:
     """``geometric_schedule`` of the orbit Q(t) = U P U*, U = e^{X(t)}, with Q' exact, not differenced.
 
     ``exponent`` maps a 1-D array of N times to the (N, n, n) stacks X and X' (X' may
@@ -237,17 +235,14 @@ def _orbit_schedule(p: np.ndarray, exponent: Callable[[np.ndarray], tuple]) -> H
     (Daleckii-Krein: Higham, Functions of Matrices, SIAM 2008, Thm 3.11; dexp: Iserles,
     Munthe-Kaas, Norsett & Zanna, Acta Numerica 9, 2000), finite at theta = 0.  So
     H = B - B* with B = V (e^{-i theta} o A) V*, A = P_V (Phi o V* X' V)(1 - P_V) and
-    P_V = V* P V: one stacked ``eigh`` a table.  NotAntiHermitian unless X passes the
-    rule of ``mat_exp``'s spectral route (``_antihermitian_eigh``).
+    P_V = V* P V: one stacked ``eigh`` a table.  X is checked by ``require_antihermitian``
+    under ``tol``.
     """
 
     def table(times: np.ndarray) -> np.ndarray:
         x, dx = exponent(times)
-        spectral = _antihermitian_eigh(require_finite(x, "orbit exponent"))
-        if spectral is None:
-            raise NotAntiHermitian("orbit exponent is not anti-Hermitian")
+        lam, v = np.linalg.eigh(1j * require_antihermitian(x, tol, "orbit exponent"))
         del x
-        lam, v = spectral
         turn = np.exp(0.5j * lam)  # e^{i theta_jk / 2} = turn_j / turn_k
         vh = dag(v)
         a = vh @ dx @ v
@@ -320,8 +315,8 @@ class FramePath:
         return float(self.frame_defects().max())
 
     def closure_residual(self) -> float:
-        """|| phi_N phi_N* - phi_0 phi_0* ||, the closure residual of the projector path."""
-        first, last = self.samples[0], self.samples[-1]
+        """|| phi_N phi_N* - phi_0 phi_0* ||; InvalidArgument unless a nonempty (N, n, m) stack."""
+        first, last = _require_stack(self.samples, "frame samples", square=False)[[0, -1]]
         return frob(last @ dag(last) - first @ dag(first))
 
 
@@ -403,9 +398,11 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
     The discrete (Pancharatnam) connection psi_{k+1} = polar(P_{k+1} psi_k), of order 2,
     on any path of 2 samples or more: ``_section_transport`` of the ``_local_section``
     through sigma.  Along a Hamiltonian flow the 4th-order transport is
-    ``berry_maps(...).horizontal_path``.
+    ``berry_maps(...).horizontal_path``.  InvalidArgument unless sigma has ``path.rank`` columns.
     """
     sigma = require_over(sigma, _require_stack(path.samples)[0], tol, "the path start")
+    if sigma.shape[1] != path.rank:
+        raise InvalidArgument(f"sigma has {sigma.shape[1]} columns, not the path rank {path.rank}")
     frames = _section_transport(_local_section(path.samples, sigma, tol), tol)
     frames[0] = sigma  # itself, not its section frame times g_0 = I (equal up to roundoff)
     return FramePath(grid=path.grid, samples=frames)
@@ -665,7 +662,8 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
                   tol: Tolerances, stages: bool = False):
     """Fill phis[1:] with the RK4 frames of phi' = H(t) phi from phis[0], a table at a time.
 
-    A ``constant_schedule`` takes ``_eigen_frames``, any other the tables of ``_stage_generators``.
+    A ``constant_schedule`` takes ``_eigen_frames`` of its checked (1, n, n) table at t0, any
+    other the tables of ``_stage_generators``.
     An RK4 step of the linear equation is an n x n matrix R_k (``_rk4_maps``).  Up to
     _SCAN_MAX_N a table's R_k are chained by ``_scan_frames``; above it a per-step loop of four
     stage products, O(n^2 m) a step, isometrizes phi where its frame defect is not within
@@ -673,7 +671,8 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
     if ``stages``, their stage generators c_i = s_i* H s_i (``_slope_stages``).
     """
     if isinstance(schedule.tabulate, _ConstantTable):
-        yield from _eigen_frames(schedule.tabulate.matrix, phis, grid, tol, stages)
+        yield from _eigen_frames(schedule.table(np.array([grid.t0]), phis.shape[1])[0], phis,
+                                 grid, tol, stages)
         return
     n, h, start = phis.shape[1], grid.h, 0
     for hs, end in _stage_generators(schedule, grid, n, tol):

@@ -243,11 +243,12 @@ def chart_transport(u: np.ndarray, f: ChartTangent,
                         block=dag(new_base.coframe) @ pushed @ new_base.frame)
 
 
-def _require_generator(u: np.ndarray, n: int, tol: Tolerances) -> np.ndarray:
+def _require_generator(u: np.ndarray, n: int, tol: Tolerances,
+                       name: str = "generator") -> np.ndarray:
     """u checked by ``require_antihermitian``, after InvalidArgument unless it is n x n."""
     if np.shape(u)[-2:] != (n, n):
-        raise InvalidArgument(f"generator must be a square {n} x {n} matrix, not {np.shape(u)}")
-    return require_antihermitian(u, tol, "generator")
+        raise InvalidArgument(f"{name} must be a square {n} x {n} matrix, not {np.shape(u)}")
+    return require_antihermitian(u, tol, name)
 
 
 def lie_field_chart(u: np.ndarray, base: BasePoint,

@@ -13,6 +13,7 @@ onto rank-m projectors, and seeded random generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -28,6 +29,7 @@ class Tolerances:
     ode: post-step retraction trigger during integration.
     comparison: equality threshold for comparing computed values, and the bound of
     the one anti-Hermitian rule, ``require_antihermitian``.
+    Each is a finite number > 0 and structural <= comparison, else InvalidArgument.
     """
 
     structural: float = 1e-10
@@ -35,8 +37,9 @@ class Tolerances:
     comparison: float = 1e-8
 
     def __post_init__(self):
-        if not (self.structural > 0 and self.ode > 0 and self.comparison > 0):
-            raise InvalidArgument("tolerances must be strictly positive")
+        if not all(isinstance(x, Real) and not isinstance(x, bool) and 0 < x < np.inf
+                   for x in (self.structural, self.ode, self.comparison)):
+            raise InvalidArgument("tolerances must be strictly positive finite numbers")
         if self.structural > self.comparison:
             raise InvalidArgument("structural tolerance must not exceed comparison tolerance")
 
@@ -56,6 +59,12 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def frob(a: np.ndarray) -> float:
     """Frobenius norm as a plain float."""
     return float(np.linalg.norm(a))
+
+
+def _require_count(value, name: str) -> None:
+    """InvalidArgument unless value is a positive integer (an ``Integral``, not a bool)."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value > 0):
+        raise InvalidArgument(f"{name} must be a positive integer, not {value!r}")
 
 
 def require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -247,31 +256,20 @@ def prefix_products(a: np.ndarray) -> np.ndarray:
     return out[:count]
 
 
-def _antihermitian_eigh(a: np.ndarray):
-    """(lam, V) with iA = V diag(lam) V* for each matrix of the finite stack a, or None.
-
-    None unless every matrix is anti-Hermitian to roundoff: || A + A* || at most
-    4 n eps || A ||, both divided by the s of ``_hermitian_defects``.
-    """
-    defects, norms, _ = _hermitian_defects(a)
-    if np.all(defects <= 4.0 * a.shape[-1] * np.finfo(float).eps * norms):
-        return np.linalg.eigh(1j * a)
-    return None
-
-
 def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential e^A of a matrix or of each matrix in a stack (..., n, n).
 
-    When every matrix is anti-Hermitian to roundoff (``_antihermitian_eigh``),
-    e^A = V diag(e^{-i lam}) V* from the eigendecomposition iA = V diag(lam) V*,
-    unitary to roundoff (the normal-matrix route: Higham, Functions of
-    Matrices, SIAM 2008, ch. 10).  Any other input goes to
+    InvalidArgument unless square, NonFinite unless finite; the test below only picks the
+    route and rejects nothing.  When every matrix is anti-Hermitian to roundoff, || A + A* || at most 4 n eps || A || (both
+    divided by the s of ``_hermitian_defects``), e^A = V diag(e^{-i lam}) V* from
+    the eigendecomposition iA = V diag(lam) V*, unitary to roundoff (the normal-matrix
+    route: Higham, Functions of Matrices, SIAM 2008, ch. 10).  Any other input goes to
     scipy's scaling-and-squaring Pade ``expm``; scipy is imported only then.
     """
     a = _require_square(require_finite(a, "exponent"), stack=True)
-    spectral = _antihermitian_eigh(a)
-    if spectral is not None:
-        lam, v = spectral
+    defects, norms, _ = _hermitian_defects(a)
+    if np.all(defects <= 4.0 * a.shape[-1] * np.finfo(float).eps * norms):
+        lam, v = np.linalg.eigh(1j * a)
         return (v * np.exp(-1j * lam)[..., np.newaxis, :]) @ dag(v)
     import scipy.linalg
 
@@ -289,7 +287,8 @@ def nearest_projector(m_mat: np.ndarray, m: int,
     """
     m_mat = _require_square(require_finite(m_mat, "matrix"))
     n = m_mat.shape[0]
-    if not (0 < m < n):
+    _require_count(m, "rank m")
+    if not m < n:
         raise InvalidArgument("rank m must satisfy 0 < m < n")
     if frob(m_mat - dag(m_mat)) > tol.comparison * (1.0 + frob(m_mat)):
         raise InvalidArgument("input is not Hermitian within comparison tolerance")
@@ -305,8 +304,8 @@ def nearest_projector(m_mat: np.ndarray, m: int,
 
 def random_complex(n: int, m: int, seed) -> np.ndarray:
     """Seeded complex Gaussian n x m matrix; ``seed`` may also be a Generator."""
-    if n < 1 or m < 1:
-        raise InvalidArgument("dimension must be >= 1")
+    _require_count(n, "dimension n")
+    _require_count(m, "dimension m")
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 

@@ -12,7 +12,7 @@ import numpy as np
 from grassflow.bundle import (connection_A, curvature_Omega,
                               curvature_generators)
 from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, TimeGrid,
-                                berry_maps, bloch_projector, constant_schedule,
+                                berry_maps, bloch_matrices, bloch_projector, constant_schedule,
                                 geometric_schedule, horizontal_transport,
                                 horizontality_defect, integrate_frame,
                                 integrate_projector, loop_holonomy,
@@ -197,8 +197,7 @@ def test_criterion_07_berry_benchmark():
                         abs(np.angle(np.exp(1j * (phase + reference)))))
         assert deviation <= 1e-4, f"theta={theta:.3f}: phase deviation {deviation:.3e}"
 
-        loop = np.array([bloch_projector(theta, az).matrix
-                         for az in np.linspace(0.0, 2 * np.pi, 10001)])
+        loop = bloch_matrices(theta, np.linspace(0.0, 2 * np.pi, 10001))
         oracle = pancharatnam_oracle(loop, sigma)
         gap = frob(res.geometric - oracle)
         assert gap <= 2e-3, f"theta={theta:.3f}: oracle gap {gap:.3e}"

@@ -1713,8 +1713,7 @@ class TestOneRankRule:
 class TestPancharatnamOracle:
     @staticmethod
     def latitude_samples(theta, n_samples):
-        return np.array([bloch_projector(theta, az).matrix
-                         for az in np.linspace(0.0, 2 * np.pi, n_samples + 1)])
+        return bloch_matrices(theta, np.linspace(0.0, 2 * np.pi, n_samples + 1))
 
     def test_constant_loop(self):
         samples = np.repeat(Projector.standard(2, 1).matrix[np.newaxis], 2, axis=0)

@@ -4,13 +4,14 @@ import pytest
 from grassflow import InvalidArgument
 from grassflow.bundle import connection_A, curvature_Omega, split_vertical_horizontal
 from grassflow.dynamics import (FramePath, HamiltonianSchedule, ProjectorPath, TimeGrid,
-                                constant_schedule, geometric_hamiltonian, geometric_schedule,
-                                tracking_defect)
+                                berry_maps, constant_schedule, geometric_hamiltonian,
+                                geometric_schedule, integrate_frame, loop_holonomy,
+                                sampled_schedule, tracking_defect)
 from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent, Projector,
                                  chart_from_proj, chart_transport, covariant_derivative_along,
                                  grassmann_connection_F, ham_field, lie_field_chart,
                                  linear_hamiltonian, symplectic_form, tangent_extract)
-from grassflow.linalg import Tolerances, random_antihermitian
+from grassflow.linalg import Tolerances, nearest_projector, random_antihermitian, random_frame
 
 _P = Projector.standard(3, 1).matrix
 _GRID = TimeGrid(0.0, 1.0, 2)
@@ -66,6 +67,19 @@ _PHI4, _V3 = _B4.frame, EmbeddedTangent(np.ones((3, 3)))
     (lambda: lie_field_chart(np.zeros((3, 3)), _B4), "square 4 x 4"),
     (lambda: ham_field(np.zeros((3, 3)), _P4), "square 4 x 4"),
     (lambda: covariant_derivative_along(np.ones(4), np.ones(4), 0.1), "projector path"),
+    (lambda: integrate_frame(constant_schedule(np.zeros((3, 3))), np.ones((4, 2)) / 2,
+                             TimeGrid(0, 1, 4)), r"schedule table has shape \(1, 3, 3\)"),
+    (lambda: berry_maps(constant_schedule(np.zeros((4, 4))), Projector.standard(3, 1),
+                        BasePoint.standard(3, 1).frame, TimeGrid(0, 1, 4)),
+     r"schedule table has shape \(1, 4, 4\)"),
+    (lambda: nearest_projector(np.eye(3), 1.5), "positive integer"),
+    (lambda: random_frame(3, True, 0), "positive integer"),
+    (lambda: Tolerances(structural="a"), "strictly positive"),
+    (lambda: Tolerances(ode=np.inf), "finite"),
+    (lambda: FramePath(_GRID, np.zeros((0, 3, 1))).closure_residual(), "nonempty"),
+    (lambda: sampled_schedule(TimeGrid(0, 1, 4), np.zeros((5, 3))), "stack"),
+    (lambda: loop_holonomy(ProjectorPath(_GRID, np.array([_P] * 3), rank=2),
+                           np.eye(3)[:, :1]), "not the path rank 2"),
 ], ids=["tolerance_sign", "tolerance_order", "schedule_table", "geometric_qfun",
         "tracking_lengths", "covariant_nodes", "covariant_mode", "chart_tangent",
         "projector_from_matrix", "random_antihermitian", "grid_fractional_steps",
@@ -78,7 +92,10 @@ _PHI4, _V3 = _B4.frame, EmbeddedTangent(np.ones((3, 3)))
         "curvature_Omega_tangent_size", "from_frame_vector", "geometric_hamiltonian_matrix",
         "constant_schedule_vector", "constant_schedule_rectangle",
         "linear_hamiltonian_other_n", "lie_field_chart_other_n", "ham_field_other_n",
-        "covariant_vectors"])
+        "covariant_vectors", "integrate_frame_constant_other_n",
+        "berry_maps_constant_other_n", "nearest_projector_fractional_rank",
+        "random_frame_bool_columns", "tolerance_text", "tolerance_infinite", "frame_path_empty",
+        "sampled_schedule_vectors", "loop_holonomy_rank_mismatch"])
 def test_bad_arguments_raise_invalid_argument(call, match):
     # InvalidArgument is a ValueError too: callers catching ValueError still do
     with pytest.raises(InvalidArgument, match=match):
