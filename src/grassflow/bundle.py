@@ -45,13 +45,13 @@ def require_over(phi: np.ndarray, p: np.ndarray, tol: Tolerances = DEFAULT_TOLS,
                  where: str = "the base point") -> np.ndarray:
     """A finite frame that lies over the projector matrix p, else BaseMismatch.
 
-    InvalidArgument unless phi is an n x m frame (1 <= m <= n) and p an n x n matrix;
-    im(phi) counts as im(p) when || phi phi* - p || <= comparison * n.
+    InvalidArgument unless phi is an n x m frame (1 <= m <= n) and p an n x n matrix, NonFinite
+    unless both are finite; im(phi) counts as im(p) when || phi phi* - p || <= comparison * n.
     """
     phi = _require_tall(require_finite(phi, "frame"))
     if np.shape(p) != 2 * phi.shape[:1]:
         raise InvalidArgument(f"a {phi.shape} frame cannot lie over a {np.shape(p)} matrix")
-    if frob(phi @ dag(phi) - p) > tol.comparison * p.shape[0]:
+    if frob(phi @ dag(phi) - require_finite(p, where)) > tol.comparison * p.shape[0]:
         raise BaseMismatch(f"im(frame) differs from {where}")
     return phi
 

@@ -13,9 +13,10 @@ curvature generators.
 Transport runs in a local trivialization of the bundle, where it is an m x m
 gauge equation: along a Hamiltonian flow by ``berry_maps`` over the Schroedinger
 frame (its ``horizontal_path``), along a sampled path by ``_section_transport`` from
-the fiber overlaps of a section: ``horizontal_transport`` takes the ``_local_section``
+the fiber overlaps of a section: ``horizontal_transport`` takes the ``_pivoted_section``
 of the projector samples, the CLI's ``synthesize`` the ``_graph_section`` of its chart
-loop, which forms no n x n matrix.  Both chain by ``_gauge_chain``.
+loop, which forms no n x n matrix.  Both chain by ``_gauge_chain``.  ``pancharatnam_oracle``
+is ``_frame_oracle``, which the CLI runs on its flow's frames, of the ``_pivoted_section``.
 Every RK4 route reads its 2 * steps + 1 stage generators once each, a checked table at a time
 with the node ending its steps (``_stage_generators``).  A geometric table of any curve Q(t)
 takes Q' by central differences (``geometric_schedule``); for a unitary orbit Q = e^X P e^-X,
@@ -25,7 +26,7 @@ The frame equation has one integrator, ``_frame_blocks``, which ``integrate_fram
 ``constant_schedule`` runs by one ``eigh``, in which basis its RK4 steps are diagonal.
 Stacked products by ``_matmul`` make no per-matrix BLAS call for 1 x 1 and 2 x 2 factors (the
 step maps and Gram products at n = 2, the gauge maps at m <= 2) or for a stack times one
-matrix (a scan's frames, a section's projections).  The determinants and singular values of
+matrix (a scan's frames, the graph frames of a chart loop).  The determinants and singular values of
 the overlaps and chains of ``_frame_oracle`` and ``_section_transport`` are closed forms at
 m <= 2 (``_small_det``, ``_small_svals``).  Each fiber projection keeps rank m by one rule,
 ``_require_rank`` on the squared singular values of its overlap or projected frame.
@@ -57,12 +58,10 @@ from .linalg import (DEFAULT_TOLS, Tolerances, _matmul, _require_count, _require
 SYNTHESIS_CURVATURE_CONSTANT = -2.0
 
 # Step of the central difference that gives Q' in ``geometric_schedule`` (absolute, in
-# units of t: it assumes a curve whose time scale is near 1), the largest projector
-# move || P_{k+1} - P_k || that ``geometric_hamiltonian`` accepts, and the largest
-# || a* P_k a - I ||_F at which ``_local_section`` keeps its anchor a.
+# units of t: it assumes a curve whose time scale is near 1), and the largest projector
+# move || P_{k+1} - P_k || that ``geometric_hamiltonian`` accepts.
 _FD_STEP = 1e-6
 _ROUGH_BOUND = 0.5
-_ANCHOR_DRIFT = 0.5
 
 
 def _require_stack(samples: np.ndarray, name: str = "projector samples",
@@ -396,16 +395,14 @@ def horizontal_transport(path: ProjectorPath, sigma: np.ndarray,
     """Parallel transport of a start frame along a sampled projector path: psi' = P' psi.
 
     The discrete (Pancharatnam) connection psi_{k+1} = polar(P_{k+1} psi_k), of order 2,
-    on any path of 2 samples or more: ``_section_transport`` of the ``_local_section``
-    through sigma.  Along a Hamiltonian flow the 4th-order transport is
+    on any path of 2 samples or more: ``_section_transport`` of the ``_pivoted_section``
+    (its errors too).  Along a Hamiltonian flow the 4th-order transport is
     ``berry_maps(...).horizontal_path``.  InvalidArgument unless sigma has ``path.rank`` columns.
     """
     sigma = require_over(sigma, _require_stack(path.samples)[0], tol, "the path start")
     if sigma.shape[1] != path.rank:
         raise InvalidArgument(f"sigma has {sigma.shape[1]} columns, not the path rank {path.rank}")
-    frames = _section_transport(_local_section(path.samples, sigma, tol), tol)
-    frames[0] = sigma  # itself, not its section frame times g_0 = I (equal up to roundoff)
-    return FramePath(grid=path.grid, samples=frames)
+    return FramePath(path.grid, _section_transport(_pivoted_section(path.samples, sigma, tol), tol))
 
 
 def horizontality_defects(frames: FramePath) -> np.ndarray:
@@ -542,28 +539,36 @@ def _cholesky_frames(y: np.ndarray, grams: np.ndarray) -> np.ndarray:
     return frames
 
 
-def _local_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthonormal frames phi_k = P_k a L_k^-* of im(P_k), L_k L_k* = a* P_k a, by blocks.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # a bad sample fails the check
+def _pivoted_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Orthonormal frames phi_k of im(P_k), phi_0 = sigma, by a diagonally pivoted Cholesky.
 
-    The anchor a starts at sigma and becomes phi_{k-1} where || a* P_k a - I ||_F exceeds
-    _ANCHOR_DRIFT (then an eigenvalue may be below 1/2), so the anchors depend on the
-    path alone.  On a new anchor, DegenerateStep unless a* P_k a keeps rank m by
-    ``_require_rank`` on its eigenvalues.
+    Each of the m steps, over all samples at once, pivots on the largest diagonal entry d of
+    the residual R_i = P_k - l_1 l_1* - ... - l_i l_i* (d >= (m - i)/n for a projector) and
+    takes l_{i+1} = R_i e_p / sqrt(d), reading only the pivot columns; for an idempotent
+    P_k = F F*, F = [l_1 ... l_m] is orthonormal.  The one check, O(n^2 m) a sample, on which
+    both sampled routes rest: each phi_k is a frame and P_k phi_{k-1} = phi_k phi_k* phi_{k-1}
+    (phi_{-1} = sigma) within comparison * n, else InvalidArgument (NonFinite if not finite).
     """
-    frames = np.empty((len(samples),) + sigma.shape, dtype=complex)
-    block = _transport_block(samples.shape[-1])
-    anchor, start, fresh = sigma, 0, True
-    while start < len(samples):
-        proj = _matmul(samples[start:start + block], anchor)
-        grams = dag(anchor) @ proj
-        kept = np.linalg.norm(grams - np.eye(sigma.shape[1]), axis=(1, 2)) <= _ANCHOR_DRIFT
-        if fresh:
-            _require_rank(_small_svals(require_finite(grams[0], "path")), tol, DegenerateStep)
-        kept[0] |= fresh  # a NaN gram is never kept: its node becomes fresh and raises
-        cut = len(kept) if kept.all() else int(kept.argmin())
-        frames[start:start + cut] = _cholesky_frames(proj[:cut], grams[:cut])
-        start, fresh = start + cut, cut < len(kept)
-        anchor = frames[start - 1] if fresh else anchor
+    (n, m), rows = sigma.shape, np.arange(len(samples))
+    frames = np.empty(rows.shape + sigma.shape, dtype=complex)
+    residual = np.diagonal(samples, axis1=1, axis2=2).real.astype(float)
+    for i in range(m):
+        pivot = residual.argmax(axis=1)
+        column = samples[rows, :, pivot]
+        for j in range(i):
+            column = column - frames[..., j] * frames[rows, pivot, j, np.newaxis].conj()
+        frames[..., i] = column / np.sqrt(residual[rows, pivot])[:, np.newaxis]
+        residual -= np.abs(frames[..., i]) ** 2
+    frames[0] = sigma
+    previous = np.concatenate([sigma[np.newaxis], frames[:-1]])
+    moved = _matmul(samples, previous) - _matmul(frames, _matmul(dag(frames), previous))
+    defects = np.maximum(frame_defect(frames), np.linalg.norm(moved, axis=(1, 2)))
+    kept = defects <= tol.comparison * n  # NaN fails it
+    if not kept.all():
+        k = int(kept.argmin())
+        require_finite(samples[k], "projector samples")
+        raise InvalidArgument(f"projector sample {k} is not a rank-{m} orthogonal projector")
     return frames
 
 
@@ -802,34 +807,25 @@ def loop_holonomy(path: ProjectorPath, sigma: np.ndarray,
 
 def pancharatnam_oracle(samples: np.ndarray, sigma: np.ndarray,
                         tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Discrete holonomy oracle: ordered product of fiber projections.
+    """Discrete holonomy oracle: the oriented isometrization of sigma* P_{N-1} ... P_1 sigma.
 
-    Pushes the start frame through P_1, ..., P_{N-1} by successive
-    projection, then orient-isometrizes the m x m overlap with the start
-    frame.  Converges to ``loop_holonomy`` as the sampling refines, by a
-    route entirely independent of the transport ODE.  DegenerateStep unless each
-    projected frame keeps rank m by ``_require_rank`` on its squared singular values.
+    The product is phi_{N-1} O_{N-1} ... O_1, O_k = phi_k* phi_{k-1}, for orthonormal frames
+    phi_k of im(P_k), phi_0 = sigma (Samuel & Bhandari, PRL 60, 2339 (1988)), so this is
+    ``_frame_oracle`` of the ``_pivoted_section``, with their errors; NotClosed unless the loop
+    closes at the rank of sigma.  It converges to ``loop_holonomy`` as the sampling refines.
     """
     samples = _require_stack(require_finite(samples, "loop samples"))
-    rank = int(round(float(np.trace(samples[0]).real)))
-    _require_closed(frob(samples[-1] - samples[0]), rank, tol)
     sigma = require_over(sigma, samples[0], tol, "the first sample")
-
-    v = sigma.copy()
-    for p in samples[1:]:
-        v = p @ v
-        svals = np.linalg.svd(v, compute_uv=False)
-        _require_rank(svals ** 2, tol, DegenerateStep)
-        v = v / svals[0]
-    return isometrize(dag(sigma) @ v, tol)
+    _require_closed(frob(samples[-1] - samples[0]), sigma.shape[1], tol)
+    return _frame_oracle(_pivoted_section(samples, sigma, tol), tol)
 
 
 def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """``pancharatnam_oracle(P, phi_0)`` for P_k = phi_k phi_k* (closure is the caller's check).
+    """The Pancharatnam oracle of the loop P_k = phi_k phi_k* (closure is the caller's check).
 
     P_k ... P_1 phi_0 = phi_k C_k, C_k = O_k ... O_1 for the overlaps O_k = phi_k* phi_{k-1},
     chained by ``prefix_products`` at |det O_k| = 1, which keeps C finite while its rank holds.
-    Step k checks that oracle's projected frame O_k C_{k-1} / s_max(C_{k-1}) by its rule.
+    Step k checks the projected frame O_k C_{k-1} / s_max(C_{k-1}) by the rank rule.
     """
     overlaps = _matmul(dag(frames[1:]), frames[:-1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only once rank is lost
@@ -840,7 +836,8 @@ def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndar
     chain_svals = _small_svals(chains)
     steps = scales / np.append(1.0, chain_svals[:-1, 0])
     _require_rank((chain_svals * steps[:, np.newaxis]) ** 2, tol, DegenerateStep)
-    return isometrize(dag(frames[0]) @ frames[-1] @ (chains[-1] / chain_svals[-1, 0]), tol)
+    end = chains[-1] / chain_svals[-1, 0] if len(chains) else np.eye(frames.shape[-1])
+    return isometrize(dag(frames[0]) @ frames[-1] @ end, tol)
 
 
 def synthesize_holonomy_step(w: np.ndarray, scale: float, base: BasePoint,

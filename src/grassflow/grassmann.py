@@ -170,9 +170,9 @@ def chart_projectors(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
     The blocks sit at one base point, or at a stack of N; one (n-m, m) block gives one (n, n)
     matrix.  The graph of f is spanned by its ``chart_frames`` Y, and its projector is
     Y (Y* Y)^-1 Y*, from one stacked m x m solve, Hermitized.
-    Y* Y = 1 + f* f is always invertible, so this never fails.
+    Y* Y = 1 + f* f is always invertible, so only a non-finite block fails: NonFinite.
     """
-    y = chart_frames(base, blocks)
+    y = chart_frames(base, require_finite(blocks, "chart block"))
     y_dag = dag(y)
     p = y @ np.linalg.solve(y_dag @ y, y_dag)
     del y, y_dag  # free the frames before Hermitizing allocates a second stack

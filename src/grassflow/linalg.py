@@ -53,6 +53,8 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] = ab - ba of square matrices or stacks; InvalidArgument for any other operand."""
+    a, b = (_require_square(np.asarray(x), stack=True) for x in (a, b))
     return a @ b - b @ a
 
 

@@ -21,7 +21,7 @@ from grassflow.dynamics import (TimeGrid, _orbit_schedule, berry_maps, bloch_pro
 from grassflow.grassmann import BasePoint, Projector
 from grassflow.linalg import Tolerances, dag, random_antihermitian, random_frame
 
-from cointegrated import cointegrated_transport
+from cointegrated import cointegrated_transport, pancharatnam_reference
 
 REQUIRED_KEYS = ["config", "holonomy_dynamical", "holonomy_geometric",
                  "fiber_gap", "berry_phase_arg", "closure_residual",
@@ -185,8 +185,8 @@ class TestBerry:
       "schedule": {"kind": "geometric_from_curve"}}, 200),
 ], ids=["berry-rotating", "berry-geometric"])
 def test_frame_oracle_is_the_projector_oracle(tmp_path, cfg, steps):
-    # the oracle of berry and holonomy reports, from frame overlaps, against
-    # the public oracle on the projectors phi_k phi_k* of the same run
+    # the oracle of berry and holonomy reports, from frame overlaps, and the public
+    # oracle on the projectors phi_k phi_k* of the same run, against the per-sample loop
     cfg_file = tmp_path / "config.json"
     cfg_file.write_text(json.dumps(cfg))
     loaded = load_config(build_parser().parse_args(
@@ -195,8 +195,10 @@ def test_frame_oracle_is_the_projector_oracle(tmp_path, cfg, steps):
     schedule, p0, sigma, grid = build_setup(loaded, tol)
     res = berry_maps(schedule, p0, sigma, grid, tol)
     frames = res.frame_path.samples
-    reference = pancharatnam_oracle(frames @ dag(frames), sigma, tol)
+    samples = frames @ dag(frames)
+    reference = pancharatnam_reference(samples, sigma, tol)
     assert np.linalg.norm(cli._closed_oracle(res, tol) - reference) <= 1e-12
+    assert np.linalg.norm(pancharatnam_oracle(samples, sigma, tol) - reference) <= 1e-12
 
 
 class TestFlow:

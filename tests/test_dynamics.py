@@ -25,7 +25,7 @@ from grassflow.grassmann import (BasePoint, Projector, chart_from_proj, hamilton
 from grassflow.linalg import (dag, frob, isometrize, mat_exp, nearest_projector, polar_retract,
                               random_antihermitian, random_frame, random_unitary)
 
-from cointegrated import cointegrated_transport
+from cointegrated import cointegrated_transport, pancharatnam_reference, projection_transport
 
 
 def trig_schedule(a, b, freq=1.0):
@@ -231,8 +231,9 @@ class TestHorizontalTransport:
     def test_each_step_stores_the_retraction_of_its_frame(self, monkeypatch):
         # every pre-retraction matrix passes through polar_retract: record it there.
         # Transport retracts gauges, not frames: its step maps in one stack (the fiber
-        # overlaps O_k = phi_{k+1}* phi_k after one Newton-Schulz step), then their
-        # running products, and node k stores its section frame times the latter
+        # overlaps O_k = phi_{k+1}* phi_k of the pivoted section after one Newton-Schulz
+        # step), then their running products, and node k stores its section frame times
+        # the latter; node 0 is sigma itself
         rng = np.random.default_rng(57)
         phi0 = random_frame(4, 2, rng)
         path = integrate_projector(smooth_schedule(4, rng), Projector.from_frame(phi0),
@@ -246,7 +247,7 @@ class TestHorizontalTransport:
 
         monkeypatch.setattr(dynamics, "polar_retract", recording_retract)
         transported = horizontal_transport(path, phi0)
-        sections = _sequential_section(path.samples, phi0)
+        sections = dynamics._pivoted_section(path.samples, phi0, dynamics.DEFAULT_TOLS)
         overlaps = dag(sections[1:]) @ sections[:-1]
         newton_schulz = overlaps @ (3 * np.eye(2) - dag(overlaps) @ overlaps) / 2
         assert [f.shape for f in raw] == [(path.grid.steps, 2, 2)] * 2
@@ -1236,32 +1237,9 @@ def _synthesized_loop(seed, n, m, scale, per_side):
     return synthesize_holonomy_step(w / np.linalg.norm(w), scale, base, per_side), base, rng
 
 
-def _sequential_section(samples, sigma):
-    """The sampled transport's section node by node: P_k a L_k^-*, L_k L_k* = a* P_k a.
-
-    The anchor a starts at sigma and moves to the previous frame at each node where
-    || a* P_k a - I ||_F exceeds 1/2.
-    """
-    frames, anchor, eye = [], sigma, np.eye(sigma.shape[1])
-    for k, p in enumerate(samples):
-        if k and np.linalg.norm(dag(anchor) @ (p @ anchor) - eye) > 0.5:
-            anchor = frames[-1]
-        chol = np.linalg.cholesky(dag(anchor) @ (p @ anchor))
-        frames.append((p @ anchor) @ dag(np.linalg.inv(chol)))
-    return np.array(frames)
-
-
 def _svd_polar(f):
     u, _, vh = np.linalg.svd(f, full_matrices=False)
     return u @ vh
-
-
-def _projection_loop(path, sigma):
-    """Sampled transport step by step: psi_{k+1} = polar(P_{k+1} psi_k), by the SVD."""
-    psis = [sigma]
-    for p in path.samples[1:]:
-        psis.append(_svd_polar(p @ psis[-1]))
-    return np.array(psis)
 
 
 LOOPS = dict(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
@@ -1384,7 +1362,7 @@ class TestSampledTransport:
         # against psi_{k+1} = polar(P_{k+1} psi_k), the SVD polar factor taken step by step
         path, base, _ = _synthesized_loop(79, 5, 2, 0.3, 16)
         got = horizontal_transport(path, base.frame).samples
-        assert np.abs(got - _projection_loop(path, base.frame)).max() <= 1e-14
+        assert np.abs(got - projection_transport(path.samples, base.frame)).max() <= 1e-14
 
     def test_two_samples_are_transported(self):
         # one step needs no stencil: psi_1 is the polar factor of P_1 sigma
@@ -1392,7 +1370,7 @@ class TestSampledTransport:
         path = ProjectorPath(grid=_TWO_NODES, samples=samples, rank=1)
         sigma = BasePoint.from_projector(bloch_projector(np.pi / 3)).frame
         got = horizontal_transport(path, sigma).samples
-        assert np.abs(got - _projection_loop(path, sigma)).max() <= 1e-15
+        assert np.abs(got - projection_transport(path.samples, sigma)).max() <= 1e-15
 
     def test_graph_section_gives_the_sampled_transport(self):
         # the synthesize-n6m2 loop (seed 0): transport from its graph-frame section, as
@@ -1454,10 +1432,10 @@ class TestSampledTransport:
         assert calls[4:] == [(path.grid.steps, 2, 2)] * 2
         assert polar_svds == []
 
-    def test_equator_loop_moves_the_section_anchor(self, monkeypatch):
-        # on the equator a* P_k a of the start frame is 0 at azimuth pi, so one anchor
-        # cannot serve the whole loop; re-anchored, the holonomy is -1 within the
-        # order-2 error estimated by halving h
+    def test_equator_loop_moves_the_section_anchor(self):
+        # on the equator sigma* P_k sigma is 0 at azimuth pi, where a section anchored at
+        # sigma has no frame; the pivoted section needs no anchor, and the holonomy is -1
+        # within the order-2 error estimated by halving h
         theta = np.pi / 2
         sigma = BasePoint.from_projector(bloch_projector(theta)).frame
         holonomies = []
@@ -1467,9 +1445,6 @@ class TestSampledTransport:
             holonomies.append(loop_holonomy(path, sigma))
         error = frob(holonomies[1] - holonomies[0]) / 3.0
         assert abs(holonomies[1][0, 0] + 1.0) <= error + 1e-12
-        monkeypatch.setattr(dynamics, "_ANCHOR_DRIFT", np.inf)  # sigma anchors every node
-        with pytest.raises(np.linalg.LinAlgError):
-            loop_holonomy(path, sigma)
 
     def test_reanchored_section_is_the_sequential_one(self):
         # a random loop in Gr_2(C^4) that leaves the start frame's chart: the section
@@ -1480,7 +1455,7 @@ class TestSampledTransport:
         drift = np.linalg.norm(dag(sigma) @ samples @ sigma - np.eye(2), axis=(1, 2))
         assert drift.max() > 0.5
         got = horizontal_transport(path, sigma).samples
-        assert np.abs(got - _projection_loop(path, sigma)).max() <= 1e-14
+        assert np.abs(got - projection_transport(path.samples, sigma)).max() <= 1e-14
 
     @pytest.mark.parametrize("nodes", [1, 3, 100])
     def test_anchors_do_not_depend_on_the_blocks(self, nodes, monkeypatch):
@@ -1504,7 +1479,7 @@ class TestSampledTransport:
         # 8000 steps: the stacked chain's roundoff stays at the per-step loop's
         path, base, _ = _synthesized_loop(0, 6, 2, 0.1, 2000)
         got = horizontal_transport(path, base.frame).samples
-        assert np.abs(got - _projection_loop(path, base.frame)).max() <= 1e-13
+        assert np.abs(got - projection_transport(path.samples, base.frame)).max() <= 1e-13
 
     @pytest.mark.parametrize("jump", [[2, 3], [0, 2]], ids=["whole_fiber", "one_direction"])
     def test_orthogonal_jump_raises_a_grassflow_error(self, jump):
@@ -1540,6 +1515,46 @@ class TestSampledTransport:
         samples[9] = np.nan
         with pytest.raises(NonFinite):
             horizontal_transport(ProjectorPath(path.grid, samples, rank=2), base.frame)
+
+    def test_section_is_the_lapack_pivoted_cholesky(self):
+        # node k > 0 is the first m columns of LAPACK's pivoted Cholesky P_k = L L*
+        # (zpstrf), rows put back in place; node 0 is sigma itself
+        import scipy.linalg.lapack
+
+        rng = np.random.default_rng(83)
+        frames = np.array([random_frame(6, 3, rng) for _ in range(8)])
+        samples = frames @ dag(frames)
+        samples = (samples + dag(samples)) / 2.0
+        section = dynamics._pivoted_section(samples, frames[0], dynamics.DEFAULT_TOLS)
+        np.testing.assert_array_equal(section[0], frames[0])
+        for p, got in zip(samples[1:], section[1:]):
+            chol, pivots, rank, _ = scipy.linalg.lapack.zpstrf(p, lower=1)
+            want = np.empty((6, 3), dtype=complex)
+            want[pivots - 1] = np.tril(chol)[:, :3]
+            assert rank == 3
+            assert np.abs(got - want).max() <= 1e-15
+
+
+_E12 = np.eye(3, dtype=complex)[:, :2]
+
+
+@pytest.mark.parametrize("route", [
+    lambda samples: pancharatnam_oracle(samples, _E12),
+    lambda samples: horizontal_transport(ProjectorPath(TimeGrid(0.0, 1.0, 2), samples, 2), _E12),
+], ids=["pancharatnam_oracle", "horizontal_transport"])
+@pytest.mark.parametrize("middle, error", [
+    (np.diag([1.0, 0.5, 0.0]), InvalidArgument),                       # not idempotent
+    (np.diag([1.0, 1.0, 0.0]) + np.outer(np.eye(3)[2], np.eye(3)[0]), InvalidArgument),
+    (np.diag([1.0, 0.0, 0.0]), InvalidArgument),                       # rank 1, not 2
+    (np.diag([1.0, np.nan, 0.0]), NonFinite),
+], ids=["hermitian_not_idempotent", "not_hermitian", "rank_deficient", "nan"])
+def test_middle_sample_that_is_not_a_projector_is_rejected(route, middle, error):
+    # the loop diag(1, 1, 0) -> middle -> diag(1, 1, 0) of rank 2 in C^3; the middle
+    # samples are diag(1, 0.5, 0), the idempotent diag(1, 1, 0) + e_3 e_1*, a projector of
+    # rank 1 and one with a NaN entry
+    ends = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(error):
+        route(np.array([ends, middle, ends]))
 
     def test_gauge_chain_is_the_retracted_step_by_step_chain(self):
         rng = np.random.default_rng(82)
@@ -1661,6 +1676,7 @@ def _rank_routes(frames):
             ProjectorPath(TimeGrid(0.0, 1.0, 2), samples, m), frames[0]),
         "frame_oracle": lambda: _frame_oracle(frames),
         "pancharatnam": lambda: pancharatnam_oracle(samples, frames[0]),
+        "reference": lambda: pancharatnam_reference(samples, frames[0]),
         "chart": lambda: chart_from_proj(base, Projector(samples[1], m)),
     }
     outcomes = {}
@@ -1678,7 +1694,7 @@ class TestOneRankRule:
 
     FAILED = {"section": DegenerateStep, "horizontal": DegenerateStep,
               "frame_oracle": DegenerateStep, "pancharatnam": DegenerateStep,
-              "chart": OutsideChart}
+              "reference": DegenerateStep, "chart": OutsideChart}
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 40])
     @settings(max_examples=16, deadline=None, derandomize=True, database=None)
@@ -1700,6 +1716,8 @@ class TestOneRankRule:
         with pytest.raises(DegenerateStep):
             pancharatnam_oracle(frames @ dag(frames), frames[0])
         with pytest.raises(DegenerateStep):
+            pancharatnam_reference(frames @ dag(frames), frames[0])
+        with pytest.raises(DegenerateStep):
             _frame_oracle(frames)
 
     @pytest.mark.parametrize("degrees", [40.0, 45.0, 60.0])
@@ -1710,7 +1728,52 @@ class TestOneRankRule:
         assert _rank_routes(frames) == {name: True for name in self.FAILED}
 
 
+def _turned_loop(m, extra, steps, turn, collapse, seed):
+    """Samples and start frame of a closed loop U(t) phi U(t)* in C^(2m + extra), k = 0..steps.
+
+    U(t) = exp(sin(2 pi t) A + (1 - cos(2 pi t)) B) with ||A||_2 = ||B||_2 = ``turn``; every
+    frame takes a random gauge.  With ``collapse`` the first column of node steps // 2 is
+    turned orthogonal to the node before and to its own other columns: one direction of the
+    projected frame is lost there.
+    """
+    rng = np.random.default_rng(seed)
+    n = 2 * m + extra
+    a, b = (turn * x / np.linalg.norm(x, 2)
+            for x in (random_antihermitian(n, rng), random_antihermitian(n, rng)))
+    s = 2 * np.pi * np.linspace(0.0, 1.0, steps + 1)[:, np.newaxis, np.newaxis]
+    frames = mat_exp(np.sin(s) * a + (1.0 - np.cos(s)) * b) @ random_frame(n, m, rng)
+    if collapse:
+        k = steps // 2
+        spans = [frames[k - 1], frames[k, :, 1:], random_frame(n, 1, rng)]
+        frames[k, :, 0] = np.linalg.qr(np.concatenate(spans, axis=1))[0][:, -1]
+    frames = frames @ np.array([random_unitary(m, rng) for _ in frames])
+    samples = frames @ dag(frames)
+    return (samples + dag(samples)) / 2.0, frames[0]
+
+
+def _raised_or_value(call):
+    try:
+        return call()
+    except DegenerateStep:
+        return DegenerateStep
+
+
 class TestPancharatnamOracle:
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(extra=st.integers(1, 3), steps=st.integers(2, 40), turn=st.floats(0.1, 3.0),
+           collapse=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_oracle_is_the_projection_loop(self, m, extra, steps, turn, collapse, seed):
+        # the section's oracle against the per-sample product of the n x n samples: equal
+        # within 1e-12, or DegenerateStep from both
+        samples, sigma = _turned_loop(m, extra, steps, turn, collapse, seed)
+        got = _raised_or_value(lambda: pancharatnam_oracle(samples, sigma))
+        want = _raised_or_value(lambda: pancharatnam_reference(samples, sigma))
+        if want is DegenerateStep or got is DegenerateStep:
+            assert got is want
+        else:
+            assert np.abs(got - want).max() <= 1e-12
+
     @staticmethod
     def latitude_samples(theta, n_samples):
         return bloch_matrices(theta, np.linspace(0.0, 2 * np.pi, n_samples + 1))
@@ -1720,6 +1783,12 @@ class TestPancharatnamOracle:
         sigma = np.eye(2, dtype=complex)[:, :1]
         np.testing.assert_allclose(pancharatnam_oracle(samples, sigma),
                                    np.eye(1), atol=1e-12)
+
+    def test_one_sample_is_a_loop_of_no_step(self):
+        # no overlap to chain: the oracle is sigma* sigma, isometrized
+        sigma = random_frame(4, 2, np.random.default_rng(84))
+        np.testing.assert_allclose(pancharatnam_oracle((sigma @ dag(sigma))[np.newaxis], sigma),
+                                   np.eye(2), rtol=0, atol=1e-15)
 
     def test_agreement_with_transport(self):
         theta = np.pi / 2
@@ -1755,7 +1824,7 @@ class TestPancharatnamOracle:
         with pytest.raises(DegenerateStep):
             pancharatnam_oracle(frames @ dag(frames), frames[0])
         with pytest.raises(DegenerateStep):
-            _frame_oracle(frames)
+            pancharatnam_reference(frames @ dag(frames), frames[0])
 
     @pytest.mark.parametrize("periods", [20, 300, 1000])
     def test_uniformly_shrinking_chain_is_not_degenerate(self, periods):
@@ -1768,18 +1837,21 @@ class TestPancharatnamOracle:
                   ((e[0], e[1]), (e[0], c * e[1] + s * e[2]),
                    (c * e[0] + s * e[3], c * e[1] + s * e[2]), (c * e[0] + s * e[3], e[1]))]
         frames = np.array(period * periods + period[:1])
-        oracle = pancharatnam_oracle(frames @ dag(frames), frames[0])
-        assert frob(oracle - np.eye(2)) <= 1e-12
-        np.testing.assert_allclose(_frame_oracle(frames), oracle, rtol=0, atol=1e-12)
+        reference = pancharatnam_reference(frames @ dag(frames), frames[0])
+        assert frob(reference - np.eye(2)) <= 1e-12
+        np.testing.assert_allclose(pancharatnam_oracle(frames @ dag(frames), frames[0]),
+                                   reference, rtol=0, atol=1e-12)
 
     def test_frame_oracle_is_the_projector_oracle(self):
-        # frames of a closed loop in a random gauge at every node
+        # frames of a closed loop in a random gauge at every node, as the CLI's oracle
+        # takes them, and the public oracle of their projectors, against the loop
         path, _, rng = _synthesized_loop(77, 5, 2, 0.3, 20)
         frames = np.linalg.eigh(path.samples)[1][..., -2:]
         frames = frames @ np.array([random_unitary(2, rng) for _ in frames])
-        np.testing.assert_allclose(_frame_oracle(frames),
-                                   pancharatnam_oracle(frames @ dag(frames), frames[0]),
-                                   rtol=0, atol=1e-12)
+        reference = pancharatnam_reference(frames @ dag(frames), frames[0])
+        np.testing.assert_allclose(_frame_oracle(frames), reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pancharatnam_oracle(frames @ dag(frames), frames[0]),
+                                   reference, rtol=0, atol=1e-12)
 
     def test_observed_order(self):
         theta = np.pi / 3

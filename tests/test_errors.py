@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from grassflow import InvalidArgument
+from grassflow import InvalidArgument, NonFinite
 from grassflow.bundle import connection_A, curvature_Omega, split_vertical_horizontal
 from grassflow.dynamics import (FramePath, HamiltonianSchedule, ProjectorPath, TimeGrid,
                                 berry_maps, constant_schedule, geometric_hamiltonian,
                                 geometric_schedule, integrate_frame, loop_holonomy,
-                                sampled_schedule, tracking_defect)
+                                rotating_schedule, sampled_schedule, tracking_defect)
 from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent, Projector,
                                  chart_from_proj, chart_transport, covariant_derivative_along,
                                  grassmann_connection_F, ham_field, lie_field_chart,
-                                 linear_hamiltonian, symplectic_form, tangent_extract)
-from grassflow.linalg import Tolerances, nearest_projector, random_antihermitian, random_frame
+                                 linear_hamiltonian, proj_from_chart, symplectic_form,
+                                 tangent_extract)
+from grassflow.linalg import (Tolerances, commutator, nearest_projector, random_antihermitian,
+                              random_frame)
 
 _P = Projector.standard(3, 1).matrix
 _GRID = TimeGrid(0.0, 1.0, 2)
@@ -80,6 +82,8 @@ _PHI4, _V3 = _B4.frame, EmbeddedTangent(np.ones((3, 3)))
     (lambda: sampled_schedule(TimeGrid(0, 1, 4), np.zeros((5, 3))), "stack"),
     (lambda: loop_holonomy(ProjectorPath(_GRID, np.array([_P] * 3), rank=2),
                            np.eye(3)[:, :1]), "not the path rank 2"),
+    (lambda: commutator(np.ones(3), np.ones(3)), "square"),
+    (lambda: commutator(np.eye(3), np.ones((3, 2))), "square"),
 ], ids=["tolerance_sign", "tolerance_order", "schedule_table", "geometric_qfun",
         "tracking_lengths", "covariant_nodes", "covariant_mode", "chart_tangent",
         "projector_from_matrix", "random_antihermitian", "grid_fractional_steps",
@@ -95,7 +99,8 @@ _PHI4, _V3 = _B4.frame, EmbeddedTangent(np.ones((3, 3)))
         "covariant_vectors", "integrate_frame_constant_other_n",
         "berry_maps_constant_other_n", "nearest_projector_fractional_rank",
         "random_frame_bool_columns", "tolerance_text", "tolerance_infinite", "frame_path_empty",
-        "sampled_schedule_vectors", "loop_holonomy_rank_mismatch"])
+        "sampled_schedule_vectors", "loop_holonomy_rank_mismatch", "commutator_vectors",
+        "commutator_rectangle"])
 def test_bad_arguments_raise_invalid_argument(call, match):
     # InvalidArgument is a ValueError too: callers catching ValueError still do
     with pytest.raises(InvalidArgument, match=match):
@@ -106,3 +111,18 @@ def test_bad_arguments_raise_invalid_argument(call, match):
 def test_grid_takes_integral_steps(steps):
     grid = TimeGrid(0.0, 1.0, steps)
     assert len(grid.times) == steps + 1
+
+
+_B3 = BasePoint.standard(3, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: berry_maps(rotating_schedule(2 * np.pi), Projector(np.full((2, 2), np.nan), 1),
+                       np.eye(2, dtype=complex)[:, :1], TimeGrid(0.0, 1.0, 8)),
+    lambda: proj_from_chart(_B3, ChartTangent(base=_B3, block=np.full((2, 1), np.nan))),
+], ids=["berry_maps_nan_projector", "proj_from_chart_nan_block"])
+def test_non_finite_inputs_raise_non_finite(call):
+    # a NaN projector failed no comparison (NaN > bound is False), and a NaN chart block
+    # made a NaN projector
+    with pytest.raises(NonFinite):
+        call()
