@@ -545,10 +545,10 @@ def _pivoted_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) ->
 
     Each of the m steps, over all samples at once, pivots on the largest diagonal entry d of
     the residual R_i = P_k - l_1 l_1* - ... - l_i l_i* (d >= (m - i)/n for a projector) and
-    takes l_{i+1} = R_i e_p / sqrt(d), reading only the pivot columns; for an idempotent
-    P_k = F F*, F = [l_1 ... l_m] is orthonormal.  The one check, O(n^2 m) a sample, on which
-    both sampled routes rest: each phi_k is a frame and P_k phi_{k-1} = phi_k phi_k* phi_{k-1}
-    (phi_{-1} = sigma) within comparison * n, else InvalidArgument (NonFinite if not finite).
+    takes l_{i+1} = R_i e_p / sqrt(d), reading only the pivot columns; F = [l_1 ... l_m] is
+    orthonormal if P_k = F F* is idempotent.  The check both routes rest on, O(n^2 m) a
+    sample, within comparison * n: phi_k is a frame, P_k phi_{k-1} = phi_k phi_k* phi_{k-1}
+    (phi_{-1} = sigma) and sum |diag R_m| = 0; else InvalidArgument (NonFinite if not finite).
     """
     (n, m), rows = sigma.shape, np.arange(len(samples))
     frames = np.empty(rows.shape + sigma.shape, dtype=complex)
@@ -563,8 +563,8 @@ def _pivoted_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) ->
     frames[0] = sigma
     previous = np.concatenate([sigma[np.newaxis], frames[:-1]])
     moved = _matmul(samples, previous) - _matmul(frames, _matmul(dag(frames), previous))
-    defects = np.maximum(frame_defect(frames), np.linalg.norm(moved, axis=(1, 2)))
-    kept = defects <= tol.comparison * n  # NaN fails it
+    defects = [frame_defect(frames), np.linalg.norm(moved, axis=(1, 2)), np.abs(residual).sum(1)]
+    kept = np.maximum.reduce(defects) <= tol.comparison * n  # NaN fails it
     if not kept.all():
         k = int(kept.argmin())
         require_finite(samples[k], "projector samples")

@@ -1388,7 +1388,7 @@ class TestSampledTransport:
 
     def test_bloch_section_gives_the_sampled_transport(self):
         # the equator loop from its Bloch frames (cos(theta/2), e^(i a) sin(theta/2)), a
-        # section unlike the re-anchored local one, transports as its projector samples
+        # section unlike the pivoted one, transports as its projector samples
         theta, azimuths = np.pi / 2, np.linspace(0.0, 2 * np.pi, 801)
         section = np.zeros((801, 2, 1), dtype=complex)
         section[:, 0, 0] = np.cos(theta / 2.0)
@@ -1447,8 +1447,8 @@ class TestSampledTransport:
         assert abs(holonomies[1][0, 0] + 1.0) <= error + 1e-12
 
     def test_reanchored_section_is_the_sequential_one(self):
-        # a random loop in Gr_2(C^4) that leaves the start frame's chart: the section
-        # re-anchors on the way and the transport stays the per-step projection
+        # a random loop in Gr_2(C^4) that leaves the start frame's chart: the transport
+        # is still the per-step projection loop
         samples = _random_loop_qfun(np.linspace(0.0, 1.0, 401))
         path = ProjectorPath(grid=TimeGrid(0.0, 1.0, 400), samples=samples, rank=2)
         sigma = BasePoint.from_projector(Projector(matrix=samples[0], rank=2)).frame
@@ -1459,8 +1459,8 @@ class TestSampledTransport:
 
     @pytest.mark.parametrize("nodes", [1, 3, 100])
     def test_anchors_do_not_depend_on_the_blocks(self, nodes, monkeypatch):
-        # the equator loop re-anchors its section; blocks of 1, 3 or 100 nodes cut it
-        # elsewhere, some right at a re-anchoring node, and change no frame
+        # on the equator loop, _section_transport blocks of 1, 3 or 100 nodes change
+        # no frame
         theta = np.pi / 2
         sigma = BasePoint.from_projector(bloch_projector(theta)).frame
         samples = bloch_matrices(theta, np.linspace(0.0, 2 * np.pi, 401))
@@ -1534,28 +1534,6 @@ class TestSampledTransport:
             assert rank == 3
             assert np.abs(got - want).max() <= 1e-15
 
-
-_E12 = np.eye(3, dtype=complex)[:, :2]
-
-
-@pytest.mark.parametrize("route", [
-    lambda samples: pancharatnam_oracle(samples, _E12),
-    lambda samples: horizontal_transport(ProjectorPath(TimeGrid(0.0, 1.0, 2), samples, 2), _E12),
-], ids=["pancharatnam_oracle", "horizontal_transport"])
-@pytest.mark.parametrize("middle, error", [
-    (np.diag([1.0, 0.5, 0.0]), InvalidArgument),                       # not idempotent
-    (np.diag([1.0, 1.0, 0.0]) + np.outer(np.eye(3)[2], np.eye(3)[0]), InvalidArgument),
-    (np.diag([1.0, 0.0, 0.0]), InvalidArgument),                       # rank 1, not 2
-    (np.diag([1.0, np.nan, 0.0]), NonFinite),
-], ids=["hermitian_not_idempotent", "not_hermitian", "rank_deficient", "nan"])
-def test_middle_sample_that_is_not_a_projector_is_rejected(route, middle, error):
-    # the loop diag(1, 1, 0) -> middle -> diag(1, 1, 0) of rank 2 in C^3; the middle
-    # samples are diag(1, 0.5, 0), the idempotent diag(1, 1, 0) + e_3 e_1*, a projector of
-    # rank 1 and one with a NaN entry
-    ends = np.diag([1.0, 1.0, 0.0])
-    with pytest.raises(error):
-        route(np.array([ends, middle, ends]))
-
     def test_gauge_chain_is_the_retracted_step_by_step_chain(self):
         rng = np.random.default_rng(82)
         maps = np.array([random_unitary(2, rng) + 1e-9 * random_antihermitian(2, rng)
@@ -1589,6 +1567,33 @@ def test_middle_sample_that_is_not_a_projector_is_rejected(route, middle, error)
         hol = loop_holonomy(path, base.frame)
         error = frob(hol - loop_holonomy(fine, base.frame))
         assert frob(loop_holonomy(reverse, base.frame) - dag(hol)) <= error + 1e-12
+
+
+_E12 = np.eye(3, dtype=complex)[:, :2]
+
+
+@pytest.mark.parametrize("route", [
+    lambda samples: pancharatnam_oracle(samples, _E12),
+    lambda samples: horizontal_transport(ProjectorPath(TimeGrid(0.0, 1.0, 2), samples, 2), _E12),
+], ids=["pancharatnam_oracle", "horizontal_transport"])
+@pytest.mark.parametrize("middle, error", [
+    (np.diag([1.0, 0.5, 0.0]), InvalidArgument),                       # not idempotent
+    (np.diag([1.0, 1.0, 0.0]) + np.outer(np.eye(3)[2], np.eye(3)[0]), InvalidArgument),
+    (np.diag([1.0, 0.0, 0.0]), InvalidArgument),                       # rank 1, not 2
+    (np.eye(3), InvalidArgument),                                       # rank 3, not 2
+    (np.diag([1.0, 1.0, 0.5]), InvalidArgument),                       # off the pivots
+    (np.diag([1.0, 1.0, -0.5]), InvalidArgument),                      # indefinite there
+    (np.diag([1.0, np.nan, 0.0]), NonFinite),
+], ids=["hermitian_not_idempotent", "not_hermitian", "rank_deficient", "rank_in_excess",
+        "not_idempotent_off_the_pivots", "indefinite_off_the_pivots", "nan"])
+def test_middle_sample_that_is_not_a_projector_is_rejected(route, middle, error):
+    # the loop diag(1, 1, 0) -> middle -> diag(1, 1, 0) of rank 2 in C^3; the middle
+    # samples are diag(1, 0.5, 0), the idempotent diag(1, 1, 0) + e_3 e_1*, projectors of
+    # rank 1 and 3, diag(1, 1, +-0.5), whose third entry neither the previous fiber nor a
+    # pivot column reads, and one with a NaN entry
+    ends = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(error):
+        route(np.array([ends, middle, ends]))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
