@@ -38,7 +38,7 @@ from .linalg import (Tolerances, dag, frob, isometrize, mat_exp, random_antiherm
                      random_complex, random_frame)
 
 CSV_HEADER = "t,projector_defect,isometry_defect,horizontality_defect,energy"
-# one %-format per row; %.17g writes each float exactly as f"{x:.17g}" does
+# one row's %-format; _CSV_ROW * rows formats a whole table, each float as f"{x:.17g}" does
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
 _DEFAULT_CONFIG = {
@@ -265,21 +265,22 @@ def _geometric_setup(sched_cfg, n, m, grid, cfg, tol):
 
 # ---------------------------------------------------------------- reporting
 
-def write_report(cfg: dict, csv_rows, json_payload: dict):
+def write_report(cfg: dict, table: np.ndarray, json_payload: dict):
     """Write PREFIX.csv and PREFIX.json, or the JSON to stdout without a prefix.
 
-    Each row is a tuple of floats, one per CSV column.  Strict JSON: NonFinite on inf or NaN.
+    ``table`` holds the (rows, 5) CSV floats, written by one ``_CSV_ROW * rows`` format.
+    Strict JSON: NonFinite on inf or NaN.
     """
-    csv_text = CSV_HEADER + "\n" + "".join(_CSV_ROW % row for row in csv_rows)
     try:
         json_text = json.dumps(json_payload, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NonFinite(f"report: {exc}") from None
     prefix = cfg.get("output")
     if prefix:
-        _write(prefix + ".csv", csv_text)
+        _write(prefix + ".csv",
+               CSV_HEADER + "\n" + _CSV_ROW * len(table) % tuple(table.ravel().tolist()))
         _write(prefix + ".json", json_text)
-        print(f"wrote {prefix}.csv ({len(csv_rows)} rows) and {prefix}.json")
+        print(f"wrote {prefix}.csv ({len(table)} rows) and {prefix}.json")
     else:
         sys.stdout.write(json_text)
 
@@ -319,9 +320,9 @@ def _phase_arg(holonomy: np.ndarray, m: int):
     return float(np.angle(det.real if abs(det.imag) <= np.finfo(float).eps * abs(det) else det))
 
 
-def _finish(cfg: dict, rows, payload: dict, bound: float, message: str) -> int:
+def _finish(cfg: dict, table: np.ndarray, payload: dict, bound: float, message: str) -> int:
     """Write the report; exit 2 with ``message`` on stderr when defect_max exceeds ``bound``."""
-    write_report(cfg, rows, payload)
+    write_report(cfg, table, payload)
     if payload["defect_max"] > bound:
         print(message, file=sys.stderr)
         return 2
@@ -342,8 +343,8 @@ def _berry_maps_report(cfg: dict, tol: Tolerances, message: str,
     if more_extras is not None:
         extras.update(more_extras(cfg, res, tol))
 
-    rows = list(zip(grid.times, res.projector_defects, res.isometry_defects,
-                    res.horizontality_defects, res.energies))
+    table = np.column_stack((grid.times, res.projector_defects, res.isometry_defects,
+                             res.horizontality_defects, res.energies))
     payload = _final_json(
         cfg,
         dynamical=res.dynamical,
@@ -355,7 +356,7 @@ def _berry_maps_report(cfg: dict, tol: Tolerances, message: str,
         wall_time_s=time.perf_counter() - start,
         extras=extras,
     )
-    return _finish(cfg, rows, payload, tol.ode, message)
+    return _finish(cfg, table, payload, tol.ode, message)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -367,7 +368,7 @@ def cmd_chart(cfg: dict, tol: Tolerances) -> int:
     trials = build_grid(cfg).steps + 1
     rng = _seeded(cfg)
 
-    rows = []
+    table = np.zeros((trials, 5))  # no horizontality or energy
     max_roundtrip = 0.0
     max_equivariance = 0.0
     # a trial holds about 16 n x n arrays, four times a transport node: peak memory stays fixed
@@ -387,8 +388,8 @@ def cmd_chart(cfg: dict, tol: Tolerances) -> int:
         moved = chart_transport(g, f, tol)
         gaps = proj_from_chart(moved.base, moved).matrix - g @ q.matrix @ dag(g)
         max_equivariance = max(max_equivariance, *map(frob, gaps))
-        rows += zip(np.arange(first, first + len(blk), 1.0), q.defect(),
-                    frame_defect(base.frame), [0.0] * len(blk), [0.0] * len(blk))
+        table[first:first + len(blk), :3] = np.transpose(  # t is the trial number
+            (np.arange(first, first + len(blk)), q.defect(), frame_defect(base.frame)))
 
     payload = _final_json(
         cfg,
@@ -398,7 +399,7 @@ def cmd_chart(cfg: dict, tol: Tolerances) -> int:
                 "max_equivariance_error": max_equivariance,
                 "trials": trials},
     )
-    return _finish(cfg, rows, payload, tol.comparison,
+    return _finish(cfg, table, payload, tol.comparison,
                    "chart errors exceed the comparison tolerance")
 
 
@@ -486,8 +487,8 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
     frames = FramePath(grid, _section_transport(section.samples, tol))
     holonomy = dag(frames.samples[0]) @ frames.samples[-1]
     iso_defects = frames.frame_defects()
-    rows = list(zip(grid.times, p_defects, iso_defects,
-                    horizontality_defects(frames), [0.0] * len(p_defects)))
+    table = np.column_stack((grid.times, p_defects, iso_defects,
+                             horizontality_defects(frames), np.zeros(len(p_defects))))
     payload = _final_json(
         cfg,
         geometric=holonomy,
@@ -500,7 +501,7 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
                 "predicted_holonomy": _ser_matrix(predicted),
                 "synthesis_deviation": frob(holonomy - predicted)},
     )
-    return _finish(cfg, rows, payload, tol.ode,
+    return _finish(cfg, table, payload, tol.ode,
                    "synthesis defects exceed the ode tolerance")
 
 
@@ -528,27 +529,22 @@ _COMMANDS = {
 # ---------------------------------------------------------------- entry point
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--out", metavar="PREFIX",
-                        help="output file prefix (writes PREFIX.csv, PREFIX.json)")
-    common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--steps", type=int, help="override grid.steps")
-
     parser = argparse.ArgumentParser(
-        prog="grassflow",
-        description="Hamiltonian flows and holonomy on complex Grassmannians")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        # each subcommand's help text is its docstring
-        sub.add_parser(name, parents=[common], help=command.__doc__)
+        prog="grassflow", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Hamiltonian flows and holonomy on complex Grassmannians\n\ncommands:\n"
+        + "".join(f"  {name:<12}{command.__doc__}\n" for name, command in _COMMANDS.items()))
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="see above")
+    parser.add_argument("--config", metavar="PATH", help="JSON config file")
+    parser.add_argument("--out", metavar="PREFIX",
+                        help="output file prefix (writes PREFIX.csv, PREFIX.json)")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--steps", type=int, help="override grid.steps")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; the contract says 1
         return 0 if exc.code in (0, None) else 1

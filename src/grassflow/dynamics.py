@@ -791,17 +791,14 @@ def geometric_hamiltonian(path: ProjectorPath,
     return sampled_schedule(path.grid, _geometric_generator(path.samples, derivs))
 
 
-def loop_transport(path: ProjectorPath, sigma: np.ndarray,
-                   tol: Tolerances = DEFAULT_TOLS) -> FramePath:
-    """Horizontal transport of sigma around a projector loop, checked closed first."""
-    _require_closed(path.closure_residual(), path.rank, tol)
-    return horizontal_transport(path, sigma, tol)
-
-
 def loop_holonomy(path: ProjectorPath, sigma: np.ndarray,
                   tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """U(m) holonomy of a closed projector loop: psi(0)* psi(T) after transport."""
-    frames = loop_transport(path, sigma, tol).samples
+    """U(m) holonomy of a closed projector loop: psi(0)* psi(T) after transport.
+
+    The loop is checked closed (NotClosed) before ``horizontal_transport`` runs.
+    """
+    _require_closed(path.closure_residual(), path.rank, tol)
+    frames = horizontal_transport(path, sigma, tol).samples
     return dag(frames[0]) @ frames[-1]
 
 

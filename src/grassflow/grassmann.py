@@ -170,11 +170,13 @@ def chart_projectors(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
     The blocks sit at one base point, or at a stack of N; one (n-m, m) block gives one (n, n)
     matrix.  The graph of f is spanned by its ``chart_frames`` Y, and its projector is
     Y (Y* Y)^-1 Y*, from one stacked m x m solve, Hermitized.
-    Y* Y = 1 + f* f is always invertible, so only a non-finite block fails: NonFinite.
+    Y* Y = 1 + f* f is always invertible: only a block or Gram matrix not finite fails, NonFinite.
     """
     y = chart_frames(base, require_finite(blocks, "chart block"))
     y_dag = dag(y)
-    p = y @ np.linalg.solve(y_dag @ y, y_dag)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as NonFinite
+        gram = require_finite(y_dag @ y, "chart Gram matrix")
+    p = y @ np.linalg.solve(gram, y_dag)
     del y, y_dag  # free the frames before Hermitizing allocates a second stack
     p += dag(p)
     p /= 2.0
@@ -324,15 +326,19 @@ def sampled_derivative(samples: np.ndarray, h: float, order: int) -> np.ndarray:
     if len(samples) < 3:
         raise InvalidArgument(f"need at least 3 samples for a derivative, got {len(samples)}")
     s = samples
-    d = np.empty_like(s)
+    # interiors in place in d, operation for operation as stated; integers differentiate as floats
+    d = np.empty(s.shape, dtype=np.result_type(s, 1.0))
     if order == 4 and len(s) >= 5:
-        d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * h)
+        # (s[:-4] - 8 s[1:-3] + 8 s[3:-1] - s[4:]) / 12h
+        inner = np.subtract(s[:-4], np.multiply(8.0, s[1:-3], out=d[2:-2]), out=d[2:-2])
+        inner += np.multiply(8.0, s[3:-1])
+        inner -= s[4:]
+        inner /= 12.0 * h
         d[0] = (-25.0 * s[0] + 48.0 * s[1] - 36.0 * s[2] + 16.0 * s[3] - 3.0 * s[4]) / (12.0 * h)
         d[1] = (-3.0 * s[0] - 10.0 * s[1] + 18.0 * s[2] - 6.0 * s[3] + s[4]) / (12.0 * h)
         d[-1] = (25.0 * s[-1] - 48.0 * s[-2] + 36.0 * s[-3] - 16.0 * s[-4] + 3.0 * s[-5]) / (12.0 * h)
         d[-2] = (3.0 * s[-1] + 10.0 * s[-2] - 18.0 * s[-3] + 6.0 * s[-4] - s[-5]) / (12.0 * h)
         return d
-    # in place: no (N, ...) temporaries beyond d itself
     np.subtract(s[2:], s[:-2], out=d[1:-1])
     d[1:-1] /= 2.0 * h
     d[0] = (-3.0 * s[0] + 4.0 * s[1] - s[2]) / (2.0 * h)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grassflow import cli
+from grassflow import cli, dynamics
 from grassflow.cli import (CSV_HEADER, build_parser, build_setup,
                            build_tolerances, load_config, main, write_report)
 from grassflow.dynamics import (TimeGrid, _orbit_schedule, berry_maps, bloch_projector,
@@ -388,13 +388,25 @@ class TestCsvFormat:
             rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 308, 2000),
             rng.integers(0, 2 ** 63, 2000, dtype=np.uint64).view(np.float64)])
         floats = np.concatenate([floats, np.zeros(-len(floats) % 5)])
-        rows = [tuple(row) for row in floats.reshape(-1, 5)]
-        rows += [tuple(float(x) for x in row) for row in rows[:3]]  # plain floats too
+        table = floats.reshape(-1, 5)
         prefix = tmp_path / "fmt"
-        write_report({"output": str(prefix)}, rows, {})
+        write_report({"output": str(prefix)}, table, {})
         expected = CSV_HEADER + "\n" + "".join(
-            ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+            ",".join(f"{x:.17g}" for x in row) + "\n" for row in table.tolist())
         assert (tmp_path / "fmt.csv").read_text() == expected
+
+    def test_chart_table_does_not_depend_on_the_blocks(self, tmp_path, monkeypatch):
+        # 10 trials in blocks of 3 (n = 2): the last block is partial, and the table is the
+        # one-block run's, its t column the trial numbers
+        assert run(tmp_path, "chart", steps=9, out=tmp_path / "whole") == 0
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 4 * (4 * 16 * 2 * 2))
+        assert cli._transport_block(2) // 4 == 3
+        assert run(tmp_path, "chart", steps=9, out=tmp_path / "blocks") == 0
+        whole, blocks = (load(tmp_path / name)[1] for name in ("whole", "blocks"))
+        assert blocks == whole and len(blocks) == 11
+        table = np.array([[float(x) for x in line.split(",")] for line in blocks[1:]])
+        assert table[:, 0].tolist() == list(range(10))
+        assert blocks[1:] == [",".join(f"{x:.17g}" for x in row) for row in table.tolist()]
 
 
 def test_scipy_is_not_imported(tmp_path):
@@ -560,6 +572,22 @@ class TestUsage:
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["flow", "--help"]])
+    def test_help_is_one_page_of_every_command(self, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for name, command in cli._COMMANDS.items():
+            assert f"  {name:<12}{command.__doc__}\n" in out
+
+    @pytest.mark.parametrize("argv", [["nosuch"], ["berry", "--bogus"], ["berry", "flow"]])
+    def test_bad_command_line_exits_1(self, argv):
+        assert main(argv) == 1
+
+    def test_options_may_precede_the_command(self, tmp_path):
+        assert main(["--steps", "9", "--out", str(tmp_path / "before"), "chart"]) == 0
+        assert main(["chart", "--steps", "9", "--out", str(tmp_path / "after")]) == 0
+        assert load(tmp_path / "before")[1] == load(tmp_path / "after")[1]
 
     def test_unknown_tolerance_key(self, tmp_path):
         assert run(tmp_path, "chart",

@@ -1432,7 +1432,7 @@ class TestSampledTransport:
         assert calls[4:] == [(path.grid.steps, 2, 2)] * 2
         assert polar_svds == []
 
-    def test_equator_loop_moves_the_section_anchor(self):
+    def test_equator_loop_holonomy_is_minus_one(self):
         # on the equator sigma* P_k sigma is 0 at azimuth pi, where a section anchored at
         # sigma has no frame; the pivoted section needs no anchor, and the holonomy is -1
         # within the order-2 error estimated by halving h
@@ -1446,7 +1446,7 @@ class TestSampledTransport:
         error = frob(holonomies[1] - holonomies[0]) / 3.0
         assert abs(holonomies[1][0, 0] + 1.0) <= error + 1e-12
 
-    def test_reanchored_section_is_the_sequential_one(self):
+    def test_loop_leaving_the_start_chart_is_the_projection_loop(self):
         # a random loop in Gr_2(C^4) that leaves the start frame's chart: the transport
         # is still the per-step projection loop
         samples = _random_loop_qfun(np.linspace(0.0, 1.0, 401))
@@ -1458,7 +1458,7 @@ class TestSampledTransport:
         assert np.abs(got - projection_transport(path.samples, sigma)).max() <= 1e-14
 
     @pytest.mark.parametrize("nodes", [1, 3, 100])
-    def test_anchors_do_not_depend_on_the_blocks(self, nodes, monkeypatch):
+    def test_frames_do_not_depend_on_the_blocks(self, nodes, monkeypatch):
         # on the equator loop, _section_transport blocks of 1, 3 or 100 nodes change
         # no frame
         theta = np.pi / 2

@@ -120,9 +120,11 @@ _B3 = BasePoint.standard(3, 1)
     lambda: berry_maps(rotating_schedule(2 * np.pi), Projector(np.full((2, 2), np.nan), 1),
                        np.eye(2, dtype=complex)[:, :1], TimeGrid(0.0, 1.0, 8)),
     lambda: proj_from_chart(_B3, ChartTangent(base=_B3, block=np.full((2, 1), np.nan))),
-], ids=["berry_maps_nan_projector", "proj_from_chart_nan_block"])
+    lambda: proj_from_chart(_B3, ChartTangent(base=_B3, block=np.full((2, 1), 1e200))),
+], ids=["berry_maps_nan_projector", "proj_from_chart_nan_block",
+        "proj_from_chart_overflowing_gram"])
 def test_non_finite_inputs_raise_non_finite(call):
-    # a NaN projector failed no comparison (NaN > bound is False), and a NaN chart block
-    # made a NaN projector
+    # a NaN projector failed no comparison (NaN > bound is False), a NaN chart block made a
+    # NaN projector, and a Gram matrix 1 + f* f that overflows made the zero matrix
     with pytest.raises(NonFinite):
         call()

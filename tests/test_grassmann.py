@@ -457,6 +457,21 @@ class TestSampledDerivative:
         d = sampled_derivative(s, h, 2)
         assert np.array_equal(d[1:-1], (s[2:] - s[:-2]) / (2.0 * h))
 
+    @pytest.mark.parametrize("shape", [(5, 1, 1), (6, 3, 2), (50, 4, 2), (201, 16, 3)])
+    def test_order_4_interior_is_the_five_point_stencil(self, shape):
+        rng = np.random.default_rng(9)
+        s = random_complex(shape[0], shape[1] * shape[2], rng).reshape(shape)
+        h = 1.0 / 7.0
+        d = sampled_derivative(s, h, 4)
+        assert np.array_equal(d[2:-2], (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:])
+                              / (12.0 * h))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_integer_samples_differentiate_as_floats(self, order):
+        s = np.arange(9).reshape(9, 1, 1) ** 3
+        np.testing.assert_array_equal(sampled_derivative(s, 0.7, order),
+                                      sampled_derivative(s.astype(float), 0.7, order))
+
 
 class TestCovariantDerivative:
     def test_constant_everything(self):
