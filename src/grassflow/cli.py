@@ -294,23 +294,6 @@ def _write(path: str, text: str):
         raise UsageError(f"cannot write report: {exc}") from None
 
 
-def _final_json(cfg, *, dynamical=None, geometric=None, fiber_gap=None,
-                berry_phase_arg=None, closure_residual=None, defect_max=0.0,
-                wall_time_s=0.0, extras=None) -> dict:
-    payload = {
-        "config": cfg,
-        "holonomy_dynamical": None if dynamical is None else _ser_matrix(dynamical),
-        "holonomy_geometric": None if geometric is None else _ser_matrix(geometric),
-        "fiber_gap": None if fiber_gap is None else _ser_matrix(fiber_gap),
-        "berry_phase_arg": berry_phase_arg,
-        "closure_residual": closure_residual,
-        "defect_max": float(defect_max),
-        "wall_time_s": float(wall_time_s),
-    }
-    payload.update(extras or {})
-    return payload
-
-
 def _phase_arg(holonomy: np.ndarray, m: int):
     """arg det of the fiber map; reported only in the abelian (m=1) case."""
     if m != 1:
@@ -320,8 +303,22 @@ def _phase_arg(holonomy: np.ndarray, m: int):
     return float(np.angle(det.real if abs(det.imag) <= np.finfo(float).eps * abs(det) else det))
 
 
-def _finish(cfg: dict, table: np.ndarray, payload: dict, bound: float, message: str) -> int:
-    """Write the report; exit 2 with ``message`` on stderr when defect_max exceeds ``bound``."""
+def _finish(cfg: dict, table: np.ndarray, bound: float, message: str, *, defect_max: float,
+            wall_time_s: float, extras: dict, dynamical=None, geometric=None, fiber_gap=None,
+            berry_phase_arg=None, closure_residual=None) -> int:
+    """Write the report, its common keys then ``extras``; exit 2 with ``message`` on stderr
+    when defect_max exceeds ``bound``, else 0."""
+    payload = {
+        "config": cfg,
+        "holonomy_dynamical": None if dynamical is None else _ser_matrix(dynamical),
+        "holonomy_geometric": None if geometric is None else _ser_matrix(geometric),
+        "fiber_gap": None if fiber_gap is None else _ser_matrix(fiber_gap),
+        "berry_phase_arg": berry_phase_arg,
+        "closure_residual": closure_residual,
+        "defect_max": float(defect_max),
+        "wall_time_s": float(wall_time_s),
+        **extras,
+    }
     write_report(cfg, table, payload)
     if payload["defect_max"] > bound:
         print(message, file=sys.stderr)
@@ -345,8 +342,8 @@ def _berry_maps_report(cfg: dict, tol: Tolerances, message: str,
 
     table = np.column_stack((grid.times, res.projector_defects, res.isometry_defects,
                              res.horizontality_defects, res.energies))
-    payload = _final_json(
-        cfg,
+    return _finish(
+        cfg, table, tol.ode, message,
         dynamical=res.dynamical,
         geometric=res.geometric,
         fiber_gap=res.fiber_gap,
@@ -356,7 +353,6 @@ def _berry_maps_report(cfg: dict, tol: Tolerances, message: str,
         wall_time_s=time.perf_counter() - start,
         extras=extras,
     )
-    return _finish(cfg, table, payload, tol.ode, message)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -391,16 +387,14 @@ def cmd_chart(cfg: dict, tol: Tolerances) -> int:
         table[first:first + len(blk), :3] = np.transpose(  # t is the trial number
             (np.arange(first, first + len(blk)), q.defect(), frame_defect(base.frame)))
 
-    payload = _final_json(
-        cfg,
+    return _finish(
+        cfg, table, tol.comparison, "chart errors exceed the comparison tolerance",
         defect_max=max(max_roundtrip, max_equivariance),
         wall_time_s=time.perf_counter() - start,
         extras={"max_roundtrip_error": max_roundtrip,
                 "max_equivariance_error": max_equivariance,
                 "trials": trials},
     )
-    return _finish(cfg, table, payload, tol.comparison,
-                   "chart errors exceed the comparison tolerance")
 
 
 def cmd_flow(cfg: dict, tol: Tolerances) -> int:
@@ -489,8 +483,8 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
     iso_defects = frames.frame_defects()
     table = np.column_stack((grid.times, p_defects, iso_defects,
                              horizontality_defects(frames), np.zeros(len(p_defects))))
-    payload = _final_json(
-        cfg,
+    return _finish(
+        cfg, table, tol.ode, "synthesis defects exceed the ode tolerance",
         geometric=holonomy,
         berry_phase_arg=_phase_arg(holonomy, m),
         closure_residual=closure,
@@ -501,8 +495,6 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
                 "predicted_holonomy": _ser_matrix(predicted),
                 "synthesis_deviation": frob(holonomy - predicted)},
     )
-    return _finish(cfg, table, payload, tol.ode,
-                   "synthesis defects exceed the ode tolerance")
 
 
 def cmd_selftest(cfg: dict, tol: Tolerances) -> int:

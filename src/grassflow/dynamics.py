@@ -15,8 +15,9 @@ gauge equation: along a Hamiltonian flow by ``berry_maps`` over the Schroedinger
 frame (its ``horizontal_path``), along a sampled path by ``_section_transport`` from
 the fiber overlaps of a section: ``horizontal_transport`` takes the ``_pivoted_section``
 of the projector samples, the CLI's ``synthesize`` the ``_graph_section`` of its chart
-loop, which forms no n x n matrix.  Both chain by ``_gauge_chain``.  ``pancharatnam_oracle``
-is ``_frame_oracle``, which the CLI runs on its flow's frames, of the ``_pivoted_section``.
+loop, one in-place Gram-Schmidt pass over its graph frames that forms no n x n matrix.  Both
+chain by ``_gauge_chain``.  ``pancharatnam_oracle`` is ``_frame_oracle``, which the CLI runs
+on its flow's frames, of the ``_pivoted_section``.
 Every RK4 route reads its 2 * steps + 1 stage generators once each, a checked table at a time
 with the node ending its steps (``_stage_generators``).  A geometric table of any curve Q(t)
 takes Q' by central differences (``geometric_schedule``); for a unitary orbit Q = e^X P e^-X,
@@ -411,7 +412,7 @@ def horizontality_defects(frames: FramePath) -> np.ndarray:
     Uses 4th-order stencils so the measurement error stays well below the
     transported curve's own vertical drift.
     """
-    with np.errstate(over="ignore"):  # roundoff over an h near the smallest float: inf
+    with np.errstate(over="ignore", invalid="ignore"):  # roundoff over a tiny h: inf or NaN
         derivs = sampled_derivative(frames.samples, frames.grid.h, 4)
         return np.linalg.norm(dag(frames.samples) @ derivs, axis=(1, 2))
 
@@ -523,22 +524,6 @@ def _transport_block(n: int) -> int:
     return max(1, _TABLE_BYTES // (4 * 16 * n * n))
 
 
-def _cholesky_frames(y: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """y L^-* for the Cholesky factors L L* = grams of a stack (N, n, m) and its (N, m, m) grams.
-
-    With grams = y* y these are orthonormal frames of the column spans of y.  Solved
-    column by column (phi L* = y, L* upper triangular), so no inverse is formed.
-    """
-    chol = np.linalg.cholesky(grams)
-    frames = np.empty(y.shape, dtype=complex)
-    for j in range(y.shape[-1]):
-        column = y[..., j]
-        for i in range(j):
-            column = column - frames[..., i] * chol[..., j, i, np.newaxis].conj()
-        frames[..., j] = column / chol[..., j, j, np.newaxis].real
-    return frames
-
-
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # a bad sample fails the check
 def _pivoted_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Orthonormal frames phi_k of im(P_k), phi_0 = sigma, by a diagonally pivoted Cholesky.
@@ -573,14 +558,24 @@ def _pivoted_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) ->
 
 
 def _graph_section(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
-    """Orthonormal frames phi_k = Y_k L_k^-* over the graphs of chart blocks f_k.
+    """Oriented QR factors phi_k of the ``chart_frames`` Y_k = frame + coframe f_k of blocks f_k.
 
-    Y_k are the ``chart_frames`` and L_k L_k* = Y_k* Y_k = 1 + f_k* f_k; no n x n
-    matrix is formed.  NonFinite if a Gram matrix overflows.
+    One modified Gram-Schmidt pass in place over the Y_k: column by column, each loses its
+    components along the columns before it and is divided by its norm, so phi_k equals
+    ``isometrize(Y_k)`` to roundoff and no n x n matrix is formed.  NonFinite if a norm
+    overflows.
     """
-    blocks = np.asarray(blocks, dtype=complex)
-    grams = require_finite(np.eye(base.m) + dag(blocks) @ blocks, "loop Gram matrix")
-    return _cholesky_frames(chart_frames(base, blocks), grams)
+    frames = chart_frames(base, blocks)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as NonFinite
+        for j in range(frames.shape[-1]):
+            column = frames[..., j]
+            for i in range(j):
+                done = frames[..., i]
+                column -= done * np.einsum("...i,...i->...", done.conj(), column)[..., np.newaxis]
+            norm = np.linalg.norm(column, axis=-1, keepdims=True)
+            require_finite(norm, "loop frame norm")
+            column /= norm
+    return frames
 
 
 def _section_transport(frames: np.ndarray, tol: Tolerances) -> np.ndarray:

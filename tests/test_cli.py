@@ -361,6 +361,15 @@ class TestSynthesize:
         cfg = {"version": 1, "n": 6, "m": 2, "synthesize": {"scale": 0.5, "w": w}}
         assert run(tmp_path, "synthesize", config=cfg, steps=64, out=tmp_path / "run") == 2
 
+    @pytest.mark.parametrize("im", [1e200, 1e300])
+    def test_huge_generator_exits_3_without_a_warning(self, tmp_path, capsys, im):
+        # the graph frames' norms overflow: NonFinite (exit 3); a numpy warning, an error
+        # in this suite, neither from the zero test of w nor from the section
+        cfg = {"n": 3, "m": 1, "synthesize": {"scale": 0.5, "w": [[{"re": 0, "im": im}]]}}
+        assert run(tmp_path, "synthesize", config=cfg, steps=64, out=tmp_path / "run") == 3
+        assert "loop frame norm contains non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_one_curvature_generators_call_per_run(self, tmp_path, monkeypatch):
         calls = []
         original = cli.curvature_generators
@@ -742,6 +751,15 @@ class TestUsage:
         cfg = {"version": 1, "grid": {"t0": 0.0, "t1": 1e-300, "steps": 11}}
         out = tmp_path / "run"
         assert run(tmp_path, "holonomy", config=cfg, out=out) == 3
+        assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.json").exists()
+
+    @pytest.mark.parametrize("command", ["flow", "berry", "holonomy"])
+    def test_subnormal_grid_step_exits_3_without_a_warning(self, tmp_path, capsys, command):
+        # the horizontality defect over h = 2.5e-321 is NaN, not a numpy warning (an error
+        # in this suite), and strict JSON has no NaN: the run exits 3 and writes no file
+        cfg = {"n": 2, "m": 1, "grid": {"t0": 0, "t1": 1e-320, "steps": 4}}
+        assert run(tmp_path, command, config=cfg, out=tmp_path / "run") == 3
+        assert "nan" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.json").exists()
 
     def test_unknown_schedule_kind(self, tmp_path):

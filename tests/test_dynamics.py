@@ -20,8 +20,9 @@ from grassflow.dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HamiltonianSchedul
                                 sampled_schedule, synthesize_holonomy_step,
                                 tracking_defect, horizontality_defect,
                                 FramePath, ProjectorPath)
-from grassflow.grassmann import (BasePoint, Projector, chart_from_proj, hamiltonian_value,
-                                 linear_hamiltonian, projector_defect, sampled_derivative)
+from grassflow.grassmann import (BasePoint, Projector, chart_frames, chart_from_proj,
+                                 hamiltonian_value, linear_hamiltonian, projector_defect,
+                                 sampled_derivative)
 from grassflow.linalg import (dag, frob, isometrize, mat_exp, nearest_projector, polar_retract,
                               random_antihermitian, random_frame, random_unitary)
 
@@ -1385,6 +1386,18 @@ class TestSampledTransport:
         assert np.abs(section @ dag(section) - path.samples).max() <= 1e-15
         got = dynamics._section_transport(section, dynamics.DEFAULT_TOLS)
         assert np.abs(got - horizontal_transport(path, base.frame).samples).max() <= 1e-14
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (6, 2), (12, 5)])
+    def test_graph_section_is_the_oriented_qr_of_the_graph_frames(self, n, m):
+        # one Gram-Schmidt pass gives isometrize's factor, LAPACK's QR with R's diagonal
+        # turned positive, of the graph frames of blocks of norm 0 to 10
+        rng = np.random.default_rng(n)
+        blocks = rng.standard_normal((64, n - m, m)) + 1j * rng.standard_normal((64, n - m, m))
+        norms = rng.uniform(0.0, 10.0, (64, 1, 1))
+        blocks *= norms / np.linalg.norm(blocks, axis=(1, 2), keepdims=True)
+        base = BasePoint.standard(n, m)
+        want = isometrize(chart_frames(base, blocks))
+        assert np.abs(dynamics._graph_section(base, blocks) - want).max() <= 1e-14
 
     def test_bloch_section_gives_the_sampled_transport(self):
         # the equator loop from its Bloch frames (cos(theta/2), e^(i a) sin(theta/2)), a

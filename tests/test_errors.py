@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from grassflow import InvalidArgument, NonFinite
-from grassflow.bundle import connection_A, curvature_Omega, split_vertical_horizontal
+from grassflow.bundle import (connection_A, curvature_generators, curvature_Omega,
+                             split_vertical_horizontal)
 from grassflow.dynamics import (FramePath, HamiltonianSchedule, ProjectorPath, TimeGrid,
-                                berry_maps, constant_schedule, geometric_hamiltonian,
-                                geometric_schedule, integrate_frame, loop_holonomy,
-                                rotating_schedule, sampled_schedule, tracking_defect)
+                                _graph_section, berry_maps, constant_schedule,
+                                geometric_hamiltonian, geometric_schedule, integrate_frame,
+                                loop_holonomy, rotating_schedule, sampled_schedule,
+                                tracking_defect)
 from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent, Projector,
                                  chart_from_proj, chart_transport, covariant_derivative_along,
                                  grassmann_connection_F, ham_field, lie_field_chart,
@@ -121,10 +123,19 @@ _B3 = BasePoint.standard(3, 1)
                        np.eye(2, dtype=complex)[:, :1], TimeGrid(0.0, 1.0, 8)),
     lambda: proj_from_chart(_B3, ChartTangent(base=_B3, block=np.full((2, 1), np.nan))),
     lambda: proj_from_chart(_B3, ChartTangent(base=_B3, block=np.full((2, 1), 1e200))),
+    lambda: _graph_section(_B3, np.full((1, 2, 1), 1e200)),
 ], ids=["berry_maps_nan_projector", "proj_from_chart_nan_block",
-        "proj_from_chart_overflowing_gram"])
+        "proj_from_chart_overflowing_gram", "graph_section_overflowing_norm"])
 def test_non_finite_inputs_raise_non_finite(call):
     # a NaN projector failed no comparison (NaN > bound is False), a NaN chart block made a
-    # NaN projector, and a Gram matrix 1 + f* f that overflows made the zero matrix
+    # NaN projector, a Gram matrix 1 + f* f that overflows made the zero matrix, and a graph
+    # frame whose norm overflows warned before it raised
     with pytest.raises(NonFinite):
         call()
+
+
+def test_huge_curvature_generator_gives_its_pair_without_a_warning():
+    # w = 0 was tested by a norm, which overflowed on this w (a warning is an error here)
+    w = np.array([[1e300j]])
+    [(u, v)] = curvature_generators(w, 3)
+    np.testing.assert_array_equal(v, u @ w)
