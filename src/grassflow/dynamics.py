@@ -18,10 +18,11 @@ of the projector samples, the CLI's ``synthesize`` the ``_graph_section`` of its
 loop, one in-place Gram-Schmidt pass over its graph frames that forms no n x n matrix.  Both
 chain by ``_gauge_chain``.  ``pancharatnam_oracle`` is ``_frame_oracle``, which the CLI runs
 on its flow's frames, of the ``_pivoted_section``.
-Every RK4 route reads its 2 * steps + 1 stage generators once each, a checked table at a time
-with the node ending its steps (``_stage_generators``).  A geometric table of any curve Q(t)
-takes Q' by central differences (``geometric_schedule``); for a unitary orbit Q = e^X P e^-X,
-as both CLI loops are, ``_orbit_schedule`` takes it exactly from one stacked ``eigh`` of iX.
+Every RK4 route reads its 2 * steps + 1 stage generators once each, a checked table of B steps
+at a time, as B + 1 nodes and B midpoints (``_stage_generators``).  A geometric table is Kato's
+[Q', Q] = W - W*, W = Q' Q: of any curve Q(t) with Q' by central differences
+(``geometric_schedule``), and exactly, from one stacked ``eigh`` of iX, for a unitary orbit
+Q = e^X P e^-X, as both CLI loops are (``_orbit_schedule``).
 The frame equation has one integrator, ``_frame_blocks``, which ``integrate_frame`` and
 ``berry_maps`` share; the projector flow, a reference route, steps by ``_rk4_nodes``.  A
 ``constant_schedule`` runs by one ``eigh``, in which basis its RK4 steps are diagonal.
@@ -183,20 +184,17 @@ def sampled_schedule(grid: TimeGrid, values: np.ndarray) -> HamiltonianSchedule:
 
 
 def _geometric_generator(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Skew part of V_off (2Q - 1), the generator moving Q along v horizontally.
+    """Kato's generator [V, Q] = W - W*, W = V Q, V the Hermitian part of v: exactly anti-Hermitian.
 
-    V_off is the Hermitian part of v with its diagonal blocks w.r.t.
-    im(q) + ker(q) removed.  q and v may be stacks (..., n, n).
+    [[V, Q], Q] = Q V (1 - Q) + (1 - Q) V Q moves the projector Q along v horizontally (Kato,
+    J. Phys. Soc. Jpn. 5, 435 (1950)).  q and v may be stacks (..., n, n).
     """
-    v = (v + dag(v)) / 2.0
-    eye = np.eye(q.shape[-1])
-    comp = eye - q
-    h_mat = (q @ v @ comp + comp @ v @ q) @ (2.0 * q - eye)
-    return (h_mat - dag(h_mat)) / 2.0
+    w = (v + dag(v)) / 2.0 @ q
+    return w - dag(w)
 
 
 def geometric_schedule(qfun: Callable[[np.ndarray], np.ndarray]) -> HamiltonianSchedule:
-    """Geometric schedule H(t) = [[0, -Q'*], [Q', 0]] for a smooth curve of projectors.
+    """Geometric schedule H(t) = [Q', Q] (``_geometric_generator``) for a smooth projector curve.
 
     ``qfun`` maps a 1-D array of N times to the (N, n, n) stack of projector
     matrices (it must broadcast over the times); its derivative is taken by
@@ -354,8 +352,8 @@ def _rk4_nodes(schedule, rhs, y, grid: TimeGrid, retract, tol: Tolerances):
     tables = _stage_generators(schedule, grid, y.shape[0], tol)
     first = next(tables)
     yield y
-    for hs, end in itertools.chain([first], tables):
-        for stage in zip(hs[0::2], hs[1::2], [*hs[2::2], end[0]]):
+    for nodes, mids in itertools.chain([first], tables):
+        for stage in zip(nodes[:-1], mids, nodes[1:]):
             y = retract(_rk4_step(rhs, y, grid.h, *stage))
             yield y
 
@@ -459,12 +457,12 @@ class HolonomyResult:
         return float(self.horizontality_defects.max())
 
 
-# Bytes of one generator table read by an RK4 route (a geometric table holds
-# several stacks this size at once), and of four n x n samples: a sampled-transport
-# block (``_transport_block``) takes as many nodes of a path or of its section.
-# A ``_frame_blocks`` block is the steps of one table, so a stack of its n x n RK4 step
-# maps takes half a table (a constant schedule's run is the steps whose (m, m, n) stage
-# products take one): peak memory stays fixed however many steps a run takes.
+# Bytes of one generator table read by an RK4 route (a geometric table holds several stacks
+# this size at once).  A ``_frame_blocks`` block is the steps of one table, so a stack of its
+# n x n RK4 step maps takes half a table (a constant schedule's run is the steps whose (m, m, n)
+# stage products take one): peak memory stays fixed however many steps a run takes.  The
+# sampled transport runs in blocks too (``_transport_block``), as its temporaries over a whole
+# path would set the peak memory of a long ``synthesize`` run.
 _TABLE_BYTES = 1 << 22
 
 # Largest n at which ``_frame_blocks`` chains stacked n x n RK4 step maps by
@@ -473,12 +471,12 @@ _SCAN_MAX_N = 16
 
 
 def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int, tol: Tolerances):
-    """Each table of H at the RK4 stage times t0 + (h/2) j, with the (1, n, n) node ending it.
+    """Each table of H at the RK4 stage times t0 + (h/2) j as (nodes, mids) of B steps.
 
     Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2, and the 2 * steps + 1
-    stage times are read once each, a table at a time.  A table yielded holds the 2B stage
-    generators of B steps, at most _TABLE_BYTES but one step at least.  Each table is read, and
-    checked to be an (N, n, n) stack, finite and anti-Hermitian, before the steps of the one
+    stage times are read once each, a table at a time: the B + 1 nodes (the last ends the steps)
+    and B midpoints of B steps, at most _TABLE_BYTES but one step at least.  Each table is read,
+    and checked to be an (N, n, n) stack, finite and anti-Hermitian, before the steps of the one
     before are yielded: a ``constant_schedule`` by its one matrix once, any other in full.
     """
     times = grid.t0 + (grid.h / 2.0) * np.arange(2 * grid.steps + 1)
@@ -489,10 +487,10 @@ def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int, tol
         if not (constant and start):
             require_antihermitian(table[:1] if constant else table, tol, "generator")
         if start:  # the table before ends at this one's first node
-            yield hs, table[:1]
+            yield np.concatenate([hs[0::2], table[:1]]), hs[1::2]
         hs = table
     if len(hs) > 1:
-        yield hs[:-1], hs[-1:]
+        yield hs[0::2], hs[1::2]
 
 
 def _rk4_maps(g1, g2, g3, g4, h: float) -> np.ndarray:
@@ -520,7 +518,7 @@ def _slope_stages(phis: np.ndarray, slopes, h: float):
 
 
 def _transport_block(n: int) -> int:
-    """Nodes of a sampled-transport block: four of them hold _TABLE_BYTES of n x n samples."""
+    """Nodes of a ``_section_transport`` block, _TABLE_BYTES / (64 n^2): see _TABLE_BYTES."""
     return max(1, _TABLE_BYTES // (4 * 16 * n * n))
 
 
@@ -675,9 +673,8 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
                                  grid, tol, stages)
         return
     n, h, start = phis.shape[1], grid.h, 0
-    for hs, end in _stage_generators(schedule, grid, n, tol):
-        block = slice(start, start + len(hs) // 2)
-        nodes, mids = np.concatenate([hs[0::2], end]), hs[1::2]
+    for nodes, mids in _stage_generators(schedule, grid, n, tol):
+        block = slice(start, start + len(mids))
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
             if n <= _SCAN_MAX_N:
                 step_maps = _rk4_maps(nodes[:-1], mids, mids, nodes[1:], h)
@@ -693,7 +690,7 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
                     phi = _rk4_step(_matmul, phis[start + k], h, *stage, slopes[:, k])
                     kept = frame_defect(phi) <= tol.ode
                     phis[start + k + 1] = phi if kept else isometrize(phi, tol)
-        yield block, end, (_slope_stages(phis[block], slopes, h) if stages else None)
+        yield block, nodes[-1:], (_slope_stages(phis[block], slopes, h) if stages else None)
         start = block.stop
 
 
@@ -774,8 +771,8 @@ def geometric_hamiltonian(path: ProjectorPath,
                           tol: Tolerances = DEFAULT_TOLS) -> HamiltonianSchedule:
     """The off-diagonal schedule driving a sampled projector curve horizontally.
 
-    H(t_k) = Q'(t_k) (2 Q(t_k) - 1) with Q' by central differences; between
-    nodes the samples are interpolated linearly.  Raises PathTooRough when a
+    H(t_k) = [Q'(t_k), Q(t_k)] (``_geometric_generator``) with Q' by central differences;
+    between nodes the samples are interpolated linearly.  Raises PathTooRough when a
     single step moves the projector further than _ROUGH_BOUND (derivative
     estimates would be meaningless); InvalidArgument unless the samples are an (N, n, n) stack.
     """

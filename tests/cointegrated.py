@@ -10,6 +10,10 @@ step, the polar factor by the SVD.  ``pancharatnam_reference``: the projector-pr
 oracle as a per-sample loop over the n x n samples.  The library's
 ``horizontal_transport`` and ``pancharatnam_oracle`` take both from the fiber overlaps of
 a section; the tests hold them to these loops.
+
+``block_geometric_generator``: the geometric generator as the skew part of V_off (2Q - 1),
+from the off-diagonal blocks of V.  The library forms Kato's one-product [V, Q]; the tests
+hold it to this formula.
 """
 
 import numpy as np
@@ -66,3 +70,13 @@ def projection_transport(samples, sigma) -> np.ndarray:
         u, _, vh = np.linalg.svd(p @ psis[-1], full_matrices=False)
         psis.append(u @ vh)
     return np.array(psis)
+
+
+def block_geometric_generator(q, v) -> np.ndarray:
+    """Skew part of V_off (2Q - 1), V_off the Hermitian part V of v without its diagonal
+    blocks in im(q) + ker(q); q and v may be stacks (..., n, n)."""
+    v = (v + dag(v)) / 2.0
+    eye = np.eye(q.shape[-1])
+    comp = eye - q
+    h_mat = (q @ v @ comp + comp @ v @ q) @ (2.0 * q - eye)
+    return (h_mat - dag(h_mat)) / 2.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grassflow import (BaseMismatch, DimensionTooSmall, InvalidArgument, NotAFrame,
-                       NotAntiHermitian, NotHorizontal)
+                       NotAntiHermitian, NotHorizontal, NotTangent)
 from grassflow.bundle import (connection_A, curvature_Omega,
                               curvature_generators, frame_defect,
                               horizontal_lift, local_trivialization,
@@ -69,6 +69,12 @@ class TestConnectionA:
             lhs = connection_A(phi @ g, xi @ g)
             rhs = dag(g) @ connection_A(phi, xi) @ g
             assert frob(lhs - rhs) <= 1e-12
+
+    def test_non_tangent_vector_raises(self):
+        # xi = phi gives xi* phi + phi* xi = 2 I, not 0: phi is no tangent at phi
+        phi = random_frame(5, 2, 33)
+        with pytest.raises(NotTangent):
+            connection_A(phi, phi)
 
 
 class TestSplitVerticalHorizontal:

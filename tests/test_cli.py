@@ -668,6 +668,31 @@ class TestUsage:
         assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 1
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize("config_text, message", [
+        pytest.param(None, "cannot read config", id="missing_file"),
+        pytest.param('{"n": 2,', "cannot read config", id="invalid_json"),
+        pytest.param("[1, 2]", "config must be a JSON object", id="json_array"),
+        pytest.param('{"tolerances": {"structural": 1e-6, "comparison": 1e-8}}',
+                     "bad tolerances", id="structural_above_comparison"),
+        pytest.param('{"n": 3, "schedule": {"kind": "rotating"}}', "requires n=2, m=1",
+                     id="rotating_at_n3"),
+        pytest.param('{"grid": {"steps": 4}, "schedule": {"kind": "sampled", "values": '
+                     + json.dumps([[[{"re": 0, "im": 0}] * 2] * 2] * 4) + '}}',
+                     "grid.steps + 1 values", id="sampled_wrong_count"),
+    ])
+    def test_config_error_exits_1_with_its_cause(self, tmp_path, capsys, config_text, message):
+        # a config file that is missing, not JSON or not an object, tolerances out of order, a
+        # rotating schedule off n = 2 and sampled values not one per node each end the run
+        # before any output
+        cfg_file = tmp_path / "config.json"
+        if config_text is not None:
+            cfg_file.write_text(config_text)
+        out = tmp_path / "run"
+        assert main(["flow", "--config", str(cfg_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not list(tmp_path.glob("run.*"))
+
     @pytest.mark.parametrize("w", [
         [[{"re": 1.0, "im": 0.0}]],            # Hermitian, not anti-Hermitian
         [[{"re": 0.0, "im": float("inf")}]],   # non-finite
@@ -798,6 +823,23 @@ def test_wall_time_is_within_the_run(tmp_path, command):
     assert run(tmp_path, command, steps=300, out=out) == 0
     elapsed = time.perf_counter() - start
     assert 0.0 <= load(out)[0]["wall_time_s"] <= elapsed
+
+
+@pytest.mark.parametrize("command, message", [
+    ("flow", "flow defects exceed the ode tolerance"),
+    ("berry", "berry run defects exceed the ode tolerance"),
+    ("synthesize", "synthesis defects exceed the ode tolerance"),
+])
+def test_defects_above_the_ode_tolerance_exit_2_after_the_report(tmp_path, capsys, command,
+                                                                 message):
+    # no run at the default steps keeps its defects within ode = 1e-300: the report is
+    # written in full, then the run exits 2 with its message on stderr
+    out = tmp_path / "run"
+    assert run(tmp_path, command, config={"tolerances": {"ode": 1e-300}}, out=out) == 2
+    assert message in capsys.readouterr().err
+    report, csv_lines = load(out)
+    assert report["defect_max"] > 1e-300
+    assert csv_lines[0] == CSV_HEADER and len(csv_lines) == 2002
 
 
 _WRONG_TYPE = st.one_of(st.none(), st.booleans(), st.text(max_size=2),

@@ -26,7 +26,8 @@ from grassflow.grassmann import (BasePoint, Projector, chart_frames, chart_from_
 from grassflow.linalg import (dag, frob, isometrize, mat_exp, nearest_projector, polar_retract,
                               random_antihermitian, random_frame, random_unitary)
 
-from cointegrated import cointegrated_transport, pancharatnam_reference, projection_transport
+from cointegrated import (block_geometric_generator, cointegrated_transport,
+                          pancharatnam_reference, projection_transport)
 
 
 def trig_schedule(a, b, freq=1.0):
@@ -510,6 +511,26 @@ class TestBerryMaps:
         assert all(len(times) <= 3 for times in calls)
         np.testing.assert_array_equal(np.concatenate(calls),
                                       (grid.h / 2.0) * np.arange(2 * grid.steps + 1))
+
+    @pytest.mark.parametrize("steps", [20, 21], ids=["ends_in_a_table", "ends_on_one_node"])
+    @pytest.mark.parametrize("table_bytes", [None, 3 * 32 * 4 * 4],
+                             ids=["one_table", "three_steps_a_table"])
+    def test_stage_tables_are_nodes_and_midpoints(self, table_bytes, steps, monkeypatch):
+        # each table is the B + 1 nodes of its B steps, the last the first node of the next
+        # table, and their B midpoints; over all tables, every node and midpoint in order
+        if table_bytes is not None:
+            monkeypatch.setattr(dynamics, "_TABLE_BYTES", table_bytes)
+        a = random_antihermitian(4, 77)
+        schedule = HamiltonianSchedule(lambda t: np.multiply.outer(t, a))
+        grid = TimeGrid(0.0, 1.0, steps)
+        tables = list(dynamics._stage_generators(schedule, grid, 4, dynamics.DEFAULT_TOLS))
+        assert all(len(nodes) == len(mids) + 1 for nodes, mids in tables)
+        for (nodes, _), (following, _) in zip(tables, tables[1:]):
+            assert np.array_equal(nodes[-1], following[0])
+        times = [np.concatenate([nodes[:-1] for nodes, _ in tables] + [tables[-1][0][-1:]]),
+                 np.concatenate([mids for _, mids in tables])]
+        for got, want in zip(times, (grid.times, grid.times[:-1] + grid.h / 2.0)):
+            np.testing.assert_allclose(got, np.multiply.outer(want, a), rtol=0, atol=1e-15)
 
     def test_constant_schedule_over_many_tables_is_checked_once(self, monkeypatch):
         # the projector route reads 3 steps a table; the frame routes read no table
@@ -1112,6 +1133,26 @@ class TestScheduleTable:
             geometric_schedule(scalar_qfun).table(self.TIMES)
         with pytest.raises(ValueError, match="qfun"):
             geometric_schedule(scalar_qfun)(0.5)
+
+
+@pytest.mark.parametrize("stack", [(), (5,)], ids=["one", "stack"])
+@pytest.mark.parametrize("n, m", [(2, 1), (4, 2), (7, 3), (16, 5)])
+def test_geometric_generator_is_kato_commutator(n, m, stack):
+    # for random rank-m projectors Q and a random non-Hermitian v, with V its Hermitian part:
+    # H = [V, Q] is exactly anti-Hermitian, equals the block formula skew(V_off (2Q - 1)) and
+    # moves Q by the off-diagonal part of V, [H, Q] = Q V (1 - Q) + (1 - Q) V Q
+    rng = np.random.default_rng(n * 100 + m + len(stack))
+    frames = np.array([random_frame(n, m, rng) for _ in range(int(np.prod(stack)))])
+    q = (frames @ dag(frames)).reshape(stack + (n, n))
+    v = rng.standard_normal(q.shape) + 1j * rng.standard_normal(q.shape)
+    h_mat = dynamics._geometric_generator(q, v)
+    assert h_mat.shape == q.shape
+    assert np.array_equal(h_mat + dag(h_mat), np.zeros_like(h_mat))
+    reference = block_geometric_generator(q, v)
+    assert np.linalg.norm(h_mat - reference) <= 1e-14 * np.linalg.norm(reference)
+    herm, comp = (v + dag(v)) / 2.0, np.eye(n) - q
+    moved = q @ herm @ comp + comp @ herm @ q
+    assert np.abs(h_mat @ q - q @ h_mat - moved).max() <= 1e-13
 
 
 class TestGeometricHamiltonian:
