@@ -7,8 +7,8 @@ spectral projection for projectors, and the polar factor (which commutes with
 the right U(m) action) for gauge factors.  On top of the flows: horizontal
 transport, the dynamical vs. geometric Berry maps, purely off-diagonal
 ("geometric") schedules driving a prescribed projector curve, loop holonomy with
-a discrete projector-product oracle, and first-order holonomy synthesis from
-curvature generators.
+the polar factor of a discrete projector-product oracle, and first-order holonomy
+synthesis from curvature generators.
 
 Transport runs in a local trivialization of the bundle, where it is an m x m
 gauge equation: along a Hamiltonian flow by ``berry_maps`` over the Schroedinger
@@ -23,9 +23,11 @@ at a time, as B + 1 nodes and B midpoints (``_stage_generators``).  A geometric 
 [Q', Q] = W - W*, W = Q' Q: of any curve Q(t) with Q' by central differences
 (``geometric_schedule``), and exactly, from one stacked ``eigh`` of iX, for a unitary orbit
 Q = e^X P e^-X, as both CLI loops are (``_orbit_schedule``).
-The frame equation has one integrator, ``_frame_blocks``, which ``integrate_frame`` and
-``berry_maps`` share; the projector flow, a reference route, steps by ``_rk4_nodes``.  A
-``constant_schedule`` runs by one ``eigh``, in which basis its RK4 steps are diagonal.
+One kernel, ``_rk4_step``, writes the RK4 tableau.  The frame equation has one integrator,
+``_frame_blocks``, which ``integrate_frame`` and ``berry_maps`` share: the kernel's step of I
+gives its step maps, and of the frames the stage generators that ``berry_maps`` steps its gauge
+maps over.  The projector flow, a reference route, steps by ``_rk4_nodes``.  A
+``constant_schedule`` runs by one ``eigh``, in whose basis the kernel steps its eigenvalues.
 Stacked products by ``_matmul`` make no per-matrix BLAS call for 1 x 1 and 2 x 2 factors (the
 step maps and Gram products at n = 2, the gauge maps at m <= 2) or for a stack times one
 matrix (a scan's frames, the graph frames of a chart loop).  The determinants and singular values of
@@ -329,18 +331,22 @@ def _require_closed(residual: float, rank: int, tol: Tolerances) -> None:
         raise NotClosed(f"loop closure residual {residual:.3e}")
 
 
-def _rk4_step(f, y, h, h_start, h_mid, h_end, slopes=None):
-    """One RK4 step of y' = f(H, y) from the generators at t, t + h/2 and t + h.
+def _rk4_step(f, y, h, g1, g2, g3, g4, stages=None):
+    """One classical RK4 step of y' = f(G, y) from the generators G_i of its four stages.
 
-    ``slopes``, if given, receives the stage slopes k1, ..., k4.  y and the H may be stacks.
+    Stage i has the state s_i = y + a_i h k_{i-1} (s_1 = y), the slope k_i = f(G_i, s_i) and the
+    weight b_i of y + (h/6) sum b_i k_i (Kutta 1901; Hairer & Wanner, Solving ODEs II, IV.2).
+    ``stages``, if given, receives each c_i = s_i* k_i as its slope forms.  y and the G_i may be
+    stacks; for f(G, y) = G y, the step of y = I is the stack of step maps.
     """
-    k1 = f(h_start, y)
-    k2 = f(h_mid, y + (h / 2.0) * k1)
-    k3 = f(h_mid, y + (h / 2.0) * k2)
-    k4 = f(h_end, y + h * k3)
-    if slopes is not None:
-        slopes[0], slopes[1], slopes[2], slopes[3] = k1, k2, k3, k4
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k, total = None, 0.0
+    for i, (g, a, b) in enumerate(((g1, 0.0, 1.0), (g2, 0.5, 2.0), (g3, 0.5, 2.0), (g4, 1.0, 1.0))):
+        s = y if k is None else y + (a * h) * k
+        k = f(g, s)
+        if stages is not None:
+            stages[i] = _matmul(dag(s), k)
+        total = total + b * k
+    return y + (h / 6.0) * total
 
 
 def _rk4_nodes(schedule, rhs, y, grid: TimeGrid, retract, tol: Tolerances):
@@ -353,7 +359,7 @@ def _rk4_nodes(schedule, rhs, y, grid: TimeGrid, retract, tol: Tolerances):
     first = next(tables)
     yield y
     for nodes, mids in itertools.chain([first], tables):
-        for stage in zip(nodes[:-1], mids, nodes[1:]):
+        for stage in zip(nodes[:-1], mids, mids, nodes[1:]):
             y = retract(_rk4_step(rhs, y, grid.h, *stage))
             yield y
 
@@ -493,30 +499,6 @@ def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int, tol
         yield hs[0::2], hs[1::2]
 
 
-def _rk4_maps(g1, g2, g3, g4, h: float) -> np.ndarray:
-    """Stacked RK4 step maps of a linear equation y' = G(t) y from its stage generators G_i.
-
-    One step is y_{k+1} = (I + (h/6)(B_1 + 2 B_2 + 2 B_3 + B_4)) y_k with B_1 = G_1,
-    B_2 = G_2 (I + (h/2) B_1), B_3 = G_3 (I + (h/2) B_2) and B_4 = G_4 (I + h B_3).
-    """
-    eye = np.eye(g1.shape[-1])
-    b2 = _matmul(g2, eye + (h / 2.0) * g1)
-    b3 = _matmul(g3, eye + (h / 2.0) * b2)
-    b4 = _matmul(g4, eye + h * b3)
-    return eye + (h / 6.0) * (g1 + 2.0 * b2 + 2.0 * b3 + b4)
-
-
-def _slope_stages(phis: np.ndarray, slopes, h: float):
-    """Stage generators c_i = s_i* a_i of the steps from the frames ``phis`` (N, n, m).
-
-    ``slopes`` (4, N, n, m) are the stage slopes a_i = H s_i at the stage frames s_1 = phi_k,
-    s_2 = phi_k + (h/2) a_1, s_3 = phi_k + (h/2) a_2 and s_4 = phi_k + h a_3.
-    """
-    a1, a2, a3, a4 = slopes
-    return (_matmul(dag(phis), a1), _matmul(dag(phis + (h / 2.0) * a1), a2),
-            _matmul(dag(phis + (h / 2.0) * a2), a3), _matmul(dag(phis + h * a3), a4))
-
-
 def _transport_block(n: int) -> int:
     """Nodes of a ``_section_transport`` block, _TABLE_BYTES / (64 n^2): see _TABLE_BYTES."""
     return max(1, _TABLE_BYTES // (4 * 16 * n * n))
@@ -626,12 +608,11 @@ def _eigen_frames(matrix: np.ndarray, phis: np.ndarray, grid: TimeGrid, tol: Tol
                   stages: bool):
     """``_frame_blocks`` of a constant H, in the eigenbasis iS = V diag(lam) V* of S = (H - H*)/2.
 
-    With z = -i h lam, an RK4 step from phi = V u has the stage frames V (q_i o u), q = (1,
-    1 + z/2, 1 + z/2 + z^2/4, 1 + z + z^2/2 + z^3/4), and is V (p o u) for the stability polynomial
-    p = 1 + (z/6)(q_1 + 2 q_2 + 2 q_3 + q_4) = 1 + z + ... + z^4/24 (Hairer & Wanner, Solving
-    ODEs II, sec. IV.2).  So phi_k = V (p^(k-j) o V* phi_j) from the last node j retracted, one
-    product with V a ``_scan_frames`` run, and the stage generators s_i* S s_i are
-    c_i = u_k* (|q_i|^2 mu o u_k), mu = -i lam, u_k = V* phi_k: O(n m^2) a step.  A run's
+    There an RK4 step from phi = V u is diagonal: ``_rk4_step`` on the eigenvalues mu = -i lam,
+    from 1, has the stage states q_i(h mu) and ends at the stability polynomial p(h mu) of RK4,
+    and its stages give the weights mu |q_i|^2.  So phi_k = V (p^(k-j) o V* phi_j) from the last
+    node j retracted, one product with V a ``_scan_frames`` run, and the stage generators
+    s_i* S s_i are c_i = u_k* (mu |q_i|^2 o u_k), u_k = V* phi_k: O(n m^2) a step.  A run's
     (m, m, n) stage products take at most _TABLE_BYTES.  H is checked once, before the ``eigh``.
     """
     require_antihermitian(matrix, tol, "generator")
@@ -639,10 +620,10 @@ def _eigen_frames(matrix: np.ndarray, phis: np.ndarray, grid: TimeGrid, tol: Tol
     out = np.empty((4, steps, m, m), dtype=complex) if stages else None
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
         lam, v = np.linalg.eigh(1j * (matrix / 2.0 - dag(matrix) / 2.0))  # halved: no overflow
-        z = -1j * grid.h * lam
-        q = np.array([np.ones(n), 1 + z / 2, 1 + z / 2 + z**2 / 4, 1 + z + z**2 / 2 + z**3 / 4])
-        log_step = np.log(1.0 + (z / 6.0) * ([1.0, 2.0, 2.0, 1.0] @ q))
-        weights = (-1j * lam[:, np.newaxis]) * np.abs(q.T) ** 2  # (n, 4)
+        mu, weights = (-1j * lam)[:, np.newaxis, np.newaxis], [None] * 4
+        log_step = np.log(_rk4_step(_matmul, np.ones((n, 1, 1)), grid.h, mu, mu, mu, mu,
+                                    weights)).ravel()
+        weights = np.concatenate(weights, axis=-1)[:, 0]  # (n, 4): mu |q_i|^2
 
         def run(j, k, count):  # from the rows u_k^T of nodes k, ..., k + count
             powers = np.arange(k - j, min(k + count, steps) - j + 1)[:, np.newaxis, np.newaxis]
@@ -662,35 +643,35 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
 
     A ``constant_schedule`` takes ``_eigen_frames`` of its checked (1, n, n) table at t0, any
     other the tables of ``_stage_generators``.
-    An RK4 step of the linear equation is an n x n matrix R_k (``_rk4_maps``).  Up to
-    _SCAN_MAX_N a table's R_k are chained by ``_scan_frames``; above it a per-step loop of four
-    stage products, O(n^2 m) a step, isometrizes phi where its frame defect is not within
+    An RK4 step of the linear equation is an n x n matrix R_k, the ``_rk4_step`` of I.  Up to
+    _SCAN_MAX_N a table's R_k, one stacked call, are chained by ``_scan_frames``; above it a
+    per-step call on phi, O(n^2 m), isometrizes phi where its frame defect is not within
     ``tol.ode``.  Yields each table's steps (a slice), the (1, n, n) node ending them and, only
-    if ``stages``, their stage generators c_i = s_i* H s_i (``_slope_stages``).
+    if ``stages``, their (4, B, m, m) stage generators c_i = s_i* H s_i, recorded by the kernel.
     """
     if isinstance(schedule.tabulate, _ConstantTable):
         yield from _eigen_frames(schedule.table(np.array([grid.t0]), phis.shape[1])[0], phis,
                                  grid, tol, stages)
         return
-    n, h, start = phis.shape[1], grid.h, 0
+    (n, m), h, start = phis.shape[1:], grid.h, 0
     for nodes, mids in _stage_generators(schedule, grid, n, tol):
         block = slice(start, start + len(mids))
+        out = np.empty((4, len(mids), m, m), complex) if stages else None
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
             if n <= _SCAN_MAX_N:
-                step_maps = _rk4_maps(nodes[:-1], mids, mids, nodes[1:], h)
+                step_maps = _rk4_step(_matmul, np.eye(n), h, nodes[:-1], mids, mids, nodes[1:])
                 frames = phis[start:block.stop + 1]
                 _scan_frames(lambda j, k, count: _matmul(prefix_products(step_maps[k:k + count]),
                                                          frames[k]), frames, tol, len(step_maps))
-                slopes = [None] * 4
                 if stages:
-                    _rk4_step(_matmul, phis[block], h, nodes[:-1], mids, nodes[1:], slopes)
+                    _rk4_step(_matmul, phis[block], h, nodes[:-1], mids, mids, nodes[1:], out)
             else:
-                slopes = np.empty((4, len(mids)) + phis.shape[1:], complex)
-                for k, stage in enumerate(zip(nodes[:-1], mids, nodes[1:])):
-                    phi = _rk4_step(_matmul, phis[start + k], h, *stage, slopes[:, k])
+                for k, stage in enumerate(zip(nodes[:-1], mids, mids, nodes[1:])):
+                    phi = _rk4_step(_matmul, phis[start + k], h, *stage,
+                                    out[:, k] if stages else None)
                     kept = frame_defect(phi) <= tol.ode
                     phis[start + k + 1] = phi if kept else isometrize(phi, tol)
-        yield block, nodes[-1:], (_slope_stages(phis[block], slopes, h) if stages else None)
+        yield block, nodes[-1:], out
         start = block.stop
 
 
@@ -716,10 +697,9 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     1593 (1987); non-abelian form: Anandan, Phys. Lett. A 133, 171 (1988)).
     The frames phi are those of ``integrate_frame`` (``_frame_blocks``); the gauge
     equation is linear too, so an RK4 step is an m x m matrix, g_{k+1} = L_k g_k: the
-    ``_rk4_maps`` of the stage generators -c_i that ``_frame_blocks`` gives each block (from its
-    stage slopes, or for a ``constant_schedule`` in H's eigenbasis), chained by
-    ``_gauge_chain``.  A grid of fewer than 2 steps raises InvalidArgument before any
-    table is read.
+    ``_rk4_step`` of I, with step -h, over the stage generators c_i that ``_frame_blocks``
+    gives each block, chained by ``_gauge_chain``.  A grid of fewer than 2 steps raises
+    InvalidArgument before any table is read.
 
     Returns ``dynamical = sigma* phi(T)``, ``geometric = sigma* psi(T)`` and
     ``fiber_gap = psi(T)* phi(T) = g(T)*``.  When the projector path closes
@@ -744,7 +724,7 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
     phis[0] = sigma
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
         for block, end, (c1, c2, c3, c4) in _frame_blocks(schedule, phis, grid, tol, True):
-            gens[block], maps[block] = c1, _rk4_maps(-c1, -c2, -c3, -c4, h)
+            gens[block], maps[block] = c1, _rk4_step(_matmul, np.eye(m), -h, c1, c2, c3, c4)
     # the last node's generator phi* H phi, H the node ending the last table
     gens[steps] = _matmul(dag(phis[-1]), _matmul(end[0], phis[-1]))
 
@@ -796,12 +776,13 @@ def loop_holonomy(path: ProjectorPath, sigma: np.ndarray,
 
 def pancharatnam_oracle(samples: np.ndarray, sigma: np.ndarray,
                         tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Discrete holonomy oracle: the oriented isometrization of sigma* P_{N-1} ... P_1 sigma.
+    """Discrete holonomy oracle: the unitary polar factor of sigma* P_{N-1} ... P_1 sigma.
 
     The product is phi_{N-1} O_{N-1} ... O_1, O_k = phi_k* phi_{k-1}, for orthonormal frames
     phi_k of im(P_k), phi_0 = sigma (Samuel & Bhandari, PRL 60, 2339 (1988)), so this is
     ``_frame_oracle`` of the ``_pivoted_section``, with their errors; NotClosed unless the loop
-    closes at the rank of sigma.  It converges to ``loop_holonomy`` as the sampling refines.
+    closes at the rank of sigma.  It converges to ``loop_holonomy`` at second order, at m >= 2
+    too: the product is the holonomy times a positive contraction, which its polar factor drops.
     """
     samples = _require_stack(require_finite(samples, "loop samples"))
     sigma = require_over(sigma, samples[0], tol, "the first sample")
@@ -814,7 +795,8 @@ def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndar
 
     P_k ... P_1 phi_0 = phi_k C_k, C_k = O_k ... O_1 for the overlaps O_k = phi_k* phi_{k-1},
     chained by ``prefix_products`` at |det O_k| = 1, which keeps C finite while its rank holds.
-    Step k checks the projected frame O_k C_{k-1} / s_max(C_{k-1}) by the rank rule.
+    Step k checks the projected frame O_k C_{k-1} / s_max(C_{k-1}) by the rank rule.  Returns
+    the ``polar_retract`` of phi_0* phi_N C_N / s_max(C_N).
     """
     overlaps = _matmul(dag(frames[1:]), frames[:-1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only once rank is lost
@@ -826,7 +808,7 @@ def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndar
     steps = scales / np.append(1.0, chain_svals[:-1, 0])
     _require_rank((chain_svals * steps[:, np.newaxis]) ** 2, tol, DegenerateStep)
     end = chains[-1] / chain_svals[-1, 0] if len(chains) else np.eye(frames.shape[-1])
-    return isometrize(dag(frames[0]) @ frames[-1] @ end, tol)
+    return polar_retract(dag(frames[0]) @ frames[-1] @ end, tol)
 
 
 def synthesize_holonomy_step(w: np.ndarray, scale: float, base: BasePoint,

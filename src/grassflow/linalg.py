@@ -158,14 +158,14 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     stack, where ``matmul`` broadcasts the matrix and makes one BLAS call per matrix of
     the stack.  Each route equals ``a @ b`` to roundoff; any other operands go to ``a @ b``.
     """
-    if np.ndim(a) >= 2 <= np.ndim(b) and 0 < a.shape[-1] == b.shape[-2] <= _BROADCAST_MAX:
+    if a.ndim >= 2 <= b.ndim and 0 < a.shape[-1] == b.shape[-2] <= _BROADCAST_MAX:
         out = a[..., :1] * b[..., :1, :]
         for j in range(1, a.shape[-1]):
             out += a[..., j:j + 1] * b[..., j:j + 1, :]
         return out
-    if np.ndim(a) == 2 < np.ndim(b):  # a @ b = (b^T a^T)^T
+    if a.ndim == 2 < b.ndim:  # a @ b = (b^T a^T)^T
         return _matmul(np.swapaxes(b, -1, -2), a.T).swapaxes(-1, -2)
-    if np.ndim(a) > 2 == np.ndim(b):
+    if a.ndim > 2 == b.ndim:
         return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
     return a @ b
 

@@ -27,7 +27,8 @@ from grassflow.linalg import (dag, frob, isometrize, mat_exp, nearest_projector,
                               random_antihermitian, random_frame, random_unitary)
 
 from cointegrated import (block_geometric_generator, cointegrated_transport,
-                          pancharatnam_reference, projection_transport)
+                          pancharatnam_reference, projection_transport, rk4_maps,
+                          rk4_polynomials)
 
 
 def trig_schedule(a, b, freq=1.0):
@@ -129,7 +130,7 @@ class TestIntegrateFrame:
                                             monkeypatch):
         # one frame integrator: berry_maps' frames bit for bit, retractions included
         # (the coarse grid isometrizes), in one table or many, with no per-step
-        # _rk4_step on the scan
+        # _rk4_step on the scan: one stacked call of its step maps a table
         schedule, sigma, grid = TestGaugeRoute.problem(n, steps, seed)
         monkeypatch.setattr(dynamics, "_SCAN_MAX_N", crossover)
         if table_bytes is not None:
@@ -140,7 +141,8 @@ class TestIntegrateFrame:
                             lambda *args, step=dynamics._rk4_step: calls.append(1) or step(*args))
         frames = integrate_frame(schedule, sigma, grid).samples
         assert np.array_equal(frames, res.frame_path.samples)
-        assert len(calls) == (0 if crossover else steps)
+        tables = len(list(dynamics._stage_generators(schedule, grid, n, dynamics.DEFAULT_TOLS)))
+        assert len(calls) == (tables if crossover else steps)
 
     def test_one_step_grid(self):
         # one table of three stage times, which ends at its own last node
@@ -149,6 +151,31 @@ class TestIntegrateFrame:
         path = integrate_frame(constant_schedule(h_mat), phi0, TimeGrid(0.0, 0.01, 1))
         assert path.samples.shape == (2, 3, 1)
         assert frob(path.samples[-1] - mat_exp(0.01 * h_mat) @ phi0) <= 1e-11
+
+
+class TestRK4Kernel:
+    """``_rk4_step`` gives the step maps and the eigenbasis steps that tests hold to formulas."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 17])
+    def test_step_maps_are_the_b_recursion(self, n):
+        # bit for bit, for h and for the gauge maps' -h, which negate the generators
+        rng = np.random.default_rng(400 + n)
+        gens = [rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+                for _ in range(4)]
+        for h in (0.03, -0.03):
+            got = dynamics._rk4_step(dynamics._matmul, np.eye(n), h, *gens)
+            assert np.array_equal(got, rk4_maps(*gens, h))
+            assert np.array_equal(got, rk4_maps(*(-g for g in gens), -h))
+
+    def test_eigenvalue_steps_are_the_stability_polynomial(self):
+        # from y = 1 on y' = mu y: the step is p(h mu), the stages record mu |q_i(h mu)|^2
+        mu = -1j * np.linspace(-40.0, 40.0, 81)[:, np.newaxis, np.newaxis]
+        h = 1.0 / 40.0
+        stages = [None] * 4
+        step = dynamics._rk4_step(dynamics._matmul, np.ones_like(mu), h, mu, mu, mu, mu, stages)
+        q, p = rk4_polynomials(h * mu)
+        np.testing.assert_allclose(step, p, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(stages, mu * np.abs(q) ** 2, rtol=1e-15, atol=0)
 
 
 class TestIntegrateProjector:
@@ -736,11 +763,12 @@ class TestGaugeRoute:
     def test_the_crossover_picks_the_route(self, n, route, monkeypatch):
         schedule, sigma, grid = self.problem(n, 5, 207)
         steps = []
-        monkeypatch.setattr(dynamics, "_rk4_step",
-                            lambda *args, step=dynamics._rk4_step: steps.append(1) or step(*args))
+        monkeypatch.setattr(dynamics, "_rk4_step", lambda f, y, *args, step=dynamics._rk4_step:
+                            steps.append(y.shape[-2:] == sigma.shape) or step(f, y, *args))
         berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
-        # the scan takes its stage slopes in one stacked _rk4_step per block
-        assert len(steps) == {"scan": 1, "loop": grid.steps}[route]
+        # of the calls that step frames (not the step maps of I), the scan makes one stacked
+        # call a block, for its stage generators, the loop one a step
+        assert sum(steps) == {"scan": 1, "loop": grid.steps}[route]
 
     def test_grid_that_retracts_at_every_step_scans_in_linear_work(self, monkeypatch):
         # h ||H|| = 1/4: every RK4 step leaves the frames by more than tol.ode
@@ -765,15 +793,21 @@ class TestGaugeRoute:
         reference = _reference_berry_loop(schedule, sigma, grid)
         # a table holds the generators of 3 steps, 6 stage times (16 * 4 * 4 bytes each)
         monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 32 * 4 * 4)
-        step_maps = dynamics._slope_stages
+        step = dynamics._rk4_step
         for crossover in (dynamics._SCAN_MAX_N, 0):  # the scan, then the loop
             monkeypatch.setattr(dynamics, "_SCAN_MAX_N", crossover)
-            maps = []
-            monkeypatch.setattr(
-                dynamics, "_slope_stages",
-                lambda phis, *args: maps.append(len(phis)) or step_maps(phis, *args))
+            buffers = []
+
+            def recorded(f, y, h, g1, g2, g3, g4, stages=None):
+                if stages is not None:  # a block's (4, B, m, m) buffer, or a step's view of it
+                    buffers.append(stages if stages.base is None else stages.base)
+                return step(f, y, h, g1, g2, g3, g4, stages)
+
+            monkeypatch.setattr(dynamics, "_rk4_step", recorded)
             blocks = berry_maps(schedule, Projector.from_frame(sigma), sigma, grid)
-            assert maps == [3] * 16 + [2]
+            lengths = [buffer.shape[1] for k, buffer in enumerate(buffers)
+                       if not k or buffer is not buffers[k - 1]]
+            assert lengths == [3] * 16 + [2]
             _assert_matches_the_reference(blocks, reference)
 
     @pytest.mark.parametrize("steps", [2, 7, 400])
@@ -859,15 +893,27 @@ class TestConstantRoute:
         assert all(12.0 <= ratio <= 20.0 for ratio in ratios), ratios
 
     def test_one_eigh_and_no_step_loop(self, monkeypatch):
+        # _rk4_step runs on the eigenvalues and the gauge maps, as often at any step count,
+        # and never on an (n, m) frame
         schedule, sigma = self.problem(17, 317)
-        eighs, calls = [], []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
-        for name in ("_rk4_step", "_rk4_nodes", "_stage_generators", "_slope_stages"):
+        calls = []
+        for name in ("_rk4_nodes", "_stage_generators"):
             monkeypatch.setattr(dynamics, name, lambda *args: calls.append(args) or 1 / 0)
-        res = berry_maps(schedule, Projector.from_frame(sigma), sigma, TimeGrid(0.0, 1.0, 200))
-        assert eighs == [(17, 17)] and calls == []
-        assert res.closed is False and res.energies.shape == (201,)
+        eigh = np.linalg.eigh
+        step = dynamics._rk4_step
+        counts = []
+        for steps in (200, 400):
+            eighs, shapes = [], []
+            monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+            monkeypatch.setattr(dynamics, "_rk4_step",
+                                lambda f, y, *args: shapes.append(y.shape) or step(f, y, *args))
+            res = berry_maps(schedule, Projector.from_frame(sigma), sigma,
+                             TimeGrid(0.0, 1.0, steps))
+            assert eighs == [(17, 17)] and calls == []
+            assert all(shape[-2:] != sigma.shape for shape in shapes)
+            assert res.closed is False and res.energies.shape == (steps + 1,)
+            counts.append(len(shapes))
+        assert counts[0] == counts[1]
 
     def test_blocks_hold_a_bounded_frame_state(self, monkeypatch):
         # five steps' (m, m, n) stage products a run: a long grid takes many runs, with
@@ -937,18 +983,24 @@ def test_overflowing_state_raises_non_finite(route, monkeypatch):
     # first step; a NaN defect is not within tol.ode, so the retraction of node 1
     # meets the non-finite state and raises: isometrize for frames, nearest_projector
     # for projectors, on the projector loop after one _rk4_step; the frame routes, which
-    # run a constant schedule in its eigenbasis, take none
-    retracted, steps = [], []
+    # run a constant schedule in its eigenbasis, read no table and step no frame
+    retracted, steps, tables = [], [], []
     for name in ("isometrize", "nearest_projector"):
         monkeypatch.setattr(dynamics, name, lambda f, *args, retract=getattr(dynamics, name):
                             retracted.append(f) or retract(f, *args))
-    monkeypatch.setattr(dynamics, "_rk4_step",
-                        lambda *args, step=dynamics._rk4_step: steps.append(1) or step(*args))
+    monkeypatch.setattr(dynamics, "_rk4_step", lambda f, y, *args, step=dynamics._rk4_step:
+                        steps.append(y.shape) or step(f, y, *args))
+    if route != "integrate_projector":
+        for name in ("_rk4_nodes", "_stage_generators"):
+            monkeypatch.setattr(dynamics, name, lambda *args: tables.append(args) or 1 / 0)
     with pytest.raises(NonFinite, match="non-finite"):
         RK4_ROUTES[route](_overflowing_schedule(), random_frame(3, 1, 206),
                           TimeGrid(0.0, 1.0, 10))
     assert len(retracted) == 1 and not np.isfinite(retracted[0]).all()
-    assert len(steps) == (route == "integrate_projector")
+    if route == "integrate_projector":
+        assert steps == [(3, 3)]
+    else:  # one step of the eigenvalues, (3, 1, 1), before the retraction raises
+        assert tables == [] and steps == [(3, 1, 1)]
 
 
 @pytest.mark.parametrize("route", ["berry_maps", "berry_maps_loop", "integrate_frame"])
@@ -1844,7 +1896,7 @@ class TestPancharatnamOracle:
                                    np.eye(1), atol=1e-12)
 
     def test_one_sample_is_a_loop_of_no_step(self):
-        # no overlap to chain: the oracle is sigma* sigma, isometrized
+        # no overlap to chain: the oracle is the polar factor of sigma* sigma
         sigma = random_frame(4, 2, np.random.default_rng(84))
         np.testing.assert_allclose(pancharatnam_oracle((sigma @ dag(sigma))[np.newaxis], sigma),
                                    np.eye(2), rtol=0, atol=1e-15)
@@ -1921,6 +1973,32 @@ class TestPancharatnamOracle:
         errors = [frob(pancharatnam_oracle(self.latitude_samples(theta, samples), sigma)
                        - reference)
                   for samples in (250, 500, 1000)]
+        orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+        assert all(1.8 <= order <= 2.2 for order in orders), orders
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (6, 3)])
+    def test_observed_order_at_higher_rank(self, n, m):
+        # the orbit loop Q = e^X P e^-X, X = sin(s) A + (1 - cos s) B, s = 2 pi t, of the CLI's
+        # geometric_from_curve: second order at m >= 2 too, against berry_maps at 6,400 steps
+        rng = np.random.default_rng(410 + m)
+        a, b = (x / np.linalg.norm(x) for x in (random_antihermitian(n, rng),
+                                                random_antihermitian(n, rng)))
+        p0 = Projector.standard(n, m)
+
+        def exponent(t):
+            s = 2 * np.pi * np.asarray(t)[:, np.newaxis, np.newaxis]
+            return (np.sin(s) * a + (1.0 - np.cos(s)) * b,
+                    2 * np.pi * (np.cos(s) * a + np.sin(s) * b))
+
+        sigma = BasePoint.from_projector(p0).frame
+        reference = berry_maps(dynamics._orbit_schedule(p0.matrix, exponent), p0, sigma,
+                               TimeGrid(0.0, 1.0, 6400)).geometric
+
+        def oracle(samples):
+            u = mat_exp(exponent(np.linspace(0.0, 1.0, samples + 1))[0])
+            return pancharatnam_oracle(u @ p0.matrix @ dag(u), sigma)
+
+        errors = [frob(oracle(samples) - reference) for samples in (400, 800, 1600)]
         orders = [np.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
         assert all(1.8 <= order <= 2.2 for order in orders), orders
 
