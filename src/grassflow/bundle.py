@@ -14,13 +14,22 @@ import numpy as np
 from .errors import (BaseMismatch, DimensionTooSmall, InvalidArgument, NotAFrame,
                      NotHorizontal, NotTangent)
 from .grassmann import ChartTangent, Projector, chart_ambient
-from .linalg import (DEFAULT_TOLS, Tolerances, _require_tall, dag, frob, isometrize,
-                     require_antihermitian, require_finite)
+from .linalg import (DEFAULT_TOLS, Tolerances, _adjoint_product, _require_tall, dag, frob,
+                     isometrize, require_antihermitian, require_finite)
 
 
 def frame_defect(phi: np.ndarray):
-    """|| phi* phi - I ||: a float for one frame, an array for a stack (..., n, m)."""
-    defect = np.linalg.norm(dag(phi) @ phi - np.eye(phi.shape[-1]), axis=(-2, -1))
+    """|| phi* phi - I ||: a float for one frame, an array for a stack (..., n, m).
+
+    The Gram phi* phi is an ``_adjoint_product``: conjugate dots at m <= 2 < n, with no BLAS
+    call per frame of a stack.  A vector raises numpy's AxisError.
+    """
+    return _gram_defect(_adjoint_product(phi, phi))
+
+
+def _gram_defect(gram: np.ndarray):
+    """|| G - I || of a Gram G = phi* phi or of each in a stack: ``frame_defect`` from its Gram."""
+    defect = np.linalg.norm(gram - np.eye(gram.shape[-1]), axis=(-2, -1))
     return defect if defect.ndim else float(defect)
 
 

@@ -548,6 +548,9 @@ def main(argv=None) -> int:
     except (UsageError, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a grid too large to allocate, before any file is written
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except (NotClosed, GapTooSmall, NonFinite) as exc:
         print(f"numerical condition: {exc}", file=sys.stderr)
         return 3

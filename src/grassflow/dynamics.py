@@ -29,11 +29,13 @@ gives its step maps, and of the frames the stage generators that ``berry_maps`` 
 maps over.  The projector flow, a reference route, steps by ``_rk4_nodes``.  A
 ``constant_schedule`` runs by one ``eigh``, in whose basis the kernel steps its eigenvalues.
 Stacked products by ``_matmul`` make no per-matrix BLAS call for 1 x 1 and 2 x 2 factors (the
-step maps and Gram products at n = 2, the gauge maps at m <= 2) or for a stack times one
-matrix (a scan's frames, the graph frames of a chart loop).  The determinants and singular values of
-the overlaps and chains of ``_frame_oracle`` and ``_section_transport`` are closed forms at
-m <= 2 (``_small_det``, ``_small_svals``).  Each fiber projection keeps rank m by one rule,
-``_require_rank`` on the squared singular values of its overlap or projected frame.
+step maps at n = 2, the gauge maps at m <= 2) or for a stack times one matrix (a scan's frames,
+the graph frames of a chart loop).  Every stacked product whose left factor is an adjoint (the
+Grams, fiber overlaps and stage products) is ``_adjoint_product``: conjugate dots at m <= 2 < n.
+The determinants and singular values of the overlaps and chains of ``_frame_oracle`` and
+``_section_transport`` are closed forms at m <= 2 (``_small_det``, ``_small_svals``).  Each fiber
+projection keeps rank m by one rule, ``_require_rank`` on the squared singular values of its
+overlap or projected frame.
 """
 
 from __future__ import annotations
@@ -45,13 +47,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateStep, InvalidArgument, NotClosed, PathTooRough
-from .bundle import curvature_generators, frame_defect, require_over
+from .bundle import _gram_defect, curvature_generators, frame_defect, require_over
 from .grassmann import (BasePoint, Projector, chart_frames, chart_projectors,
                         hamiltonian_value, projector_defect, sampled_derivative)
-from .linalg import (DEFAULT_TOLS, Tolerances, _matmul, _require_count, _require_rank,
-                     _require_square, _require_tall, _small_det, _small_svals, commutator, dag,
-                     frob, isometrize, nearest_projector, polar_retract, prefix_products,
-                     require_antihermitian, require_finite)
+from .linalg import (DEFAULT_TOLS, Tolerances, _adjoint_product, _matmul, _require_count,
+                     _require_rank, _require_square, _require_tall, _small_det, _small_svals,
+                     commutator, dag, frob, isometrize, nearest_projector, polar_retract,
+                     prefix_products, require_antihermitian, require_finite)
 
 # Proportionality constant between the log-holonomy of a unit parallelogram
 # loop and the curvature generator it realizes:
@@ -245,11 +247,11 @@ def _orbit_schedule(p: np.ndarray, exponent: Callable[[np.ndarray], tuple],
         del x
         turn = np.exp(0.5j * lam)  # e^{i theta_jk / 2} = turn_j / turn_k
         vh = dag(v)
-        a = vh @ dx @ v
+        a = _adjoint_product(v, dx) @ v
         del dx
         a *= np.sinc((lam[..., :, np.newaxis] - lam[..., np.newaxis, :]) / (2.0 * np.pi))
         _scale_rows_cols(a, turn)
-        p_v = _matmul(vh, p) @ v
+        p_v = _adjoint_product(v, p) @ v
         a = p_v @ a
         a -= a @ p_v
         del p_v
@@ -298,18 +300,22 @@ class FramePath:
         return frame_defect(self.samples)
 
     def projector_defects(self) -> np.ndarray:
-        """Per-node projector_defect of phi_k phi_k*, from the Gram matrices alone.
+        """Per-node projector_defect of phi_k phi_k*, from the Gram matrices alone."""
+        return self._gram_defects()[1]
 
-        phi phi* is Hermitian by construction, and with G = phi* phi,
+    def _gram_defects(self):
+        """``frame_defects()`` and ``projector_defects()`` from one Gram G_k = phi_k* phi_k each.
+
+        The Grams are one ``_adjoint_product``.  phi phi* is Hermitian by construction, and
         (phi phi*)^2 - phi phi* = phi (G - I) phi*, whose squared norm is
         tr((G - I) G (G - I) G) = || (G - I) G ||^2, as (G - I) G is Hermitian;
         tr(phi phi*) = tr G.  No n x n matrix is formed.
         """
-        grams = dag(self.samples) @ self.samples
+        grams = _adjoint_product(self.samples, self.samples)
         m = grams.shape[-1]
         idem = np.linalg.norm(_matmul(grams - np.eye(m), grams), axis=(1, 2))
         trace = np.trace(grams, axis1=1, axis2=2) - m
-        return np.maximum(idem, np.abs(trace))
+        return _gram_defect(grams), np.maximum(idem, np.abs(trace))
 
     def node_defect(self) -> float:
         return float(self.frame_defects().max())
@@ -344,7 +350,7 @@ def _rk4_step(f, y, h, g1, g2, g3, g4, stages=None):
         s = y if k is None else y + (a * h) * k
         k = f(g, s)
         if stages is not None:
-            stages[i] = _matmul(dag(s), k)
+            stages[i] = _adjoint_product(s, k)
         total = total + b * k
     return y + (h / 6.0) * total
 
@@ -414,11 +420,12 @@ def horizontality_defects(frames: FramePath) -> np.ndarray:
     """Per-node || psi_k* psi_k' || with the derivative by finite differences.
 
     Uses 4th-order stencils so the measurement error stays well below the
-    transported curve's own vertical drift.
+    transported curve's own vertical drift; the products psi_k* psi_k' are one
+    ``_adjoint_product``.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # roundoff over a tiny h: inf or NaN
         derivs = sampled_derivative(frames.samples, frames.grid.h, 4)
-        return np.linalg.norm(dag(frames.samples) @ derivs, axis=(1, 2))
+        return np.linalg.norm(_adjoint_product(frames.samples, derivs), axis=(1, 2))
 
 
 def horizontality_defect(frames: FramePath) -> float:
@@ -527,7 +534,7 @@ def _pivoted_section(samples: np.ndarray, sigma: np.ndarray, tol: Tolerances) ->
         residual -= np.abs(frames[..., i]) ** 2
     frames[0] = sigma
     previous = np.concatenate([sigma[np.newaxis], frames[:-1]])
-    moved = _matmul(samples, previous) - _matmul(frames, _matmul(dag(frames), previous))
+    moved = _matmul(samples, previous) - _matmul(frames, _adjoint_product(frames, previous))
     defects = [frame_defect(frames), np.linalg.norm(moved, axis=(1, 2)), np.abs(residual).sum(1)]
     kept = np.maximum.reduce(defects) <= tol.comparison * n  # NaN fails it
     if not kept.all():
@@ -551,7 +558,7 @@ def _graph_section(base: BasePoint, blocks: np.ndarray) -> np.ndarray:
             column = frames[..., j]
             for i in range(j):
                 done = frames[..., i]
-                column -= done * np.einsum("...i,...i->...", done.conj(), column)[..., np.newaxis]
+                column -= done * np.vecdot(done, column)[..., np.newaxis]
             norm = np.linalg.norm(column, axis=-1, keepdims=True)
             require_finite(norm, "loop frame norm")
             column /= norm
@@ -564,7 +571,8 @@ def _section_transport(frames: np.ndarray, tol: Tolerances) -> np.ndarray:
     The discrete (Pancharatnam) connection psi_{k+1} = polar(P_{k+1} psi_k) of the path
     P_k = phi_k phi_k*, whichever section of it is given: the ``_gauge_chain`` g of the
     fiber overlaps O_k = phi_{k+1}* phi_k after one Newton-Schulz step (the same polar
-    factor, an O(h^4) defect: no SVD), applied block by block (``_transport_block``).
+    factor, an O(h^4) defect: no SVD), applied block by block (``_transport_block``).  The
+    overlaps and the Grams O_k* O_k of the step are ``_adjoint_product``s.
     DegenerateStep unless each phi_k* P_{k+1} phi_k = O_k* O_k keeps rank m by
     ``_require_rank`` on the squared singular values of O_k; NonFinite if an O_k is not finite.
     """
@@ -573,9 +581,10 @@ def _section_transport(frames: np.ndarray, tol: Tolerances) -> np.ndarray:
     maps = np.empty((steps, m, m), dtype=complex)
     for start in range(0, steps, block):
         stop = min(start + block, steps)
-        overlaps = require_finite(dag(frames[start + 1:stop + 1]) @ frames[start:stop], "overlap")
+        overlaps = require_finite(_adjoint_product(frames[start + 1:stop + 1], frames[start:stop]),
+                                  "overlap")
         _require_rank(_small_svals(overlaps) ** 2, tol, DegenerateStep)
-        maps[start:stop] = _matmul(overlaps, 1.5 * eye - 0.5 * _matmul(dag(overlaps), overlaps))
+        maps[start:stop] = _matmul(overlaps, 1.5 * eye - 0.5 * _adjoint_product(overlaps, overlaps))
     gauges = _gauge_chain(maps, tol)
     for start in range(0, steps + 1, block):
         frames[start:start + block] = _matmul(frames[start:start + block],
@@ -726,20 +735,21 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
         for block, end, (c1, c2, c3, c4) in _frame_blocks(schedule, phis, grid, tol, True):
             gens[block], maps[block] = c1, _rk4_step(_matmul, np.eye(m), -h, c1, c2, c3, c4)
     # the last node's generator phi* H phi, H the node ending the last table
-    gens[steps] = _matmul(dag(phis[-1]), _matmul(end[0], phis[-1]))
+    gens[steps] = _adjoint_product(phis[-1], _matmul(end[0], phis[-1]))
 
     fpath = FramePath(grid=grid, samples=phis)
     hpath = FramePath(grid=grid, samples=_matmul(phis, _gauge_chain(maps, tol)))
     phi_end, psi_end = fpath.samples[-1], hpath.samples[-1]
     residual = fpath.closure_residual()
+    frame_defects, projector_defects = fpath._gram_defects()
     return HolonomyResult(
         dynamical=dag(sigma) @ phi_end,
         geometric=dag(sigma) @ psi_end,
         fiber_gap=dag(psi_end) @ phi_end,
         closed=residual <= closure_tolerance(p0.rank, tol),
         closure_residual=residual,
-        projector_defects=fpath.projector_defects(),
-        isometry_defects=np.maximum(fpath.frame_defects(), hpath.frame_defects()),
+        projector_defects=projector_defects,
+        isometry_defects=np.maximum(frame_defects, hpath.frame_defects()),
         horizontality_defects=horizontality_defects(hpath),
         energies=hamiltonian_value(gens),
         frame_path=fpath,
@@ -793,12 +803,12 @@ def pancharatnam_oracle(samples: np.ndarray, sigma: np.ndarray,
 def _frame_oracle(frames: np.ndarray, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """The Pancharatnam oracle of the loop P_k = phi_k phi_k* (closure is the caller's check).
 
-    P_k ... P_1 phi_0 = phi_k C_k, C_k = O_k ... O_1 for the overlaps O_k = phi_k* phi_{k-1},
-    chained by ``prefix_products`` at |det O_k| = 1, which keeps C finite while its rank holds.
-    Step k checks the projected frame O_k C_{k-1} / s_max(C_{k-1}) by the rank rule.  Returns
-    the ``polar_retract`` of phi_0* phi_N C_N / s_max(C_N).
+    P_k ... P_1 phi_0 = phi_k C_k, C_k = O_k ... O_1 for the overlaps O_k = phi_k* phi_{k-1}
+    (one ``_adjoint_product``), chained by ``prefix_products`` at |det O_k| = 1, which keeps C
+    finite while its rank holds.  Step k checks the projected frame O_k C_{k-1} / s_max(C_{k-1})
+    by the rank rule.  Returns the ``polar_retract`` of phi_0* phi_N C_N / s_max(C_N).
     """
-    overlaps = _matmul(dag(frames[1:]), frames[:-1])
+    overlaps = _adjoint_product(frames[1:], frames[:-1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only once rank is lost
         scales = np.abs(_small_det(overlaps)) ** (1.0 / overlaps.shape[-1])  # |det O_k|^(1/m)
         chains = prefix_products(overlaps / scales[:, np.newaxis, np.newaxis])

@@ -787,6 +787,15 @@ class TestUsage:
         assert "nan" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.json").exists()
 
+    @pytest.mark.parametrize("command", ["berry", "flow", "holonomy", "chart", "synthesize"])
+    def test_grid_too_large_to_allocate_exits_1(self, tmp_path, capsys, command):
+        # 10^15 steps: the first stack of the grid (PiB) exceeds any 64-bit address space, so
+        # numpy's MemoryError comes at once, and main reports it as a usage error
+        assert main([command, "--steps", str(10 ** 15), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+        assert not list(tmp_path.glob("run*"))
+
     def test_unknown_schedule_kind(self, tmp_path):
         assert run(tmp_path, "flow",
                    config={"version": 1, "schedule": {"kind": "warp"}},

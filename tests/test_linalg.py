@@ -1,3 +1,5 @@
+import json
+import sys
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,8 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from grassflow import NotAntiHermitian, RankDeficient, GapTooSmall
-from grassflow import linalg
+from grassflow import bundle, cli, dynamics, linalg
+from grassflow.grassmann import BasePoint
 from grassflow.linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
                               mat_exp, nearest_projector, polar_retract, prefix_products,
                               random_antihermitian, random_complex, random_frame,
@@ -317,6 +320,98 @@ class TestMatmul:
         _, blocks = _operands(4, 4, 2, 50, np.random.default_rng(196))
         coframe = np.eye(6)[:, 2:]
         np.testing.assert_array_equal(linalg._matmul(coframe, blocks), coframe @ blocks)
+
+
+class TestAdjointProduct:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 40), p=st.integers(1, 4), q=st.integers(1, 4),
+           count=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1),
+           shape=st.sampled_from(["stacks", "matrices", "matrix_left", "strided"]),
+           transposed=st.booleans(), real=st.sampled_from(["none", "left", "both"]))
+    def test_every_route_is_dag_matmul_to_roundoff(self, n, p, q, count, seed, shape,
+                                                   transposed, real):
+        # n from 1 to 40 and p, q from 1 to 4 lie on both sides of _BROADCAST_MAX
+        rng = np.random.default_rng(seed)
+        stack = () if shape == "matrices" else (count,)  # "matrices": one pair, no stack
+        a, b = (rng.standard_normal(stack + (n, k)) + 1j * rng.standard_normal(stack + (n, k))
+                for k in (p, q))
+        if shape == "matrix_left":  # one matrix broadcast against the stack
+            a = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+        elif shape == "strided":  # every other member of a stack of pairs
+            a, b = (np.repeat(x, 2, axis=0)[i::2] for i, x in ((1, a), (0, b)))
+        if transposed:  # transposed views of transposed copies, as dag(v) is
+            a, b = (np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2) for x in (a, b))
+        if real != "none":
+            a = a.real
+            b = b.real if real == "both" else b
+        want = dag(a) @ b
+        got = linalg._adjoint_product(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        bound = 8 * n * np.finfo(float).eps * (np.abs(np.swapaxes(a, -1, -2)) @ np.abs(b))
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("n, p", [(2, 2), (6, 2), (6, 3)])
+    def test_empty_stack(self, n, p):
+        got = linalg._adjoint_product(np.zeros((0, n, p), dtype=complex), np.zeros((0, n, 1)))
+        assert got.shape == (0, p, 1) and got.dtype == complex
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones((4, 6, 2)), np.ones((4, 5, 2))),  # conjugate dots of another n
+        (np.ones((4, 2, 2)), np.ones((4, 3, 2))),  # broadcast sums
+        (np.ones((4, 6, 3)), np.ones((4, 5, 3))),  # above the broadcast bound
+        (np.ones((3, 6, 2)), np.ones((2, 6, 2))),  # stacks that do not broadcast
+        (np.ones((3, 6, 4)), np.ones((2, 6, 4))),
+    ])
+    def test_mismatched_shapes_raise_as_matmul_does(self, a, b):
+        with pytest.raises(ValueError):
+            dag(a) @ b
+        with pytest.raises(ValueError):
+            linalg._adjoint_product(a, b)
+
+    @pytest.mark.parametrize("a, b", [(np.ones(6), np.ones(6)), (np.ones(6), np.ones((6, 2)))])
+    def test_a_vector_raises_axis_error(self, a, b):
+        with pytest.raises(np.exceptions.AxisError):
+            linalg._adjoint_product(a, b)
+
+    def test_every_adjoint_product_of_a_run_calls_the_kernel(self, tmp_path, monkeypatch):
+        # berry on the orbit loop at (n, m) = (4, 2), synthesize at (6, 2) and the sampled
+        # transport of synthesize's loop: each site, named by its function and the contracted
+        # dimension, calls the one kernel
+        kernel, sites = linalg._adjoint_product, set()
+
+        def counted(a, b):
+            sites.add((sys._getframe(1).f_code.co_name, np.shape(a)[-2]))
+            return kernel(a, b)
+
+        for module in (linalg, bundle, dynamics):
+            monkeypatch.setattr(module, "_adjoint_product", counted)
+        runs = {"berry": (4, 2, {"schedule": {"kind": "geometric_from_curve"}}),
+                "synthesize": (6, 2, {})}
+        found = {}
+        for command, (n, m, extra) in runs.items():
+            sites.clear()
+            config = tmp_path / f"{command}.json"
+            config.write_text(json.dumps({"version": 1, "n": n, "m": m, "seed": 0,
+                                          "grid": {"t0": 0.0, "t1": 1.0, "steps": 200}, **extra}))
+            assert cli.main([command, "--config", str(config),
+                             "--out", str(tmp_path / command)]) == 0
+            found[command] = set(sites)
+        sites.clear()
+        path = dynamics.synthesize_holonomy_step(linalg.random_antihermitian(2, 0), 0.1,
+                                                 BasePoint.standard(6, 2), 8)
+        dynamics.horizontal_transport(path, np.eye(6, 2, dtype=complex))
+        found["horizontal_transport"] = set(sites)
+        assert found == {
+            "berry": {("table", 4), ("_rk4_step", 4), ("berry_maps", 4), ("_gram_defects", 4),
+                      ("frame_defect", 4), ("horizontality_defects", 4), ("polar_retract", 2),
+                      ("_frame_oracle", 4)},
+            "synthesize": {("_gram_defects", 6), ("_section_transport", 6),
+                           ("_section_transport", 2), ("polar_retract", 2),
+                           ("frame_defect", 6), ("horizontality_defects", 6)},
+            "horizontal_transport": {("_pivoted_section", 6), ("frame_defect", 6),
+                                     ("_section_transport", 6), ("_section_transport", 2),
+                                     ("polar_retract", 2)},
+        }
 
 
 def _small_stack(kind, m, count, rng):
