@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import os
 import sys
@@ -38,8 +39,11 @@ from .linalg import (Tolerances, dag, frob, isometrize, mat_exp, random_antiherm
                      random_complex, random_frame)
 
 CSV_HEADER = "t,projector_defect,isometry_defect,horizontality_defect,energy"
-# one row's %-format; _CSV_ROW * rows formats a whole table, each float as f"{x:.17g}" does
+# the CSV body is _CSV_ROW * rows % values, each float as f"{x:.17g}" prints it; _csv_block
+# renders those bytes from exact 17-digit integers, _CSV_BLOCK rows at a time
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
+_CSV_BLOCK = 512  # rows a block: its temporaries peak near 0.6 MiB
+_CSV_TIE = 2.0 ** -40  # scaled fractions this near 1/2 may be ties, left to Python's dtoa
 
 _DEFAULT_CONFIG = {
     "version": 1,
@@ -268,8 +272,9 @@ def _geometric_setup(sched_cfg, n, m, grid, cfg, tol):
 def write_report(cfg: dict, table: np.ndarray, json_payload: dict):
     """Write PREFIX.csv and PREFIX.json, or the JSON to stdout without a prefix.
 
-    ``table`` holds the (rows, 5) CSV floats, written by one ``_CSV_ROW * rows`` format.
-    Strict JSON: NonFinite on inf or NaN.
+    ``table`` holds the (rows, 5) CSV floats. ``_csv_block`` renders them, 512 rows at a
+    time, as the bytes of ``_CSV_ROW * rows % values``; both files are written in binary
+    mode. Strict JSON: NonFinite on inf or NaN.
     """
     try:
         json_text = json.dumps(json_payload, indent=2, allow_nan=False) + "\n"
@@ -277,21 +282,130 @@ def write_report(cfg: dict, table: np.ndarray, json_payload: dict):
         raise NonFinite(f"report: {exc}") from None
     prefix = cfg.get("output")
     if prefix:
-        _write(prefix + ".csv",
-               CSV_HEADER + "\n" + _CSV_ROW * len(table) % tuple(table.ravel().tolist()))
-        _write(prefix + ".json", json_text)
+        _write(prefix + ".csv", b"".join(
+            [CSV_HEADER.encode() + b"\n"]
+            + [_csv_block(table[i:i + _CSV_BLOCK]) for i in range(0, len(table), _CSV_BLOCK)]))
+        _write(prefix + ".json", json_text.encode())
         print(f"wrote {prefix}.csv ({len(table)} rows) and {prefix}.json")
     else:
         sys.stdout.write(json_text)
 
 
-def _write(path: str, text: str):
+def _write(path: str, data: bytes):
     """Write one report file; UsageError (exit 1) if it cannot be written."""
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise UsageError(f"cannot write report: {exc}") from None
+
+
+def _split(v):
+    """Veltkamp's split of v into halves of 26 bits, v = vh + vl exactly."""
+    c = (2.0 ** 27 + 1.0) * v
+    vh = c - (c - v)
+    return vh, v - vh
+
+
+def _dekker(x, hh, hl, lo):
+    """x (hh + hl + lo) as p + q: p = fl(x (hh + hl)), q = its exact error (Dekker 1971)
+    plus fl(x lo)."""
+    xh, xl = _split(x)
+    p = x * (hh + hl)
+    return p, (((xh * hh - p) + xh * hl) + xl * hh) + xl * hl + x * lo
+
+
+@functools.cache  # built on first use, not at import
+def _csv_tables():
+    """The lookup tables of ``_csv_block``, built on its first call.
+
+    - 10^k as hh + hl + lo (hh + hl = hi, Veltkamp's split) for k = 0..218, to 2^-105;
+    - the ASCII bytes of each 4-digit chunk 0000..9999, as a little-endian uint32;
+    - by decimal exponent e = -201..16: the mantissa's integer digits (1 in scientific
+      notation), and a 30-byte row holding the "0.000" prefix or the "e-dd" suffix;
+    - by 18 * integer digits + significant digits: the masks taking each mantissa byte
+      from digit j, from digit j - 1 (after the point), or the point itself.
+    """
+    big = [10 ** (22 * a) for a in range(10)]  # 10^k = 10^(k % 22) 10^(22 (k // 22))
+    hi = np.array(big, dtype=float)
+    lo = np.array([b - int(h) for b, h in zip(big, hi.tolist())], dtype=float)
+    k = np.arange(219)
+    p, q = _dekker(np.array([10.0 ** b for b in range(22)])[k % 22], *_split(hi[k // 22]),
+                   lo[k // 22])
+    hi = p + q
+    two = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), "<u2").astype("<u4")
+    ascii4 = (two[:, None] | two << 16).ravel()  # little-endian: the bytes in reading order
+    e = np.arange(-201, 17)
+    ints = np.maximum(e + 1, 0) + (e < -4)  # 1 in scientific notation
+    rows = np.zeros((218, 30), np.uint8)
+    for width in range(2, 6):  # 0.1 <= x < 1 down to 1e-4 <= x < 1e-3
+        rows[202 - width, 1:1 + width] = np.frombuffer(b"0.000"[:width], np.uint8)
+    rows[:197, 24:26] = 101, 45  # "e-" for e < -4; %.17g is fixed for -4 <= e < 17
+    rows[:197, 26:29] = ascii4.view(np.uint8).reshape(-1, 4)[201:4:-1, 1:]
+    rows[102:197, 26] = 0  # e > -100: two exponent digits
+    j, n_int, n_sig = np.arange(18), np.arange(18)[:, None, None], np.arange(18)[:, None]
+    point = (n_sig > n_int) & (n_int > 0)
+    masks = np.array([(j < n_int) | (n_int == 0) & (j < n_sig),
+                      point & (j > n_int) & (j <= n_sig), 46 * (point & (j == n_int))],
+                     dtype=np.uint8).reshape(3, 324, 18)
+    return np.array([*_split(hi), q - (hi - p)]), ascii4, ints, rows, masks
+
+
+def _python_17g(values: np.ndarray) -> np.ndarray:
+    """Python's "%.17g" of each value, as zero-padded rows of 29 bytes."""
+    return np.array([b"%.17g" % v for v in values.tolist()], "S29").view(np.uint8).reshape(-1, 29)
+
+
+def _csv_block(block: np.ndarray) -> bytes:
+    """The CSV text of a block of rows, byte for byte ``_CSV_ROW * rows % values``.
+
+    For 1e-200 <= |x| < 1e16, x 10^(16 - e) = p + q is exact within 2^-46, and its nearest
+    integer is the 17 digits; within _CSV_TIE of a tie, and outside that range (NaN, inf,
+    subnormal, huge), ``_python_17g`` renders x.  Each value is a 30-byte row: sign, "0.000"
+    prefix, mantissa with its point, exponent and separator, zero-padded then compressed.
+    """
+    powers, ascii4, ints, rows, masks = _csv_tables()
+    x = block.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-200) & (a < 1e16)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)  # the decimal exponent, or one off it
+    p, q = _dekker(a, *powers.take(16 - e, axis=1))
+    shift = ((p - 1e17) + q >= 0).astype(np.int64) - ((p - 1e16) + q < 0)
+    off = np.flatnonzero(shift)
+    if len(off):  # next to a power of ten: rescale into [1e16, 1e17)
+        e[off] += shift[off]
+        p[off], q[off] = _dekker(a[off], *powers.take(16 - e[off], axis=1))
+    r = np.rint(q)
+    tie = np.abs(np.abs(q - r) - 0.5) < _CSV_TIE
+    n = p.astype(np.int64) + r.astype(np.int64)
+    carry = n == 10 ** 17  # rounded up into the next decade
+    n[carry] = 10 ** 16
+    e += carry
+    chunks = np.empty((len(x), 4), np.int64)  # the 16 digits after the lead, 4 at a time
+    for place in (3, 2, 1, 0):
+        rest = n // 10 ** 4
+        chunks[:, place] = n - rest * 10 ** 4
+        n = rest
+    digits = np.zeros(18 * len(x) + 1, np.uint8)  # digit j of value i at 18 i + j + 1
+    left = digits[1:].reshape(-1, 18)
+    left[:, 0] = n + 48
+    left[:, 1:17] = ascii4.take(chunks).view(np.uint8)
+    sig = 17 - np.argmax(left[:, 16::-1] != 48, axis=1)  # up to the last nonzero digit
+    out = rows.take(e + 201, axis=0)
+    code = ints.take(e + 201) * 18 + sig
+    mant = left * masks[0].take(code, axis=0)
+    mant += digits[:-1].reshape(-1, 18) * masks[1].take(code, axis=0)  # digit j - 1
+    mant += masks[2].take(code, axis=0)
+    out[:, 6:24] = mant
+    out[:, 0] = np.signbit(x) * np.uint8(45)
+    out[:, 29] = 44
+    out[block.shape[1] - 1::block.shape[1], 29] = 10
+    out[x == 0, 6] = 48
+    slow = np.flatnonzero(tie | ~fast & (x != 0))
+    if len(slow):
+        out[slow, :29] = _python_17g(x[slow])
+    return out.tobytes().translate(None, b"\0")
 
 
 def _phase_arg(holonomy: np.ndarray, m: int):
@@ -504,7 +618,7 @@ def cmd_selftest(cfg: dict, tol: Tolerances) -> int:
     sys.stdout.write(report)
     prefix = cfg.get("output")
     if prefix:
-        _write(prefix + ".txt", report)
+        _write(prefix + ".txt", report.encode())
     return 0 if all(r.passed for r in results) else 2
 
 

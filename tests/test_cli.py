@@ -404,6 +404,91 @@ class TestCsvFormat:
             ",".join(f"{x:.17g}" for x in row) + "\n" for row in table.tolist())
         assert (tmp_path / "fmt.csv").read_text() == expected
 
+    @staticmethod
+    def check_rendering(tmp_path, floats):
+        """The written CSV of ``floats`` (zero-padded to whole rows) is byte for byte the
+        old one-operation rendering ``_CSV_ROW * rows % values``."""
+        floats = np.asarray(floats, dtype=float)
+        table = np.concatenate([floats, np.zeros(-len(floats) % 5)]).reshape(-1, 5)
+        write_report({"output": str(tmp_path / "fmt")}, table, {})
+        expected = CSV_HEADER + "\n" + cli._CSV_ROW * len(table) % tuple(table.ravel().tolist())
+        assert (tmp_path / "fmt.csv").read_bytes() == expected.encode()
+
+    @staticmethod
+    def count_fallbacks(monkeypatch):
+        """The sizes of the calls to Python's formatter, the kernel's one other path."""
+        calls, fallback = [], cli._python_17g
+        monkeypatch.setattr(cli, "_python_17g", lambda v: calls.append(len(v)) or fallback(v))
+        return calls
+
+    @staticmethod
+    def with_neighbours(values):
+        values = np.asarray(values, dtype=float)
+        near = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+        return np.concatenate([near, -near])
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        # every power of ten of the exact range [1e-200, 1e16] and ten beyond each end
+        self.check_rendering(tmp_path, self.with_neighbours([float(f"1e{k}")
+                                                             for k in range(-210, 27)]))
+
+    def test_ties_round_half_to_even(self, tmp_path, monkeypatch):
+        ties = [123456789012345.625, 1000000000000000.25, 1000000000000000.75]
+        calls = self.count_fallbacks(monkeypatch)
+        self.check_rendering(tmp_path, ties + [-x for x in ties])
+        assert calls == [6]  # exact ties are Python's to round
+        rows = (tmp_path / "fmt.csv").read_text().splitlines()
+        assert rows[1].split(",")[:3] == ["123456789012345.62", "1000000000000000.2",
+                                          "1000000000000000.8"]
+
+    def test_rounding_up_into_the_next_decade(self, tmp_path):
+        self.check_rendering(tmp_path, self.with_neighbours(
+            [np.nextafter(1e16, 0.0), 99999999999999.995, np.nextafter(1e-4, 0.0),
+             9.9999999999999999e-5, 0.99999999999999994, 999999999999999.94]))
+
+    def test_fixed_and_scientific_notation_switch(self, tmp_path):
+        self.check_rendering(tmp_path, self.with_neighbours([1e-5, 1e-4, 1e16, 1e17]))
+        rows = (tmp_path / "fmt.csv").read_text().splitlines()
+        assert rows[1].split(",")[:4] == ["1.0000000000000001e-05", "0.0001",
+                                          "10000000000000000", "1e+17"]
+
+    def test_zeros_and_non_finite_and_subnormal_values(self, tmp_path):
+        self.check_rendering(tmp_path, [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                                        -5e-324, 2.2250738585072009e-308, 1e-310, 1.7e308])
+        assert (tmp_path / "fmt.csv").read_text().splitlines()[1] == "0,-0,nan,nan,inf"
+
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1025])
+    def test_tables_across_block_edges(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        floats = rng.standard_normal(5 * rows) * 10.0 ** rng.integers(-30, 17, 5 * rows)
+        floats[::7] = 0.0
+        self.check_rendering(tmp_path, floats)
+        assert len((tmp_path / "fmt.csv").read_text().splitlines()) == rows + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats_render_as_17g(self, floats):
+        with tempfile.TemporaryDirectory() as folder:
+            self.check_rendering(Path(folder), floats)
+
+    def test_workload_tables_take_the_exact_path(self, tmp_path, monkeypatch):
+        """Seeded berry-rotating and synthesize-n6m2 runs render no value through Python's
+        formatter, so a kernel that sent every value there would fail here."""
+        calls = self.count_fallbacks(monkeypatch)
+        self.check_rendering(tmp_path, [np.nan])
+        assert calls == [1]  # the counter sees the one fallback
+        calls.clear()
+        grid = {"t0": 0.0, "t1": 1.0}
+        for seed in (0, 1):
+            rotating = {"n": 2, "m": 1, "seed": seed, "grid": {**grid, "steps": 4000},
+                        "schedule": {"kind": "rotating", "theta": np.pi / 2,
+                                     "omega": 2 * np.pi}}
+            assert run(tmp_path, "berry", config=rotating, out=tmp_path / "rot") == 0
+            synthesis = {"n": 6, "m": 2, "seed": seed, "grid": {**grid, "steps": 8000},
+                         "synthesize": {"scale": 0.1}}
+            assert run(tmp_path, "synthesize", config=synthesis, out=tmp_path / "syn") == 0
+        assert calls == []
+
     def test_chart_table_does_not_depend_on_the_blocks(self, tmp_path, monkeypatch):
         # 10 trials in blocks of 3 (n = 2): the last block is partial, and the table is the
         # one-block run's, its t column the trial numbers
@@ -419,18 +504,20 @@ class TestCsvFormat:
 
 
 def test_scipy_is_not_imported(tmp_path):
-    """No scipy on the import path or in flow, geometric berry and synthesize runs."""
+    """No scipy on the import path or in flow, geometric berry and synthesize runs, and
+    no numpy.ma either: its cold import (a first ``np.unique`` loads it) costs a few ms."""
     script = """
 import json, sys
 import grassflow.cli as cli
-seen = ['scipy' in sys.modules]
+loaded = lambda: ['scipy' in sys.modules, 'numpy.ma' in sys.modules]
+seen = [loaded()]
 for command, steps, config in json.loads(sys.argv[1]):
     path = sys.argv[2] + '/' + command + '.json'
     with open(path, 'w') as fh:
         json.dump(config, fh)
     assert cli.main([command, '--config', path, '--steps', str(steps),
                      '--out', sys.argv[2] + '/' + command]) == 0
-    seen.append('scipy' in sys.modules)
+    seen.append(loaded())
 print(json.dumps(seen))
 """
     runs = [["flow", 64, {"n": 6, "m": 2, "schedule": {"kind": "constant"}}],
@@ -442,7 +529,7 @@ print(json.dumps(seen))
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
                             capture_output=True, text=True, env=env, check=True)
-    assert json.loads(result.stdout.splitlines()[-1]) == [False] * (len(runs) + 1)
+    assert json.loads(result.stdout.splitlines()[-1]) == [[False, False]] * (len(runs) + 1)
 
 
 def test_draw_free_runs_load_no_random_module(tmp_path):
@@ -553,8 +640,8 @@ class TestSelftest:
     def test_green_and_deterministic(self, capsys, tmp_path):
         assert main(["selftest"]) == 0
         first = capsys.readouterr().out
-        assert main(["selftest"]) == 0
-        assert capsys.readouterr().out == first
+        assert main(["selftest", "--out", str(tmp_path / "self")]) == 0
+        assert capsys.readouterr().out == first == (tmp_path / "self.txt").read_text()
         assert "all" in first and "passed" in first
 
     @pytest.mark.parametrize("values, passed", [
