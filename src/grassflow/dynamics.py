@@ -19,7 +19,8 @@ loop, one in-place Gram-Schmidt pass over its graph frames that forms no n x n m
 chain by ``_gauge_chain``.  ``pancharatnam_oracle`` is ``_frame_oracle``, which the CLI runs
 on its flow's frames, of the ``_pivoted_section``.
 Every RK4 route reads its 2 * steps + 1 stage generators once each, a checked table of B steps
-at a time, as B + 1 nodes and B midpoints (``_stage_generators``).  A geometric table is Kato's
+at a time, as the steps it covers and the four RK4 stage stacks of its B + 1 nodes and B
+midpoints (``_stage_generators``, the one reader).  A geometric table is Kato's
 [Q', Q] = W - W*, W = Q' Q: of any curve Q(t) with Q' by central differences
 (``geometric_schedule``), and exactly, from one stacked ``eigh`` of iX, for a unitary orbit
 Q = e^X P e^-X, as both CLI loops are (``_orbit_schedule``).
@@ -40,7 +41,6 @@ overlap or projected frame.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -51,9 +51,9 @@ from .bundle import _gram_defect, curvature_generators, frame_defect, require_ov
 from .grassmann import (BasePoint, Projector, chart_frames, chart_projectors,
                         hamiltonian_value, projector_defect, sampled_derivative)
 from .linalg import (DEFAULT_TOLS, Tolerances, _adjoint_product, _matmul, _require_count,
-                     _require_rank, _require_square, _require_tall, _small_det, _small_svals,
-                     commutator, dag, frob, isometrize, nearest_projector, polar_retract,
-                     prefix_products, require_antihermitian, require_finite)
+                     _require_rank, _require_real, _require_square, _require_tall, _small_det,
+                     _small_svals, commutator, dag, frob, isometrize, nearest_projector,
+                     polar_retract, prefix_products, require_antihermitian, require_finite)
 
 # Proportionality constant between the log-holonomy of a unit parallelogram
 # loop and the curvature generator it realizes:
@@ -83,7 +83,11 @@ def _require_stack(samples: np.ndarray, name: str = "projector samples",
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [t0, t1] with ``steps`` intervals (steps+1 nodes)."""
+    """Uniform grid on [t0, t1] with ``steps`` intervals (steps+1 nodes).
+
+    InvalidArgument unless t0 and t1 are real numbers (not arrays, strings or complex values),
+    a finite nonzero step apart, and ``steps`` is a positive integer.
+    """
 
     t0: float
     t1: float
@@ -91,6 +95,8 @@ class TimeGrid:
 
     def __post_init__(self):
         _require_count(self.steps, "steps")
+        _require_real(self.t0, "t0")
+        _require_real(self.t1, "t1")
         # a step below the smallest float is 0 (the nodes coincide), an overflowing span inf
         if not 0.0 < self.h < np.inf:
             raise InvalidArgument("t1 must exceed t0 by a finite nonzero step")
@@ -148,16 +154,19 @@ def rotating_schedule(omega: float) -> HamiltonianSchedule:
 
     The constant generator -i (omega/2) sigma_z carries a spin-1/2 projector
     at polar angle theta around the latitude circle once per period 2 pi/omega.
+    InvalidArgument unless omega is a real number, NonFinite unless finite.
     """
-    return constant_schedule(-0.5j * omega * np.diag([1.0, -1.0]).astype(complex))
+    sigma_z = np.diag([1.0, -1.0]).astype(complex)
+    return constant_schedule(-0.5j * _require_real(omega, "omega") * sigma_z)
 
 
 def bloch_matrices(theta: float, azimuths) -> np.ndarray:
     """The 2 x 2 matrix of ``bloch_projector(theta, a)`` for each of ``azimuths``.
 
-    A shape-S array of azimuths gives an S + (2, 2) stack; NonFinite on a non-finite angle.
+    A shape-S array of azimuths gives an S + (2, 2) stack; InvalidArgument unless theta is a
+    real number, NonFinite on a non-finite angle.
     """
-    require_finite(np.append(theta, azimuths), "Bloch angles")
+    require_finite(np.append(_require_real(theta, "theta"), azimuths), "Bloch angles")
     phase = np.exp(1j * np.asarray(azimuths, dtype=float))
     v = np.empty(phase.shape + (2, 1), dtype=complex)
     v[..., 0, 0] = np.cos(theta / 2.0)
@@ -358,14 +367,11 @@ def _rk4_step(f, y, h, g1, g2, g3, g4, stages=None):
 def _rk4_nodes(schedule, rhs, y, grid: TimeGrid, retract, tol: Tolerances):
     """y at each grid node of y' = rhs(H(t), y) by RK4, ``retract`` applied after every step.
 
-    Steps over the tables of ``_stage_generators``; the first is checked before the start
-    node is yielded.
+    Yields the start node, then steps over the tables of ``_stage_generators``.
     """
-    tables = _stage_generators(schedule, grid, y.shape[0], tol)
-    first = next(tables)
     yield y
-    for nodes, mids in itertools.chain([first], tables):
-        for stage in zip(nodes[:-1], mids, mids, nodes[1:]):
+    for _, stacks in _stage_generators(schedule, grid, y.shape[0], tol):
+        for stage in zip(*stacks):
             y = retract(_rk4_step(rhs, y, grid.h, *stage))
             yield y
 
@@ -393,8 +399,13 @@ def integrate_frame(schedule: HamiltonianSchedule, phi0: np.ndarray,
 
 def integrate_projector(schedule: HamiltonianSchedule, p0: Projector, grid: TimeGrid,
                         tol: Tolerances = DEFAULT_TOLS) -> ProjectorPath:
-    """Integrate P' = [H(t), P] with per-step spectral retraction on demand (a reference route)."""
-    p = require_finite(p0.matrix, "initial projector")
+    """Integrate P' = [H(t), P] with per-step spectral retraction on demand (a reference route).
+
+    InvalidArgument unless p0 is a nonempty square matrix of a positive integer rank.
+    """
+    p = _require_square(require_finite(p0.matrix, "initial projector"))
+    _require_count(len(p), "initial projector size")
+    _require_count(p0.rank, "rank")
     nodes = _rk4_nodes(schedule, commutator, p, grid,
                        lambda y: _retract_projector(y, p0.rank, tol), tol)
     samples = np.fromiter(nodes, np.dtype((complex, p.shape)), grid.steps + 1)
@@ -484,26 +495,32 @@ _SCAN_MAX_N = 16
 
 
 def _stage_generators(schedule: HamiltonianSchedule, grid: TimeGrid, n: int, tol: Tolerances):
-    """Each table of H at the RK4 stage times t0 + (h/2) j as (nodes, mids) of B steps.
+    """Each table of H at the RK4 stage times t0 + (h/2) j as its steps and RK4 stage stacks.
 
-    Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2, and the 2 * steps + 1
-    stage times are read once each, a table at a time: the B + 1 nodes (the last ends the steps)
-    and B midpoints of B steps, at most _TABLE_BYTES but one step at least.  Each table is read,
-    and checked to be an (N, n, n) stack, finite and anti-Hermitian, before the steps of the one
-    before are yielded: a ``constant_schedule`` by its one matrix once, any other in full.
+    Stage 2k is the node t_k and stage 2k + 1 its midpoint t_k + h/2; the 2 * steps + 1 stage
+    times are read once each, a table of B steps at a time (at most _TABLE_BYTES, one step at
+    least), which yields the slice of steps it covers and (nodes[:-1], mids, mids, nodes[1:]) of
+    its B + 1 nodes (the last is the next table's first) and B midpoints.  Each table is read,
+    and checked to be an (N, n, n) stack, finite and anti-Hermitian (by its first row if its
+    time axis has stride 0: its rows are then one matrix), before the steps of the one before
+    are yielded; the table held meanwhile is copied before the read.
     """
+    def steps(hs, start):  # the 2B + 1 stage generators from stage ``start``
+        nodes, mids = hs[0::2], hs[1::2]
+        return slice(start // 2, start // 2 + len(mids)), (nodes[:-1], mids, mids, nodes[1:])
+
     times = grid.t0 + (grid.h / 2.0) * np.arange(2 * grid.steps + 1)
-    constant = isinstance(schedule.tabulate, _ConstantTable)
     chunk = 2 * max(1, _TABLE_BYTES // (32 * n * n))
     for start in range(0, len(times), chunk):
+        if start:  # a read may rewrite the buffer that the held table views
+            hs = hs.copy()
         table = schedule.table(times[start:start + chunk], n)
-        if not (constant and start):
-            require_antihermitian(table[:1] if constant else table, tol, "generator")
+        require_antihermitian(table[:1] if table.strides[0] == 0 else table, tol, "generator")
         if start:  # the table before ends at this one's first node
-            yield np.concatenate([hs[0::2], table[:1]]), hs[1::2]
+            yield steps(np.concatenate([hs, table[:1]]), start - chunk)
         hs = table
     if len(hs) > 1:
-        yield hs[0::2], hs[1::2]
+        yield steps(hs, start)
 
 
 def _transport_block(n: int) -> int:
@@ -651,7 +668,7 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
     """Fill phis[1:] with the RK4 frames of phi' = H(t) phi from phis[0], a table at a time.
 
     A ``constant_schedule`` takes ``_eigen_frames`` of its checked (1, n, n) table at t0, any
-    other the tables of ``_stage_generators``.
+    other the tables of ``_stage_generators``, each the steps it covers and its stage stacks.
     An RK4 step of the linear equation is an n x n matrix R_k, the ``_rk4_step`` of I.  Up to
     _SCAN_MAX_N a table's R_k, one stacked call, are chained by ``_scan_frames``; above it a
     per-step call on phi, O(n^2 m), isometrizes phi where its frame defect is not within
@@ -662,26 +679,22 @@ def _frame_blocks(schedule: HamiltonianSchedule, phis: np.ndarray, grid: TimeGri
         yield from _eigen_frames(schedule.table(np.array([grid.t0]), phis.shape[1])[0], phis,
                                  grid, tol, stages)
         return
-    (n, m), h, start = phis.shape[1:], grid.h, 0
-    for nodes, mids in _stage_generators(schedule, grid, n, tol):
-        block = slice(start, start + len(mids))
-        out = np.empty((4, len(mids), m, m), complex) if stages else None
+    (n, m), h = phis.shape[1:], grid.h
+    for block, stacks in _stage_generators(schedule, grid, n, tol):
+        frames = phis[block.start:block.stop + 1]
+        out = np.empty((4, len(frames) - 1, m, m), complex) if stages else None
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite frame raises instead
             if n <= _SCAN_MAX_N:
-                step_maps = _rk4_step(_matmul, np.eye(n), h, nodes[:-1], mids, mids, nodes[1:])
-                frames = phis[start:block.stop + 1]
+                step_maps = _rk4_step(_matmul, np.eye(n), h, *stacks)
                 _scan_frames(lambda j, k, count: _matmul(prefix_products(step_maps[k:k + count]),
                                                          frames[k]), frames, tol, len(step_maps))
                 if stages:
-                    _rk4_step(_matmul, phis[block], h, nodes[:-1], mids, mids, nodes[1:], out)
+                    _rk4_step(_matmul, frames[:-1], h, *stacks, out)
             else:
-                for k, stage in enumerate(zip(nodes[:-1], mids, mids, nodes[1:])):
-                    phi = _rk4_step(_matmul, phis[start + k], h, *stage,
-                                    out[:, k] if stages else None)
-                    kept = frame_defect(phi) <= tol.ode
-                    phis[start + k + 1] = phi if kept else isometrize(phi, tol)
-        yield block, nodes[-1:], out
-        start = block.stop
+                for k, stage in enumerate(zip(*stacks)):
+                    phi = _rk4_step(_matmul, frames[k], h, *stage, out[:, k] if stages else None)
+                    frames[k + 1] = phi if frame_defect(phi) <= tol.ode else isometrize(phi, tol)
+        yield block, stacks[3][-1:], out
 
 
 def _gauge_chain(maps: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -844,7 +857,7 @@ def synthesize_holonomy_step(w: np.ndarray, scale: float, base: BasePoint,
 def _parallelogram_loop(pairs, scale: float, base: BasePoint,
                         samples_per_side: int) -> np.ndarray:
     """The (N, n-m, m) chart blocks of the loop of ``synthesize_holonomy_step`` for given pairs."""
-    if not 0.0 <= scale <= 0.5:
+    if not 0.0 <= _require_real(scale, "scale") <= 0.5:
         raise InvalidArgument("scale must lie in [0, 0.5]")
     _require_count(samples_per_side, "samples_per_side")
     m = base.m

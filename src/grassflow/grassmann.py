@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, NotTangent, NotUnitary, OutsideChart, SectionNotInFiber
-from .linalg import (DEFAULT_TOLS, Tolerances, _matmul, _require_rank, _require_square,
-                     _require_tall, commutator, dag, frob, isometrize, require_antihermitian,
-                     require_finite)
+from .linalg import (DEFAULT_TOLS, Tolerances, _matmul, _require_rank, _require_real,
+                     _require_square, _require_tall, commutator, dag, frob, isometrize,
+                     require_antihermitian, require_finite)
 
 
 def projector_defect(p: np.ndarray, rank: int):
@@ -126,8 +126,8 @@ class ChartTangent:
 
     def __post_init__(self):
         expected = self.base.frame.shape[:-2] + (self.base.n - self.base.m, self.base.m)
-        if self.block.shape != expected:
-            raise InvalidArgument(f"block shape {self.block.shape} != {expected}")
+        if np.shape(self.block) != expected:
+            raise InvalidArgument(f"block shape {np.shape(self.block)} != {expected}")
 
 
 @dataclass(frozen=True)
@@ -356,7 +356,8 @@ def covariant_derivative_along(projectors: np.ndarray, sections: np.ndarray,
     'canonical' projects the raw derivative by P (sections of the canonical
     bundle), 'complement' by 1-P (sections of the complement bundle), and
     'sum' splits the section by P, applies each derivative, and adds
-    (Whitney-sum derivative on the trivial bundle).
+    (Whitney-sum derivative on the trivial bundle).  InvalidArgument unless ``h`` is a real
+    number, finite and > 0.
     """
     projectors = require_finite(projectors, "projector path")
     sections = require_finite(sections, "section samples")
@@ -366,6 +367,8 @@ def covariant_derivative_along(projectors: np.ndarray, sections: np.ndarray,
         raise InvalidArgument("need matching sample counts, at least 3 nodes")
     if mode not in ("canonical", "complement", "sum"):
         raise InvalidArgument(f"unknown mode {mode!r}")
+    if not 0.0 < _require_real(h, "h") < np.inf:
+        raise InvalidArgument(f"h must be a finite step > 0, not {h!r}")
 
     def project(v):
         return np.einsum("kij,kj->ki", projectors, v)

@@ -20,6 +20,22 @@ import numpy as np
 from .errors import GapTooSmall, InvalidArgument, NonFinite, NotAntiHermitian, RankDeficient
 
 
+def _require_count(value, name: str) -> None:
+    """InvalidArgument unless value is a positive integer (an ``Integral``, not a bool)."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value > 0):
+        raise InvalidArgument(f"{name} must be a positive integer, not {value!r}")
+
+
+def _require_real(value, name: str):
+    """value, or InvalidArgument unless a real number (a ``Real``, not a bool).
+
+    A str, complex value, array or list is rejected before any arithmetic meets it.
+    """
+    if not (isinstance(value, Real) and not isinstance(value, bool)):
+        raise InvalidArgument(f"{name}: {value!r} is not a real number")
+    return value
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds used across the package.
@@ -37,9 +53,10 @@ class Tolerances:
     comparison: float = 1e-8
 
     def __post_init__(self):
-        if not all(isinstance(x, Real) and not isinstance(x, bool) and 0 < x < np.inf
+        rule = "tolerances must be strictly positive finite numbers"
+        if not all(0 < _require_real(x, rule) < np.inf
                    for x in (self.structural, self.ode, self.comparison)):
-            raise InvalidArgument("tolerances must be strictly positive finite numbers")
+            raise InvalidArgument(rule)
         if self.structural > self.comparison:
             raise InvalidArgument("structural tolerance must not exceed comparison tolerance")
 
@@ -61,12 +78,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def frob(a: np.ndarray) -> float:
     """Frobenius norm as a plain float."""
     return float(np.linalg.norm(a))
-
-
-def _require_count(value, name: str) -> None:
-    """InvalidArgument unless value is a positive integer (an ``Integral``, not a bool)."""
-    if not (isinstance(value, Integral) and not isinstance(value, bool) and value > 0):
-        raise InvalidArgument(f"{name} must be a positive integer, not {value!r}")
 
 
 def require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:

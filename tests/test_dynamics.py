@@ -518,15 +518,6 @@ class TestBerryMaps:
                               TimeGrid(0.0, 1.0, 10))
         assert steps == []
 
-    def test_rk4_nodes_check_the_first_table_before_the_start_node(self):
-        # a caller that reads only the start node still meets a bad table
-        a = random_antihermitian(4, 75)
-        schedule = HamiltonianSchedule(lambda t: np.broadcast_to(1j * a, t.shape + a.shape))
-        nodes = dynamics._rk4_nodes(schedule, np.matmul, random_frame(4, 2, 76),
-                                    TimeGrid(0.0, 1.0, 10), lambda y: y, dynamics.DEFAULT_TOLS)
-        with pytest.raises(NotAntiHermitian, match="generator"):
-            next(nodes)
-
     @pytest.mark.parametrize("route", RK4_ROUTES)
     def test_chunked_tables_read_each_stage_time_once(self, route, monkeypatch):
         # three 4 x 4 matrices per table: many chunk boundaries
@@ -543,33 +534,63 @@ class TestBerryMaps:
     @pytest.mark.parametrize("table_bytes", [None, 3 * 32 * 4 * 4],
                              ids=["one_table", "three_steps_a_table"])
     def test_stage_tables_are_nodes_and_midpoints(self, table_bytes, steps, monkeypatch):
-        # each table is the B + 1 nodes of its B steps, the last the first node of the next
-        # table, and their B midpoints; over all tables, every node and midpoint in order
+        # each table yields its steps, which follow those of the table before, and the stage
+        # stacks (nodes[:-1], mids, mids, nodes[1:]) of its B + 1 nodes, the last the first node
+        # of the next table, and B midpoints; over all tables, every step's stages in order
         if table_bytes is not None:
             monkeypatch.setattr(dynamics, "_TABLE_BYTES", table_bytes)
         a = random_antihermitian(4, 77)
         schedule = HamiltonianSchedule(lambda t: np.multiply.outer(t, a))
         grid = TimeGrid(0.0, 1.0, steps)
         tables = list(dynamics._stage_generators(schedule, grid, 4, dynamics.DEFAULT_TOLS))
-        assert all(len(nodes) == len(mids) + 1 for nodes, mids in tables)
-        for (nodes, _), (following, _) in zip(tables, tables[1:]):
-            assert np.array_equal(nodes[-1], following[0])
-        times = [np.concatenate([nodes[:-1] for nodes, _ in tables] + [tables[-1][0][-1:]]),
-                 np.concatenate([mids for _, mids in tables])]
-        for got, want in zip(times, (grid.times, grid.times[:-1] + grid.h / 2.0)):
+        blocks = [block for block, _ in tables]
+        assert [block.start for block in blocks] == [0] + [block.stop for block in blocks[:-1]]
+        assert blocks[-1].stop == steps and (len(tables) > 1) == (table_bytes is not None)
+        for block, stacks in tables:
+            assert [len(stack) for stack in stacks] == [block.stop - block.start] * 4
+        g1, g2, g3, g4 = (np.concatenate(stack) for stack in zip(*(s for _, s in tables)))
+        assert np.array_equal(g2, g3)
+        nodes, mids = grid.times, grid.times[:-1] + grid.h / 2.0
+        for got, want in zip((g1, g2, g4), (nodes[:-1], mids, nodes[1:])):
             np.testing.assert_allclose(got, np.multiply.outer(want, a), rtol=0, atol=1e-15)
 
     def test_constant_schedule_over_many_tables_is_checked_once(self, monkeypatch):
-        # the projector route reads 3 steps a table; the frame routes read no table
+        # the frame routes read no table and check the matrix once; the projector route reads
+        # 3 steps a table, each a zero-stride view, and checks one row of each
         monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 32 * 4 * 4)
         check = dynamics.require_antihermitian
-        for route in RK4_ROUTES.values():
+        for name, route in RK4_ROUTES.items():
             checks = []
             monkeypatch.setattr(dynamics, "require_antihermitian",
                                 lambda a, *args: checks.append(a.shape) or check(a, *args))
             route(constant_schedule(random_antihermitian(4, 78)), random_frame(4, 2, 77),
                   TimeGrid(0.0, 1.0, 30))
-            assert len(checks) == 1
+            tables = -(-61 // 6)  # 2 * 30 + 1 stage times, 6 a table
+            assert checks == ([(1, 4, 4)] * tables if name == "integrate_projector"
+                              else [(4, 4)])
+
+    @pytest.mark.parametrize("route", RK4_ROUTES)
+    def test_a_table_that_reuses_its_buffer_gives_the_fresh_result(self, route, monkeypatch):
+        # tables of 3 steps from a schedule that rewrites one buffer for each and returns views
+        # of it: the next table, read before the steps of the one before, must not change them
+        monkeypatch.setattr(dynamics, "_TABLE_BYTES", 3 * 32 * 4 * 4)
+        rng = np.random.default_rng(81)
+        fresh, sigma, grid = smooth_schedule(4, rng), random_frame(4, 2, rng), TimeGrid(0, 1, 6)
+        buffer = np.empty((6, 4, 4), complex)
+
+        def reused(times):
+            buffer[:len(times)] = fresh.table(times)
+            return buffer[:len(times)]
+
+        def arrays(res):  # a path's samples, or berry_maps' frames, transport, maps and energies
+            if hasattr(res, "samples"):
+                return [res.samples]
+            return [res.frame_path.samples, res.horizontal_path.samples, res.geometric,
+                    res.energies]
+
+        got, want = (arrays(RK4_ROUTES[route](s, sigma, grid))
+                     for s in (HamiltonianSchedule(reused), fresh))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
     @pytest.mark.parametrize("route", ["berry_maps", "berry_maps_loop"])
     @pytest.mark.parametrize("in_place", [False, True], ids=["new_matrix", "same_buffer"])

@@ -6,8 +6,9 @@ from grassflow.bundle import (connection_A, curvature_generators, curvature_Omeg
                              split_vertical_horizontal)
 from grassflow.dynamics import (FramePath, HamiltonianSchedule, ProjectorPath, TimeGrid,
                                 _graph_section, berry_maps, constant_schedule,
-                                geometric_hamiltonian, geometric_schedule, integrate_frame,
-                                loop_holonomy, rotating_schedule, sampled_schedule,
+                                bloch_matrices, geometric_hamiltonian, geometric_schedule,
+                                integrate_frame, integrate_projector, loop_holonomy,
+                                rotating_schedule, sampled_schedule, synthesize_holonomy_step,
                                 tracking_defect)
 from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent, Projector,
                                  chart_from_proj, chart_transport, covariant_derivative_along,
@@ -23,6 +24,7 @@ _TWO_BASES = BasePoint.from_projector(Projector(matrix=np.array([_P, _P]), rank=
 # a point of Gr_2(C^4), its frame, and a tangent of the wrong size there
 _P4, _B4 = Projector.standard(4, 2), BasePoint.standard(4, 2)
 _PHI4, _V3 = _B4.frame, EmbeddedTangent(np.ones((3, 3)))
+_B3, _ZERO3 = BasePoint.standard(3, 1), constant_schedule(np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("call, match", [
@@ -86,6 +88,23 @@ _PHI4, _V3 = _B4.frame, EmbeddedTangent(np.ones((3, 3)))
                            np.eye(3)[:, :1]), "not the path rank 2"),
     (lambda: commutator(np.ones(3), np.ones(3)), "square"),
     (lambda: commutator(np.eye(3), np.ones((3, 2))), "square"),
+    (lambda: TimeGrid(0, np.array([1.0]), 3), "not a real number"),
+    (lambda: TimeGrid(0, "1", 3), "not a real number"),
+    (lambda: TimeGrid(1j, 2, 3), "not a real number"),
+    (lambda: rotating_schedule([1.0, 2.0]), "not a real number"),
+    (lambda: rotating_schedule("1"), "not a real number"),
+    (lambda: bloch_matrices(np.array([0.1, 0.2]), 0.0), "not a real number"),
+    (lambda: synthesize_holonomy_step(np.zeros((1, 1)), np.array([0.1, 0.2]), _B3),
+     "not a real number"),
+    (lambda: covariant_derivative_along(np.array([_P] * 3), np.zeros((3, 3)), 0.0), "> 0"),
+    (lambda: covariant_derivative_along(np.array([_P] * 3), np.zeros((3, 3)), np.nan), "> 0"),
+    (lambda: covariant_derivative_along(np.array([_P] * 3), np.zeros((3, 3)), np.ones(3)),
+     "not a real number"),
+    (lambda: integrate_projector(_ZERO3, Projector(np.array(1.0), 1), _GRID), "square"),
+    (lambda: integrate_projector(_ZERO3, Projector(np.zeros((0, 0)), 1), _GRID), "size"),
+    (lambda: integrate_projector(_ZERO3, Projector(_P, "x"), _GRID), "rank"),
+    (lambda: ChartTangent(base=_B3, block=1.0), "block shape"),
+    (lambda: ChartTangent(base=_B3, block=[[1.0, 2.0]]), "block shape"),
 ], ids=["tolerance_sign", "tolerance_order", "schedule_table", "geometric_qfun",
         "tracking_lengths", "covariant_nodes", "covariant_mode", "chart_tangent",
         "projector_from_matrix", "random_antihermitian", "grid_fractional_steps",
@@ -102,7 +121,12 @@ _PHI4, _V3 = _B4.frame, EmbeddedTangent(np.ones((3, 3)))
         "berry_maps_constant_other_n", "nearest_projector_fractional_rank",
         "random_frame_bool_columns", "tolerance_text", "tolerance_infinite", "frame_path_empty",
         "sampled_schedule_vectors", "loop_holonomy_rank_mismatch", "commutator_vectors",
-        "commutator_rectangle"])
+        "commutator_rectangle", "grid_array_end", "grid_string_end", "grid_complex_start",
+        "rotating_omega_list", "rotating_omega_text", "bloch_theta_array",
+        "synthesis_scale_array", "covariant_zero_step", "covariant_nan_step",
+        "covariant_array_step", "integrate_projector_scalar", "integrate_projector_empty",
+        "integrate_projector_text_rank", "chart_tangent_float_block",
+        "chart_tangent_list_block"])
 def test_bad_arguments_raise_invalid_argument(call, match):
     # InvalidArgument is a ValueError too: callers catching ValueError still do
     with pytest.raises(InvalidArgument, match=match):
@@ -113,9 +137,6 @@ def test_bad_arguments_raise_invalid_argument(call, match):
 def test_grid_takes_integral_steps(steps):
     grid = TimeGrid(0.0, 1.0, steps)
     assert len(grid.times) == steps + 1
-
-
-_B3 = BasePoint.standard(3, 1)
 
 
 @pytest.mark.parametrize("call", [
