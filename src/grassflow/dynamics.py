@@ -401,11 +401,13 @@ def integrate_projector(schedule: HamiltonianSchedule, p0: Projector, grid: Time
                         tol: Tolerances = DEFAULT_TOLS) -> ProjectorPath:
     """Integrate P' = [H(t), P] with per-step spectral retraction on demand (a reference route).
 
-    InvalidArgument unless p0 is a nonempty square matrix of a positive integer rank.
+    InvalidArgument unless p0 is a nonempty square matrix of a positive integer rank, and a
+    projector of that rank within ``Projector.from_matrix``'s bound.
     """
     p = _require_square(require_finite(p0.matrix, "initial projector"))
     _require_count(len(p), "initial projector size")
     _require_count(p0.rank, "rank")
+    Projector.from_matrix(p, p0.rank, tol)
     nodes = _rk4_nodes(schedule, commutator, p, grid,
                        lambda y: _retract_projector(y, p0.rank, tol), tol)
     samples = np.fromiter(nodes, np.dtype((complex, p.shape)), grid.steps + 1)

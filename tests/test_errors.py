@@ -103,6 +103,9 @@ _B3, _ZERO3 = BasePoint.standard(3, 1), constant_schedule(np.zeros((3, 3)))
     (lambda: integrate_projector(_ZERO3, Projector(np.array(1.0), 1), _GRID), "square"),
     (lambda: integrate_projector(_ZERO3, Projector(np.zeros((0, 0)), 1), _GRID), "size"),
     (lambda: integrate_projector(_ZERO3, Projector(_P, "x"), _GRID), "rank"),
+    (lambda: integrate_projector(constant_schedule(random_antihermitian(3, 1)),
+                                 Projector(Projector.standard(3, 1).matrix, 2),
+                                 TimeGrid(0, 1, 4)), "not a rank-m"),
     (lambda: ChartTangent(base=_B3, block=1.0), "block shape"),
     (lambda: ChartTangent(base=_B3, block=[[1.0, 2.0]]), "block shape"),
 ], ids=["tolerance_sign", "tolerance_order", "schedule_table", "geometric_qfun",
@@ -125,7 +128,8 @@ _B3, _ZERO3 = BasePoint.standard(3, 1), constant_schedule(np.zeros((3, 3)))
         "rotating_omega_list", "rotating_omega_text", "bloch_theta_array",
         "synthesis_scale_array", "covariant_zero_step", "covariant_nan_step",
         "covariant_array_step", "integrate_projector_scalar", "integrate_projector_empty",
-        "integrate_projector_text_rank", "chart_tangent_float_block",
+        "integrate_projector_text_rank", "integrate_projector_wrong_rank",
+        "chart_tangent_float_block",
         "chart_tangent_list_block"])
 def test_bad_arguments_raise_invalid_argument(call, match):
     # InvalidArgument is a ValueError too: callers catching ValueError still do
