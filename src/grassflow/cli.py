@@ -35,8 +35,8 @@ from .errors import (GapTooSmall, GrassflowError, InvalidArgument, NonFinite,
 from .grassmann import (BasePoint, ChartTangent, Projector, _adapted_basis, _random_base,
                         _require_generator as _checked_generator, chart_from_proj,
                         chart_transport, proj_from_chart)
-from .linalg import (Tolerances, dag, frob, isometrize, mat_exp, random_antihermitian,
-                     random_complex, random_frame)
+from .linalg import (Tolerances, _SeededStream, dag, frob, isometrize, mat_exp,
+                     random_antihermitian, random_complex, random_frame)
 
 CSV_HEADER = "t,projector_defect,isometry_defect,horizontality_defect,energy"
 # the CSV body is _CSV_ROW * rows % values, each float as f"{x:.17g}" prints it; _csv_block
@@ -220,12 +220,13 @@ def build_setup(cfg: dict, tol: Tolerances):
     return schedule, p0, sigma, grid
 
 
-def _seeded(cfg: dict) -> np.random.Generator:
-    """The run's seeded generator; only runs that draw make one.
+def _seeded(cfg: dict) -> _SeededStream:
+    """The run's one seeded stream; only runs that draw make one.
 
-    The first use of ``np.random`` imports it, about 10 ms of a run.
+    It is the stdlib MT19937 stream of ``linalg._SeededStream``, so no subcommand but
+    selftest imports ``numpy.random``, a cold import of about 13 ms.
     """
-    return np.random.default_rng(int(cfg["seed"]))
+    return _SeededStream(int(cfg["seed"]))
 
 
 def _require_generator(h_mat, n, tol, name):

@@ -7,11 +7,16 @@ oriented QR factorization (``isometrize``) and the polar retraction of a frame o
 frames, running products of a stack, the adjoint product a* b of stacks, closed forms for the
 determinants and singular values of 1 x 1 and 2 x 2 stacks, the matrix exponential of a matrix
 or a stack (spectral for anti-Hermitian input; scipy is imported only for any other input), the
-spectral retraction onto rank-m projectors, and seeded random generators.
+spectral retraction onto rank-m projectors, and seeded random generators.  The ``random_*``
+draw from numpy's generator for an int seed or a Generator; given a ``_SeededStream``, the
+stdlib Mersenne Twister stream of the CLI's seeded runs, they draw from it and never import
+``numpy.random``.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -330,11 +335,48 @@ def nearest_projector(m_mat: np.ndarray, m: int,
     return (p + dag(p)) / 2.0
 
 
+class _SeededStream:
+    """Standard normals and uniforms from one seeded MT19937 stream, stdlib ``random.Random``.
+
+    Normals are served in order from a buffer, refilled by at least 1024 at a time.  A
+    batch of 2p normals takes 2p little-endian 64-bit words of ``getrandbits(128 p)``,
+    u = (w >> 11) 2^-53 in [0, 1): r = sqrt(-2 log(1 - u)) from the first p words and
+    theta = 2 pi u from the next p, and the batch is (r cos theta, r sin theta) (Box and
+    Muller, Ann. Math. Statist. 29, 1958).  The MT19937 generator is Matsumoto and
+    Nishimura's (ACM TOMACS 8, 1998); building one imports no ``numpy.random``.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+        self._normals = np.empty(0)
+
+    def standard_normal(self, shape: tuple) -> np.ndarray:
+        """The next prod(shape) normals of the stream, as an array of that shape."""
+        count = math.prod(shape)
+        short = count - len(self._normals)
+        if short > 0:
+            self._normals = np.concatenate((self._normals, self._batch(max(short, 1024))))
+        out, self._normals = self._normals[:count], self._normals[count:]
+        return out.reshape(shape)
+
+    def uniform(self, low: float, high: float) -> float:
+        """low + (high - low) u with the stream's next ``random()`` u in [0, 1)."""
+        return low + (high - low) * self._random.random()
+
+    def _batch(self, count: int) -> np.ndarray:
+        pairs = -(-count // 2)
+        bits = self._random.getrandbits(128 * pairs).to_bytes(16 * pairs, "little")
+        u = (np.frombuffer(bits, dtype="<u8") >> 11) * 2.0 ** -53
+        r, theta = np.sqrt(-2.0 * np.log1p(-u[:pairs])), 2.0 * np.pi * u[pairs:]
+        return np.concatenate((r * np.cos(theta), r * np.sin(theta)))
+
+
 def random_complex(n: int, m: int, seed) -> np.ndarray:
-    """Seeded complex Gaussian n x m matrix; ``seed`` may also be a Generator."""
+    """Seeded complex Gaussian n x m matrix; ``seed`` may also be a Generator, or a
+    ``_SeededStream``, whose next 2 n m normals it takes."""
     _require_count(n, "dimension n")
     _require_count(m, "dimension m")
-    rng = np.random.default_rng(seed)
+    rng = seed if isinstance(seed, _SeededStream) else np.random.default_rng(seed)
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 

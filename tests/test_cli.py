@@ -19,7 +19,8 @@ from grassflow.dynamics import (TimeGrid, _orbit_schedule, berry_maps, bloch_pro
                                 constant_schedule, loop_holonomy, pancharatnam_oracle,
                                 rotating_schedule, sampled_schedule, synthesize_holonomy_step)
 from grassflow.grassmann import BasePoint, Projector
-from grassflow.linalg import Tolerances, dag, random_antihermitian, random_frame
+from grassflow.linalg import (Tolerances, _SeededStream, dag, random_antihermitian,
+                              random_frame)
 
 from cointegrated import cointegrated_transport, pancharatnam_reference
 
@@ -506,12 +507,14 @@ class TestCsvFormat:
 
 
 def test_scipy_is_not_imported(tmp_path):
-    """No scipy on the import path or in flow, geometric berry and synthesize runs, and
-    no numpy.ma either: its cold import (a first ``np.unique`` loads it) costs a few ms."""
+    """No scipy on the import path or in chart, flow, berry and synthesize runs, and no
+    numpy.ma either: its cold import (a first ``np.unique`` loads it) costs a few ms.  Nor
+    numpy.random: the seeded runs draw from the stdlib stream of ``_SeededStream``, and the
+    default berry run and the latitude loop draw nothing."""
     script = """
 import json, sys
 import grassflow.cli as cli
-loaded = lambda: ['scipy' in sys.modules, 'numpy.ma' in sys.modules]
+loaded = lambda: [name in sys.modules for name in ('scipy', 'numpy.ma', 'numpy.random')]
 seen = [loaded()]
 for command, steps, config in json.loads(sys.argv[1]):
     path = sys.argv[2] + '/' + command + '.json'
@@ -522,7 +525,9 @@ for command, steps, config in json.loads(sys.argv[1]):
     seen.append(loaded())
 print(json.dumps(seen))
 """
-    runs = [["flow", 64, {"n": 6, "m": 2, "schedule": {"kind": "constant"}}],
+    runs = [["chart", 64, {"n": 4, "m": 2}],
+            ["berry", 300, {}],
+            ["flow", 64, {"n": 6, "m": 2, "schedule": {"kind": "constant"}}],
             ["berry", 300, {"n": 4, "m": 2, "schedule": {"kind": "geometric_from_curve"}}],
             ["berry", 300, {"schedule": {"kind": "geometric_from_curve", "theta": 1.2}}],
             ["synthesize", 256, {"n": 5, "m": 2, "synthesize": {"scale": 0.1}}]]
@@ -531,27 +536,7 @@ print(json.dumps(seen))
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
                             capture_output=True, text=True, env=env, check=True)
-    assert json.loads(result.stdout.splitlines()[-1]) == [[False, False]] * (len(runs) + 1)
-
-
-def test_draw_free_runs_load_no_random_module(tmp_path):
-    """The default berry run and the latitude loop draw nothing, so never import numpy.random."""
-    script = """
-import sys
-import grassflow.cli as cli
-assert cli.main(['berry', '--out', sys.argv[1] + '/default']) == 0
-with open(sys.argv[1] + '/latitude.json', 'w') as fh:
-    fh.write('{"schedule": {"kind": "geometric_from_curve", "theta": 1.2}}')
-assert cli.main(['berry', '--config', sys.argv[1] + '/latitude.json',
-                 '--out', sys.argv[1] + '/latitude']) == 0
-print('numpy.random' in sys.modules)
-"""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
-                            capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.splitlines()[-1] == "False"
+    assert json.loads(result.stdout.splitlines()[-1]) == [[False] * 3] * (len(runs) + 1)
 
 
 def test_importing_the_cli_leaves_selftest_unloaded():
@@ -586,7 +571,7 @@ _SAMPLE_VALUE = [[{"re": 0.0, "im": 1.0}, {"re": 0.0, "im": 0.0}],
 ], ids=["rotating", "constant", "constant-norm", "constant-matrix", "sampled",
         "random-loop", "latitude"])
 def test_seeded_setup_draws_one_stream_in_order(schedule, n, m):
-    # build_setup against the draws of one default_rng(seed) stream, taken in this order:
+    # build_setup against the draws of one _SeededStream(seed), taken in this order:
     # a constant generator, then the start frame; or the random loop's a, then b
     tol = Tolerances()
     grid = TimeGrid(0.0, 1.0, 4)
@@ -594,7 +579,7 @@ def test_seeded_setup_draws_one_stream_in_order(schedule, n, m):
     for seed in range(10):
         cfg = {"n": n, "m": m, "seed": seed, "schedule": schedule,
                "grid": {"t0": grid.t0, "t1": grid.t1, "steps": grid.steps}}
-        table, p0, sigma = _seeded_reference(schedule, n, m, grid, np.random.default_rng(seed))
+        table, p0, sigma = _seeded_reference(schedule, n, m, grid, _SeededStream(seed))
         got_schedule, got_p0, got_sigma, _ = build_setup(cfg, tol)
         np.testing.assert_array_equal(got_schedule.table(times, n), table(times))
         np.testing.assert_array_equal(got_p0.matrix, p0.matrix)

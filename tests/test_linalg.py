@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from grassflow import NotAntiHermitian, RankDeficient, GapTooSmall
 from grassflow import bundle, cli, dynamics, linalg
 from grassflow.grassmann import BasePoint
-from grassflow.linalg import (DEFAULT_TOLS, Tolerances, dag, frob, isometrize,
+from grassflow.linalg import (DEFAULT_TOLS, Tolerances, _SeededStream, dag, frob, isometrize,
                               mat_exp, nearest_projector, polar_retract, prefix_products,
                               random_antihermitian, random_complex, random_frame,
                               random_unitary, require_antihermitian)
@@ -593,6 +594,74 @@ class TestRandomAntihermitian:
     def test_antihermitian_exactly(self):
         a = random_antihermitian(4, 7)
         assert frob(a + dag(a)) == 0.0
+
+
+def _stream_batches(seed, count):
+    """``count`` batches of 1024 normals of _SeededStream's definition, from random.Random(seed)."""
+    gen, out = random.Random(seed), []
+    for _ in range(count):
+        words = np.frombuffer(gen.getrandbits(128 * 512).to_bytes(16 * 512, "little"), "<u8")
+        u = (words >> 11) * 2.0 ** -53
+        r, theta = np.sqrt(-2.0 * np.log1p(-u[:512])), 2.0 * np.pi * u[512:]
+        out += [r * np.cos(theta), r * np.sin(theta)]
+    return np.concatenate(out)
+
+
+class TestSeededStream:
+    def test_same_seed_same_draws(self):
+        def draws(seed):
+            stream = _SeededStream(seed)
+            return [stream.standard_normal((3, 2)), stream.uniform(0.0, 10.0),
+                    stream.standard_normal((2000,)), stream.uniform(-1.0, 1.0)]
+
+        for got, want in zip(draws(5), draws(5)):
+            np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(draws(5)[0], draws(6)[0])
+
+    def test_draws_come_out_in_call_order(self):
+        # (3,), (2, 2) and (5,) are the first 12 normals of the first batch of 1024; the
+        # (1030,) draw runs 18 past it, so a second batch of 1024 is appended
+        stream = _SeededStream(11)
+        got = np.concatenate([stream.standard_normal(shape).ravel()
+                              for shape in ((3,), (2, 2), (5,), (1030,))])
+        np.testing.assert_array_equal(got, _stream_batches(11, 2)[:1042])
+
+    @pytest.mark.parametrize("shape", [(2, 1), (3, 4, 5), (0,), (4, 0), (1500,)])
+    def test_shapes(self, shape):
+        stream = _SeededStream(3)
+        assert stream.standard_normal(shape).shape == shape
+        # a zero-size draw takes nothing from the stream
+        np.testing.assert_array_equal(stream.standard_normal((0, 3)), np.empty((0, 3)))
+        follow = stream.standard_normal((2,))
+        reference = _SeededStream(3)
+        reference.standard_normal(shape)
+        np.testing.assert_array_equal(follow, reference.standard_normal((2,)))
+
+    def test_uniform_stays_in_range(self):
+        stream, gen = _SeededStream(9), random.Random(9)
+        draws = np.array([stream.uniform(-2.0, 3.0) for _ in range(10_000)])
+        assert np.all((-2.0 <= draws) & (draws < 3.0))
+        np.testing.assert_array_equal(draws, [-2.0 + 5.0 * gen.random() for _ in range(10_000)])
+
+    def test_normal_moments(self):
+        # E x^k of 2^20 normals within 5 standard errors, sqrt(var(x^k) / N), of 0, 1, 0, 3
+        count = 2 ** 20
+        x = _SeededStream(0).standard_normal((count,))
+        for k, mean, var in ((1, 0.0, 1.0), (2, 1.0, 2.0), (3, 0.0, 15.0), (4, 3.0, 96.0)):
+            assert abs(np.mean(x ** k) - mean) <= 5.0 * np.sqrt(var / count), k
+
+    def test_random_complex_draws_numpy_or_the_stream(self):
+        # an int seed or a Generator keeps numpy's draws; a stream gives its own, in turn
+        rng = np.random.default_rng(7)
+        want = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        np.testing.assert_array_equal(random_complex(3, 2, 7), want)
+        np.testing.assert_array_equal(random_complex(3, 2, np.random.default_rng(7)), want)
+        normals = _stream_batches(7, 1)
+        stream = _SeededStream(7)
+        for k in range(2):
+            np.testing.assert_array_equal(random_complex(3, 2, stream),
+                                          (normals[12 * k:12 * k + 6]
+                                           + 1j * normals[12 * k + 6:12 * k + 12]).reshape(3, 2))
 
 
 class TestTolerances:
