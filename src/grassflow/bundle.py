@@ -14,8 +14,8 @@ import numpy as np
 from .errors import (BaseMismatch, DimensionTooSmall, InvalidArgument, NotAFrame,
                      NotHorizontal, NotTangent)
 from .grassmann import ChartTangent, Projector, chart_ambient
-from .linalg import (DEFAULT_TOLS, Tolerances, _adjoint_product, _require_tall, dag, frob,
-                     isometrize, require_antihermitian, require_finite)
+from .linalg import (DEFAULT_TOLS, Tolerances, _adjoint_product, _require_relative,
+                     _require_tall, dag, frob, isometrize, require_antihermitian, require_finite)
 
 
 def frame_defect(phi: np.ndarray):
@@ -45,8 +45,9 @@ def require_frame_tangent(phi: np.ndarray, xi: np.ndarray,
     xi = require_finite(xi, "frame tangent")
     if xi.shape != np.shape(phi):
         raise InvalidArgument(f"frame tangent has shape {xi.shape}, want {np.shape(phi)}")
-    if frob(dag(xi) @ phi + dag(phi) @ xi) > tol.comparison * (1.0 + frob(xi)):
-        raise NotTangent("xi* phi + phi* xi != 0")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm raises NonFinite
+        _require_relative(frob(dag(xi) @ phi + dag(phi) @ xi), frob(xi), tol,
+                          NotTangent("xi* phi + phi* xi != 0"))
     return xi
 
 
@@ -109,8 +110,9 @@ def curvature_Omega(phi: np.ndarray, u: np.ndarray, v: np.ndarray,
         xi = require_finite(xi, "horizontal tangent")
         if xi.shape != phi.shape:
             raise InvalidArgument(f"horizontal tangent has shape {xi.shape}, want {phi.shape}")
-        if frob(dag(phi) @ xi) > tol.comparison * (1.0 + frob(xi)):
-            raise NotHorizontal("tangent has a vertical component")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm raises NonFinite
+            _require_relative(frob(dag(phi) @ xi), frob(xi), tol,
+                              NotHorizontal("tangent has a vertical component"))
     return (dag(u) @ v - dag(v) @ u) / 2.0
 
 

@@ -1,7 +1,8 @@
 """JSON-configured experiment harness: ``grassflow <subcommand>``.
 
 Subcommands: chart, flow, berry, holonomy, synthesize, selftest.  flow, berry
-and holonomy are one frame-first ``berry_maps`` run each; berry and holonomy
+and holonomy are one frame-first ``berry_maps`` run each, synthesize one
+``_chart_loop_holonomy`` run, and ``_transport_report`` writes each; berry and holonomy
 add checks of the closed loop (holonomy against the Pancharatnam oracle).
 Each run echoes its configuration, writes per-node CSV rows
 (t,projector_defect,isometry_defect,horizontality_defect,energy) and a final
@@ -25,11 +26,10 @@ import time
 import numpy as np
 
 from .bundle import curvature_generators, frame_defect
-from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, FramePath, TimeGrid, _frame_oracle,
-                       _graph_section, _orbit_schedule, _parallelogram_loop, _require_closed,
-                       _section_transport, _transport_block, berry_maps, bloch_projector,
-                       constant_schedule, horizontality_defects, rotating_schedule,
-                       sampled_schedule)
+from .dynamics import (SYNTHESIS_CURVATURE_CONSTANT, HolonomyResult, TimeGrid,
+                       _chart_loop_holonomy, _frame_oracle, _orbit_schedule,
+                       _parallelogram_loop, _transport_block, berry_maps, bloch_projector,
+                       constant_schedule, rotating_schedule, sampled_schedule)
 from .errors import (GapTooSmall, GrassflowError, InvalidArgument, NonFinite,
                      NotAntiHermitian, NotClosed)
 from .grassmann import (BasePoint, ChartTangent, Projector, _adapted_basis, _random_base,
@@ -275,10 +275,10 @@ def write_report(cfg: dict, table: np.ndarray, json_payload: dict):
 
     ``table`` holds the (rows, 5) CSV floats. ``_csv_block`` renders them, 512 rows at a
     time, as the bytes of ``_CSV_ROW * rows % values``; both files are written in binary
-    mode. Strict JSON: NonFinite on inf or NaN.
+    mode. Strict JSON, arrays by ``_ser_matrix``: NonFinite on inf or NaN.
     """
     try:
-        json_text = json.dumps(json_payload, indent=2, allow_nan=False) + "\n"
+        json_text = json.dumps(json_payload, indent=2, allow_nan=False, default=_ser_matrix) + "\n"
     except ValueError as exc:
         raise NonFinite(f"report: {exc}") from None
     prefix = cfg.get("output")
@@ -418,56 +418,46 @@ def _phase_arg(holonomy: np.ndarray, m: int):
     return float(np.angle(det.real if abs(det.imag) <= np.finfo(float).eps * abs(det) else det))
 
 
-def _finish(cfg: dict, table: np.ndarray, bound: float, message: str, *, defect_max: float,
-            wall_time_s: float, extras: dict, dynamical=None, geometric=None, fiber_gap=None,
-            berry_phase_arg=None, closure_residual=None) -> int:
-    """Write the report, its common keys then ``extras``; exit 2 with ``message`` on stderr
-    when defect_max exceeds ``bound``, else 0."""
-    payload = {
-        "config": cfg,
-        "holonomy_dynamical": None if dynamical is None else _ser_matrix(dynamical),
-        "holonomy_geometric": None if geometric is None else _ser_matrix(geometric),
-        "fiber_gap": None if fiber_gap is None else _ser_matrix(fiber_gap),
-        "berry_phase_arg": berry_phase_arg,
-        "closure_residual": closure_residual,
-        "defect_max": float(defect_max),
-        "wall_time_s": float(wall_time_s),
-        **extras,
-    }
-    write_report(cfg, table, payload)
-    if payload["defect_max"] > bound:
+def _finish(cfg: dict, table: np.ndarray, bound: float, message: str, defect_max: float,
+            start: float, extras: dict, common=(None,) * 5) -> int:
+    """Write the report of a run begun at ``start``: config, the ``common`` keys, defect_max,
+    wall_time_s (before any matrix is serialized), then ``extras``; exit 2 with ``message``
+    on stderr when defect_max exceeds ``bound``, else 0."""
+    wall_time_s = time.perf_counter() - start
+    keys = ("holonomy_dynamical", "holonomy_geometric", "fiber_gap", "berry_phase_arg",
+            "closure_residual")
+    write_report(cfg, table, {"config": cfg, **dict(zip(keys, common)),
+                              "defect_max": float(defect_max), "wall_time_s": wall_time_s,
+                              **extras})
+    if defect_max > bound:
         print(message, file=sys.stderr)
         return 2
     return 0
 
 
-def _berry_maps_report(cfg: dict, tol: Tolerances, message: str,
-                       more_extras=None) -> int:
-    """Report berry_maps on the configured schedule (flow, berry and holonomy).
+def _transport_report(cfg: dict, tol: Tolerances, res: HolonomyResult, message: str,
+                      start: float, extras: dict) -> int:
+    """Report the transport run ``res`` (flow, berry, holonomy and synthesize): its per-node
+    audits as the CSV rows, the worse projector or isometry defect gated at ``tol.ode``,
+    berry_phase_arg if the loop closed, and its fiber maps, null where it holds None."""
+    table = np.column_stack((res.horizontal_path.grid.times, res.projector_defects,
+                             res.isometry_defects, res.horizontality_defects, res.energies))
+    phase = _phase_arg(res.geometric, cfg["m"]) if res.closed else None
+    return _finish(cfg, table, tol.ode, message, max(res.projector_defect, res.isometry_defect),
+                   start, extras,
+                   (res.dynamical, res.geometric, res.fiber_gap, phase, res.closure_residual))
 
-    ``more_extras(cfg, res, tol)`` may reject the run, or returns the
-    report keys that follow the common ones.
-    """
+
+def _berry_maps_report(cfg: dict, tol: Tolerances, message: str, more_extras=None) -> int:
+    """Report berry_maps on the configured schedule (flow, berry and holonomy); ``more_extras(cfg,
+    res, tol)`` may reject the run, or returns the report keys that follow the common ones."""
     start = time.perf_counter()
     schedule, p0, sigma, grid = build_setup(cfg, tol)
     res = berry_maps(schedule, p0, sigma, grid, tol)
     extras = {"closed": res.closed, "horizontality_defect": res.horizontality_defect}
     if more_extras is not None:
         extras.update(more_extras(cfg, res, tol))
-
-    table = np.column_stack((grid.times, res.projector_defects, res.isometry_defects,
-                             res.horizontality_defects, res.energies))
-    return _finish(
-        cfg, table, tol.ode, message,
-        dynamical=res.dynamical,
-        geometric=res.geometric,
-        fiber_gap=res.fiber_gap,
-        berry_phase_arg=_phase_arg(res.geometric, cfg["m"]) if res.closed else None,
-        closure_residual=res.closure_residual,
-        defect_max=max(res.projector_defect, res.isometry_defect),
-        wall_time_s=time.perf_counter() - start,
-        extras=extras,
-    )
+    return _transport_report(cfg, tol, res, message, start, extras)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -502,14 +492,10 @@ def cmd_chart(cfg: dict, tol: Tolerances) -> int:
         table[first:first + len(blk), :3] = np.transpose(  # t is the trial number
             (np.arange(first, first + len(blk)), q.defect(), frame_defect(base.frame)))
 
-    return _finish(
-        cfg, table, tol.comparison, "chart errors exceed the comparison tolerance",
-        defect_max=max(max_roundtrip, max_equivariance),
-        wall_time_s=time.perf_counter() - start,
-        extras={"max_roundtrip_error": max_roundtrip,
-                "max_equivariance_error": max_equivariance,
-                "trials": trials},
-    )
+    return _finish(cfg, table, tol.comparison, "chart errors exceed the comparison tolerance",
+                   max(max_roundtrip, max_equivariance), start,
+                   {"max_roundtrip_error": max_roundtrip,
+                    "max_equivariance_error": max_equivariance, "trials": trials})
 
 
 def cmd_flow(cfg: dict, tol: Tolerances) -> int:
@@ -519,9 +505,9 @@ def cmd_flow(cfg: dict, tol: Tolerances) -> int:
 
 def _closed_oracle(res, tol: Tolerances) -> np.ndarray:
     """The Pancharatnam oracle on the nodes phi_k phi_k* of a run; NotClosed if open."""
-    frames = res.frame_path.samples
-    _require_closed(res.closure_residual, frames.shape[-1], tol)  # the rank m of the run
-    return _frame_oracle(frames, tol)
+    if not res.closed:  # by the closure_tolerance of berry_maps
+        raise NotClosed(f"loop closure residual {res.closure_residual:.3e}")
+    return _frame_oracle(res.frame_path.samples, tol)
 
 
 def _berry_extras(cfg: dict, res, tol: Tolerances) -> dict:
@@ -582,34 +568,15 @@ def cmd_synthesize(cfg: dict, tol: Tolerances) -> int:
     per_side = max(2, build_grid(cfg).steps // (4 * max(1, len(pairs))))
     # the loop of synthesize_holonomy_step, carried by its graph-frame section
     blocks = _parallelogram_loop(pairs, scale, base, per_side)
-    section = FramePath(TimeGrid(0.0, 1.0, len(blocks) - 1), _graph_section(base, blocks))
-    grid = section.grid
     # echo the grid the loop actually used, so rows == steps + 1 holds
     cfg = copy.deepcopy(cfg)
-    cfg["grid"] = {"t0": grid.t0, "t1": grid.t1, "steps": grid.steps}
+    cfg["grid"] = {"t0": 0.0, "t1": 1.0, "steps": len(blocks) - 1}
     predicted = mat_exp(SYNTHESIS_CURVATURE_CONSTANT * scale ** 2 * w)
-
-    closure = section.closure_residual()
-    _require_closed(closure, m, tol)
-    p_defects = section.projector_defects()
-    # psi_k = phi_k g_k, written over the section frames once their defects are taken
-    frames = FramePath(grid, _section_transport(section.samples, tol))
-    holonomy = dag(frames.samples[0]) @ frames.samples[-1]
-    iso_defects = frames.frame_defects()
-    table = np.column_stack((grid.times, p_defects, iso_defects,
-                             horizontality_defects(frames), np.zeros(len(p_defects))))
-    return _finish(
-        cfg, table, tol.ode, "synthesis defects exceed the ode tolerance",
-        geometric=holonomy,
-        berry_phase_arg=_phase_arg(holonomy, m),
-        closure_residual=closure,
-        defect_max=max(float(p_defects.max()), float(iso_defects.max())),
-        wall_time_s=time.perf_counter() - start,
-        extras={"scale": scale,
-                "generator": _ser_matrix(w),
-                "predicted_holonomy": _ser_matrix(predicted),
-                "synthesis_deviation": frob(holonomy - predicted)},
-    )
+    res = _chart_loop_holonomy(base, blocks, tol)
+    return _transport_report(
+        cfg, tol, res, "synthesis defects exceed the ode tolerance", start,
+        {"scale": scale, "generator": w, "predicted_holonomy": predicted,
+         "synthesis_deviation": frob(res.geometric - predicted)})
 
 
 def cmd_selftest(cfg: dict, tol: Tolerances) -> int:

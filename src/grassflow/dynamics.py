@@ -14,9 +14,9 @@ Transport runs in a local trivialization of the bundle, where it is an m x m
 gauge equation: along a Hamiltonian flow by ``berry_maps`` over the Schroedinger
 frame (its ``horizontal_path``), along a sampled path by ``_section_transport`` from
 the fiber overlaps of a section: ``horizontal_transport`` takes the ``_pivoted_section``
-of the projector samples, the CLI's ``synthesize`` the ``_graph_section`` of its chart
-loop, one in-place Gram-Schmidt pass over its graph frames that forms no n x n matrix.  Both
-chain by ``_gauge_chain``.  ``pancharatnam_oracle`` is ``_frame_oracle``, which the CLI runs
+of the projector samples, ``_chart_loop_holonomy`` (the CLI's synthesize) the ``_graph_section``
+of a chart loop, one in-place Gram-Schmidt pass over its graph frames that forms no n x n matrix.
+Both chain by ``_gauge_chain``.  ``pancharatnam_oracle`` is ``_frame_oracle``, which the CLI runs
 on its flow's frames, of the ``_pivoted_section``.
 Every RK4 route reads its 2 * steps + 1 stage generators once each, a checked table of B steps
 at a time, as the steps it covers and the four RK4 stage stacks of its B + 1 nodes and B
@@ -456,11 +456,12 @@ def tracking_defect(path: ProjectorPath, frames: FramePath) -> float:
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    """Dynamical vs. geometric fiber maps of one Hamiltonian run, with per-node audits."""
+    """Fiber maps and per-node audits of one transport run.  A ``_chart_loop_holonomy`` run has
+    no frame phi: its dynamical, fiber_gap and frame_path are None, energies 0, isometry psi's."""
 
-    dynamical: np.ndarray        # sigma* phi(T)
-    geometric: np.ndarray        # sigma* psi(T)
-    fiber_gap: np.ndarray        # psi(T)* phi(T)
+    dynamical: Optional[np.ndarray]  # sigma* phi(T)
+    geometric: np.ndarray            # sigma* psi(T)
+    fiber_gap: Optional[np.ndarray]  # psi(T)* phi(T)
     closed: bool
     closure_residual: float
     projector_defects: np.ndarray = field(repr=False)      # of phi_k phi_k*
@@ -770,6 +771,23 @@ def berry_maps(schedule: HamiltonianSchedule, p0: Projector, sigma: np.ndarray,
         frame_path=fpath,
         horizontal_path=hpath,
     )
+
+
+def _chart_loop_holonomy(base: BasePoint, blocks: np.ndarray, tol: Tolerances) -> HolonomyResult:
+    """Transport around the chart loop of (N, n-m, m) ``blocks`` at ``base``, on a unit grid.
+
+    NotClosed before any transport if the loop is open; the projector defects are taken from
+    the ``_graph_section`` phi before ``_section_transport`` writes psi over it in place."""
+    section = FramePath(TimeGrid(0.0, 1.0, len(blocks) - 1), _graph_section(base, blocks))
+    residual = section.closure_residual()
+    _require_closed(residual, base.m, tol)
+    projector_defects = section.projector_defects()
+    hpath = FramePath(section.grid, _section_transport(section.samples, tol))
+    return HolonomyResult(
+        dynamical=None, geometric=dag(hpath.samples[0]) @ hpath.samples[-1], fiber_gap=None,
+        closed=True, closure_residual=residual, projector_defects=projector_defects,
+        isometry_defects=hpath.frame_defects(), horizontality_defects=horizontality_defects(hpath),
+        energies=np.zeros(len(blocks)), horizontal_path=hpath)
 
 
 def geometric_hamiltonian(path: ProjectorPath,

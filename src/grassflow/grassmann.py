@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InvalidArgument, NotTangent, NotUnitary, OutsideChart, SectionNotInFiber
 from .linalg import (DEFAULT_TOLS, Tolerances, _matmul, _require_rank, _require_real,
-                     _require_square, _require_tall, commutator, dag, frob, isometrize,
-                     require_antihermitian, require_finite)
+                     _require_relative, _require_square, _require_tall, commutator, dag, frob,
+                     isometrize, require_antihermitian, require_finite)
 
 
 def projector_defect(p: np.ndarray, rank: int):
@@ -149,8 +149,9 @@ def _require_tangent(p: Projector, v: EmbeddedTangent,
     mat = require_finite(v.matrix, "tangent")
     if mat.shape != p.matrix.shape:
         raise InvalidArgument(f"tangent has shape {mat.shape}, want {p.matrix.shape}")
-    if tangency_defect(p, mat) > tol.comparison * (1.0 + frob(mat)):
-        raise NotTangent("matrix violates the tangency constraints at P")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm raises NonFinite
+        _require_relative(tangency_defect(p, mat), frob(mat), tol,
+                          NotTangent("matrix violates the tangency constraints at P"))
     return mat
 
 
@@ -374,11 +375,11 @@ def covariant_derivative_along(projectors: np.ndarray, sections: np.ndarray,
         return np.einsum("kij,kj->ki", projectors, v)
 
     if mode in ("canonical", "complement"):
-        ps = project(sections)
-        off = ps - sections if mode == "canonical" else ps  # the part of s off the fiber
-        if np.any(np.linalg.norm(off, axis=1)
-                  > tol.comparison * (1.0 + np.linalg.norm(sections, axis=1))):
-            raise SectionNotInFiber(f"section leaves the {mode} fiber")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm raises NonFinite
+            ps = project(sections)
+            off = ps - sections if mode == "canonical" else ps  # the part of s off the fiber
+            _require_relative(np.linalg.norm(off, axis=1), np.linalg.norm(sections, axis=1), tol,
+                              SectionNotInFiber(f"section leaves the {mode} fiber"))
         ds = sampled_derivative(sections, h, 2)
         return project(ds) if mode == "canonical" else ds - project(ds)
 

@@ -92,13 +92,21 @@ def require_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _require_relative(defect, size, tol: Tolerances, error: Exception):
+    """Raise ``error`` if a defect exceeds comparison * (1 + size), or NonFinite if a norm of
+    the test overflowed (inf > inf would pass): take them under np.errstate(over, invalid)."""
+    require_finite(np.append(defect, size), f"a norm of the {type(error).__name__} test")
+    if np.any(np.asarray(defect) > tol.comparison * (1.0 + np.asarray(size))):
+        raise error
+
+
 def _hermitian_defects(a: np.ndarray):
     """|| a + a* || / s, || a || / s and 1 / s for each matrix of the finite a.
 
     s = 1 unless a norm overflows; then s is the larger of 1 and the largest entry
     modulus of each matrix, and the norms of a / s cannot overflow.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in the norm of an inf entry
         defects, norms = (np.linalg.norm(x, axis=(-2, -1)) for x in (a + dag(a), a))
     if not (np.isfinite(defects).all() and np.isfinite(norms).all()):
         scale = np.abs(a).max(axis=(-2, -1), keepdims=True, initial=1.0)
@@ -323,9 +331,10 @@ def nearest_projector(m_mat: np.ndarray, m: int,
     _require_count(m, "rank m")
     if not m < n:
         raise InvalidArgument("rank m must satisfy 0 < m < n")
-    if frob(m_mat - dag(m_mat)) > tol.comparison * (1.0 + frob(m_mat)):
+    defects, norms, unit = _hermitian_defects(1j * m_mat)  # i m is anti-Hermitian if m is Hermitian
+    if defects > tol.comparison * (unit + norms):
         raise InvalidArgument("input is not Hermitian within comparison tolerance")
-    h = (m_mat + dag(m_mat)) / 2.0
+    h = m_mat / 2.0 + dag(m_mat) / 2.0  # halved first: no overflow
     w, v = np.linalg.eigh(h)  # ascending eigenvalues
     gap = w[n - m] - w[n - m - 1]
     if gap <= tol.structural:

@@ -1483,6 +1483,7 @@ class TestSampledTransport:
         # one step needs no stencil: psi_1 is the polar factor of P_1 sigma
         samples = bloch_matrices(np.pi / 3, [0.0, 0.4])
         path = ProjectorPath(grid=_TWO_NODES, samples=samples, rank=1)
+        assert path.n == 2
         sigma = BasePoint.from_projector(bloch_projector(np.pi / 3)).frame
         got = horizontal_transport(path, sigma).samples
         assert np.abs(got - projection_transport(path.samples, sigma)).max() <= 1e-15
@@ -1500,6 +1501,32 @@ class TestSampledTransport:
         assert np.abs(section @ dag(section) - path.samples).max() <= 1e-15
         got = dynamics._section_transport(section, dynamics.DEFAULT_TOLS)
         assert np.abs(got - horizontal_transport(path, base.frame).samples).max() <= 1e-14
+
+    def test_chart_loop_holonomy_is_the_loop_holonomy_of_its_samples(self):
+        # the synthesize-n6m2 loop (seed 0) as one audited run: its holonomy is that of its
+        # projector samples, and no Hamiltonian frame is run
+        rng = np.random.default_rng(0)
+        w = random_antihermitian(2, rng)
+        w /= np.linalg.norm(w)
+        base = BasePoint.standard(6, 2)
+        blocks = dynamics._parallelogram_loop(curvature_generators(w, 6), 0.1, base, 2000)
+        res = dynamics._chart_loop_holonomy(base, blocks, dynamics.DEFAULT_TOLS)
+        path = synthesize_holonomy_step(w, 0.1, base, 2000)
+        assert np.abs(res.geometric - loop_holonomy(path, base.frame)).max() <= 1e-14
+        assert res.closed and res.closure_residual <= 1e-14
+        assert res.dynamical is None and res.fiber_gap is None and res.frame_path is None
+        np.testing.assert_array_equal(res.energies, np.zeros(len(blocks)))
+        np.testing.assert_array_equal(res.isometry_defects, res.horizontal_path.frame_defects())
+        assert res.projector_defect <= 1e-14 and res.horizontal_path.grid.steps == len(blocks) - 1
+
+    def test_chart_loop_holonomy_checks_closure_before_transport(self, monkeypatch):
+        # an open chart path, from the base point out to a block of norm 0.1, raises
+        # NotClosed before any transport is taken
+        base = BasePoint.standard(4, 2)
+        blocks = np.linspace(0.0, 0.05, 9)[:, np.newaxis, np.newaxis] * np.ones((2, 2))
+        monkeypatch.setattr(dynamics, "_section_transport", lambda *args: 1 / 0)
+        with pytest.raises(NotClosed):
+            dynamics._chart_loop_holonomy(base, blocks.astype(complex), dynamics.DEFAULT_TOLS)
 
     @pytest.mark.parametrize("n, m", [(3, 1), (6, 2), (12, 5)])
     def test_graph_section_is_the_oriented_qr_of_the_graph_frames(self, n, m):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from grassflow import InvalidArgument, NonFinite
+from grassflow import InvalidArgument, NonFinite, NotAntiHermitian
 from grassflow.bundle import (connection_A, curvature_generators, curvature_Omega,
-                             split_vertical_horizontal)
+                             require_frame_tangent, split_vertical_horizontal)
 from grassflow.dynamics import (FramePath, HamiltonianSchedule, ProjectorPath, TimeGrid,
                                 _graph_section, berry_maps, constant_schedule,
                                 bloch_matrices, geometric_hamiltonian, geometric_schedule,
@@ -16,7 +16,7 @@ from grassflow.grassmann import (BasePoint, ChartTangent, EmbeddedTangent, Proje
                                  linear_hamiltonian, proj_from_chart, symplectic_form,
                                  tangent_extract)
 from grassflow.linalg import (Tolerances, commutator, nearest_projector, random_antihermitian,
-                              random_frame)
+                              random_frame, require_antihermitian)
 
 _P = Projector.standard(3, 1).matrix
 _GRID = TimeGrid(0.0, 1.0, 2)
@@ -156,6 +156,34 @@ def test_non_finite_inputs_raise_non_finite(call):
     # NaN projector, a Gram matrix 1 + f* f that overflows made the zero matrix, and a graph
     # frame whose norm overflows warned before it raised
     with pytest.raises(NonFinite):
+        call()
+
+
+# a frame of C^3, a vector at it that is neither tangent nor horizontal, and a huge non-tangent
+_E1, _HUGE = np.eye(3, dtype=complex)[:, :1], np.array([[1e308], [1e308], [0.0]])
+_HUGE_V = EmbeddedTangent(np.full((3, 3), 1e308))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: nearest_projector(np.array([[1e308, 1e308], [-1e308, 1e308]]), 1),
+     InvalidArgument, "not Hermitian"),
+    (lambda: require_antihermitian(np.array([[1e308 + 1e308j]])), NotAntiHermitian,
+     "not anti-Hermitian"),
+    (lambda: require_frame_tangent(_E1, _HUGE), NonFinite, "NotTangent test"),
+    (lambda: connection_A(_E1, _HUGE), NonFinite, "NotTangent test"),
+    (lambda: split_vertical_horizontal(_E1, _HUGE), NonFinite, "NotTangent test"),
+    (lambda: symplectic_form(Projector.standard(3, 1), _HUGE_V, _HUGE_V), NonFinite,
+     "NotTangent test"),
+    (lambda: curvature_Omega(_E1, _HUGE, _HUGE), NonFinite, "NotHorizontal test"),
+    (lambda: covariant_derivative_along(np.array([_P] * 3), np.full((3, 3), 1e308), 0.5),
+     NonFinite, "SectionNotInFiber test"),
+], ids=["nearest_projector", "require_antihermitian", "require_frame_tangent", "connection_A",
+        "split_vertical_horizontal", "symplectic_form", "curvature_Omega",
+        "covariant_derivative_along"])
+def test_overflowing_relative_checks_do_not_pass(call, error, match):
+    # each check reads || D(x) || > comparison (1 + || x ||): on huge input both sides were
+    # inf and it passed (a projector of a non-Hermitian matrix, a NaN curvature), or warned
+    with pytest.raises(error, match=match):
         call()
 
 
